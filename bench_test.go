@@ -206,13 +206,15 @@ func BenchmarkAlgorithm1(b *testing.B) {
 // BenchmarkAlgorithm1Jacobi measures the asynchronous variant.
 func BenchmarkAlgorithm1Jacobi(b *testing.B) {
 	inst := benchInstance(b)
-	coord, err := core.NewCoordinator(inst, core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineJacobi
+	coord, err := core.NewCoordinator(inst, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coord.RunJacobi(); err != nil {
+		if _, err := coord.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,7 +77,6 @@ func run(args []string) error {
 		restarts    = fs.Int("restarts", 0, "extra shuffled-order restarts (extension)")
 		engine      = fs.String("engine", "gs", "sweep engine: gs (sequential Gauss-Seidel), jacobi (reference round updates), parallel (goroutine-sharded Jacobi)")
 		workers     = fs.Int("workers", 0, "worker-pool size for -engine parallel (0 means GOMAXPROCS)")
-		jacobi      = fs.Bool("jacobi", false, "deprecated alias for -engine jacobi")
 		regions     = fs.Int("regions", 1, "number of BS coordination regions (multi-BS extension)")
 		saveInst    = fs.String("save-instance", "", "write the built instance as JSON and continue")
 		loadInst    = fs.String("load-instance", "", "load the instance from JSON instead of building a scenario")
@@ -127,12 +126,6 @@ func run(args []string) error {
 	engineKind, err := model.ParseEngineKind(*engine)
 	if err != nil {
 		return err
-	}
-	if *jacobi {
-		if engineKind != model.EngineGaussSeidel && engineKind != model.EngineJacobi {
-			return fmt.Errorf("-jacobi conflicts with -engine %v", engineKind)
-		}
-		engineKind = model.EngineJacobi
 	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")

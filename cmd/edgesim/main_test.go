@@ -52,9 +52,12 @@ func TestRunWithRestarts(t *testing.T) {
 	}
 }
 
-func TestRunJacobi(t *testing.T) {
-	if err := run(smallArgs("-jacobi")); err != nil {
+func TestRunEngineJacobi(t *testing.T) {
+	if err := run(smallArgs("-engine", "jacobi")); err != nil {
 		t.Fatal(err)
+	}
+	if err := run(smallArgs("-jacobi")); err == nil {
+		t.Error("-jacobi: want unknown-flag error")
 	}
 }
 

@@ -411,7 +411,9 @@ func (c *Coordinator) Run() (*RunResult, error) {
 // with the same instance and configuration as the crashed run; the engine
 // must be of the same family as the one that took the snapshot (the
 // reference and parallel Jacobi engines are interchangeable, Gauss-Seidel
-// is not interchangeable with either).
+// is not interchangeable with either). Any dual multipliers μ the
+// snapshot carries are ignored: Solve cold-starts its dual loop, so they
+// never influence the trajectory.
 func (c *Coordinator) Resume(ck *model.Checkpoint) (*RunResult, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")
@@ -440,59 +442,18 @@ func (c *Coordinator) Resume(ck *model.Checkpoint) (*RunResult, error) {
 		}
 		noise.SeekTo(ck.NoiseDraws)
 	}
-	// μ restoration is diagnostic (Solve cold-starts the dual loop), but
-	// it keeps the workspace byte-equal to the crashed process's.
-	for n, mu := range ck.Mu {
-		if len(mu) == 0 {
-			continue
-		}
-		if err := c.subs[n].RestoreMultipliers(mu); err != nil {
-			return nil, err
-		}
-	}
-	st := &SweepState{
-		Order:    append([]int(nil), ck.Order...),
-		Sweep:    ck.Sweep,
-		Phase:    ck.Phase,
-		X:        ck.Caching.Clone(),
-		Y:        ck.Routing.Clone(),
-		Tracker:  model.NewAggregateTracker(c.inst),
-		History:  append([]float64(nil), ck.History...),
-		PrevCost: ck.PrevCost,
-		Best:     ck.Best.Clone(),
-	}
-	st.Tracker.Restore(ck.Aggregate)
-	return c.runEngine(c.engine, st)
+	return c.runEngine(c.engine, SweepStateFromCheckpoint(c.inst, ck))
 }
 
 // snapshot captures the current sweep state as of resume point
 // (sweep, phase) and hands it to the sink, recording which engine kind
-// produced the trajectory.
+// produced the trajectory and, for a private run, the noise position.
 func (c *Coordinator) snapshot(sink model.CheckpointSink, kind EngineKind, st *SweepState, res *RunResult, sweep, phase int) error {
-	ck := &model.Checkpoint{
-		Sweep:      sweep,
-		Phase:      phase,
-		Engine:     kind,
-		Order:      append([]int(nil), st.Order...),
-		Caching:    st.X.Clone(),
-		Routing:    st.Y.Clone(),
-		Aggregate:  st.Tracker.Aggregate().Clone(),
-		History:    append([]float64(nil), res.History...),
-		PrevCost:   st.PrevCost,
-		Best:       st.Best.Clone(),
-		Mu:         make([][]float64, c.inst.N),
-		InstanceFP: c.inst.Fingerprint(),
-	}
-	for n, sub := range c.subs {
-		ck.Mu[n] = sub.Multipliers()
-	}
+	ck := st.Checkpoint(c.inst, kind, res.History, sweep, phase)
 	if c.lppm != nil {
 		ck.HasNoise = true
 		ck.NoiseSeed, ck.NoiseDraws = c.cfg.Privacy.Noise.Pos()
 	}
-	// Checkpoints are local trusted state: raw μ never leaves the process
-	// and bit-identical resume requires the un-noised values (§V-C).
-	//edgecache:lint-ignore privflow checkpoint is local trusted state; raw multipliers are required for bit-identical resume and never cross the transport
 	if err := sink.Save(ck); err != nil {
 		return fmt.Errorf("core: checkpoint at sweep %d phase %d: %w", sweep, phase, err)
 	}

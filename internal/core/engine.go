@@ -67,6 +67,46 @@ func NewSweepState(inst *model.Instance, order []int) *SweepState {
 	}
 }
 
+// Checkpoint captures st as resume point (sweep, phase) of a run by
+// engine kind over inst; history is the run's cost trail so far
+// (RunResult.History). Every slice and policy is copied, so the run may
+// keep mutating st. Callers add their own extras: the noise position of
+// a private run, the BS agent's per-SBS health.
+func (st *SweepState) Checkpoint(inst *model.Instance, kind EngineKind, history []float64, sweep, phase int) *model.Checkpoint {
+	return &model.Checkpoint{
+		Sweep:      sweep,
+		Phase:      phase,
+		Engine:     kind,
+		Order:      append([]int(nil), st.Order...),
+		Caching:    st.X.Clone(),
+		Routing:    st.Y.Clone(),
+		Aggregate:  st.Tracker.Aggregate().Clone(),
+		History:    append([]float64(nil), history...),
+		PrevCost:   st.PrevCost,
+		Best:       st.Best.Clone(),
+		InstanceFP: inst.Fingerprint(),
+	}
+}
+
+// SweepStateFromCheckpoint is the inverse of SweepState.Checkpoint: the
+// live state to resume ck from, sharing no memory with ck. The caller
+// validates ck against inst first (model.Checkpoint.Validate).
+func SweepStateFromCheckpoint(inst *model.Instance, ck *model.Checkpoint) *SweepState {
+	st := &SweepState{
+		Order:    append([]int(nil), ck.Order...),
+		Sweep:    ck.Sweep,
+		Phase:    ck.Phase,
+		X:        ck.Caching.Clone(),
+		Y:        ck.Routing.Clone(),
+		Tracker:  model.NewAggregateTracker(inst),
+		History:  append([]float64(nil), ck.History...),
+		PrevCost: ck.PrevCost,
+		Best:     ck.Best.Clone(),
+	}
+	st.Tracker.Restore(ck.Aggregate)
+	return st
+}
+
 // identityOrder returns 0..n-1.
 func identityOrder(n int) []int {
 	order := make([]int, n)

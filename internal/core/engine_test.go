@@ -90,33 +90,6 @@ func TestParallelBitIdenticalWithPrivacy(t *testing.T) {
 	}
 }
 
-// TestRunJacobiMatchesEngineConfig pins the legacy entry point to the
-// engine path: RunJacobi on a default (Gauss-Seidel) coordinator and
-// Run on an EngineJacobi coordinator must produce the same trajectory.
-func TestRunJacobiMatchesEngineConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	inst := randomInstance(rng, 4, 7, 9)
-
-	legacy, err := NewCoordinator(inst, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := legacy.RunJacobi()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord, err := NewCoordinator(inst, jacobiCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitEqualResults(t, got, want, "RunJacobi vs Engine=jacobi")
-}
-
 // TestJacobiTrackerMatchesReferenceRepair pins the engines' incremental
 // aggregate to the reference definitions: after a run, the tracker-
 // maintained aggregate of the returned policy must equal a from-scratch

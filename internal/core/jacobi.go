@@ -184,20 +184,6 @@ func (e *jacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(in
 	return nil
 }
 
-// RunJacobi executes the reference Jacobi engine through the shared
-// driver, regardless of Config.Engine — the E9/E10 ablations compare it
-// against a Gauss-Seidel run of the same coordinator. Prefer
-// Config.Engine for new code.
-//
-// Convergence is assessed with the same γ rule as Run.
-func (c *Coordinator) RunJacobi() (*RunResult, error) {
-	eng := c.engine
-	if eng.Kind() != model.EngineJacobi {
-		eng = newJacobiEngine(c)
-	}
-	return c.runEngine(eng, NewSweepState(c.inst, identityOrder(c.inst.N)))
-}
-
 // repairOverserve rescales routing proportionally wherever the aggregate
 // Σ_n y_nuf·l_nu exceeds one, restoring constraint (4). Scaling down never
 // violates bandwidth, box or cache constraints.

@@ -11,11 +11,11 @@ func TestJacobiFeasibleAndConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 8; trial++ {
 		inst := randomInstance(rng, 3, 6, 8)
-		coord, err := NewCoordinator(inst, DefaultConfig())
+		coord, err := NewCoordinator(inst, jacobiCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.RunJacobi()
+		res, err := coord.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,11 @@ func TestJacobiComparableToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := coord.RunJacobi()
+		jcoord, err := NewCoordinator(inst, jacobiCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := jcoord.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,14 +69,14 @@ func TestJacobiComparableToSequential(t *testing.T) {
 func TestJacobiWithPrivacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inst := randomInstance(rng, 3, 5, 6)
-	cfg := DefaultConfig()
+	cfg := jacobiCfg()
 	cfg.MaxSweeps = 10
 	cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Rng: rand.New(rand.NewSource(24))}
 	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.RunJacobi()
+	res, err := coord.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

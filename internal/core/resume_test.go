@@ -292,24 +292,67 @@ func TestNoiseSourcePositionAndSeek(t *testing.T) {
 	}
 }
 
-func TestSubproblemMultiplierRestore(t *testing.T) {
+func TestResumeIgnoresCheckpointMu(t *testing.T) {
+	// Snapshots no longer carry the raw dual multipliers μ: they are
+	// private, and Solve cold-starts them, so they never shaped the
+	// trajectory. Older snapshots that do carry μ must still decode, and
+	// resuming from one must replay the uninterrupted run bit for bit.
 	rng := rand.New(rand.NewSource(51))
-	inst := randomInstance(rng, 2, 4, 5)
-	sub, err := NewSubproblem(inst, 0, DefaultSubproblemConfig())
+	inst := randomInstance(rng, 3, 5, 7)
+
+	store := model.NewMemCheckpointStore(0)
+	cfg := DefaultConfig()
+	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.Solve(inst.NewUFMat()); err != nil {
+	want, err := coord.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	mu := sub.Multipliers()
-	if len(mu) == 0 {
-		t.Fatal("no multipliers after a solve")
+
+	// Realistic μ: each SBS's multipliers after one solve.
+	mu := make([][]float64, inst.N)
+	for n := range mu {
+		sub, err := NewSubproblem(inst, n, DefaultSubproblemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sub.Solve(inst.NewUFMat()); err != nil {
+			t.Fatal(err)
+		}
+		mu[n] = sub.Multipliers()
 	}
-	if err := sub.RestoreMultipliers(make([]float64, len(mu)+1)); err == nil {
-		t.Error("wrong-length multipliers accepted")
+
+	snaps := store.All()
+	if len(snaps) == 0 {
+		t.Fatal("no snapshots captured")
 	}
-	if err := sub.RestoreMultipliers(mu); err != nil {
-		t.Errorf("restore failed: %v", err)
+	for _, ck := range snaps {
+		if ck.Mu != nil {
+			t.Fatalf("snapshot at sweep %d phase %d carries raw multipliers", ck.Sweep, ck.Phase)
+		}
+		ck.Mu = mu
+		data, err := ck.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		withMu, err := model.UnmarshalCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(withMu.Mu) != inst.N {
+			t.Fatalf("decoded %d multiplier vectors, want %d", len(withMu.Mu), inst.N)
+		}
+		fresh, err := NewCoordinator(inst, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.Resume(withMu)
+		if err != nil {
+			t.Fatalf("resume at sweep %d phase %d: %v", ck.Sweep, ck.Phase, err)
+		}
+		bitEqualResults(t, got, want, "resume from a snapshot carrying μ")
 	}
 }

@@ -365,9 +365,8 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 
 // Multipliers returns a copy of the dual multipliers μ as left by the most
 // recent Solve (zeros before the first). One entry per servable item, in
-// item order. Checkpoints capture this for workspace completeness and as a
-// warm-start hook; Solve itself cold-starts μ, so restoration does not
-// alter the trajectory.
+// item order. Solve cold-starts μ, so they never influence a later solve;
+// checkpoints do not capture them.
 //
 // The multipliers are derived from raw per-item demand pressure, so they
 // are a privacy source: privflow flags any egress that has not passed an
@@ -376,15 +375,6 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 //edgecache:private raw dual multipliers derived from per-MU demand
 func (s *Subproblem) Multipliers() []float64 {
 	return append([]float64(nil), s.ws.mu...)
-}
-
-// RestoreMultipliers reloads a μ vector captured by Multipliers.
-func (s *Subproblem) RestoreMultipliers(mu []float64) error {
-	if len(mu) != len(s.ws.mu) {
-		return fmt.Errorf("core: SBS %d multiplier vector has %d entries, want %d", s.n, len(mu), len(s.ws.mu))
-	}
-	copy(s.ws.mu, mu)
-	return nil
 }
 
 // cachingStep solves eq. 18: pick the C_n contents with the largest

@@ -82,7 +82,11 @@ func (h Harness) JacobiAblation() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		jac, err := coord.RunJacobi()
+		jcoord, err := core.NewCoordinator(inst, core.Config{Sub: h.Sub, Engine: core.EngineJacobi})
+		if err != nil {
+			return nil, err
+		}
+		jac, err := jcoord.Run()
 		if err != nil {
 			return nil, err
 		}

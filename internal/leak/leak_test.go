@@ -28,19 +28,23 @@ func shortSettle(t *testing.T) {
 	t.Cleanup(func() { settleSteps = saved })
 }
 
-// TestDiffDetectsLeak leaks a parked goroutine on purpose and checks the
+// TestDiffDetectsLeak leaks parked goroutines on purpose and checks the
 // error carries both the counts and a stack dump naming this file.
 func TestDiffDetectsLeak(t *testing.T) {
 	shortSettle(t)
 	before := Take()
 	park := make(chan struct{})
 	defer close(park)
+	// Leak several goroutines so one unrelated goroutine exiting
+	// concurrently (the previous test's runner) cannot mask the growth.
 	started := make(chan struct{})
-	go func() {
-		close(started)
-		<-park // parked until test cleanup: a deliberate leak
-	}()
-	<-started
+	for i := 0; i < 5; i++ {
+		go func() {
+			started <- struct{}{}
+			<-park // parked until test cleanup: a deliberate leak
+		}()
+		<-started
+	}
 	err := before.Diff()
 	if err == nil {
 		t.Fatal("leaked goroutine not detected")

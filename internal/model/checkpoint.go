@@ -10,8 +10,8 @@ import (
 // CRC-guarded binary snapshot of everything the DUA sweep (Algorithm 1)
 // needs to continue after a coordinator crash — iteration τ, the phase
 // cursor, both policies, the incremental aggregate, the cost history, the
-// dual multipliers, the LPPM noise-stream position and the per-SBS health
-// records of a distributed run.
+// LPPM noise-stream position and the per-SBS health records of a
+// distributed run (plus a legacy dual-multiplier section; see Mu).
 //
 // Design notes:
 //
@@ -90,9 +90,11 @@ type Checkpoint struct {
 	// Best is the cheapest solution seen so far (nil before the first
 	// completed sweep).
 	Best *Solution
-	// Mu holds each SBS's dual multipliers as left by its last Solve. The
-	// dual loop cold-starts every phase, so restoring μ is diagnostic
-	// completeness (and a warm-start hook), not a correctness requirement.
+	// Mu is a legacy section: older snapshots held each SBS's raw dual
+	// multipliers here. Nothing writes it any more, because μ is private
+	// and the dual loop cold-starts every phase, so it never shaped the
+	// trajectory. The codec still round-trips it, so such snapshots decode,
+	// and resume ignores it.
 	Mu [][]float64
 	// HasNoise records whether LPPM was active; NoiseSeed and NoiseDraws
 	// are then the noise stream's identity and position (see

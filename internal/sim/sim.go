@@ -312,23 +312,19 @@ func (s *bsSweeper) Sweep(st *core.SweepState, sweep, first int, _ func(int) err
 
 func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResult, error) {
 	inst := b.inst
-	order := make([]int, inst.N)
-	for i := range order {
-		order[i] = i
-	}
-	st := core.NewSweepState(inst, order)
 	sweeper := &bsSweeper{b: b, ctx: ctx, yMinus: inst.NewUFMat(),
 		faults: make([]core.SBSFaultStats, inst.N)}
+	var st *core.SweepState
 	if ck != nil {
-		st.Sweep = ck.Sweep
-		st.X = ck.Caching.Clone()
-		st.Y = ck.Routing.Clone()
-		st.Tracker.Restore(ck.Aggregate)
-		st.History = append([]float64(nil), ck.History...)
-		st.PrevCost = ck.PrevCost
-		st.Best = ck.Best.Clone()
+		st = core.SweepStateFromCheckpoint(inst, ck)
 		b.restoreHealth(ck.Health, sweeper.faults)
 		b.stateSync(ctx, ck)
+	} else {
+		order := make([]int, inst.N)
+		for i := range order {
+			order[i] = i
+		}
+		st = core.NewSweepState(inst, order)
 	}
 	d := &core.Driver{
 		Inst:            inst,
@@ -480,20 +476,8 @@ func (b *BSAgent) broadcastDone(ctx context.Context) {
 // probe schedules instead of re-learning which SBSs are dead.
 func (b *BSAgent) snapshot(sink model.CheckpointSink, st *core.SweepState, res *core.RunResult,
 	faults []core.SBSFaultStats, sweep int) error {
-	ck := &model.Checkpoint{
-		Sweep:      sweep,
-		Phase:      0,
-		Engine:     model.EngineGaussSeidel,
-		Order:      append([]int(nil), st.Order...),
-		Caching:    st.X.Clone(),
-		Routing:    st.Y.Clone(),
-		Aggregate:  st.Tracker.Aggregate().Clone(),
-		History:    append([]float64(nil), res.History...),
-		PrevCost:   st.PrevCost,
-		Best:       st.Best.Clone(),
-		Health:     b.healthSnapshot(faults),
-		InstanceFP: b.inst.Fingerprint(),
-	}
+	ck := st.Checkpoint(b.inst, model.EngineGaussSeidel, res.History, sweep, 0)
+	ck.Health = b.healthSnapshot(faults)
 	if err := sink.Save(ck); err != nil {
 		return fmt.Errorf("sim: checkpoint at sweep %d: %w", sweep, err)
 	}

@@ -10,6 +10,7 @@
 #   internal/transport in-process message passing
 #   internal/chaos     fault schedules against the protocol (short mode)
 #   cmd/...            CLI drivers, including the edgelint self-check
+#   cmd/edgebench      the benchmark harness (a nested module)
 #
 # The edgelint gate runs the repository's custom analyzers (internal/lint):
 # noalloc, determinism, floateq, flataccess, lockedsend, plus the dataflow
@@ -50,13 +51,20 @@ go test -race -run 'Resume|Checkpoint|BSCrash|StateSync|ReplyCache|NoiseSource' 
 # memo-disabled reference (±LPPM, across resume) and the solves-skipped>0
 # gate on the standard N=20 scenario.
 echo "verify: parallel sweep-engine gate (-race)"
-go test -race -run 'TestParallel|TestEngine|TestJacobi|TestRunJacobi|TestIncremental' ./internal/core
+go test -race -run 'TestParallel|TestEngine|TestJacobi|TestIncremental' ./internal/core
 
 echo "verify: go test -race ./internal/core/... ./internal/sim/... ./internal/transport/..."
 go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
 
 echo "verify: go test -race ./internal/model/... ./cmd/..."
 go test -race ./internal/model/... ./cmd/...
+
+# The benchmark harness is a nested module, so the ./... patterns above
+# never build it. Its tests run all four workloads end to end plus their
+# bit-identity gates against the in-process reference.
+echo "verify: go -C cmd/edgebench vet ./... && go -C cmd/edgebench test ./..."
+go -C cmd/edgebench vet ./...
+go -C cmd/edgebench test ./...
 
 echo "verify: go test -race -short ./internal/chaos/..."
 go test -race -short ./internal/chaos/...
