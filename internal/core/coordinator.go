@@ -213,7 +213,7 @@ type RunResult struct {
 	// Work records the dirty-set accounting of each sweep this run
 	// executed: how many sub-problems were actually solved and how many
 	// were served from the memo (see DESIGN.md "Incremental sweeps"). It is
-	// nil for engines without the accounting (the sim BS sweeper) and is
+	// nil for engines without the accounting (the BS agent, multi-BS) and is
 	// not serialized in checkpoints — a resumed run restarts it, matching
 	// the memo itself being rebuilt rather than restored.
 	Work []SweepWork
@@ -290,6 +290,9 @@ type Coordinator struct {
 	subs   []*Subproblem
 	lppm   *LPPM       // nil when privacy is off
 	engine SweepEngine // the engine cfg.Engine selected
+	// solves and skips are the lifetime dirty-set accounting of
+	// answerPhase, which the Driver slices into per-sweep deltas.
+	solves, skips uint64
 }
 
 // NewCoordinator validates the instance and precomputes the per-SBS
@@ -376,6 +379,53 @@ func (c *Coordinator) invalidateMemos() {
 	for _, sub := range c.subs {
 		sub.memoInvalidate()
 	}
+}
+
+// answerPhase is the in-process answer to phase n (a PhaseFunc): SBS n
+// solves against yMinus, or its memo answers when nothing it reads
+// changed, and LPPM perturbs the routing before it is uploaded. The attack
+// taps observe the broadcast and the upload. The Gauss-Seidel and
+// reference Jacobi engines both answer through it; ok is always true.
+func (c *Coordinator) answerPhase(st *SweepState, sweep, n int, yMinus model.Mat) ([]bool, model.Mat, bool, error) {
+	if c.cfg.BroadcastTap != nil {
+		c.cfg.BroadcastTap(sweep, n, yMinus.Rows())
+	}
+	memo, sub := c.incremental(), c.subs[n]
+	var res *Result
+	if memo && sub.memoHit(st.Tracker) {
+		// Nothing SBS n reads changed since its last solve, so the solver —
+		// deterministic in y_{-n} — would reproduce the cached result bit
+		// for bit. Everything else in the phase (LPPM draws, the install
+		// round-trip) still runs, so the trajectory and the noise stream
+		// position stay byte-equal to the unskipped run's.
+		res = sub.cachedResult()
+		c.skips++
+	} else {
+		var err error
+		if res, err = sub.Solve(yMinus); err != nil {
+			c.invalidateMemos()
+			return nil, model.Mat{}, false, err
+		}
+		if memo {
+			// Key the memo on the pre-install epochs: the result answers
+			// the state the solve read, and the install must invalidate it
+			// if the round-trip moves any bits.
+			sub.memoCapture(st.Tracker)
+		}
+		c.solves++
+	}
+	upload := res.Routing
+	if c.lppm != nil {
+		var err error
+		if upload, err = c.lppm.PerturbSBS(n, res.Routing); err != nil {
+			c.invalidateMemos()
+			return nil, model.Mat{}, false, err
+		}
+	}
+	if c.cfg.UploadTap != nil {
+		c.cfg.UploadTap(sweep, n, res.Routing.Rows(), upload.Rows())
+	}
+	return res.Cache, upload, true, nil
 }
 
 // Run executes the configured engine from the all-zero initial policy.

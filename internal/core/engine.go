@@ -15,7 +15,7 @@ import (
 // interface: the sequential Gauss-Seidel sweep (the paper's Algorithm 1),
 // the sequential reference Jacobi round (§VII), and the goroutine-sharded
 // parallel Jacobi engine that computes the identical trajectory on a
-// worker pool.
+// worker pool; the multi-BS round (multibs.go) is one more engine.
 
 // EngineKind and its values are re-exported from internal/model, where the
 // checkpoint codec serializes them.
@@ -144,7 +144,8 @@ type SweepEngine interface {
 // workCounter is the optional engine face of the dirty-set accounting:
 // engines that track memo hits expose cumulative counters and the Driver
 // turns them into per-sweep deltas in RunResult.Work. Engines without the
-// accounting (the sim BS sweeper) simply don't implement it.
+// accounting (the BS agent's Gauss-Seidel engine, the multi-BS rounds)
+// simply don't implement it.
 type workCounter interface {
 	// workCounts returns the engine-lifetime totals of sub-problems solved
 	// and served from the memo.
@@ -153,9 +154,11 @@ type workCounter interface {
 
 // Driver is the shared outer loop of Algorithm 1: it alternates
 // engine sweeps with cost evaluation, best tracking, the γ stop rule and
-// checkpoint capture. The in-process Coordinator and the message-passing
-// BS agent (internal/sim) both run this exact loop, which is what keeps
-// the two deployments bit-for-bit equivalent.
+// checkpoint capture. Every Algorithm 1 run goes through it: the
+// in-process Coordinator, the message-passing BS agent (internal/sim) and
+// the multi-BS extension (RunMultiBS). The Coordinator and the BS agent
+// also share the Gauss-Seidel phase loop, which is what keeps the two
+// deployments bit-for-bit equivalent.
 type Driver struct {
 	// Inst is the problem instance.
 	Inst *model.Instance
@@ -168,8 +171,8 @@ type Driver struct {
 	// capture.
 	Checkpoint *CheckpointConfig
 	Snapshot   func(st *SweepState, res *RunResult, sweep, phase int) error
-	// HoldConvergence, when non-nil, is consulted after every sweep; a
-	// true return vetoes the γ stop for that sweep. The sim BS agent uses
+	// HoldConvergence, when non-nil, is consulted exactly once after every
+	// sweep; a true return vetoes the γ stop for that sweep. The BS agent uses
 	// it when faults corrupted the sweep's cost signal (missed uploads,
 	// quarantined SBSs).
 	HoldConvergence func() bool
@@ -249,29 +252,34 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	return res, nil
 }
 
+// PhaseFunc answers phase n of sweep `sweep`: given y_{-n}, it returns
+// SBS n's new caching row and routing upload. ok=false keeps SBS n's
+// previous policy (the BS agent's answer when an upload is missing or
+// malformed). The returned slices are only read until the phase installs
+// them. st is the live sweep state; answers must not mutate it.
+type PhaseFunc func(st *SweepState, sweep, n int, yMinus model.Mat) (cache []bool, upload model.Mat, ok bool, err error)
+
 // gsEngine is the paper's Algorithm 1 update discipline: SBSs update one
-// at a time in st.Order, each solving against the aggregate that already
-// includes every earlier update of the same sweep.
+// at a time in st.Order, each answering against the aggregate that already
+// includes every earlier update of the same sweep. It is the one
+// Gauss-Seidel phase loop; the in-process Coordinator and the BS agent
+// (internal/sim) differ only in how they answer a phase.
 type gsEngine struct {
-	c      *Coordinator
+	inst   *model.Instance
+	answer PhaseFunc
 	yMinus model.Mat
-	// solves and skips are the engine-lifetime dirty-set accounting the
-	// Driver slices into per-sweep deltas.
-	solves, skips uint64
 }
 
-func newGSEngine(c *Coordinator) *gsEngine {
-	return &gsEngine{c: c, yMinus: c.inst.NewUFMat()}
+// NewGaussSeidelEngine returns the Gauss-Seidel engine over inst whose
+// phases are answered by answer. Run it with Driver.Run.
+func NewGaussSeidelEngine(inst *model.Instance, answer PhaseFunc) SweepEngine {
+	return &gsEngine{inst: inst, answer: answer, yMinus: inst.NewUFMat()}
 }
 
 func (e *gsEngine) Kind() model.EngineKind { return model.EngineGaussSeidel }
 func (e *gsEngine) Close()                 {}
 
-func (e *gsEngine) workCounts() (uint64, uint64) { return e.solves, e.skips }
-
 func (e *gsEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
-	c, inst := e.c, e.c.inst
-	memo := c.incremental()
 	for pi := first; pi < len(st.Order); pi++ {
 		n := st.Order[pi]
 		// Each phase is one mutation stage: bumps from this phase's Install
@@ -279,48 +287,15 @@ func (e *gsEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) e
 		st.Tracker.BeginPhase()
 		// The BS broadcasts the aggregate routing; SBS n subtracts its
 		// own last upload to obtain y_{-n} (eq. 25).
-		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus)
-		if c.cfg.BroadcastTap != nil {
-			c.cfg.BroadcastTap(sweep, n, e.yMinus.Rows())
+		st.Tracker.YMinusInto(e.inst, st.Y, n, e.yMinus)
+		cache, upload, ok, err := e.answer(st, sweep, n, e.yMinus)
+		if err != nil {
+			return err
 		}
-		var sub *Result
-		if memo && c.subs[n].memoHit(st.Tracker) {
-			// Nothing SBS n reads changed since its last solve, so the
-			// solver — deterministic in y_{-n} — would reproduce the cached
-			// result bit for bit. Everything else in the phase (LPPM draws,
-			// the install round-trip) still runs, so the trajectory and the
-			// noise stream position stay byte-equal to the unskipped run's.
-			sub = c.subs[n].cachedResult()
-			e.skips++
-		} else {
-			var err error
-			sub, err = c.subs[n].Solve(e.yMinus)
-			if err != nil {
-				c.invalidateMemos()
-				return err
-			}
-			if memo {
-				// Key the memo on the pre-install epochs: the result answers
-				// the state the solve read, and the install below must
-				// invalidate it if the round-trip moves any bits.
-				c.subs[n].memoCapture(st.Tracker)
-			}
-			e.solves++
+		if ok {
+			st.X.SetRow(n, cache)
+			st.Tracker.Install(e.inst, st.Y, n, e.yMinus, upload)
 		}
-		upload := sub.Routing
-		if c.lppm != nil {
-			var err error
-			upload, err = c.lppm.PerturbSBS(n, sub.Routing)
-			if err != nil {
-				c.invalidateMemos()
-				return err
-			}
-		}
-		if c.cfg.UploadTap != nil {
-			c.cfg.UploadTap(sweep, n, sub.Routing.Rows(), upload.Rows())
-		}
-		st.X.SetRow(n, sub.Cache)
-		st.Tracker.Install(inst, st.Y, n, e.yMinus, upload)
 		if phaseDone != nil && pi+1 < len(st.Order) {
 			if err := phaseDone(pi + 1); err != nil {
 				return err
@@ -330,14 +305,23 @@ func (e *gsEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) e
 	return nil
 }
 
+// countedEngine attaches the coordinator's dirty-set accounting to an
+// engine whose phases Coordinator.answerPhase answers.
+type countedEngine struct {
+	SweepEngine
+	c *Coordinator
+}
+
+func (e countedEngine) workCounts() (uint64, uint64) { return e.c.solves, e.c.skips }
+
 // newEngine builds the engine selected by cfg.Engine for this
 // coordinator.
 func (c *Coordinator) newEngine() (SweepEngine, error) {
 	switch c.cfg.Engine {
 	case model.EngineGaussSeidel:
-		return newGSEngine(c), nil
+		return countedEngine{NewGaussSeidelEngine(c.inst, c.answerPhase), c}, nil
 	case model.EngineJacobi:
-		return newJacobiEngine(c), nil
+		return countedEngine{newJacobiEngine(c), c}, nil
 	case model.EngineParallelJacobi:
 		return newParallelJacobiEngine(c, c.cfg.Workers), nil
 	default:

@@ -39,8 +39,6 @@ type jacobiEngine struct {
 	// linked to user row u. Only dirty rows are re-merged and re-repaired.
 	dirtyBlock []bool
 	dirtyRow   []bool
-	// solves and skips are the engine-lifetime dirty-set accounting.
-	solves, skips uint64
 }
 
 func newJacobiEngine(c *Coordinator) *jacobiEngine {
@@ -55,8 +53,6 @@ func newJacobiEngine(c *Coordinator) *jacobiEngine {
 
 func (e *jacobiEngine) Kind() model.EngineKind { return model.EngineJacobi }
 func (e *jacobiEngine) Close()                 {}
-
-func (e *jacobiEngine) workCounts() (uint64, uint64) { return e.solves, e.skips }
 
 // allMemoHits reports whether every sub-problem's memo is valid for the
 // current tracker state. Such a round is a complete no-op for a non-private
@@ -108,40 +104,19 @@ func (e *jacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(in
 	if memo && c.lppm == nil && allMemoHits(c, st.Tracker) {
 		// Every block would be re-derived bit-identically, so the round
 		// changes nothing: the γ rule sees an identical cost and stops.
-		e.skips += uint64(inst.N)
+		c.skips += uint64(inst.N)
 		return nil
 	}
 	// All SBSs observe the same pre-round policy (stale state). Every
 	// block of next is overwritten below, so the swapped-in buffer needs
 	// no clearing.
 	for n := 0; n < inst.N; n++ {
-		var sub *Result
-		if memo && c.subs[n].memoHit(st.Tracker) {
-			sub = c.subs[n].cachedResult()
-			e.skips++
-		} else {
-			st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus)
-			var err error
-			sub, err = c.subs[n].Solve(e.yMinus)
-			if err != nil {
-				c.invalidateMemos()
-				return err
-			}
-			if memo {
-				c.subs[n].memoCapture(st.Tracker)
-			}
-			e.solves++
+		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus)
+		cache, upload, _, err := c.answerPhase(st, sweep, n, e.yMinus)
+		if err != nil {
+			return err
 		}
-		upload := sub.Routing
-		if c.lppm != nil {
-			var err error
-			upload, err = c.lppm.PerturbSBS(n, sub.Routing)
-			if err != nil {
-				c.invalidateMemos()
-				return err
-			}
-		}
-		st.X.SetRow(n, sub.Cache)
+		st.X.SetRow(n, cache)
 		// Change detection against the pre-round block (st.Y still holds
 		// it): a clean block's rows need no re-merge, and its owner's — and
 		// neighbours' — memos survive the round.
@@ -182,29 +157,4 @@ func (e *jacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(in
 		u0 = u1
 	}
 	return nil
-}
-
-// repairOverserve rescales routing proportionally wherever the aggregate
-// Σ_n y_nuf·l_nu exceeds one, restoring constraint (4). Scaling down never
-// violates bandwidth, box or cache constraints.
-//
-// The engines repair through AggregateTracker.RepairOverserveRows, which
-// additionally keeps the running aggregate in sync; this standalone form
-// is the reference definition the tracker path is tested against.
-func repairOverserve(inst *model.Instance, y *model.RoutingPolicy) {
-	agg := y.Aggregate(inst)
-	for u := 0; u < inst.U; u++ {
-		row := agg.Row(u)
-		for f := range row {
-			if row[f] <= 1+1e-12 {
-				continue
-			}
-			factor := 1 / row[f]
-			for n := 0; n < inst.N; n++ {
-				if inst.Links[n][u] {
-					y.Set(n, u, f, y.At(n, u, f)*factor)
-				}
-			}
-		}
-	}
 }

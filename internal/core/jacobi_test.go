@@ -215,3 +215,28 @@ func TestPerturbKeepsZeroesAndRange(t *testing.T) {
 		}
 	}
 }
+
+// repairOverserve rescales routing proportionally wherever the aggregate
+// Σ_n y_nuf·l_nu exceeds one, restoring constraint (4). Scaling down never
+// violates bandwidth, box or cache constraints.
+//
+// The engines repair through AggregateTracker.RepairOverserveRows, which
+// additionally keeps the running aggregate in sync; this standalone form
+// is the reference definition the tests check the tracker path against.
+func repairOverserve(inst *model.Instance, y *model.RoutingPolicy) {
+	agg := y.Aggregate(inst)
+	for u := 0; u < inst.U; u++ {
+		row := agg.Row(u)
+		for f := range row {
+			if row[f] <= 1+1e-12 {
+				continue
+			}
+			factor := 1 / row[f]
+			for n := 0; n < inst.N; n++ {
+				if inst.Links[n][u] {
+					y.Set(n, u, f, y.At(n, u, f)*factor)
+				}
+			}
+		}
+	}
+}

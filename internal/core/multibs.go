@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"edgecache/internal/model"
 )
@@ -25,7 +24,8 @@ type MultiBSConfig struct {
 	// Regions partitions the SBS indices: every SBS appears in exactly
 	// one region and regions are non-empty.
 	Regions [][]int
-	// Sub, Gamma, MaxRounds follow Config (0 → defaults 1e-6 and 50).
+	// Sub, Gamma, MaxRounds follow Config's Sub, Gamma and MaxSweeps
+	// (0 → defaults 1e-6 and 50).
 	Sub       SubproblemConfig
 	Gamma     float64
 	MaxRounds int
@@ -33,17 +33,6 @@ type MultiBSConfig struct {
 	// single-BS algorithm, noise is added before the routing leaves the
 	// SBS, so regional aggregates are already privatized).
 	Privacy *PrivacyConfig
-}
-
-func (c MultiBSConfig) withDefaults() MultiBSConfig {
-	c.Sub = c.Sub.withDefaults()
-	if c.Gamma <= 0 {
-		c.Gamma = 1e-6
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 50
-	}
-	return c
 }
 
 // validateRegions checks that Regions is a partition of 0..N-1.
@@ -77,142 +66,122 @@ func (c MultiBSConfig) validateRegions(n int) error {
 // RunMultiBS executes the multi-BS protocol and returns the converged
 // result. With a single region containing every SBS it degenerates to
 // exactly Algorithm 1 (the repair step never fires because the sequential
-// sweep keeps constraint (4) tight), which the tests assert.
+// sweep keeps constraint (4) tight), which the tests assert; with one
+// region per SBS it performs the reference Jacobi round's update.
 func RunMultiBS(inst *model.Instance, cfg MultiBSConfig) (*RunResult, error) {
-	if err := inst.Validate(); err != nil {
+	c, err := NewCoordinator(inst, Config{
+		Sub:       cfg.Sub,
+		Gamma:     cfg.Gamma,
+		MaxSweeps: cfg.MaxRounds,
+		Privacy:   cfg.Privacy,
+		// The memo keys on the tracker's epochs, which a regional pass
+		// does not advance: every phase solves.
+		DisableIncremental: true,
+	})
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	if err := cfg.validateRegions(inst.N); err != nil {
 		return nil, err
 	}
-	var lppm *LPPM
-	if cfg.Privacy != nil {
-		l, err := NewLPPM(*cfg.Privacy)
-		if err != nil {
-			return nil, err
-		}
-		lppm = l
-	}
-	subs := make([]*Subproblem, inst.N)
-	for n := 0; n < inst.N; n++ {
-		sub, err := NewSubproblem(inst, n, cfg.Sub)
-		if err != nil {
-			return nil, err
-		}
-		subs[n] = sub
-	}
+	return c.runEngine(newRegionalEngine(c, cfg.Regions), NewSweepState(inst, identityOrder(inst.N)))
+}
 
-	// regionOf[n] gives each SBS's region for the foreign-aggregate math.
-	regionOf := make([]int, inst.N)
-	for r, region := range cfg.Regions {
+// regionalEngine runs one multi-BS round per Sweep call. Each region runs
+// a Gauss-Seidel pass over its SBSs, in region order, against the foreign
+// aggregates frozen at the round start: a region only knows what the other
+// BSs published last round. The round ends with the Jacobi epilogue —
+// swap, rebuild, overserve repair — because concurrent regions may have
+// claimed the same residual demand.
+type regionalEngine struct {
+	c        *Coordinator
+	regions  [][]int
+	regionOf []int
+	// foreign[r] is the round-start aggregate of every SBS outside region r.
+	foreign []model.Mat
+	yMinus  model.Mat
+	// next receives the round's uploads while st.Y still holds the
+	// pre-round policy; the two swap at the end of the round.
+	next *model.RoutingPolicy
+}
+
+func newRegionalEngine(c *Coordinator, regions [][]int) *regionalEngine {
+	inst := c.inst
+	e := &regionalEngine{
+		c:        c,
+		regions:  regions,
+		regionOf: make([]int, inst.N),
+		foreign:  make([]model.Mat, len(regions)),
+		yMinus:   inst.NewUFMat(),
+		next:     model.NewRoutingPolicy(inst),
+	}
+	for r, region := range regions {
+		e.foreign[r] = inst.NewUFMat()
 		for _, n := range region {
-			regionOf[n] = r
+			e.regionOf[n] = r
 		}
 	}
-
-	x := model.NewCachingPolicy(inst)
-	y := model.NewRoutingPolicy(inst)
-
-	res := &RunResult{}
-	var best *model.Solution
-	prevCost := math.Inf(1)
-	for round := 0; round < cfg.MaxRounds; round++ {
-		// Foreign aggregates are frozen at the start of the round: each
-		// region only knows what the other BSs published last round.
-		foreign := make([]model.Mat, len(cfg.Regions))
-		for r := range cfg.Regions {
-			foreign[r] = foreignAggregate(inst, y, regionOf, r)
-		}
-
-		next := y.Clone()
-		for r, region := range cfg.Regions {
-			// Within the region: the paper's sequential sweep against
-			// foreign + intra-region aggregates.
-			for _, n := range region {
-				yMinus := intraAggregateExcept(inst, next, region, n)
-				yMinus.AddFrom(foreign[r])
-				sub, err := subs[n].Solve(yMinus)
-				if err != nil {
-					return nil, err
-				}
-				upload := sub.Routing
-				if lppm != nil {
-					upload, err = lppm.PerturbSBS(n, sub.Routing)
-					if err != nil {
-						return nil, err
-					}
-				}
-				x.SetRow(n, sub.Cache)
-				next.SetSBS(n, upload)
-			}
-		}
-		// Cross-region reconciliation: concurrent regions may have
-		// claimed the same residual demand.
-		repairOverserve(inst, next)
-		y = next
-
-		cost := model.TotalServingCost(inst, y)
-		res.History = append(res.History, cost.Total)
-		res.Sweeps = round + 1
-		if best == nil || cost.Total < best.Cost.Total {
-			best = &model.Solution{Caching: x.Clone(), Routing: y.Clone(), Cost: cost}
-		}
-		if cost.Total > 0 && math.Abs(prevCost-cost.Total)/cost.Total <= cfg.Gamma {
-			res.Converged = true
-			prevCost = cost.Total
-			break
-		}
-		prevCost = cost.Total
-	}
-
-	if best == nil {
-		best = &model.Solution{Caching: x, Routing: y, Cost: model.TotalServingCost(inst, y)}
-	}
-	res.Solution = best
-	return res, nil
+	return e
 }
 
-// foreignAggregate sums the uploaded routing of every SBS outside region r.
-func foreignAggregate(inst *model.Instance, y *model.RoutingPolicy, regionOf []int, r int) model.Mat {
-	agg := inst.NewUFMat()
-	for n := 0; n < inst.N; n++ {
-		if regionOf[n] == r {
-			continue
-		}
-		block := y.SBS(n)
-		for u := 0; u < inst.U; u++ {
-			if !inst.Links[n][u] {
-				continue
-			}
-			dstRow := agg.Row(u)
-			srcRow := block.Row(u)
-			for f := range dstRow {
-				dstRow[f] += srcRow[f]
+// Kind reports the Jacobi kind: like a Jacobi round, a multi-BS round is
+// atomic and ends with the overserve repair.
+func (e *regionalEngine) Kind() model.EngineKind { return model.EngineJacobi }
+func (e *regionalEngine) Close()                 {}
+
+// Sweep runs one round. RunMultiBS neither checkpoints nor resumes, so
+// first is always zero.
+func (e *regionalEngine) Sweep(st *SweepState, sweep, _ int, _ func(int) error) error {
+	inst := e.c.inst
+	for r, agg := range e.foreign {
+		agg.Zero()
+		for n := 0; n < inst.N; n++ {
+			if e.regionOf[n] != r {
+				addLinked(inst, agg, st.Y.SBS(n), n)
 			}
 		}
 	}
-	return agg
+	for r, region := range e.regions {
+		for i, n := range region {
+			// y_{-n} is the region's own current routing except SBS n —
+			// this round's upload for the members already answered, the
+			// pre-round block for the rest — plus the foreign aggregate.
+			e.yMinus.Zero()
+			for j, m := range region {
+				switch {
+				case j < i:
+					addLinked(inst, e.yMinus, e.next.SBS(m), m)
+				case j > i:
+					addLinked(inst, e.yMinus, st.Y.SBS(m), m)
+				}
+			}
+			e.yMinus.AddFrom(e.foreign[r])
+			cache, upload, _, err := e.c.answerPhase(st, sweep, n, e.yMinus)
+			if err != nil {
+				return err
+			}
+			st.X.SetRow(n, cache)
+			e.next.SetSBS(n, upload)
+		}
+	}
+	// Every SBS belongs to exactly one region, so every block of next was
+	// overwritten.
+	st.Y.Swap(e.next)
+	st.Tracker.BeginPhase()
+	st.Tracker.RebuildRows(inst, st.Y, 0, inst.U)
+	st.Tracker.RepairOverserveRows(inst, st.Y, 0, inst.U)
+	return nil
 }
 
-// intraAggregateExcept sums the region's own current routing except SBS n.
-func intraAggregateExcept(inst *model.Instance, y *model.RoutingPolicy, region []int, except int) model.Mat {
-	agg := inst.NewUFMat()
-	for _, n := range region {
-		if n == except {
+// addLinked adds SBS n's routing block into agg on the rows n is linked to.
+func addLinked(inst *model.Instance, agg, block model.Mat, n int) {
+	for u, linked := range inst.Links[n] {
+		if !linked {
 			continue
 		}
-		block := y.SBS(n)
-		for u := 0; u < inst.U; u++ {
-			if !inst.Links[n][u] {
-				continue
-			}
-			dstRow := agg.Row(u)
-			srcRow := block.Row(u)
-			for f := range dstRow {
-				dstRow[f] += srcRow[f]
-			}
+		dst, src := agg.Row(u), block.Row(u)
+		for f := range dst {
+			dst[f] += src[f]
 		}
 	}
-	return agg
 }

@@ -179,8 +179,8 @@ func TestSimResumeEveryBoundaryBitIdentical(t *testing.T) {
 
 func TestSimStateSyncHandshake(t *testing.T) {
 	// A resumed BS rebroadcasts the resume point: every live SBS must
-	// receive exactly one MsgStateSync carrying its own restored policy and
-	// acknowledge it within the handshake window.
+	// receive exactly one MsgStateSync and acknowledge it within the
+	// handshake window.
 	rng := rand.New(rand.NewSource(81))
 	inst := randomInstance(rng, 3, 5, 6)
 	ctx := testCtx(t)
@@ -197,8 +197,7 @@ func TestSimStateSyncHandshake(t *testing.T) {
 
 	var bsEvents, sbsEvents EventCounter
 	resumeCfg := BSConfig{OnEvent: bsEvents.Hook()}
-	_, agents, err := runProtocol(t, ctx, inst, resumeCfg, ck, sbsEvents.Hook())
-	if err != nil {
+	if _, _, err := runProtocol(t, ctx, inst, resumeCfg, ck, sbsEvents.Hook()); err != nil {
 		t.Fatal(err)
 	}
 	if got := sbsEvents.Count(EventStateSync); got != inst.N {
@@ -206,22 +205,6 @@ func TestSimStateSyncHandshake(t *testing.T) {
 	}
 	if got := bsEvents.Count(EventStateSyncMiss); got != 0 {
 		t.Errorf("state-sync misses on clean links = %d, want 0", got)
-	}
-	for n, agent := range agents {
-		cache, routing := agent.RestoredPolicy()
-		if len(cache) != inst.F {
-			t.Fatalf("SBS %d restored cache has %d entries, want %d", n, len(cache), inst.F)
-		}
-		if len(routing) != inst.U {
-			t.Fatalf("SBS %d restored routing has %d rows, want %d", n, len(routing), inst.U)
-		}
-		// The sync must carry this SBS's own row of the checkpointed policy
-		// — and nothing else (the privacy premise: one row per recipient).
-		for f := 0; f < inst.F; f++ {
-			if cache[f] != ck.Caching.Get(n, f) {
-				t.Fatalf("SBS %d restored cache[%d] = %v, want %v", n, f, cache[f], ck.Caching.Get(n, f))
-			}
-		}
 	}
 }
 
@@ -278,6 +261,24 @@ func TestSimResumeRejections(t *testing.T) {
 	if _, err := NewBSAgent(inst, BSConfig{Checkpoint: &core.CheckpointConfig{}}, ep,
 		[]string{"sbs-0", "sbs-1", "sbs-2"}); err == nil {
 		t.Error("checkpoint config without sink: want error")
+	}
+}
+
+// TestBSAgentRejectsPerPhaseCheckpoints: the BS's γ-deferral state is
+// intra-sweep and not captured, so a mid-sweep snapshot could not be
+// resumed (Resume rejects Phase != 0). The constructor must refuse the
+// cadence up front instead of writing snapshots nobody can use.
+func TestBSAgentRejectsPerPhaseCheckpoints(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(92)), 3, 5, 6)
+	ep, err := transport.NewHub().Register("bs", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: model.NewMemCheckpointStore(0), EachPhase: true}}
+	_, err = NewBSAgent(inst, cfg, ep, []string{"sbs-0", "sbs-1", "sbs-2"})
+	if err == nil || !strings.Contains(err.Error(), "EachPhase") {
+		t.Fatalf("per-phase checkpoint cadence: got %v, want an EachPhase error", err)
 	}
 }
 
@@ -346,12 +347,7 @@ func TestSBSReplyCacheAndStaleFilter(t *testing.T) {
 	}
 
 	// State-sync to sweep 3: the sweep-2 announce becomes a pre-crash ghost.
-	payload, err := transport.EncodePayload(transport.StateSync{
-		Sweep:   3,
-		Phase:   0,
-		Cache:   make([]bool, inst.F),
-		Routing: inst.NewUFMat().Rows(),
-	})
+	payload, err := transport.EncodePayload(transport.StateSync{Sweep: 3, Phase: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

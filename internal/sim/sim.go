@@ -19,6 +19,10 @@
 // accounting is returned on core.RunResult.Faults and every anomaly is
 // observable through an EventHook.
 //
+// The BS does not keep its own sweep loop: it runs core's Gauss-Seidel
+// engine under core.Driver, and only the answer to a phase — the announce,
+// await and validate exchange above — is BS-specific (a core.PhaseFunc).
+//
 // With privacy disabled the protocol run is bit-for-bit equivalent to the
 // in-process core.Coordinator; the integration tests assert this.
 package sim
@@ -65,9 +69,9 @@ type BSConfig struct {
 	// Checkpoint, when non-nil, snapshots the BS's sweep state (policies,
 	// aggregate, history, per-SBS health and fault accounting) to the
 	// configured sink at sweep boundaries, enabling Resume after a
-	// coordinator crash. EachPhase is ignored: the BS's γ-deferral state
-	// (sweepMissed) is intra-sweep and not captured, so the agent only
-	// checkpoints at boundaries where that state is empty.
+	// coordinator crash. EachPhase must be false: the BS's γ-deferral state
+	// (a live SBS missed this sweep) is intra-sweep and not captured, so the
+	// agent only checkpoints at boundaries where that state is empty.
 	Checkpoint *core.CheckpointConfig
 }
 
@@ -138,8 +142,13 @@ func NewBSAgent(inst *model.Instance, cfg BSConfig, ep transport.Endpoint, sbsNa
 	if len(sbsNames) != inst.N {
 		return nil, fmt.Errorf("sim: %d SBS names for N=%d SBSs", len(sbsNames), inst.N)
 	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Sink == nil {
-		return nil, errors.New("sim: checkpoint config requires a sink")
+	if ck := cfg.Checkpoint; ck != nil {
+		if ck.Sink == nil {
+			return nil, errors.New("sim: checkpoint config requires a sink")
+		}
+		if ck.EachPhase {
+			return nil, errors.New("sim: the BS agent checkpoints at sweep boundaries only; EachPhase is not supported")
+		}
 	}
 	return &BSAgent{inst: inst, cfg: cfg.withDefaults(), ep: ep, sbsNames: sbsNames,
 		health: make([]sbsHealth, inst.N)}, nil
@@ -190,134 +199,121 @@ func (b *BSAgent) Resume(ctx context.Context, ck *model.Checkpoint) (*core.RunRe
 	return b.run(ctx, ck)
 }
 
-// bsSweeper is the network-backed core.SweepEngine: one Sweep call runs
-// one full protocol sweep (announce/await/apply per SBS, with the
-// quarantine and probe machinery). The BS thereby shares the exact outer
-// loop — cost evaluation, best tracking, γ stop, checkpoint cadence — with
-// the in-process Coordinator via core.Driver, which is what keeps the two
-// deployments bit-for-bit equivalent with privacy off. Like the Jacobi
-// engines it never calls phaseDone: the BS's γ-deferral state is
-// intra-sweep and not captured, so checkpoints happen at sweep boundaries
-// only (BSConfig.Checkpoint documents that EachPhase is ignored).
-type bsSweeper struct {
-	b   *BSAgent
-	ctx context.Context
-	// yMinus is the per-phase O(U·F) scratch, exactly like the in-process
-	// engines: the aggregate advances only when an upload is installed.
-	yMinus model.Mat
+// bsPhases answers the phases of core's Gauss-Seidel engine over the
+// network: quarantine, probe, announce, await and validate. The BS thereby
+// shares the exact phase loop and outer loop — cost evaluation, best
+// tracking, γ stop, checkpoint cadence — with the in-process Coordinator,
+// which is what keeps the two deployments bit-for-bit equivalent with
+// privacy off.
+type bsPhases struct {
+	b      *BSAgent
+	ctx    context.Context
 	faults []core.SBSFaultStats
 	// sweepMissed records whether a live (non-quarantined) SBS missed its
-	// phase in the sweep just executed; a frozen policy makes the cost
+	// phase in the current sweep; a frozen policy makes the cost
 	// spuriously flat, so such sweeps must not satisfy the γ-criterion.
 	sweepMissed bool
 }
-
-func (s *bsSweeper) Kind() model.EngineKind { return model.EngineGaussSeidel }
-func (s *bsSweeper) Close()                 {}
 
 // holdConvergence implements the driver veto: the γ-criterion is deferred
 // on sweeps where a live SBS missed and while any freshly-quarantined SBS
 // awaits its first rejoin probe — in both cases the cost is flat only
 // because policies are frozen, not because the algorithm has converged.
-func (s *bsSweeper) holdConvergence() bool {
-	if s.sweepMissed {
-		return true
-	}
+// The Driver consults it once after every sweep, which is when the
+// per-sweep miss flag is cleared.
+func (s *bsPhases) holdConvergence() bool {
+	hold := s.sweepMissed
+	s.sweepMissed = false
 	for n := range s.b.health {
-		if s.b.health[n].holdConv {
-			return true
-		}
+		hold = hold || s.b.health[n].holdConv
 	}
-	return false
+	return hold
 }
 
-func (s *bsSweeper) Sweep(st *core.SweepState, sweep, first int, _ func(int) error) error {
-	b, inst := s.b, s.b.inst
-	s.sweepMissed = false
-	for pi := first; pi < len(st.Order); pi++ {
-		n := st.Order[pi] // identity order, validated at Resume
-		h := &b.health[n]
-		fs := &s.faults[n]
+// answer is the BS's core.PhaseFunc. ok=false (SBS quarantined, silent or
+// malformed) keeps SBS n's previous policy and leaves the aggregate alone.
+func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([]bool, model.Mat, bool, error) {
+	b := s.b
+	h := &b.health[n]
+	fs := &s.faults[n]
 
-		// Quarantined SBSs are skipped outright — no announce, no
-		// PhaseTimeout burned — until their probe sweep comes up;
-		// then one cheap probe (ProbeTimeout) decides rejoin vs
-		// another quarantine span.
-		probing := false
-		timeout := b.cfg.PhaseTimeout
-		if h.quarantined {
-			if sweep < h.probeSweep {
-				fs.SkippedPhases++
-				continue
-			}
-			probing = true
-			timeout = b.cfg.ProbeTimeout
+	// Quarantined SBSs are skipped outright — no announce, no PhaseTimeout
+	// burned — until their probe sweep comes up; then one cheap probe
+	// (ProbeTimeout) decides rejoin vs another quarantine span.
+	probing := false
+	timeout := b.cfg.PhaseTimeout
+	if h.quarantined {
+		if sweep < h.probeSweep {
+			fs.SkippedPhases++
+			return nil, model.Mat{}, false, nil
 		}
+		probing = true
+		timeout = b.cfg.ProbeTimeout
+	}
 
-		st.Tracker.YMinusInto(inst, st.Y, n, s.yMinus)
-		announce, err := buildAnnounce(sweep, n, s.yMinus)
-		if err != nil {
-			return err
-		}
-		b.sendAnnounce(s.ctx, sweep, n, announce)
-		upload, ok, err := b.awaitUpload(s.ctx, sweep, n, timeout, fs, announce)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// SBS unreachable this phase: keep its old policy.
-			if probing {
-				fs.FailedProbes++
+	// The BS sweeps in identity order (validated at Resume), so phase n
+	// belongs to SBS n.
+	announce, err := buildAnnounce(sweep, n, yMinus)
+	if err != nil {
+		return nil, model.Mat{}, false, err
+	}
+	b.sendAnnounce(s.ctx, sweep, n, announce)
+	upload, ok, err := b.awaitUpload(s.ctx, sweep, n, timeout, fs, announce)
+	if err != nil {
+		return nil, model.Mat{}, false, err
+	}
+	if !ok {
+		// SBS unreachable this phase: keep its old policy.
+		if probing {
+			fs.FailedProbes++
+			fs.QuarantineSpans++
+			h.probeSweep = sweep + b.cfg.QuarantineSweeps + 1
+			// The first probe of the outage went unanswered: the SBS is
+			// treated as persistently dead and no longer delays
+			// convergence.
+			h.holdConv = false
+			b.event(EventProbeFailed, n, sweep, n, nil)
+			b.event(EventQuarantine, n, sweep, n, nil)
+		} else {
+			fs.Misses++
+			h.consecMisses++
+			s.sweepMissed = true
+			b.event(EventUploadTimeout, n, sweep, n, nil)
+			if b.cfg.QuarantineAfter > 0 && h.consecMisses >= b.cfg.QuarantineAfter {
+				h.quarantined = true
+				h.consecMisses = 0
 				fs.QuarantineSpans++
 				h.probeSweep = sweep + b.cfg.QuarantineSweeps + 1
-				// The first probe of the outage went unanswered: the
-				// SBS is treated as persistently dead and no longer
-				// delays convergence.
-				h.holdConv = false
-				b.event(EventProbeFailed, n, sweep, n, nil)
+				h.holdConv = true
 				b.event(EventQuarantine, n, sweep, n, nil)
-			} else {
-				fs.Misses++
-				h.consecMisses++
-				s.sweepMissed = true
-				b.event(EventUploadTimeout, n, sweep, n, nil)
-				if b.cfg.QuarantineAfter > 0 && h.consecMisses >= b.cfg.QuarantineAfter {
-					h.quarantined = true
-					h.consecMisses = 0
-					fs.QuarantineSpans++
-					h.probeSweep = sweep + b.cfg.QuarantineSweeps + 1
-					h.holdConv = true
-					b.event(EventQuarantine, n, sweep, n, nil)
-				}
 			}
-			continue
 		}
-		if h.quarantined {
-			h.quarantined = false
-			h.holdConv = false
-			b.event(EventRejoin, n, sweep, n, nil)
-		}
-		h.consecMisses = 0
-		if err := b.applyUpload(st.X, st.Y, st.Tracker, n, s.yMinus, upload); err != nil {
-			// A malformed upload is treated like a missing one; the
-			// previous policy stays in force (and the aggregate is left
-			// untouched, so the tracker stays consistent with y).
-			fs.Malformed++
-			b.event(EventMalformedUpload, n, sweep, n, err)
-			continue
-		}
+		return nil, model.Mat{}, false, nil
 	}
-	return nil
+	if h.quarantined {
+		h.quarantined = false
+		h.holdConv = false
+		b.event(EventRejoin, n, sweep, n, nil)
+	}
+	h.consecMisses = 0
+	routing, err := b.checkUpload(n, upload)
+	if err != nil {
+		// A malformed upload is treated like a missing one: the previous
+		// policy stays in force.
+		fs.Malformed++
+		b.event(EventMalformedUpload, n, sweep, n, err)
+		return nil, model.Mat{}, false, nil
+	}
+	return upload.Cache, routing, true, nil
 }
 
 func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResult, error) {
 	inst := b.inst
-	sweeper := &bsSweeper{b: b, ctx: ctx, yMinus: inst.NewUFMat(),
-		faults: make([]core.SBSFaultStats, inst.N)}
+	phases := &bsPhases{b: b, ctx: ctx, faults: make([]core.SBSFaultStats, inst.N)}
 	var st *core.SweepState
 	if ck != nil {
 		st = core.SweepStateFromCheckpoint(inst, ck)
-		b.restoreHealth(ck.Health, sweeper.faults)
+		b.restoreHealth(ck.Health, phases.faults)
 		b.stateSync(ctx, ck)
 	} else {
 		order := make([]int, inst.N)
@@ -330,23 +326,22 @@ func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResul
 		Inst:            inst,
 		Gamma:           b.cfg.Gamma,
 		MaxSweeps:       b.cfg.MaxSweeps,
-		HoldConvergence: sweeper.holdConvergence,
+		HoldConvergence: phases.holdConvergence,
 	}
 	if ckpt := b.cfg.Checkpoint; ckpt != nil {
-		// Sweep-boundary snapshots only: bsSweeper never calls phaseDone,
-		// so the driver's EachPhase hook is inert even if set. Unlike
-		// core.Coordinator the BS also records per-SBS health and fault
-		// accounting.
+		// Sweep-boundary snapshots only (NewBSAgent rejects EachPhase).
+		// Unlike core.Coordinator the BS also records per-SBS health and
+		// fault accounting.
 		d.Checkpoint = ckpt
 		d.Snapshot = func(st *core.SweepState, res *core.RunResult, sweep, _ int) error {
-			return b.snapshot(ckpt.Sink, st, res, sweeper.faults, sweep)
+			return b.snapshot(ckpt.Sink, st, res, phases.faults, sweep)
 		}
 	}
-	res, err := d.Run(sweeper, st)
+	res, err := d.Run(core.NewGaussSeidelEngine(inst, phases.answer), st)
 	if err != nil {
 		return nil, err
 	}
-	res.Faults = sweeper.faults
+	res.Faults = phases.faults
 	b.broadcastDone(ctx)
 	return res, nil
 }
@@ -442,24 +437,21 @@ func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
 	}
 }
 
-// applyUpload validates shapes and installs SBS n's policies, advancing
-// the BS's running aggregate from the yMinus computed for this phase.
-func (b *BSAgent) applyUpload(x *model.CachingPolicy, y *model.RoutingPolicy,
-	tracker *model.AggregateTracker, n int, yMinus model.Mat, up transport.PolicyUpload) error {
+// checkUpload validates the shapes of SBS n's upload and returns its
+// routing block.
+func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, error) {
 	inst := b.inst
 	if len(up.Cache) != inst.F {
-		return fmt.Errorf("sim: SBS %d cache vector has %d entries, want %d", n, len(up.Cache), inst.F)
+		return model.Mat{}, fmt.Errorf("sim: SBS %d cache vector has %d entries, want %d", n, len(up.Cache), inst.F)
 	}
 	routing, err := model.MatFromRows(up.Routing)
 	if err != nil {
-		return fmt.Errorf("sim: SBS %d routing: %w", n, err)
+		return model.Mat{}, fmt.Errorf("sim: SBS %d routing: %w", n, err)
 	}
 	if routing.U != inst.U || routing.F != inst.F {
-		return fmt.Errorf("sim: SBS %d routing is %dx%d, want %dx%d", n, routing.U, routing.F, inst.U, inst.F)
+		return model.Mat{}, fmt.Errorf("sim: SBS %d routing is %dx%d, want %dx%d", n, routing.U, routing.F, inst.U, inst.F)
 	}
-	x.SetRow(n, up.Cache)
-	tracker.Install(inst, y, n, yMinus, routing)
-	return nil
+	return routing, nil
 }
 
 // broadcastDone tells every SBS the run finished; failures are ignored
@@ -531,9 +523,9 @@ func (b *BSAgent) restoreHealth(hs []model.SBSHealthState, faults []core.SBSFaul
 }
 
 // stateSync rebroadcasts the resume point to every non-quarantined SBS so
-// live agents drop pre-crash ghosts and rehydrate their own last
-// BS-visible policy (each sync carries ONLY the receiving SBS's row — the
-// privacy premise of §III is unchanged). Acks are gathered within one
+// live agents drop pre-crash ghosts and their reply caches. The sync
+// carries no policy: an SBS's solve depends only on the announced
+// y_{-n}. Acks are gathered within one
 // ProbeTimeout window; a missing ack is observable (EventStateSyncMiss)
 // but never fatal — the phase-timeout machinery owns recovery, exactly as
 // for lost announces.
@@ -544,12 +536,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 		if b.health[n].quarantined {
 			continue // known-dead: do not stall the handshake on it
 		}
-		payload, err := transport.EncodePayload(transport.StateSync{
-			Sweep:   ck.Sweep,
-			Phase:   ck.Phase,
-			Cache:   ck.Caching.RowBools(n),
-			Routing: ck.Routing.SBS(n).Rows(),
-		})
+		payload, err := transport.EncodePayload(transport.StateSync{Sweep: ck.Sweep, Phase: ck.Phase})
 		if err != nil {
 			b.event(EventSendFailed, n, ck.Sweep, ck.Phase, err)
 			continue
@@ -611,11 +598,6 @@ type SBSAgent struct {
 	// for a protocol point already answered.
 	lastSweep, lastPhase int
 	lastReply            []byte
-	// restoredCache/restoredRouting hold the policy carried by the last
-	// MsgStateSync: this agent's own last BS-visible decisions. An SBS
-	// that itself restarted (losing its in-memory view) recovers it here.
-	restoredCache   []bool
-	restoredRouting [][]float64
 }
 
 // NewSBSAgent builds the agent for SBS n. privacy may be nil. The SBS uses
@@ -749,9 +731,9 @@ func (a *SBSAgent) sendReply(ctx context.Context, sweep, phase int, payload []by
 }
 
 // handleStateSync rehydrates the agent after a BS resume: it records the
-// resume point (the stale-announce filter), stores its own restored
-// policy view, drops the reply cache (pre-crash uploads must not answer
-// post-resume announces) and acknowledges.
+// resume point (the stale-announce filter), drops the reply cache
+// (pre-crash uploads must not answer post-resume announces) and
+// acknowledges.
 func (a *SBSAgent) handleStateSync(ctx context.Context, msg transport.Message) {
 	var sync transport.StateSync
 	if err := transport.DecodePayload(msg.Payload, &sync); err != nil {
@@ -759,19 +741,10 @@ func (a *SBSAgent) handleStateSync(ctx context.Context, msg transport.Message) {
 		return
 	}
 	a.syncSweep, a.syncPhase = sync.Sweep, sync.Phase
-	a.restoredCache, a.restoredRouting = sync.Cache, sync.Routing
 	a.lastSweep, a.lastPhase, a.lastReply = -1, -1, nil
 	a.event(EventStateSync, sync.Sweep, sync.Phase, nil)
 	ack := transport.Message{Type: transport.MsgStateAck, Sweep: msg.Sweep, Phase: msg.Phase}
 	if err := a.ep.Send(ctx, a.bsName, ack); err != nil {
 		a.event(EventSendFailed, msg.Sweep, msg.Phase, err)
 	}
-}
-
-// RestoredPolicy returns the agent's own last BS-visible policy as carried
-// by the most recent MsgStateSync (nil before any sync). It is the
-// recovery path for an SBS that itself restarted and lost its in-memory
-// view.
-func (a *SBSAgent) RestoredPolicy() (cache []bool, routing [][]float64) {
-	return a.restoredCache, a.restoredRouting
 }

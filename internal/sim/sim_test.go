@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -54,7 +54,7 @@ func testCtx(t *testing.T) context.Context {
 
 // TestDistributedMatchesInProcess: without privacy the protocol run must
 // produce exactly the in-process coordinator's result — same history, same
-// final cost, same policies.
+// final cost, same policies, bit for bit.
 func TestDistributedMatchesInProcess(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
@@ -74,28 +74,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if got.Sweeps != want.Sweeps || got.Converged != want.Converged {
-			t.Errorf("trial %d: sweeps/converged = %d/%v, want %d/%v",
-				trial, got.Sweeps, got.Converged, want.Sweeps, want.Converged)
-		}
-		if len(got.History) != len(want.History) {
-			t.Fatalf("trial %d: history lengths differ: %d vs %d", trial, len(got.History), len(want.History))
-		}
-		for i := range got.History {
-			if math.Abs(got.History[i]-want.History[i]) > 1e-9 {
-				t.Errorf("trial %d: history[%d] = %v, want %v", trial, i, got.History[i], want.History[i])
-			}
-		}
-		if math.Abs(got.Solution.Cost.Total-want.Solution.Cost.Total) > 1e-9 {
-			t.Errorf("trial %d: cost %v, want %v", trial, got.Solution.Cost.Total, want.Solution.Cost.Total)
-		}
-		for n := 0; n < inst.N; n++ {
-			for f := 0; f < inst.F; f++ {
-				if got.Solution.Caching.Get(n, f) != want.Solution.Caching.Get(n, f) {
-					t.Fatalf("trial %d: cache[%d][%d] differs", trial, n, f)
-				}
-			}
-		}
+		simBitEqual(t, got, want, fmt.Sprintf("trial %d", trial))
 	}
 }
 
@@ -234,9 +213,7 @@ func TestDistributedOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Solution.Cost.Total-want.Solution.Cost.Total) > 1e-9 {
-		t.Errorf("TCP cost %v, in-process cost %v", got.Solution.Cost.Total, want.Solution.Cost.Total)
-	}
+	simBitEqual(t, got, want, "TCP")
 }
 
 // TestDistributedSurvivesLossyLinks: with a drop+duplicate fault model on

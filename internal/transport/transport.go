@@ -91,18 +91,13 @@ type PolicyUpload struct {
 }
 
 // StateSync is the BS→SBS rehydration body sent after a coordinator
-// resume: the protocol point the run continues from, plus the receiving
-// SBS's OWN last policy as the BS sees it (post-LPPM). It carries no other
-// SBS's data, so the privacy premise of §III is unchanged — each SBS
-// only ever learns its own upload back and the aggregate of the others.
+// resume: the protocol point the run continues from. It carries no policy
+// — an SBS's solve depends only on the announced aggregate.
 type StateSync struct {
 	// Sweep and Phase are the resume point; announces strictly older are
 	// pre-crash ghosts the SBS should ignore.
 	Sweep int
 	Phase int
-	// Cache and Routing are the receiving SBS's last BS-visible policy.
-	Cache   []bool
-	Routing [][]float64
 }
 
 // EncodePayload gob-encodes a payload body.
