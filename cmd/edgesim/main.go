@@ -28,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -196,7 +195,7 @@ func run(args []string) error {
 		return &core.PrivacyConfig{
 			Epsilon:    *epsilon,
 			Delta:      *delta,
-			Rng:        rand.New(rand.NewSource(*seed*1000 + int64(n))),
+			Noise:      core.NewNoiseSource(*seed*1000 + int64(n)),
 			Accountant: &acct,
 		}
 	}
@@ -269,13 +268,6 @@ func run(args []string) error {
 			store, err = model.NewCheckpointStore(*ckptDir, *ckptRetain)
 			if err != nil {
 				return err
-			}
-			// A checkpointed private run needs a seekable noise source: the
-			// snapshot records the stream position so a resumed run replays
-			// the identical noise (a bare *rand.Rand has no position).
-			if cfg.Privacy != nil {
-				cfg.Privacy.Rng = nil
-				cfg.Privacy.Noise = core.NewNoiseSource(*seed * 1000)
 			}
 			cfg.Checkpoint = &core.CheckpointConfig{Sink: store, EverySweeps: 1}
 		}

@@ -28,8 +28,6 @@
 package edgecache
 
 import (
-	"math/rand"
-
 	"edgecache/internal/core"
 	"edgecache/internal/dp"
 	"edgecache/internal/experiments"
@@ -94,7 +92,7 @@ func SolveWithPrivacy(inst *Instance, p PrivacyParams) (*RunResult, error) {
 	cfg.Privacy = &core.PrivacyConfig{
 		Epsilon:    p.Epsilon,
 		Delta:      p.Delta,
-		Rng:        rand.New(rand.NewSource(p.Seed)),
+		Noise:      core.NewNoiseSource(p.Seed),
 		Accountant: p.Accountant,
 	}
 	coord, err := core.NewCoordinator(inst, cfg)

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	"edgecache/internal/core"
@@ -56,7 +55,7 @@ func main() {
 		privacy := &core.PrivacyConfig{
 			Epsilon:    0.5,
 			Delta:      0.4,
-			Rng:        rand.New(rand.NewSource(int64(1000 + n))),
+			Noise:      core.NewNoiseSource(int64(1000 + n)),
 			Accountant: &acct,
 		}
 		agent, err := sim.NewSBSAgent(inst, n, core.DefaultSubproblemConfig(), privacy, ep, "content-provider")

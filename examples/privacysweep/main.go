@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 
 	"edgecache/internal/core"
@@ -47,7 +46,7 @@ func main() {
 		cfg.Privacy = &core.PrivacyConfig{
 			Epsilon:    eps,
 			Delta:      0.5,
-			Rng:        rand.New(rand.NewSource(42)),
+			Noise:      core.NewNoiseSource(42),
 			Accountant: &acct,
 		}
 		c, err := core.NewCoordinator(inst, cfg)

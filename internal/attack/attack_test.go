@@ -85,7 +85,7 @@ func TestLPPMDegradesReconstruction(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.MaxSweeps = 8
 		cfg.Privacy = &core.PrivacyConfig{
-			Epsilon: eps, Delta: 0.5, Rng: rand.New(rand.NewSource(63)),
+			Epsilon: eps, Delta: 0.5, Noise: core.NewNoiseSource(63),
 		}
 		_, obs, truth, err := RunWithObserver(inst, cfg)
 		if err != nil {

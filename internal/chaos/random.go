@@ -16,72 +16,38 @@ import (
 // enforce). Every generated schedule round-trips through Spec() and back,
 // so a failing soak episode is reproducible as a plain spec string.
 //
-// The generators never use wall-clock time or global randomness — a
-// (seed, config) pair names one schedule forever.
+// The generators never use wall-clock time or global randomness, and their
+// budgets, weights and intensity are the constants below: the seed and the
+// shape (SBS count or cluster cells) name one schedule forever.
 
-// ScheduleWeights biases the per-draw operation choice of RandomSchedule.
-// The zero value selects the defaults (crash 4, partition 3, link-fault 2,
-// BS-crash 1); set any field to shift the mix, or set a single field to
-// generate only that operation.
-type ScheduleWeights struct {
-	// Crash draws a crash/restart cycle on one SBS.
-	Crash float64
-	// Partition draws a self-healing link partition on one SBS.
-	Partition float64
-	// LinkFault draws a transient drop/dup/reorder/delay window on one
-	// SBS's link or on every link.
-	LinkFault float64
-	// BSCrash draws a coordinator crash with a queued recovery restart
-	// (the runner auto-installs an in-memory checkpoint store).
-	BSCrash float64
-}
+// RandomSchedule's generation constants.
+const (
+	// scheduleMaxSweep bounds the trigger sweeps: every generated event
+	// lands in sweeps [1, scheduleMaxSweep] so it has a chance to fire
+	// before convergence.
+	scheduleMaxSweep = 6
+	// scheduleEvents is the fault-episode budget: how many weighted draws
+	// are attempted (a draw whose target has no remaining sweep room is
+	// skipped, so the emitted schedule may be shorter).
+	scheduleEvents = 4
+	// scheduleIntensity scales the baseline and window fault
+	// probabilities (an intensity of 1 can reach 30% drop, the
+	// acceptance-test ceiling the protocol is known to survive).
+	scheduleIntensity = 0.5
+	// The per-draw operation weights: a crash/restart cycle on one SBS,
+	// a self-healing partition on one SBS, a transient
+	// drop/dup/reorder/delay window on one SBS's link or on every link,
+	// and a coordinator crash with a queued recovery restart (the runner
+	// auto-installs an in-memory checkpoint store).
+	weightCrash     = 4.0
+	weightPartition = 3.0
+	weightLinkFault = 2.0
+	weightBSCrash   = 1.0
+)
 
-func (w ScheduleWeights) withDefaults() ScheduleWeights {
-	if w == (ScheduleWeights{}) {
-		return ScheduleWeights{Crash: 4, Partition: 3, LinkFault: 2, BSCrash: 1}
-	}
-	return w
-}
-
-// RandomScheduleConfig configures one randomized schedule draw.
-type RandomScheduleConfig struct {
-	// Seed drives every draw and becomes the schedule's link-fault seed.
-	Seed int64
-	// N is the SBS count the schedule targets (required).
-	N int
-	// MaxSweep bounds the trigger sweeps: every generated event lands in
-	// sweeps [1, MaxSweep] so it has a chance to fire before convergence.
-	// 0 means 6.
-	MaxSweep int
-	// Events is the fault-episode budget: how many weighted draws are
-	// attempted (a draw whose target has no remaining sweep room is
-	// skipped, so the emitted schedule may be shorter). 0 means 4.
-	Events int
-	// Intensity in (0, 1] scales the baseline and window fault
-	// probabilities (a 1.0 draw can reach 30% drop, the acceptance-test
-	// ceiling the protocol is known to survive). 0 means 0.5.
-	Intensity float64
-	// Weights biases the operation mix.
-	Weights ScheduleWeights
-}
-
-func (cfg RandomScheduleConfig) withDefaults() RandomScheduleConfig {
-	if cfg.MaxSweep == 0 {
-		cfg.MaxSweep = 6
-	}
-	if cfg.Events == 0 {
-		cfg.Events = 4
-	}
-	if cfg.Intensity == 0 {
-		cfg.Intensity = 0.5
-	}
-	cfg.Weights = cfg.Weights.withDefaults()
-	return cfg
-}
-
-// RandomSchedule draws one seeded, conflict-free fault schedule. The same
-// config always yields the same schedule, the result always passes
-// Validate(cfg.N) plus the spec conflict rules, and Spec() renders it as a
+// RandomSchedule draws one seeded, conflict-free fault schedule for n SBSs.
+// The same (seed, n) always yields the same schedule, the result always
+// passes Validate(n) plus the spec conflict rules, and Spec() renders it as a
 // -chaos string that re-parses to the identical schedule.
 //
 // Structural guarantees, chosen so the soak invariants stay meaningful:
@@ -89,101 +55,90 @@ func (cfg RandomScheduleConfig) withDefaults() RandomScheduleConfig {
 // (an unfired restart only happens when the run converges first, which
 // the invariant checker accounts for), and link-fault windows are later
 // restored to the baseline configuration.
-func RandomSchedule(cfg RandomScheduleConfig) (Schedule, error) {
-	cfg = cfg.withDefaults()
-	if cfg.N < 1 {
-		return Schedule{}, fmt.Errorf("chaos: random schedule: need at least one SBS, got %d", cfg.N)
+func RandomSchedule(seed int64, n int) (Schedule, error) {
+	if n < 1 {
+		return Schedule{}, fmt.Errorf("chaos: random schedule: need at least one SBS, got %d", n)
 	}
-	if cfg.Intensity < 0 || cfg.Intensity > 1 {
-		return Schedule{}, fmt.Errorf("chaos: random schedule: intensity %v outside (0, 1]", cfg.Intensity)
-	}
-	if cfg.MaxSweep < 2 {
-		return Schedule{}, fmt.Errorf("chaos: random schedule: MaxSweep %d too small (need >= 2)", cfg.MaxSweep)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := Schedule{Seed: cfg.Seed}
+	rng := rand.New(rand.NewSource(seed))
+	s := Schedule{Seed: seed}
 
 	// Baseline link faults, scaled by intensity; roughly half of all
 	// schedules start on clean links so the fault-free fast path stays in
 	// the soak mix too.
 	if rng.Float64() < 0.6 {
-		s.Links = randomFaults(rng, cfg.Intensity)
+		s.Links = randomFaults(rng)
 	}
 
-	// nextFree[t] is the first sweep target t may schedule at; index N is
+	// nextFree[t] is the first sweep target t may schedule at; index n is
 	// the coordinator/all-links target (-1). Slices, not maps: this
 	// package is in the determinism analyzer's scope and the draw order
 	// must be reproducible.
-	nextFree := make([]int, cfg.N+1)
+	nextFree := make([]int, n+1)
 	for i := range nextFree {
 		nextFree[i] = 1
 	}
 	targetIdx := func(sbs int) int {
 		if sbs == -1 {
-			return cfg.N
+			return n
 		}
 		return sbs
 	}
 
-	w := cfg.Weights
-	total := w.Crash + w.Partition + w.LinkFault + w.BSCrash
-	if total <= 0 {
-		return Schedule{}, fmt.Errorf("chaos: random schedule: all weights zero")
-	}
-	for draw := 0; draw < cfg.Events; draw++ {
+	const total = weightCrash + weightPartition + weightLinkFault + weightBSCrash
+	for draw := 0; draw < scheduleEvents; draw++ {
 		pick := rng.Float64() * total
 		switch {
-		case pick < w.Crash:
-			sbs := rng.Intn(cfg.N)
+		case pick < weightCrash:
+			sbs := rng.Intn(n)
 			at := nextFree[sbs]
 			dur := 1 + rng.Intn(2)
-			if at+dur > cfg.MaxSweep {
+			if at+dur > scheduleMaxSweep {
 				continue // no room left for the full crash/restart cycle
 			}
-			at += rng.Intn(cfg.MaxSweep - at - dur + 1)
+			at += rng.Intn(scheduleMaxSweep - at - dur + 1)
 			s.Events = append(s.Events,
 				Event{Sweep: at, SBS: sbs, Op: OpCrash},
 				Event{Sweep: at + dur, SBS: sbs, Op: OpRestart})
 			nextFree[sbs] = at + dur + 1
-		case pick < w.Crash+w.Partition:
-			sbs := rng.Intn(cfg.N)
+		case pick < weightCrash+weightPartition:
+			sbs := rng.Intn(n)
 			at := nextFree[sbs]
-			if at > cfg.MaxSweep {
+			if at > scheduleMaxSweep {
 				continue
 			}
-			at += rng.Intn(cfg.MaxSweep - at + 1)
-			phases := 1 + rng.Intn(2*cfg.N)
+			at += rng.Intn(scheduleMaxSweep - at + 1)
+			phases := 1 + rng.Intn(2*n)
 			s.Events = append(s.Events,
 				Event{Sweep: at, SBS: sbs, Op: OpPartition, Phases: phases})
 			// The auto-scheduled heal lands phases later; keep the
 			// target free past it so a follow-up crash cannot collide.
-			nextFree[sbs] = at + (phases+cfg.N-1)/cfg.N + 1
-		case pick < w.Crash+w.Partition+w.LinkFault:
+			nextFree[sbs] = at + (phases+n-1)/n + 1
+		case pick < weightCrash+weightPartition+weightLinkFault:
 			// Half the windows hit one link, half every link; the
 			// all-links target shares the coordinator's conflict slot.
 			sbs := -1
 			if rng.Float64() < 0.5 {
-				sbs = rng.Intn(cfg.N)
+				sbs = rng.Intn(n)
 			}
 			ti := targetIdx(sbs)
 			at := nextFree[ti]
 			dur := 1 + rng.Intn(2)
-			if at+dur > cfg.MaxSweep {
+			if at+dur > scheduleMaxSweep {
 				continue
 			}
-			at += rng.Intn(cfg.MaxSweep - at - dur + 1)
+			at += rng.Intn(scheduleMaxSweep - at - dur + 1)
 			s.Events = append(s.Events,
-				Event{Sweep: at, SBS: sbs, Op: OpLinkFaults, Faults: randomFaults(rng, cfg.Intensity)},
+				Event{Sweep: at, SBS: sbs, Op: OpLinkFaults, Faults: randomFaults(rng)},
 				Event{Sweep: at + dur, SBS: sbs, Op: OpLinkFaults, Faults: s.Links})
 			nextFree[ti] = at + dur + 1
 		default:
 			ti := targetIdx(-1)
 			at := nextFree[ti]
 			dur := 1 + rng.Intn(2)
-			if at+dur > cfg.MaxSweep {
+			if at+dur > scheduleMaxSweep {
 				continue
 			}
-			at += rng.Intn(cfg.MaxSweep - at - dur + 1)
+			at += rng.Intn(scheduleMaxSweep - at - dur + 1)
 			s.Events = append(s.Events,
 				Event{Sweep: at, SBS: -1, Op: OpBSCrash},
 				Event{Sweep: at + dur, SBS: -1, Op: OpBSRestart})
@@ -200,23 +155,24 @@ func RandomSchedule(cfg RandomScheduleConfig) (Schedule, error) {
 		}
 		return s.Events[i].Phase < s.Events[j].Phase
 	})
-	if err := s.Validate(cfg.N); err != nil {
-		return Schedule{}, fmt.Errorf("chaos: random schedule (seed %d): %w", cfg.Seed, err)
+	if err := s.Validate(n); err != nil {
+		return Schedule{}, fmt.Errorf("chaos: random schedule (seed %d): %w", seed, err)
 	}
 	if err := checkSpecConflicts(s.Events); err != nil {
-		return Schedule{}, fmt.Errorf("chaos: random schedule (seed %d): %w", cfg.Seed, err)
+		return Schedule{}, fmt.Errorf("chaos: random schedule (seed %d): %w", seed, err)
 	}
 	return s, nil
 }
 
-// randomFaults draws one link fault configuration scaled by intensity.
-func randomFaults(rng *rand.Rand, intensity float64) transport.FaultConfig {
+// randomFaults draws one link fault configuration scaled by
+// scheduleIntensity.
+func randomFaults(rng *rand.Rand) transport.FaultConfig {
 	fc := transport.FaultConfig{
-		DropProb: roundProb(rng.Float64() * 0.3 * intensity),
-		DupProb:  roundProb(rng.Float64() * 0.3 * intensity),
+		DropProb: roundProb(rng.Float64() * 0.3 * scheduleIntensity),
+		DupProb:  roundProb(rng.Float64() * 0.3 * scheduleIntensity),
 	}
 	if rng.Float64() < 0.5 {
-		fc.ReorderProb = roundProb(rng.Float64() * 0.2 * intensity)
+		fc.ReorderProb = roundProb(rng.Float64() * 0.2 * scheduleIntensity)
 	}
 	if rng.Float64() < 0.3 {
 		fc.MaxDelay = time.Duration(1+rng.Intn(3)) * time.Millisecond
@@ -230,66 +186,31 @@ func roundProb(p float64) float64 {
 	return float64(int(p*1000)) / 1000
 }
 
-// ProcWeights biases the per-draw operation choice of RandomProcSchedule.
-// The zero value selects the defaults (kill 3, stop 2, spawn-delay 1).
-type ProcWeights struct {
-	// Kill draws a SIGKILL of a BS or SBS process at a protocol sweep.
-	Kill float64
-	// Stop draws a SIGSTOP/SIGCONT freeze window.
-	Stop float64
-	// SpawnDelay draws a per-target (re)spawn launch delay.
-	SpawnDelay float64
-}
-
-func (w ProcWeights) withDefaults() ProcWeights {
-	if w == (ProcWeights{}) {
-		return ProcWeights{Kill: 3, Stop: 2, SpawnDelay: 1}
-	}
-	return w
-}
+// RandomProcSchedule's generation constants.
+const (
+	// procMaxSweep bounds the trigger sweeps: cluster cells converge in
+	// few sweeps, so late events would never fire.
+	procMaxSweep = 4
+	// procEvents is the draw budget.
+	procEvents = 3
+	// procMaxStop caps the SIGSTOP freeze duration: long enough to stall
+	// protocol timeouts, short enough not to trip the heartbeat two-strike
+	// kill on a loaded host.
+	procMaxStop = 150 * time.Millisecond
+	// procMaxSpawnDelay caps the spawn-delay launch attribute.
+	procMaxSpawnDelay = 80 * time.Millisecond
+	// The per-draw operation weights: a SIGKILL of a BS or SBS process at
+	// a protocol sweep, a SIGSTOP/SIGCONT freeze window, and a per-target
+	// (re)spawn launch delay.
+	weightKill       = 3.0
+	weightStop       = 2.0
+	weightSpawnDelay = 1.0
+)
 
 // ProcCell names one cell a random process schedule may target.
 type ProcCell struct {
 	Name string
 	SBSs int
-}
-
-// RandomProcScheduleConfig configures one randomized process-fault draw.
-type RandomProcScheduleConfig struct {
-	// Seed drives every draw.
-	Seed int64
-	// Cells describes the cluster shape (required, in spec order).
-	Cells []ProcCell
-	// MaxSweep bounds the trigger sweeps (0 means 4 — cluster cells
-	// converge in few sweeps, so late events would never fire).
-	MaxSweep int
-	// Events is the draw budget (0 means 3).
-	Events int
-	// Weights biases the operation mix.
-	Weights ProcWeights
-	// MaxStop caps the SIGSTOP freeze duration (0 means 150ms: long
-	// enough to stall protocol timeouts, short enough not to trip the
-	// heartbeat two-strike kill on a loaded host).
-	MaxStop time.Duration
-	// MaxSpawnDelay caps the spawn-delay launch attribute (0 means 80ms).
-	MaxSpawnDelay time.Duration
-}
-
-func (cfg RandomProcScheduleConfig) withDefaults() RandomProcScheduleConfig {
-	if cfg.MaxSweep == 0 {
-		cfg.MaxSweep = 4
-	}
-	if cfg.Events == 0 {
-		cfg.Events = 3
-	}
-	if cfg.MaxStop == 0 {
-		cfg.MaxStop = 150 * time.Millisecond
-	}
-	if cfg.MaxSpawnDelay == 0 {
-		cfg.MaxSpawnDelay = 80 * time.Millisecond
-	}
-	cfg.Weights = cfg.Weights.withDefaults()
-	return cfg
 }
 
 // procTarget is one schedulable process position during generation.
@@ -305,22 +226,18 @@ type procTarget struct {
 }
 
 // RandomProcSchedule draws one seeded, conflict-free process-fault
-// schedule for the given cluster shape. The same config always yields the
-// same schedule, the result validates against the cell shapes and the
-// ParseProcSpec conflict rules, and Spec() renders it as a -proc-chaos
-// string that re-parses to the identical schedule. Each target receives at
-// most one kill (supervisor restart budgets are finite) and at most one
-// spawn delay.
-func RandomProcSchedule(cfg RandomProcScheduleConfig) (ProcSchedule, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Cells) == 0 {
+// schedule for the given cluster shape (cells in spec order). The same
+// (seed, cells) always yields the same schedule, the result validates
+// against the cell shapes and the ParseProcSpec conflict rules, and Spec()
+// renders it as a -proc-chaos string that re-parses to the identical
+// schedule. Each target receives at most one kill (supervisor restart
+// budgets are finite) and at most one spawn delay.
+func RandomProcSchedule(seed int64, cells []ProcCell) (ProcSchedule, error) {
+	if len(cells) == 0 {
 		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule: no cells")
 	}
-	if cfg.MaxSweep < 1 {
-		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule: MaxSweep %d too small", cfg.MaxSweep)
-	}
 	var targets []*procTarget
-	for _, c := range cfg.Cells {
+	for _, c := range cells {
 		if c.Name == "" || c.SBSs < 0 {
 			return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule: bad cell %+v", c)
 		}
@@ -329,39 +246,35 @@ func RandomProcSchedule(cfg RandomProcScheduleConfig) (ProcSchedule, error) {
 			targets = append(targets, &procTarget{cell: c.Name, sbs: sbs, nextFree: 1})
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := cfg.Weights
-	total := w.Kill + w.Stop + w.SpawnDelay
-	if total <= 0 {
-		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule: all weights zero")
-	}
+	rng := rand.New(rand.NewSource(seed))
+	const total = weightKill + weightStop + weightSpawnDelay
 
 	var timed, delays []ProcEvent
-	for draw := 0; draw < cfg.Events; draw++ {
+	for draw := 0; draw < procEvents; draw++ {
 		t := targets[rng.Intn(len(targets))]
 		pick := rng.Float64() * total
 		switch {
-		case pick < w.Kill:
-			if t.killed || t.nextFree > cfg.MaxSweep {
+		case pick < weightKill:
+			if t.killed || t.nextFree > procMaxSweep {
 				continue
 			}
-			at := t.nextFree + rng.Intn(cfg.MaxSweep-t.nextFree+1)
+			at := t.nextFree + rng.Intn(procMaxSweep-t.nextFree+1)
 			timed = append(timed, ProcEvent{Cell: t.cell, SBS: t.sbs, Op: ProcKill, Sweep: at})
 			t.killed = true
 			t.nextFree = at + 1
-		case pick < w.Kill+w.Stop:
-			if t.nextFree > cfg.MaxSweep {
+		case pick < weightKill+weightStop:
+			if t.nextFree > procMaxSweep {
 				continue
 			}
-			at := t.nextFree + rng.Intn(cfg.MaxSweep-t.nextFree+1)
-			delay := randomDelay(rng, 30*time.Millisecond, cfg.MaxStop)
+			at := t.nextFree + rng.Intn(procMaxSweep-t.nextFree+1)
+			delay := randomDelay(rng, 30*time.Millisecond, procMaxStop)
 			timed = append(timed, ProcEvent{Cell: t.cell, SBS: t.sbs, Op: ProcStop, Sweep: at, Delay: delay})
 			t.nextFree = at + 1
 		default:
 			if t.delayed {
 				continue
 			}
-			delay := randomDelay(rng, 10*time.Millisecond, cfg.MaxSpawnDelay)
+			delay := randomDelay(rng, 10*time.Millisecond, procMaxSpawnDelay)
 			delays = append(delays, ProcEvent{Cell: t.cell, SBS: t.sbs, Op: ProcSpawnDelay, Delay: delay})
 			t.delayed = true
 		}
@@ -372,19 +285,19 @@ func RandomProcSchedule(cfg RandomProcScheduleConfig) (ProcSchedule, error) {
 	// strictly-increasing construction order).
 	sort.SliceStable(timed, func(i, j int) bool { return timed[i].Sweep < timed[j].Sweep })
 	s := ProcSchedule{Events: append(delays, timed...)}
-	cells := func(name string) int {
-		for _, c := range cfg.Cells {
+	sbss := func(name string) int {
+		for _, c := range cells {
 			if c.Name == name {
 				return c.SBSs
 			}
 		}
 		return -1
 	}
-	if err := s.Validate(cells); err != nil {
-		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule (seed %d): %w", cfg.Seed, err)
+	if err := s.Validate(sbss); err != nil {
+		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule (seed %d): %w", seed, err)
 	}
 	if err := checkProcConflicts(s.Events); err != nil {
-		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule (seed %d): %w", cfg.Seed, err)
+		return ProcSchedule{}, fmt.Errorf("chaos: random proc schedule (seed %d): %w", seed, err)
 	}
 	return s, nil
 }
@@ -392,9 +305,6 @@ func RandomProcSchedule(cfg RandomProcScheduleConfig) (ProcSchedule, error) {
 // randomDelay draws a duration in [min, max] at millisecond granularity
 // (so spec strings stay short and round-trip exactly).
 func randomDelay(rng *rand.Rand, min, max time.Duration) time.Duration {
-	if max < min {
-		max = min
-	}
 	ms := int64(min/time.Millisecond) + rng.Int63n(int64(max/time.Millisecond)-int64(min/time.Millisecond)+1)
 	return time.Duration(ms) * time.Millisecond
 }

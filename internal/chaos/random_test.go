@@ -7,22 +7,21 @@ import (
 )
 
 // TestRandomScheduleDeterministic pins the generator contract soak relies
-// on: the same config names the same schedule forever.
+// on: the same (seed, N) names the same schedule forever.
 func TestRandomScheduleDeterministic(t *testing.T) {
-	cfg := RandomScheduleConfig{Seed: 42, N: 3}
-	a, err := RandomSchedule(cfg)
+	a, err := RandomSchedule(42, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RandomSchedule(cfg)
+	b, err := RandomSchedule(42, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same config, different schedules:\n%+v\n%+v", a, b)
+		t.Fatalf("same seed, different schedules:\n%+v\n%+v", a, b)
 	}
 	if a.Seed != 42 {
-		t.Fatalf("schedule seed %d, want the config seed 42", a.Seed)
+		t.Fatalf("schedule seed %d, want the generator seed 42", a.Seed)
 	}
 }
 
@@ -33,12 +32,12 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 // documents.
 func TestRandomScheduleAlwaysValid(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		cfg := RandomScheduleConfig{Seed: seed, N: 4, MaxSweep: 8, Events: 6, Intensity: 1}
-		s, err := RandomSchedule(cfg)
+		const n = 4
+		s, err := RandomSchedule(seed, n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := s.Validate(cfg.N); err != nil {
+		if err := s.Validate(n); err != nil {
 			t.Fatalf("seed %d: generated schedule invalid: %v", seed, err)
 		}
 		if err := checkSpecConflicts(s.Events); err != nil {
@@ -46,8 +45,8 @@ func TestRandomScheduleAlwaysValid(t *testing.T) {
 		}
 		crashes := map[int]int{}
 		for _, ev := range s.Events {
-			if ev.Sweep < 1 || ev.Sweep > cfg.MaxSweep {
-				t.Fatalf("seed %d: event %v outside sweep budget [1, %d]", seed, ev, cfg.MaxSweep)
+			if ev.Sweep < 1 || ev.Sweep > scheduleMaxSweep {
+				t.Fatalf("seed %d: event %v outside sweep budget [1, %d]", seed, ev, scheduleMaxSweep)
 			}
 			switch ev.Op {
 			case OpCrash, OpBSCrash:
@@ -72,36 +71,17 @@ func TestRandomScheduleAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestRandomScheduleWeights checks a single-operation weight vector only
-// emits that operation.
-func TestRandomScheduleWeights(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		s, err := RandomSchedule(RandomScheduleConfig{
-			Seed: seed, N: 3, Events: 5,
-			Weights: ScheduleWeights{Crash: 1},
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, ev := range s.Events {
-			if ev.Op != OpCrash && ev.Op != OpRestart {
-				t.Fatalf("seed %d: crash-only weights produced %v", seed, ev)
-			}
-		}
-	}
-}
-
-// TestRandomScheduleRejectsBadConfig covers the config validation paths.
+// TestRandomScheduleRejectsBadConfig covers the generators' input
+// validation: no SBS to target, no cells, or a malformed cell.
 func TestRandomScheduleRejectsBadConfig(t *testing.T) {
-	cases := []RandomScheduleConfig{
-		{Seed: 1, N: 0},
-		{Seed: 1, N: 3, Intensity: 1.5},
-		{Seed: 1, N: 3, MaxSweep: 1},
-		{Seed: 1, N: 3, Weights: ScheduleWeights{Crash: -1, Partition: 1}},
+	for _, n := range []int{0, -1} {
+		if _, err := RandomSchedule(1, n); err == nil {
+			t.Errorf("N=%d: expected error", n)
+		}
 	}
-	for _, cfg := range cases {
-		if _, err := RandomSchedule(cfg); err == nil {
-			t.Errorf("config %+v: expected error", cfg)
+	for _, cells := range [][]ProcCell{nil, {{Name: "", SBSs: 1}}, {{Name: "c", SBSs: -1}}} {
+		if _, err := RandomProcSchedule(1, cells); err == nil {
+			t.Errorf("cells %+v: expected error", cells)
 		}
 	}
 }
@@ -121,8 +101,7 @@ func TestRandomProcScheduleAlwaysValid(t *testing.T) {
 		return -1
 	}
 	for seed := int64(0); seed < 200; seed++ {
-		cfg := RandomProcScheduleConfig{Seed: seed, Cells: cells, Events: 5}
-		s, err := RandomProcSchedule(cfg)
+		s, err := RandomProcSchedule(seed, cells)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -160,27 +139,33 @@ func TestRandomProcScheduleAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestRandomProcScheduleStopBudget checks stop windows respect MaxStop.
+// TestRandomProcScheduleStopBudget checks, across seeds, that every stop
+// window respects procMaxStop and every spawn delay procMaxSpawnDelay,
+// and that the default mix draws both often enough for the caps to be
+// exercised.
 func TestRandomProcScheduleStopBudget(t *testing.T) {
-	maxStop := 60 * time.Millisecond
-	for seed := int64(0); seed < 50; seed++ {
-		s, err := RandomProcSchedule(RandomProcScheduleConfig{
-			Seed:    seed,
-			Cells:   []ProcCell{{Name: "c", SBSs: 2}},
-			Events:  6,
-			MaxStop: maxStop,
-			Weights: ProcWeights{Stop: 1},
-		})
+	stops, spawns := 0, 0
+	for seed := int64(0); seed < 200; seed++ {
+		s, err := RandomProcSchedule(seed, []ProcCell{{Name: "c", SBSs: 2}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, ev := range s.Events {
-			if ev.Op != ProcStop {
-				t.Fatalf("seed %d: stop-only weights produced %v", seed, ev)
-			}
-			if ev.Delay <= 0 || ev.Delay > maxStop {
-				t.Fatalf("seed %d: stop delay %v outside (0, %v]", seed, ev.Delay, maxStop)
+			switch ev.Op {
+			case ProcStop:
+				stops++
+				if ev.Delay < 30*time.Millisecond || ev.Delay > procMaxStop {
+					t.Fatalf("seed %d: stop delay %v outside [30ms, %v]", seed, ev.Delay, procMaxStop)
+				}
+			case ProcSpawnDelay:
+				spawns++
+				if ev.Delay < 10*time.Millisecond || ev.Delay > procMaxSpawnDelay {
+					t.Fatalf("seed %d: spawn delay %v outside [10ms, %v]", seed, ev.Delay, procMaxSpawnDelay)
+				}
 			}
 		}
+	}
+	if stops < 50 || spawns < 20 {
+		t.Errorf("default mix drew %d stops and %d spawn delays over 200 seeds; the caps are barely exercised", stops, spawns)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -369,8 +368,8 @@ func runSBS(cfg agentConfig, out io.Writer, in io.Reader) error {
 	}
 	var privacy *core.PrivacyConfig
 	if cfg.epsilon > 0 {
-		src := rand.NewSource(cfg.seed + int64(cfg.index)*1009 + int64(cfg.generation)*1000003)
-		privacy = &core.PrivacyConfig{Epsilon: cfg.epsilon, Delta: cfg.delta, Rng: rand.New(src)}
+		noise := core.NewNoiseSource(cfg.seed + int64(cfg.index)*1009 + int64(cfg.generation)*1000003)
+		privacy = &core.PrivacyConfig{Epsilon: cfg.epsilon, Delta: cfg.delta, Noise: noise}
 	}
 	agent, err := sim.NewSBSAgent(cfg.inst, cfg.index, core.DefaultSubproblemConfig(), privacy, ep, bsName)
 	if err != nil {

@@ -54,12 +54,9 @@ type PrivacyConfig struct {
 	// [0,1], so the default (0 → 1) is the worst-case L1 change from one
 	// SBS altering one routing entry.
 	Sensitivity float64
-	// Rng drives the noise. Either Rng or Noise is required.
-	Rng *rand.Rand
-	// Noise, when non-nil, supplies the Rng from a draw-counting, seekable
-	// source (NewLPPM wires it up) so the noise stream's position can be
-	// captured in a checkpoint and restored on resume. Required when
-	// checkpointing a private run; ignored if Rng is also set.
+	// Noise drives the noise draws (required). It is a draw-counting,
+	// seekable source, so the noise stream's position can be captured in a
+	// checkpoint and restored on resume.
 	Noise *NoiseSource
 	// Accountant optionally records every ε spend, labeled per SBS.
 	Accountant *dp.Accountant
@@ -81,8 +78,8 @@ func (p *PrivacyConfig) validate() error {
 	if p.Sensitivity < 0 {
 		return fmt.Errorf("core: privacy sensitivity must be non-negative, got %v", p.Sensitivity)
 	}
-	if p.Rng == nil && p.Noise == nil {
-		return fmt.Errorf("core: privacy config requires an Rng or a Noise source")
+	if p.Noise == nil {
+		return fmt.Errorf("core: privacy config requires a Noise source")
 	}
 	switch p.Mechanism {
 	case MechanismLaplace, MechanismUniform:
@@ -153,8 +150,8 @@ type Config struct {
 	// Checkpoint, when non-nil, snapshots the full sweep state to the
 	// configured sink so a crashed run can be resumed bit-identically (see
 	// Coordinator.Resume). Incompatible with Restarts > 0 (a snapshot
-	// records one trajectory) and, when Privacy is set, requires
-	// Privacy.Noise (a bare *rand.Rand has no capturable position).
+	// records one trajectory); a private run's snapshot records the
+	// Privacy.Noise position.
 	Checkpoint *CheckpointConfig
 
 	// Restarts is an extension beyond the paper: because the no-overserve
@@ -330,9 +327,6 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 		if ck.EachPhase && cfg.Engine != EngineGaussSeidel {
 			return nil, fmt.Errorf("core: per-phase checkpoints need mid-sweep resume points; a %v round is atomic (use sweep-boundary cadence)", cfg.Engine)
 		}
-		if cfg.Privacy != nil && (cfg.Privacy.Noise == nil || cfg.Privacy.Rng != nil) {
-			return nil, fmt.Errorf("core: checkpointing a private run requires Privacy.Noise alone (a seekable noise source); a bare Rng has no capturable position")
-		}
 	}
 	c := &Coordinator{inst: inst, cfg: cfg}
 	if cfg.Privacy != nil {
@@ -484,9 +478,6 @@ func (c *Coordinator) Resume(ck *model.Checkpoint) (*RunResult, error) {
 	}
 	if c.lppm != nil {
 		noise := c.cfg.Privacy.Noise
-		if noise == nil {
-			return nil, fmt.Errorf("core: resuming a private run requires Privacy.Noise")
-		}
 		if noise.SeedValue() != ck.NoiseSeed {
 			return nil, fmt.Errorf("core: noise seed %d does not match checkpoint seed %d", noise.SeedValue(), ck.NoiseSeed)
 		}

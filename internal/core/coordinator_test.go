@@ -18,19 +18,19 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Error("invalid instance: want error")
 	}
 	cfg := DefaultConfig()
-	cfg.Privacy = &PrivacyConfig{Epsilon: 0, Delta: 0.5, Rng: rng}
+	cfg.Privacy = &PrivacyConfig{Epsilon: 0, Delta: 0.5, Noise: NewNoiseSource(1)}
 	if _, err := NewCoordinator(inst, cfg); err == nil {
 		t.Error("epsilon=0: want error")
 	}
-	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 1, Rng: rng}
+	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 1, Noise: NewNoiseSource(1)}
 	if _, err := NewCoordinator(inst, cfg); err == nil {
 		t.Error("delta=1: want error")
 	}
-	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5, Rng: nil}
+	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5}
 	if _, err := NewCoordinator(inst, cfg); err == nil {
-		t.Error("nil rng: want error")
+		t.Error("no noise source: want error")
 	}
-	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5, Sensitivity: -1, Rng: rng}
+	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5, Sensitivity: -1, Noise: NewNoiseSource(1)}
 	if _, err := NewCoordinator(inst, cfg); err == nil {
 		t.Error("negative sensitivity: want error")
 	}
@@ -145,7 +145,7 @@ func TestLPPMIncreasesCostButStaysFeasible(t *testing.T) {
 		cfg.Privacy = &PrivacyConfig{
 			Epsilon: 0.1,
 			Delta:   0.5,
-			Rng:     rand.New(rand.NewSource(int64(trial))),
+			Noise:   NewNoiseSource(int64(trial)),
 		}
 		noisyCoord, err := NewCoordinator(inst, cfg)
 		if err != nil {
@@ -188,7 +188,7 @@ func TestLPPMCostShrinksWithEpsilon(t *testing.T) {
 		const seeds = 5
 		for s := int64(0); s < seeds; s++ {
 			cfg := DefaultConfig()
-			cfg.Privacy = &PrivacyConfig{Epsilon: eps, Delta: 0.5, Rng: rand.New(rand.NewSource(100 + s))}
+			cfg.Privacy = &PrivacyConfig{Epsilon: eps, Delta: 0.5, Noise: NewNoiseSource(100 + s)}
 			c, err := NewCoordinator(inst, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -221,7 +221,7 @@ func TestLPPMAccountant(t *testing.T) {
 	cfg.Privacy = &PrivacyConfig{
 		Epsilon:    0.5,
 		Delta:      0.4,
-		Rng:        rand.New(rand.NewSource(9)),
+		Noise:      NewNoiseSource(9),
 		Accountant: &acct,
 	}
 	coord, err := NewCoordinator(inst, cfg)
@@ -258,7 +258,7 @@ func TestLPPMDeltaZeroMatchesClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0, Rng: rand.New(rand.NewSource(11))}
+	cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0, Noise: NewNoiseSource(11)}
 	noisyCoord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestCoordinatorDeterministicWithSeed(t *testing.T) {
 	inst := randomInstance(rng, 3, 5, 6)
 	run := func(seed int64) float64 {
 		cfg := DefaultConfig()
-		cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Rng: rand.New(rand.NewSource(seed))}
+		cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Noise: NewNoiseSource(seed)}
 		coord, err := NewCoordinator(inst, cfg)
 		if err != nil {
 			t.Fatal(err)

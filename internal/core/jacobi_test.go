@@ -71,7 +71,7 @@ func TestJacobiWithPrivacy(t *testing.T) {
 	inst := randomInstance(rng, 3, 5, 6)
 	cfg := jacobiCfg()
 	cfg.MaxSweeps = 10
-	cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Rng: rand.New(rand.NewSource(24))}
+	cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Noise: NewNoiseSource(24)}
 	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestNoiseMechanisms(t *testing.T) {
 		cfg.Privacy = &PrivacyConfig{
 			Epsilon:   0.5,
 			Delta:     0.5,
-			Rng:       rand.New(rand.NewSource(26)),
+			Noise:     NewNoiseSource(26),
 			Mechanism: mech,
 		}
 		coord, err := NewCoordinator(inst, cfg)
@@ -143,25 +143,24 @@ func TestNoiseMechanisms(t *testing.T) {
 }
 
 func TestNoiseMechanismValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
 	// Gaussian needs ε in (0,1).
 	if _, err := NewLPPM(PrivacyConfig{
-		Epsilon: 5, Delta: 0.5, Rng: rng, Mechanism: MechanismGaussian,
+		Epsilon: 5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: MechanismGaussian,
 	}); err == nil {
 		t.Error("gaussian with ε=5: want error")
 	}
 	if _, err := NewLPPM(PrivacyConfig{
-		Epsilon: 0.5, Delta: 0.5, Rng: rng, Mechanism: MechanismGaussian, DPDelta: 2,
+		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: MechanismGaussian, DPDelta: 2,
 	}); err == nil {
 		t.Error("DPDelta=2: want error")
 	}
 	if _, err := NewLPPM(PrivacyConfig{
-		Epsilon: 0.5, Delta: 0.5, Rng: rng, Mechanism: NoiseMechanism(9),
+		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: NoiseMechanism(9),
 	}); err == nil {
 		t.Error("unknown mechanism: want error")
 	}
 	l, err := NewLPPM(PrivacyConfig{
-		Epsilon: 0.5, Delta: 0.5, Rng: rng, Mechanism: MechanismGaussian, DPDelta: 1e-5,
+		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: MechanismGaussian, DPDelta: 1e-5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +184,7 @@ func TestPerturbKeepsZeroesAndRange(t *testing.T) {
 	for _, mech := range []NoiseMechanism{MechanismLaplace, MechanismGaussian, MechanismUniform} {
 		eps := 0.5
 		l, err := NewLPPM(PrivacyConfig{
-			Epsilon: eps, Delta: 0.4, Rng: rand.New(rand.NewSource(28)), Mechanism: mech,
+			Epsilon: eps, Delta: 0.4, Noise: NewNoiseSource(28), Mechanism: mech,
 		})
 		if err != nil {
 			t.Fatal(err)

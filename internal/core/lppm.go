@@ -21,21 +21,18 @@ import (
 // running the same mechanism.
 type LPPM struct {
 	cfg   PrivacyConfig
-	beta  float64 // Laplace scale (MechanismLaplace)
-	sigma float64 // Gaussian scale (MechanismGaussian)
+	rng   *rand.Rand // draws through cfg.Noise, so every draw is counted
+	beta  float64    // Laplace scale (MechanismLaplace)
+	sigma float64    // Gaussian scale (MechanismGaussian)
 }
 
-// NewLPPM validates the configuration and calibrates the noise scale. When
-// only a seekable Noise source is configured, the Rng is derived from it,
-// so every draw advances the countable position.
+// NewLPPM validates the configuration and calibrates the noise scale.
+// Every draw goes through cfg.Noise and advances its countable position.
 func NewLPPM(cfg PrivacyConfig) (*LPPM, error) {
-	if cfg.Rng == nil && cfg.Noise != nil {
-		cfg.Rng = rand.New(cfg.Noise)
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	l := &LPPM{cfg: cfg}
+	l := &LPPM{cfg: cfg, rng: rand.New(cfg.Noise)}
 	switch cfg.Mechanism {
 	case MechanismLaplace:
 		beta, err := dp.BetaForEpsilon(cfg.sensitivity(), cfg.Epsilon)
@@ -107,11 +104,11 @@ func (l *LPPM) Perturb(label string, routing model.Mat) (model.Mat, error) {
 func (l *LPPM) noise(y float64) (float64, error) {
 	switch l.cfg.Mechanism {
 	case MechanismLaplace:
-		return dp.LPPMNoise(l.cfg.Rng, y, l.cfg.Delta, l.beta)
+		return dp.LPPMNoise(l.rng, y, l.cfg.Delta, l.beta)
 	case MechanismGaussian:
-		return dp.TruncatedHalfNormal(l.cfg.Rng, l.sigma, l.cfg.Delta*y)
+		return dp.TruncatedHalfNormal(l.rng, l.sigma, l.cfg.Delta*y)
 	case MechanismUniform:
-		return l.cfg.Rng.Float64() * l.cfg.Delta * y, nil
+		return l.rng.Float64() * l.cfg.Delta * y, nil
 	default:
 		return 0, fmt.Errorf("core: unknown noise mechanism %v", l.cfg.Mechanism)
 	}

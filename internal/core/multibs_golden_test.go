@@ -75,7 +75,7 @@ func multiBSGoldenRun(t *testing.T, gc multiBSGoldenCase) *RunResult {
 	cfg := MultiBSConfig{Regions: gc.regions}
 	if gc.private {
 		cfg.MaxRounds = 10
-		cfg.Privacy = &PrivacyConfig{Epsilon: 0.2, Delta: 0.5, Rng: rand.New(rand.NewSource(48))}
+		cfg.Privacy = &PrivacyConfig{Epsilon: 0.2, Delta: 0.5, Noise: NewNoiseSource(48)}
 	}
 	res, err := RunMultiBS(inst, cfg)
 	if err != nil {

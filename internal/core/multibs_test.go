@@ -84,7 +84,7 @@ func TestMultiBSWithPrivacy(t *testing.T) {
 	res, err := RunMultiBS(inst, MultiBSConfig{
 		Regions:   [][]int{{0, 2}, {1, 3}},
 		MaxRounds: 8,
-		Privacy:   &PrivacyConfig{Epsilon: 0.2, Delta: 0.5, Rng: rand.New(rand.NewSource(45))},
+		Privacy:   &PrivacyConfig{Epsilon: 0.2, Delta: 0.5, Noise: NewNoiseSource(45)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,16 +62,7 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	}
 	cfg.Restarts = 0
 
-	// A private checkpointed run needs a seekable noise source; a bare Rng
-	// (even alongside a Noise source, since Rng wins) has no position.
-	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5, Rng: rng}
-	if _, err := NewCoordinator(inst, cfg); err == nil {
-		t.Error("checkpoint with bare Rng privacy: want error")
-	}
-	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5, Rng: rng, Noise: NewNoiseSource(7)}
-	if _, err := NewCoordinator(inst, cfg); err == nil {
-		t.Error("checkpoint with Rng and Noise both set: want error")
-	}
+	// A private checkpointed run records its noise position.
 	cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.5, Noise: NewNoiseSource(7)}
 	if _, err := NewCoordinator(inst, cfg); err != nil {
 		t.Errorf("checkpoint with Noise alone rejected: %v", err)

@@ -119,7 +119,7 @@ func EvaluateTheorem5(inst *model.Instance, lppm *LPPM, y *model.RoutingPolicy,
 // of hypothetical samples that must not pollute the privacy ledger.
 func (l *LPPM) withRng(rng *rand.Rand) *LPPM {
 	cp := *l
-	cp.cfg.Rng = rng
+	cp.rng = rng
 	cp.cfg.Accountant = nil
 	return &cp
 }

@@ -19,7 +19,7 @@ func TestTheorem5BoundHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	lppm, err := NewLPPM(PrivacyConfig{
-		Epsilon: 0.1, Delta: 0.5, Rng: rand.New(rand.NewSource(32)),
+		Epsilon: 0.1, Delta: 0.5, Noise: NewNoiseSource(32),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestTheorem5PrMonotoneInZeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	lppm, err := NewLPPM(PrivacyConfig{
-		Epsilon: 1, Delta: 0.5, Rng: rand.New(rand.NewSource(35)),
+		Epsilon: 1, Delta: 0.5, Noise: NewNoiseSource(35),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestTheorem5Validation(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	inst := randomInstance(rng, 1, 2, 3)
 	y := model.NewRoutingPolicy(inst)
-	lppm, err := NewLPPM(PrivacyConfig{Epsilon: 1, Delta: 0.5, Rng: rng})
+	lppm, err := NewLPPM(PrivacyConfig{Epsilon: 1, Delta: 0.5, Noise: NewNoiseSource(38)})
 	if err != nil {
 		t.Fatal(err)
 	}

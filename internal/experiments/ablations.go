@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"strconv"
 
 	"edgecache/internal/attack"
@@ -222,7 +221,7 @@ func (h Harness) ReconstructionAttack(epsilons []float64) (*metrics.Table, error
 	for _, eps := range epsilons {
 		e, err := measure(&core.PrivacyConfig{
 			Epsilon: eps, Delta: h.Delta,
-			Rng: rand.New(rand.NewSource(sc.Seed * 41)),
+			Noise: core.NewNoiseSource(sc.Seed * 41),
 		})
 		if err != nil {
 			return nil, err
@@ -333,7 +332,7 @@ func (h Harness) NoiseFamilyAblation(epsilons []float64) (*metrics.Table, error)
 		cfg.Privacy = &core.PrivacyConfig{
 			Epsilon:   eps,
 			Delta:     h.Delta,
-			Rng:       rand.New(rand.NewSource(sc.Seed * 31)),
+			Noise:     core.NewNoiseSource(sc.Seed * 31),
 			Mechanism: mech,
 		}
 		c, err := core.NewCoordinator(inst, cfg)

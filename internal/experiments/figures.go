@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"edgecache/internal/baseline"
 	"edgecache/internal/core"
@@ -99,7 +98,7 @@ func (h Harness) runLPPM(run *seedRun, epsilon float64) (float64, error) {
 		Privacy: &core.PrivacyConfig{
 			Epsilon: epsilon,
 			Delta:   h.Delta,
-			Rng:     rand.New(rand.NewSource(run.seed * 7919)),
+			Noise:   core.NewNoiseSource(run.seed * 7919),
 		},
 	}
 	privCoord, err := core.NewCoordinator(run.inst, privCfg)
@@ -395,7 +394,7 @@ func (h Harness) Convergence() (*metrics.Table, error) {
 	}
 	privCoord, err := core.NewCoordinator(inst, core.Config{
 		Sub: h.Sub, Gamma: 1e-9, MaxSweeps: 12,
-		Privacy: &core.PrivacyConfig{Epsilon: h.Epsilon, Delta: h.Delta, Rng: rand.New(rand.NewSource(99))},
+		Privacy: &core.PrivacyConfig{Epsilon: h.Epsilon, Delta: h.Delta, Noise: core.NewNoiseSource(99)},
 	})
 	if err != nil {
 		return nil, err

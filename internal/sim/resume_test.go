@@ -178,9 +178,10 @@ func TestSimResumeEveryBoundaryBitIdentical(t *testing.T) {
 }
 
 func TestSimStateSyncHandshake(t *testing.T) {
-	// A resumed BS rebroadcasts the resume point: every live SBS must
-	// receive exactly one MsgStateSync and acknowledge it within the
-	// handshake window.
+	// A resumed BS rebroadcasts the resume point in a header-only
+	// MsgStateSync: every live SBS must receive exactly one, record the
+	// header's sweep and phase, and acknowledge it within the handshake
+	// window.
 	rng := rand.New(rand.NewSource(81))
 	inst := randomInstance(rng, 3, 5, 6)
 	ctx := testCtx(t)
@@ -202,6 +203,12 @@ func TestSimStateSyncHandshake(t *testing.T) {
 	}
 	if got := sbsEvents.Count(EventStateSync); got != inst.N {
 		t.Errorf("state-sync events = %d, want %d", got, inst.N)
+	}
+	for _, ev := range sbsEvents.Events() {
+		if ev.Kind == EventStateSync && (ev.Sweep != ck.Sweep || ev.Phase != ck.Phase) {
+			t.Errorf("SBS %d synced to (%d, %d), want the resume point (%d, %d)",
+				ev.SBS, ev.Sweep, ev.Phase, ck.Sweep, ck.Phase)
+		}
 	}
 	if got := bsEvents.Count(EventStateSyncMiss); got != 0 {
 		t.Errorf("state-sync misses on clean links = %d, want 0", got)
@@ -347,11 +354,7 @@ func TestSBSReplyCacheAndStaleFilter(t *testing.T) {
 	}
 
 	// State-sync to sweep 3: the sweep-2 announce becomes a pre-crash ghost.
-	payload, err := transport.EncodePayload(transport.StateSync{Sweep: 3, Phase: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync := transport.Message{Type: transport.MsgStateSync, Sweep: 3, Phase: 0, Payload: payload}
+	sync := transport.Message{Type: transport.MsgStateSync, Sweep: 3, Phase: 0}
 	if err := bsEp.Send(ctx, "sbs-0", sync); err != nil {
 		t.Fatal(err)
 	}

@@ -523,9 +523,9 @@ func (b *BSAgent) restoreHealth(hs []model.SBSHealthState, faults []core.SBSFaul
 }
 
 // stateSync rebroadcasts the resume point to every non-quarantined SBS so
-// live agents drop pre-crash ghosts and their reply caches. The sync
-// carries no policy: an SBS's solve depends only on the announced
-// y_{-n}. Acks are gathered within one
+// live agents drop pre-crash ghosts and their reply caches. The sync is
+// header-only (Sweep and Phase) and carries no policy: an SBS's solve
+// depends only on the announced y_{-n}. Acks are gathered within one
 // ProbeTimeout window; a missing ack is observable (EventStateSyncMiss)
 // but never fatal — the phase-timeout machinery owns recovery, exactly as
 // for lost announces.
@@ -536,12 +536,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 		if b.health[n].quarantined {
 			continue // known-dead: do not stall the handshake on it
 		}
-		payload, err := transport.EncodePayload(transport.StateSync{Sweep: ck.Sweep, Phase: ck.Phase})
-		if err != nil {
-			b.event(EventSendFailed, n, ck.Sweep, ck.Phase, err)
-			continue
-		}
-		msg := transport.Message{Type: transport.MsgStateSync, Sweep: ck.Sweep, Phase: ck.Phase, Payload: payload}
+		msg := transport.Message{Type: transport.MsgStateSync, Sweep: ck.Sweep, Phase: ck.Phase}
 		if err := b.ep.Send(ctx, name, msg); err != nil {
 			b.event(EventSendFailed, n, ck.Sweep, ck.Phase, err)
 		}
@@ -731,18 +726,13 @@ func (a *SBSAgent) sendReply(ctx context.Context, sweep, phase int, payload []by
 }
 
 // handleStateSync rehydrates the agent after a BS resume: it records the
-// resume point (the stale-announce filter), drops the reply cache
-// (pre-crash uploads must not answer post-resume announces) and
-// acknowledges.
+// resume point from the header (the stale-announce filter), drops the
+// reply cache (pre-crash uploads must not answer post-resume announces)
+// and acknowledges.
 func (a *SBSAgent) handleStateSync(ctx context.Context, msg transport.Message) {
-	var sync transport.StateSync
-	if err := transport.DecodePayload(msg.Payload, &sync); err != nil {
-		a.event(EventBadAnnounce, msg.Sweep, msg.Phase, err)
-		return
-	}
-	a.syncSweep, a.syncPhase = sync.Sweep, sync.Phase
+	a.syncSweep, a.syncPhase = msg.Sweep, msg.Phase
 	a.lastSweep, a.lastPhase, a.lastReply = -1, -1, nil
-	a.event(EventStateSync, sync.Sweep, sync.Phase, nil)
+	a.event(EventStateSync, msg.Sweep, msg.Phase, nil)
 	ack := transport.Message{Type: transport.MsgStateAck, Sweep: msg.Sweep, Phase: msg.Phase}
 	if err := a.ep.Send(ctx, a.bsName, ack); err != nil {
 		a.event(EventSendFailed, msg.Sweep, msg.Phase, err)

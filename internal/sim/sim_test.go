@@ -86,7 +86,7 @@ func TestDistributedWithPrivacyFeasibleAndAccounted(t *testing.T) {
 		return &core.PrivacyConfig{
 			Epsilon:    0.1,
 			Delta:      0.5,
-			Rng:        rand.New(rand.NewSource(int64(100 + n))),
+			Noise:      core.NewNoiseSource(int64(100 + n)),
 			Accountant: &acct,
 		}
 	}

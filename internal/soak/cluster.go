@@ -100,10 +100,7 @@ func (r *soakRun) runClusterEpisodes(ctx context.Context) error {
 			insts[c] = clusterInstance(cell.SBSs, cell.Seed)
 			cells[c] = chaos.ProcCell{Name: cell.Name, SBSs: cell.SBSs}
 		}
-		procs, err := chaos.RandomProcSchedule(chaos.RandomProcScheduleConfig{
-			Seed:  seed,
-			Cells: cells,
-		})
+		procs, err := chaos.RandomProcSchedule(seed, cells)
 		if err != nil {
 			return fmt.Errorf("soak: cluster episode %d: %w", i, err)
 		}
@@ -169,7 +166,7 @@ func (r *soakRun) executeCluster(ctx context.Context, spec model.ClusterSpec,
 }
 
 // shrinkCluster ddmin-minimizes a failing process-fault schedule. Each
-// probe is a full supervised re-run, so the ShrinkRuns budget matters far
+// probe is a full supervised re-run, so the shrinkRuns budget matters far
 // more here than in-process.
 func (r *soakRun) shrinkCluster(ctx context.Context, episode int, seed int64,
 	spec model.ClusterSpec, insts []*model.Instance,
@@ -188,7 +185,7 @@ func (r *soakRun) shrinkCluster(ctx context.Context, episode int, seed int64,
 	}
 	runs := 0
 	interesting := func(events []chaos.ProcEvent) bool {
-		if runs >= r.cfg.ShrinkRuns || ctx.Err() != nil {
+		if runs >= shrinkRuns || ctx.Err() != nil {
 			return false
 		}
 		runs++

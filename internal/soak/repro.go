@@ -11,19 +11,17 @@ import (
 )
 
 // Repro is a minimized failing soak episode, serializable as a small text
-// file: the violated invariants, the scenario knobs that rebuild the exact
+// file: the violated invariants, the episode seed that rebuilds the exact
 // instance, and the minimized fault schedule as a plain -chaos (or
 // -proc-chaos) spec string. Everything needed to replay the failure — by
 // the soak harness or by hand with edgesim — and nothing else.
 type Repro struct {
 	// Invariants names the violated invariants (sorted).
 	Invariants []string
-	// Episode is the failing episode index; Seed its derived seed.
+	// Episode is the failing episode index; Seed its derived seed, which
+	// rebuilds the instance at the soak's fixed episode scale.
 	Episode int
 	Seed    int64
-	// Scenario knobs (experiments.Scenario subset) rebuilding the
-	// instance. Zero values are omitted from the file.
-	SBSs, Groups, LinkCount, Videos, CacheCap int
 	// Spec is the minimized in-process fault schedule (Schedule.Spec
 	// output). Empty for cluster episodes.
 	Spec string
@@ -49,17 +47,6 @@ func (r Repro) String() string {
 	fmt.Fprintf(&b, "invariants: %s\n", strings.Join(inv, " "))
 	fmt.Fprintf(&b, "episode: %d\n", r.Episode)
 	fmt.Fprintf(&b, "seed: %d\n", r.Seed)
-	for _, kv := range []struct {
-		key string
-		val int
-	}{
-		{"sbss", r.SBSs}, {"groups", r.Groups}, {"links", r.LinkCount},
-		{"videos", r.Videos}, {"cache", r.CacheCap},
-	} {
-		if kv.val != 0 {
-			fmt.Fprintf(&b, "%s: %d\n", kv.key, kv.val)
-		}
-	}
 	if r.Spec != "" {
 		fmt.Fprintf(&b, "spec: %s\n", r.Spec)
 	}
@@ -98,16 +85,6 @@ func ParseRepro(data string) (Repro, error) {
 			r.Episode, err = strconv.Atoi(val)
 		case "seed":
 			r.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "sbss":
-			r.SBSs, err = strconv.Atoi(val)
-		case "groups":
-			r.Groups, err = strconv.Atoi(val)
-		case "links":
-			r.LinkCount, err = strconv.Atoi(val)
-		case "videos":
-			r.Videos, err = strconv.Atoi(val)
-		case "cache":
-			r.CacheCap, err = strconv.Atoi(val)
 		case "spec":
 			r.Spec = val
 			_, err = chaos.ParseSpec(val)

@@ -12,9 +12,8 @@ func TestReproRoundTrip(t *testing.T) {
 		Invariants: []string{"converged", "accounting"},
 		Episode:    3,
 		Seed:       3000010,
-		SBSs:       3, Groups: 10, LinkCount: 14, Videos: 16, CacheCap: 4,
-		Spec:   "seed=7,drop=0.1,crash=1@2,restart=1@4",
-		Detail: []string{"converged: did not converge in 40 sweeps"},
+		Spec:       "seed=7,drop=0.1,crash=1@2,restart=1@4",
+		Detail:     []string{"converged: did not converge in 40 sweeps"},
 	}
 	path := filepath.Join(t.TempDir(), "repro.txt")
 	if err := in.WriteFile(path); err != nil {
@@ -74,6 +73,11 @@ func TestReproParseRejectsCorruptProcSpec(t *testing.T) {
 func TestReproParseRejectsUnknownKeyAndBadInt(t *testing.T) {
 	if _, err := ParseRepro("wat: 1\n"); err == nil || !strings.Contains(err.Error(), `"wat"`) {
 		t.Errorf("unknown key: err = %v", err)
+	}
+	// The episode scale is fixed, so scenario keys (sbss, groups, links,
+	// videos, cache) are unknown.
+	if _, err := ParseRepro("seed: 1\nsbss: 3\n"); err == nil || !strings.Contains(err.Error(), `"sbss"`) {
+		t.Errorf("scenario key: err = %v", err)
 	}
 	if _, err := ParseRepro("episode: twelve\n"); err == nil || !strings.Contains(err.Error(), "episode") {
 		t.Errorf("bad int: err = %v", err)

@@ -12,8 +12,8 @@
 //     for self-healing schedules — every fired crash/partition followed by
 //     its restart/heal; a schedule whose restart never fired legitimately
 //     ends with a dead SBS).
-//   - cost-tolerance: the final cost lands within Tolerance of the
-//     fault-free reference (same self-healing gate).
+//   - cost-tolerance: the final cost lands within 5% of the fault-free
+//     reference (same self-healing gate).
 //   - feasible: the final solution satisfies every model constraint.
 //   - accounting: the BS event counter and the per-SBS fault stats agree
 //     (misses, quarantine spans, retries).
@@ -47,30 +47,15 @@ import (
 type Config struct {
 	// Episodes is the in-process episode count (default 10).
 	Episodes int
-	// Seed derives every episode's seed; the same (Seed, Config) replays
-	// the same soak.
+	// Seed derives every episode's seed; the same Seed replays the same
+	// soak.
 	Seed int64
-	// Tolerance is the allowed relative cost gap vs the fault-free
-	// reference (default 0.05, the chaos acceptance bound).
-	Tolerance float64
-	// Scenario scale (experiments.Scenario knobs). Defaults: 3 SBSs, 10
-	// groups, 14 links, 16 videos, cache 4 — small enough that one
-	// episode runs in well under a second fault-free.
-	SBSs, Groups, LinkCount, Videos, CacheCap int
-	// EventsPerEpisode is the fault budget per generated schedule
-	// (default 4); Intensity scales fault probabilities (default 0.5);
-	// MaxSweep bounds trigger sweeps (default 6).
-	EventsPerEpisode int
-	Intensity        float64
-	MaxSweep         int
 	// DiskFaults enables the per-episode disk fault drill (default off;
 	// the edgesim -soak gate and nightly job turn it on).
 	DiskFaults bool
 	// ReproDir receives the minimized repro file on failure ("" writes
-	// next to the working directory as soak-repro.txt).
+	// it to the working directory).
 	ReproDir string
-	// ShrinkRuns bounds the ddmin re-executions (default 100).
-	ShrinkRuns int
 	// ClusterEpisodes appends multi-process episodes with randomized
 	// process-fault schedules; requires Command (the agent binary).
 	ClusterEpisodes int
@@ -83,41 +68,26 @@ type Config struct {
 	CheckEpisode func(*Episode) []Violation
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Episodes == 0 {
-		cfg.Episodes = 10
-	}
-	if cfg.Tolerance == 0 {
-		cfg.Tolerance = 0.05
-	}
-	if cfg.SBSs == 0 {
-		cfg.SBSs = 3
-	}
-	if cfg.Groups == 0 {
-		cfg.Groups = 10
-	}
-	if cfg.LinkCount == 0 {
-		cfg.LinkCount = 14
-	}
-	if cfg.Videos == 0 {
-		cfg.Videos = 16
-	}
-	if cfg.CacheCap == 0 {
-		cfg.CacheCap = 4
-	}
-	if cfg.EventsPerEpisode == 0 {
-		cfg.EventsPerEpisode = 4
-	}
-	if cfg.Intensity == 0 {
-		cfg.Intensity = 0.5
-	}
-	if cfg.MaxSweep == 0 {
-		cfg.MaxSweep = 6
-	}
-	if cfg.ShrinkRuns == 0 {
-		cfg.ShrinkRuns = 100
-	}
-	return cfg
+const (
+	// costTolerance is the allowed relative cost gap vs the fault-free
+	// reference (the chaos acceptance bound).
+	costTolerance = 0.05
+	// shrinkRuns bounds the ddmin re-executions of one failure.
+	shrinkRuns = 100
+)
+
+// episodeScenario builds an in-process episode's instance at a fixed
+// scale, small enough that one episode runs in well under a second
+// fault-free. The seed fully determines the instance.
+func episodeScenario(seed int64) (*model.Instance, error) {
+	sc := experiments.DefaultScenario()
+	sc.SBSs = 3
+	sc.Groups = 10
+	sc.LinkCount = 14
+	sc.Videos = 16
+	sc.CachePerSBS = 4
+	sc.Seed = seed
+	return sc.Build()
 }
 
 // Episode is one executed soak episode, handed to CheckEpisode hooks.
@@ -193,7 +163,9 @@ func episodeBSConfig() sim.BSConfig {
 // breakage (cannot build an instance, cannot write the repro); invariant
 // failures are reported through Result.Failure, not the error.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Episodes == 0 {
+		cfg.Episodes = 10
+	}
 	if cfg.ClusterEpisodes > 0 && len(cfg.Command) == 0 {
 		return nil, fmt.Errorf("soak: ClusterEpisodes > 0 requires Command (the agent binary to supervise)")
 	}
@@ -243,18 +215,6 @@ func (r *soakRun) episodeSeed(i int) int64 {
 	return r.cfg.Seed + int64(i)*1_000_003
 }
 
-// buildInstance rebuilds episode i's instance (deterministic in the seed).
-func (r *soakRun) buildInstance(seed int64) (*model.Instance, error) {
-	sc := experiments.DefaultScenario()
-	sc.SBSs = r.cfg.SBSs
-	sc.Groups = r.cfg.Groups
-	sc.LinkCount = r.cfg.LinkCount
-	sc.Videos = r.cfg.Videos
-	sc.CachePerSBS = r.cfg.CacheCap
-	sc.Seed = seed
-	return sc.Build()
-}
-
 // baseline runs the fault-free in-process reference for the instance.
 func baseline(inst *model.Instance) (*core.RunResult, error) {
 	coord, err := core.NewCoordinator(inst, core.DefaultConfig())
@@ -268,17 +228,11 @@ func baseline(inst *model.Instance) (*core.RunResult, error) {
 // runEpisode generates, executes and checks one episode.
 func (r *soakRun) runEpisode(ctx context.Context, i int) (*Episode, []Violation, error) {
 	seed := r.episodeSeed(i)
-	inst, err := r.buildInstance(seed)
+	inst, err := episodeScenario(seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("soak: episode %d: build instance: %w", i, err)
 	}
-	sched, err := chaos.RandomSchedule(chaos.RandomScheduleConfig{
-		Seed:      seed,
-		N:         inst.N,
-		MaxSweep:  r.cfg.MaxSweep,
-		Events:    r.cfg.EventsPerEpisode,
-		Intensity: r.cfg.Intensity,
-	})
+	sched, err := chaos.RandomSchedule(seed, inst.N)
 	if err != nil {
 		return nil, nil, fmt.Errorf("soak: episode %d: %w", i, err)
 	}
@@ -333,10 +287,10 @@ func (r *soakRun) checkProtocol(ep *Episode) []Violation {
 			violations = append(violations, Violation{"converged",
 				fmt.Sprintf("did not converge in %d sweeps (faults %+v)", res.Sweeps, res.TotalFaults())})
 		}
-		if diff := relDiff(res.Solution.Cost.Total, ep.Baseline.Solution.Cost.Total); diff > r.cfg.Tolerance {
+		if diff := relDiff(res.Solution.Cost.Total, ep.Baseline.Solution.Cost.Total); diff > costTolerance {
 			violations = append(violations, Violation{"cost-tolerance",
 				fmt.Sprintf("final cost %v is %.2f%% from fault-free %v (tolerance %.2f%%)",
-					res.Solution.Cost.Total, diff*100, ep.Baseline.Solution.Cost.Total, r.cfg.Tolerance*100)})
+					res.Solution.Cost.Total, diff*100, ep.Baseline.Solution.Cost.Total, costTolerance*100)})
 		}
 	}
 
@@ -548,7 +502,7 @@ func (r *soakRun) shrink(ctx context.Context, ep *Episode, violations []Violatio
 	}
 	runs := 0
 	interesting := func(events []chaos.Event) bool {
-		if runs >= r.cfg.ShrinkRuns || ctx.Err() != nil {
+		if runs >= shrinkRuns || ctx.Err() != nil {
 			return false
 		}
 		runs++
@@ -581,15 +535,7 @@ func (r *soakRun) shrink(ctx context.Context, ep *Episode, violations []Violatio
 
 // writeRepro persists the failure as a repro file and returns its path.
 func (r *soakRun) writeRepro(f *Failure) (string, error) {
-	repro := Repro{
-		Episode:   f.Episode,
-		Seed:      f.Seed,
-		SBSs:      r.cfg.SBSs,
-		Groups:    r.cfg.Groups,
-		LinkCount: r.cfg.LinkCount,
-		Videos:    r.cfg.Videos,
-		CacheCap:  r.cfg.CacheCap,
-	}
+	repro := Repro{Episode: f.Episode, Seed: f.Seed}
 	if f.Cluster {
 		repro.ProcSpec = f.MinProc.Spec()
 	} else {
@@ -618,12 +564,6 @@ func (r *soakRun) writeRepro(f *Failure) (string, error) {
 // and returns the violations it still triggers (empty means the failure no
 // longer reproduces).
 func ReplayRepro(ctx context.Context, cfg Config, repro Repro) ([]Violation, error) {
-	cfg.SBSs = repro.SBSs
-	cfg.Groups = repro.Groups
-	cfg.LinkCount = repro.LinkCount
-	cfg.Videos = repro.Videos
-	cfg.CacheCap = repro.CacheCap
-	cfg = cfg.withDefaults()
 	if repro.Spec == "" {
 		return nil, fmt.Errorf("soak: repro has no in-process spec (proc-spec replay runs through -cluster)")
 	}
@@ -632,7 +572,7 @@ func ReplayRepro(ctx context.Context, cfg Config, repro Repro) ([]Violation, err
 		return nil, err
 	}
 	r := &soakRun{cfg: cfg, res: &Result{}}
-	inst, err := r.buildInstance(repro.Seed)
+	inst, err := episodeScenario(repro.Seed)
 	if err != nil {
 		return nil, err
 	}

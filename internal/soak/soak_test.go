@@ -63,7 +63,7 @@ func TestSoakCleanPass(t *testing.T) {
 func linkFaultSeed(t *testing.T) int64 {
 	t.Helper()
 	for seed := int64(1); seed <= 200; seed++ {
-		sched, err := chaos.RandomSchedule(chaos.RandomScheduleConfig{Seed: seed, N: 3})
+		sched, err := chaos.RandomSchedule(seed, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,14 +92,12 @@ func TestSoakInjectedInvariantShrinksAndReproduces(t *testing.T) {
 		}
 		return nil
 	}
-	cfg := Config{
+	res, err := Run(testCtx(t), Config{
 		Episodes:     1,
 		Seed:         seed,
-		ShrinkRuns:   30,
 		ReproDir:     reproDir,
 		CheckEpisode: injected,
-	}
-	res, err := Run(testCtx(t), cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +119,8 @@ func TestSoakInjectedInvariantShrinksAndReproduces(t *testing.T) {
 	if len(f.Schedule.Events) <= 1 {
 		t.Fatalf("original schedule had %d events; the shrink proved nothing", len(f.Schedule.Events))
 	}
-	if f.ShrinkRuns == 0 || f.ShrinkRuns > cfg.ShrinkRuns {
-		t.Errorf("shrink runs = %d, want in (0, %d]", f.ShrinkRuns, cfg.ShrinkRuns)
+	if f.ShrinkRuns == 0 || f.ShrinkRuns > shrinkRuns {
+		t.Errorf("shrink runs = %d, want in (0, %d]", f.ShrinkRuns, shrinkRuns)
 	}
 
 	// The repro file must exist, re-parse, and carry the minimized spec.

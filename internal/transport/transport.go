@@ -33,9 +33,10 @@ const (
 	// MsgDone tells every SBS the run converged and agents may exit.
 	MsgDone
 	// MsgStateSync is broadcast by a BS that resumed from a checkpoint:
-	// the payload is a StateSync carrying the resume point and the
-	// receiving SBS's own last BS-visible policy, so the agent rehydrates
-	// its workspace instead of assuming iteration zero.
+	// the header's Sweep and Phase carry the resume point, and the payload
+	// is empty. The SBS drops announces older than that point and its
+	// reply cache; it needs no policy, because its solve depends only on
+	// the announced aggregate.
 	MsgStateSync
 	// MsgStateAck is the SBS's acknowledgement of a MsgStateSync (empty
 	// payload; the sync point is echoed in the header).
@@ -71,7 +72,8 @@ type Message struct {
 	// receivers can discard retry-induced duplicates. 0 means the sender
 	// does not use sequencing and the message is never deduplicated.
 	Seq uint64
-	// Payload is the gob-encoded body (AggregateAnnounce or PolicyUpload).
+	// Payload is the gob-encoded body (AggregateAnnounce or PolicyUpload;
+	// empty for the other message types).
 	Payload []byte
 }
 
@@ -88,16 +90,6 @@ type AggregateAnnounce struct {
 type PolicyUpload struct {
 	Cache   []bool
 	Routing [][]float64
-}
-
-// StateSync is the BS→SBS rehydration body sent after a coordinator
-// resume: the protocol point the run continues from. It carries no policy
-// — an SBS's solve depends only on the announced aggregate.
-type StateSync struct {
-	// Sweep and Phase are the resume point; announces strictly older are
-	// pre-crash ghosts the SBS should ignore.
-	Sweep int
-	Phase int
 }
 
 // EncodePayload gob-encodes a payload body.

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's tier-1 gate.
 #
-# Runs the static checks plus the race-enabled test suites of the packages
-# that carry the concurrency- and hot-path-sensitive code:
+# Runs the static checks (gofmt, vet, edgelint) plus the race-enabled
+# test suites of the packages that carry the concurrency- and
+# hot-path-sensitive code:
 #
 #   internal/model     flat tensor substrate, packed policies (zero-alloc)
 #   internal/core      DUA sweep, zero-alloc subproblem workspaces
@@ -29,6 +30,17 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+# Formatting gate: gofmt -l lists every file whose formatting differs
+# from gofmt's (nested modules and testdata included) and always exits 0,
+# so any listed file fails the gate here.
+echo "verify: gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "verify: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "verify: go vet ./..."
 go vet ./...
