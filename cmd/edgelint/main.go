@@ -2,19 +2,14 @@
 // internal/lint) over the module and prints findings in the familiar
 // file:line:col format. It exits non-zero when any finding survives the
 // //edgecache:lint-ignore directives, so verify.sh and CI can gate on it.
-//
-// Results are cached per package under $EDGELINT_CACHE (falling back to
-// the user cache dir), keyed on source content hashes: a repeat run over
-// unchanged sources costs one `go list` and no type-checking. -no-cache
-// forces a live run; -fix always runs live because cached diagnostics
-// carry no rewrite positions.
+// Every run loads and type-checks the packages and runs the analyzers;
+// -fix applies the machine-applicable rewrites from that same run.
 //
 // Usage:
 //
 //	go run ./cmd/edgelint ./...
 //	go run ./cmd/edgelint -analyzers floateq,determinism -fix ./...
 //	go run ./cmd/edgelint -list
-//	go run ./cmd/edgelint -no-cache ./...
 package main
 
 import (
@@ -22,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"edgecache/internal/lint"
@@ -40,8 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fix       = fs.Bool("fix", false, "apply machine-applicable fixes (floateq rewrites) in place")
 		analyzers = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		dir       = fs.String("C", ".", "change to this directory before loading packages")
-		noCache   = fs.Bool("no-cache", false, "disable the per-package result cache")
-		cacheDir  = fs.String("cache-dir", "", "result cache directory (default: $EDGELINT_CACHE, then the user cache dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,16 +57,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	var diags []lint.Diagnostic
+	prog, err := lint.Load(*dir, patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	diags := prog.Run(suite, lint.DefaultSkip)
 	if *fix {
-		// -fix needs the live program: cached diagnostics carry no edit
-		// positions, and applying edits needs the FileSet they index.
-		prog, err := lint.Load(*dir, patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = prog.Run(suite, lint.DefaultSkip)
 		applied, err := applyFixes(prog, diags)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -91,12 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		diags = remaining
-	} else {
-		diags, _, err = lint.RunCached(*dir, suite, lint.DefaultSkip, resolveCacheDir(*noCache, *cacheDir), patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
 	}
 
 	for _, d := range diags {
@@ -107,26 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// resolveCacheDir picks the result-cache location: flag, then the
-// EDGELINT_CACHE environment variable, then the user cache dir. An empty
-// return disables caching.
-func resolveCacheDir(noCache bool, flagDir string) string {
-	if noCache {
-		return ""
-	}
-	if flagDir != "" {
-		return flagDir
-	}
-	if env := os.Getenv("EDGELINT_CACHE"); env != "" {
-		return env
-	}
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "edgelint")
 }
 
 // applyFixes rewrites source files with every machine-applicable fix.

@@ -20,10 +20,20 @@ func TestListPrintsFullSuite(t *testing.T) {
 	}
 }
 
+// TestUnknownAnalyzerIsUsageError covers the argument errors that must
+// exit 2 before anything is loaded: an unknown or repeated analyzer name
+// and flags edgelint does not define.
 func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-analyzers", "nope", "./..."}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2; stderr: %s", code, errOut.String())
+	for _, args := range [][]string{
+		{"-analyzers", "nope", "./..."},
+		{"-analyzers", "floateq,floateq", "./..."},
+		{"-no-cache", "./..."},
+		{"-cache-dir", "x", "./..."},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%q: exit %d, want 2; stderr: %s", args, code, errOut.String())
+		}
 	}
 }
 
@@ -69,7 +79,7 @@ func Push(ep transport.Endpoint) error {
 }
 `)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-C", tmp, "-no-cache", "./..."}, &out, &errOut)
+	code := run([]string{"-C", tmp, "./..."}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; out:\n%s%s", code, out.String(), errOut.String())
 	}
@@ -98,7 +108,7 @@ func Watch(f func()) {
 }
 `)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-C", tmp, "-no-cache", "./..."}, &out, &errOut)
+	code := run([]string{"-C", tmp, "./..."}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; out:\n%s%s", code, out.String(), errOut.String())
 	}

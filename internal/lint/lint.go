@@ -23,9 +23,8 @@
 // (Analyzer, Pass, Diagnostic, suggested fixes) but is built purely on the
 // standard library's go/ast + go/types, because this build environment
 // cannot fetch external modules. Packages are analyzed concurrently (the
-// whole-program passes memoize behind sync.Once), and cmd/edgelint layers
-// a content-hash keyed result cache on top so repeat gate runs skip the
-// load entirely. Diagnostics can be suppressed line-by-line with
+// whole-program passes memoize behind sync.Once). Diagnostics can be
+// suppressed line-by-line with
 //
 //	//edgecache:lint-ignore <analyzer> <reason>
 //
@@ -107,7 +106,9 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("" means all).
+// ByName resolves a comma-separated analyzer list ("" means all). An
+// unknown or repeated name is an error: a repeat would run the analyzer
+// twice and report every finding twice.
 func ByName(names string) ([]*Analyzer, error) {
 	if names == "" {
 		return Analyzers(), nil
@@ -117,11 +118,16 @@ func ByName(names string) ([]*Analyzer, error) {
 		byName[a.Name] = a
 	}
 	var out []*Analyzer
+	seen := map[*Analyzer]bool{}
 	for _, name := range strings.Split(names, ",") {
 		a, ok := byName[strings.TrimSpace(name)]
 		if !ok {
 			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
 		}
+		if seen[a] {
+			return nil, fmt.Errorf("lint: analyzer %q named twice", name)
+		}
+		seen[a] = true
 		out = append(out, a)
 	}
 	return out, nil
@@ -140,21 +146,10 @@ func DefaultSkip(pkgPath string) bool {
 // Run executes the analyzers over every loaded package for which skip
 // returns false (nil means analyze everything), applies the lint-ignore
 // directives, and returns the surviving diagnostics in file/line order.
+// Packages run concurrently; the analyzers only read the type-checked
+// program, and the whole-program passes memoize behind sync.Once, so a
+// per-package fan-out is safe.
 func (prog *Program) Run(analyzers []*Analyzer, skip func(pkgPath string) bool) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkgDiags := range prog.RunPerPackage(analyzers, skip) {
-		diags = append(diags, pkgDiags...)
-	}
-	sortDiagnostics(diags)
-	return diags
-}
-
-// RunPerPackage is Run minus the final merge: it returns the surviving
-// (post-ignore) diagnostics keyed by package path, which is the unit the
-// edgelint result cache stores. Packages run concurrently; the analyzers
-// only read the type-checked program, and the whole-program passes
-// memoize behind sync.Once, so a per-package fan-out is safe.
-func (prog *Program) RunPerPackage(analyzers []*Analyzer, skip func(pkgPath string) bool) map[string][]Diagnostic {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
@@ -201,14 +196,12 @@ func (prog *Program) RunPerPackage(analyzers []*Analyzer, skip func(pkgPath stri
 	}
 	wg.Wait()
 
-	out := map[string][]Diagnostic{}
-	for i, pkg := range prog.Packages {
-		if skip != nil && skip(pkg.Path) {
-			continue
-		}
-		out[pkg.Path] = results[i]
+	var diags []Diagnostic
+	for _, pkgDiags := range results {
+		diags = append(diags, pkgDiags...)
 	}
-	return out
+	sortDiagnostics(diags)
+	return diags
 }
 
 // sortDiagnostics orders findings by file, line, column, analyzer.

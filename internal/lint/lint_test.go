@@ -132,97 +132,6 @@ func StalePriv() int {
 	}
 }
 
-// TestResultCacheRoundTrip drives RunCached through its three states:
-// cold (load + populate), warm (no load, all hits), and invalidated by a
-// source edit (load again, new results).
-func TestResultCacheRoundTrip(t *testing.T) {
-	tmp := t.TempDir()
-	cacheDir := filepath.Join(tmp, "cache")
-	srcPath := filepath.Join(tmp, "internal/core/x.go")
-	writeFile(t, filepath.Join(tmp, "go.mod"), "module edgecache\n\ngo 1.22\n")
-	writeFile(t, srcPath, `package core
-
-import (
-	"math"
-)
-
-// Same reports float equality the naive way.
-func Same(a, b float64) bool {
-	return math.Abs(a) == b
-}
-`)
-	suite, err := lint.ByName("floateq")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d1, s1, err := lint.RunCached(tmp, suite, lint.DefaultSkip, cacheDir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s1.Loaded || s1.CacheHits != 0 || len(d1) != 1 {
-		t.Fatalf("cold run: stats %+v, %d diags", s1, len(d1))
-	}
-
-	d2, s2, err := lint.RunCached(tmp, suite, lint.DefaultSkip, cacheDir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Loaded || s2.CacheHits != s2.Packages || s2.Packages == 0 {
-		t.Fatalf("warm run should be all hits without loading: stats %+v", s2)
-	}
-	if len(d2) != 1 || d2[0].Message != d1[0].Message || d2[0].Pos.Line != d1[0].Pos.Line {
-		t.Fatalf("cached diags differ from live: %v vs %v", d2, d1)
-	}
-
-	// Fixing the comparison must invalidate the entry and clear the finding.
-	writeFile(t, srcPath, `package core
-
-import (
-	"math"
-)
-
-// Same reports float equality with a tolerance.
-func Same(a, b float64) bool {
-	return math.Abs(math.Abs(a)-b) <= 1e-9
-}
-`)
-	d3, s3, err := lint.RunCached(tmp, suite, lint.DefaultSkip, cacheDir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s3.Loaded || len(d3) != 0 {
-		t.Fatalf("edited run: stats %+v, diags %v", s3, d3)
-	}
-}
-
-// TestResultCacheGlobalSuiteInvalidation checks the whole-program keying:
-// a suite containing privflow must reanalyze every package when ANY module
-// file changes, because a new //edgecache:private tag anywhere can create
-// findings everywhere.
-func TestResultCacheGlobalSuiteInvalidation(t *testing.T) {
-	tmp := t.TempDir()
-	cacheDir := filepath.Join(tmp, "cache")
-	writeFile(t, filepath.Join(tmp, "go.mod"), "module edgecache\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(tmp, "internal/a/a.go"), "package a\n\n// V is a value.\nvar V = 1\n")
-	writeFile(t, filepath.Join(tmp, "internal/b/b.go"), "package b\n\n// W is a value.\nvar W = 2\n")
-	suite, err := lint.ByName("privflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, s, err := lint.RunCached(tmp, suite, lint.DefaultSkip, cacheDir, "./..."); err != nil || !s.Loaded {
-		t.Fatalf("cold run: stats %+v, err %v", s, err)
-	}
-	if _, s, err := lint.RunCached(tmp, suite, lint.DefaultSkip, cacheDir, "./..."); err != nil || s.Loaded {
-		t.Fatalf("warm run: stats %+v, err %v", s, err)
-	}
-	// Touching b must miss a's entry too under a global suite.
-	writeFile(t, filepath.Join(tmp, "internal/b/b.go"), "package b\n\n// W is a value.\nvar W = 3\n")
-	if _, s, err := lint.RunCached(tmp, suite, lint.DefaultSkip, cacheDir, "./..."); err != nil || !s.Loaded || s.CacheHits != 0 {
-		t.Fatalf("post-edit run should miss everywhere: stats %+v, err %v", s, err)
-	}
-}
-
 func assertDiag(t *testing.T, diags []lint.Diagnostic, analyzer, substr string) {
 	t.Helper()
 	for _, d := range diags {

@@ -21,9 +21,7 @@
 # path), and atomicmix (no plain access to sync/atomic locations). It runs
 # before the race suites so invariant violations fail fast, and it must
 # report zero findings — suppressions need an //edgecache:lint-ignore
-# <analyzer> <reason> directive with a written reason. Results are cached
-# per package on content hashes (see cmd/edgelint), so repeat runs cost
-# one `go list`.
+# <analyzer> <reason> directive with a written reason.
 #
 # CI and pre-merge checks call this script; it exits non-zero on the first
 # failure. The full (non-race) suite is `go test ./...`.
