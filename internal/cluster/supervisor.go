@@ -562,22 +562,41 @@ func (s *Supervisor) beatHB(p *proc) {
 	s.armHB(p)
 }
 
-// readLines forwards p's stdout line protocol into the event loop.
+// readLines forwards p's stdout line protocol into the event loop until
+// EOF. A line longer than the reader's buffer is not a protocol line: it
+// is skipped whole and reading goes on, so stray output from a live child
+// cannot hide its later heartbeats.
 func (s *Supervisor) readLines(r io.Reader, p *proc, gen int) {
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		kind, sweep, phase, addr, ok := parseLine(sc.Text())
-		if !ok {
-			continue
+	br := bufio.NewReader(r)
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			for err == bufio.ErrBufferFull {
+				_, err = br.ReadSlice('\n')
+			}
+		} else {
+			s.postLine(string(line), p, gen)
 		}
-		switch kind {
-		case lineAddr:
-			s.post(supEvent{kind: evAddr, p: p, gen: gen, addr: addr})
-		case lineHB:
-			s.post(supEvent{kind: evHB, p: p, gen: gen, sweep: sweep, phase: phase})
-		case lineDone:
-			s.post(supEvent{kind: evDone, p: p, gen: gen})
+		if err != nil {
+			return
 		}
+	}
+}
+
+// postLine posts the event of one stdout protocol line; other lines are
+// ignored.
+func (s *Supervisor) postLine(line string, p *proc, gen int) {
+	kind, sweep, phase, addr, ok := parseLine(line)
+	if !ok {
+		return
+	}
+	switch kind {
+	case lineAddr:
+		s.post(supEvent{kind: evAddr, p: p, gen: gen, addr: addr})
+	case lineHB:
+		s.post(supEvent{kind: evHB, p: p, gen: gen, sweep: sweep, phase: phase})
+	case lineDone:
+		s.post(supEvent{kind: evDone, p: p, gen: gen})
 	}
 }
 

@@ -501,3 +501,34 @@ func TestResultFileRoundTrip(t *testing.T) {
 		t.Errorf("round trip = %+v, want %+v", out, in)
 	}
 }
+
+// TestReadLinesSkipsOverlongLine pins the stdout reader against stray
+// output: a line far past the reader's buffer (70 KiB, over bufio's
+// 64 KiB token limit too) must be skipped whole, and every protocol line
+// after it must still reach the event loop. Dropping them would let the
+// heartbeat deadline kill a healthy child.
+func TestReadLinesSkipsOverlongLine(t *testing.T) {
+	s := &Supervisor{events: make(chan supEvent, 8), stopc: make(chan struct{})}
+	p := &proc{}
+	stdout := strings.Repeat("x", 70<<10) + "\nADDR 127.0.0.1:7000\nHB 3 1\nDONE\n"
+	s.readLines(strings.NewReader(stdout), p, 2)
+	close(s.events)
+
+	var got []supEvent
+	for ev := range s.events {
+		got = append(got, ev)
+	}
+	want := []supEvent{
+		{kind: evAddr, p: p, gen: 2, addr: "127.0.0.1:7000"},
+		{kind: evHB, p: p, gen: 2, sweep: 3, phase: 1},
+		{kind: evDone, p: p, gen: 2},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("posted %d events %+v, want %d", len(got), got, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

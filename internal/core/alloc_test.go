@@ -56,25 +56,55 @@ func TestSweepPhaseZeroAllocs(t *testing.T) {
 }
 
 // TestSolveZeroAllocsAfterWarmup pins the same contract on a single warm
-// Solve call, which is the unit the benchmark tracks.
+// Solve call, which is the unit the benchmark tracks: at paper scale
+// against an empty y₋ₙ, and at the dense shape (N=50, U=100, F=100, 60%
+// links; about 4,000 items per SBS) against a partly served y₋ₙ, which
+// puts the routing heap and primal recovery's scoring under the pin.
 func TestSolveZeroAllocsAfterWarmup(t *testing.T) {
-	inst := benchScale(3, 30, 50)
-	sub, err := NewSubproblem(inst, 1, DefaultSubproblemConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		n, u, f int
+		served  bool
+	}{
+		{"paper", 3, 30, 50, false},
+		{"dense", 50, 100, 100, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := benchScale(tc.n, tc.u, tc.f)
+			sub, err := NewSubproblem(inst, 1, DefaultSubproblemConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			yMinus := inst.NewUFMat()
+			if tc.served {
+				fillYMinus(yMinus)
+			}
+			if _, err := sub.Solve(yMinus); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(10, func() {
+				res, err := sub.Solve(yMinus)
+				if err != nil {
+					panic(err)
+				}
+				allocSink = res.Gain
+			}); allocs != 0 {
+				t.Fatalf("warm Solve allocated %.1f times per run, want 0", allocs)
+			}
+		})
 	}
-	yMinus := inst.NewUFMat()
-	if _, err := sub.Solve(yMinus); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		res, err := sub.Solve(yMinus)
-		if err != nil {
-			panic(err)
+}
+
+// fillYMinus makes y₋ₙ look like a mid-sweep aggregate: every third pair
+// is partly served by the other SBSs and every seventh fully.
+func fillYMinus(yMinus model.Mat) {
+	for i := range yMinus.Data {
+		switch {
+		case i%7 == 0:
+			yMinus.Data[i] = 1
+		case i%3 == 0:
+			yMinus.Data[i] = 0.4
 		}
-		allocSink = res.Gain
-	}); allocs != 0 {
-		t.Fatalf("warm Solve allocated %.1f times per run, want 0", allocs)
 	}
 }
 

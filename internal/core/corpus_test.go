@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
-// TestCorpusCommitted fails when the coordinator fuzz target loses its
+// TestCorpusCommitted fails when a fuzz target of this package loses its
 // committed seeds under testdata/fuzz: plain `go test` (short mode
 // included) replays them, so they are part of the regression suite.
 func TestCorpusCommitted(t *testing.T) {
-	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzCoordinator"))
-	if err != nil || len(entries) == 0 {
-		t.Errorf("no committed seed corpus for FuzzCoordinator (err=%v)", err)
+	for _, target := range []string{"FuzzCoordinator", "FuzzRoutingFill"} {
+		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", target))
+		if err != nil || len(entries) == 0 {
+			t.Errorf("no committed seed corpus for %s (err=%v)", target, err)
+		}
 	}
 }

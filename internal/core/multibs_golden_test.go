@@ -87,13 +87,8 @@ func multiBSGoldenRun(t *testing.T, gc multiBSGoldenCase) *RunResult {
 // routingDigest hashes the bit pattern of every routing entry.
 func routingDigest(y *model.RoutingPolicy) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
 	for _, v := range y.T.Data {
-		b := math.Float64bits(v)
-		for i := range buf {
-			buf[i] = byte(b >> (8 * i))
-		}
-		h.Write(buf[:])
+		hashU64(h, math.Float64bits(v))
 	}
 	return h.Sum64()
 }

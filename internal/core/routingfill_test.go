@@ -1,0 +1,201 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"edgecache/internal/model"
+)
+
+// sortFill is the reference for routingStep's heap fill, the fractional
+// knapsack written the plain way: it sorts every eligible item by w/λ
+// ascending (ties by index) and fills the sorted prefix until the budget
+// is spent, writing y and returning the unspent budget.
+func sortFill(items []item, y, mu, caps []float64, budget float64) float64 {
+	ratio := make([]float64, len(items))
+	var order []int
+	for i := range items {
+		y[i] = 0
+		w := -items[i].gain + mu[i]
+		if w < 0 && caps[i] > 0 {
+			ratio[i] = w / items[i].lambda
+			order = append(order, i)
+		}
+	}
+	sort.Sort(&ratioSorter{order: order, ratio: ratio})
+	for _, i := range order {
+		if budget <= 0 {
+			break
+		}
+		it := items[i]
+		amount := math.Min(caps[i], budget/it.lambda)
+		y[i] = amount
+		budget -= amount * it.lambda
+	}
+	return budget
+}
+
+// ratioSorter orders item indices by precomputed w/λ ascending, ties by
+// index.
+type ratioSorter struct {
+	order []int
+	ratio []float64
+}
+
+func (s *ratioSorter) Len() int { return len(s.order) }
+func (s *ratioSorter) Less(a, b int) bool {
+	ia, ib := s.order[a], s.order[b]
+	if s.ratio[ia] != s.ratio[ib] {
+		return s.ratio[ia] < s.ratio[ib]
+	}
+	return ia < ib
+}
+func (s *ratioSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
+// fillSubproblem wraps bare items in the smallest Subproblem routingStep
+// can run on: one SBS whose bandwidth is budget.
+func fillSubproblem(items []item, budget float64) *Subproblem {
+	return &Subproblem{
+		inst:  &model.Instance{N: 1, Bandwidth: []float64{budget}},
+		items: items,
+		ws:    solveWorkspace{heap: make(ratioHeap, 0, len(items))},
+	}
+}
+
+// Value tables the fill fuzzer draws from. Repeated values make equal
+// ratios common; λ = 5e-324 and 1e-310 against a gain of 1e300 overflow
+// w/λ to −Inf; a zero cap and a μ above the gain make items ineligible.
+var (
+	fillLambdas = []float64{1, 0.5, 2, 20, 3.75, 1e-310, 5e-324, 7}
+	fillGains   = []float64{1, 2, 10, 0, 1e300, 150, 4, 2.5}
+	fillMus     = []float64{0, 0, 0.5, 1, 10, 1e301, 3, 0.25}
+	fillCaps    = []float64{1, 0, 0.5, 1, 0.25, 1, 0, 0.75}
+	fillBudgets = []float64{0, 5, 45, 1, 0.5, 1e-300, 1e6, 12.5}
+)
+
+// decodeFill maps fuzz bytes to a budget and a list of items with their
+// μ and caps: byte 0 picks the budget, then every 4 bytes are one item's
+// λ, gain, μ and cap. The density is gain/λ, as NewSubproblem builds it.
+func decodeFill(data []byte) (items []item, mu, caps []float64, budget float64) {
+	if len(data) == 0 {
+		return nil, nil, nil, 0
+	}
+	budget = fillBudgets[int(data[0])%len(fillBudgets)]
+	for rest := data[1:]; len(rest) >= 4; rest = rest[4:] {
+		lambda := fillLambdas[int(rest[0])%len(fillLambdas)]
+		gain := fillGains[int(rest[1])%len(fillGains)]
+		items = append(items, item{lambda: lambda, gain: gain, density: gain / lambda})
+		mu = append(mu, fillMus[int(rest[2])%len(fillMus)])
+		caps = append(caps, fillCaps[int(rest[3])%len(fillCaps)])
+	}
+	return items, mu, caps, budget
+}
+
+// FuzzRoutingFill holds routingStep's heap fill to the sort-based oracle
+// bit for bit: every y entry and the unspent budget. Run longer sessions
+// with `go test -run '^$' -fuzz=FuzzRoutingFill ./internal/core`.
+func FuzzRoutingFill(f *testing.F) {
+	f.Add([]byte{})                                                                          // no items at all
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 0})                                                 // budget 0
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 6})                                                 // every cap 0: empty eligible set
+	f.Add([]byte{1, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0}) // equal ratios under a binding budget: ties by index
+	f.Add([]byte{1, 5, 4, 0, 0, 6, 4, 0, 0, 0, 2, 0, 0})                                     // −Inf ratios from a tiny λ
+	f.Add([]byte{6, 3, 2, 1, 2, 4, 5, 6, 4, 2, 3, 7, 0, 1, 0, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		items, mu, caps, budget := decodeFill(data)
+		want := make([]float64, len(items))
+		wantBudget := sortFill(items, want, mu, caps, budget)
+
+		got := make([]float64, len(items))
+		for i := range got {
+			got[i] = math.NaN() // routingStep must overwrite every entry
+		}
+		gotBudget := fillSubproblem(items, budget).routingStep(got, mu, caps)
+
+		if math.Float64bits(gotBudget) != math.Float64bits(wantBudget) {
+			t.Fatalf("unspent budget %v (bits %#x), oracle %v (bits %#x)",
+				gotBudget, math.Float64bits(gotBudget), wantBudget, math.Float64bits(wantBudget))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("y[%d] = %v, oracle %v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestRoutingStepMatchesSortOracleOnSolveInputs replays the heap fill
+// against the oracle on the μ a real dual loop produces: ratios cluster
+// as μ climbs toward the gains, which random tables rarely reach.
+func TestRoutingStepMatchesSortOracleOnSolveInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		inst := randomInstance(rng, 2, 12, 20)
+		sub, err := NewSubproblem(inst, trial%2, DefaultSubproblemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		yMinus := inst.NewUFMat()
+		for i := range yMinus.Data {
+			if rng.Float64() < 0.3 {
+				yMinus.Data[i] = rng.Float64()
+			}
+		}
+		if _, err := sub.Solve(yMinus); err != nil {
+			t.Fatal(err)
+		}
+		// ws.mu and ws.caps hold the last dual iterate of that solve.
+		mu, caps := sub.ws.mu, sub.ws.caps
+		want := make([]float64, len(sub.items))
+		wantBudget := sortFill(sub.items, want, mu, caps, inst.Bandwidth[sub.n])
+		got := make([]float64, len(sub.items))
+		gotBudget := sub.routingStep(got, mu, caps)
+		if math.Float64bits(gotBudget) != math.Float64bits(wantBudget) {
+			t.Fatalf("trial %d: unspent budget %v, oracle %v", trial, gotBudget, wantBudget)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: y[%d] = %v, oracle %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGainOnlyScoringMatchesFill pins the invariant primal recovery rests
+// on: scoring a cache with a nil routing buffer returns exactly the gain,
+// bit for bit, of the walk that writes the routing.
+func TestGainOnlyScoringMatchesFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 30; trial++ {
+		inst := randomInstance(rng, 2, 10, 15)
+		sub, err := NewSubproblem(inst, trial%2, DefaultSubproblemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := make([]float64, len(sub.items))
+		for i := range caps {
+			caps[i] = clamp01(rng.Float64() * 1.5)
+		}
+		x := make([]bool, inst.F)
+		y := make([]float64, len(sub.items))
+		for draw := 0; draw < 10; draw++ {
+			for f := range x {
+				x[f] = rng.Float64() < 0.4
+			}
+			scored := sub.routingGivenCacheInto(x, caps, nil)
+			filled := sub.routingGivenCacheInto(x, caps, y)
+			if math.Float64bits(scored) != math.Float64bits(filled) {
+				t.Fatalf("trial %d draw %d: gain-only %v, filled %v", trial, draw, scored, filled)
+			}
+			var sum float64
+			for i, it := range sub.items {
+				sum += y[i] * it.gain
+			}
+			if math.Abs(sum-filled) > 1e-9*math.Max(1, math.Abs(filled)) {
+				t.Fatalf("trial %d draw %d: filled routing earns %v, reported gain %v", trial, draw, sum, filled)
+			}
+		}
+	}
+}

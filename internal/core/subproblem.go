@@ -82,7 +82,9 @@ type Subproblem struct {
 	items []item
 	// densityOrder lists item indices sorted by density descending (ties
 	// by index). The density ranking is static, so the routing knapsack
-	// for a fixed cache never needs a per-call sort.
+	// for a fixed cache is one walk along it: primal recovery scores every
+	// candidate cache with a gain-only walk and fills the routing once,
+	// for the winner.
 	densityOrder []int
 	// stepScale is the resolved sub-gradient step scale.
 	stepScale float64
@@ -184,18 +186,15 @@ type solveWorkspace struct {
 	yDual    []float64 // routing iterate of the dual loop
 	score    []float64 // per-content multiplier mass (len F)
 	scoreIdx []int     // cachingStep sort buffer (cap F)
-	order    []int     // routingStep eligible-item buffer (cap #items)
-	ratio    []float64 // routingStep per-item cost ratio w/λ
+	heap     ratioHeap // routingStep eligible-item heap (cap #items)
 	xStep    []bool    // cachingStep output (len F)
 	greedyX  []bool    // greedyCache output (len F)
 	workX    []bool    // localSearch mutation buffer (len F)
-	yA, yB   []float64 // double-buffered routing evaluations
-	scratchY []float64 // gain-only routing evaluations
+	yBest    []float64 // routing of primal recovery's winning cache
 	pool     candidatePool
 	result   Result
 
 	scoreSorter scoreSorter
-	ratioSorter ratioSorter
 }
 
 // NewSubproblem builds the solver for SBS n.
@@ -254,14 +253,11 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		yDual:    make([]float64, ni),
 		score:    make([]float64, inst.F),
 		scoreIdx: make([]int, 0, inst.F),
-		order:    make([]int, 0, ni),
-		ratio:    make([]float64, ni),
+		heap:     make(ratioHeap, 0, ni),
 		xStep:    make([]bool, inst.F),
 		greedyX:  make([]bool, inst.F),
 		workX:    make([]bool, inst.F),
-		yA:       make([]float64, ni),
-		yB:       make([]float64, ni),
-		scratchY: make([]float64, ni),
+		yBest:    make([]float64, ni),
 		result:   Result{Cache: make([]bool, inst.F), Routing: model.NewMat(inst.U, inst.F)},
 	}
 	s.ws.pool = newCandidatePool(cfg.MaxCandidates, inst.F)
@@ -413,37 +409,37 @@ func (s *Subproblem) cachingStep(score []float64) []bool {
 // w_i = −gain_i + μ_i, subject to Σ λ_i·y_i ≤ B_n and 0 ≤ y_i ≤ caps_i.
 // Only negative-coefficient items are worth serving; the optimal solution
 // of this LP fills them in increasing w/λ order (fractional knapsack).
-func (s *Subproblem) routingStep(y, mu, caps []float64) {
-	ws := &s.ws
-	order := ws.order[:0]
+// The budget admits only a few items, so the eligible items go into a
+// min-heap and are popped until the budget is spent: O(#items) to build,
+// O(log #items) per filled item, instead of sorting every item. It returns
+// the unspent budget.
+func (s *Subproblem) routingStep(y, mu, caps []float64) float64 {
+	h := s.ws.heap[:0]
 	for i := range s.items {
 		y[i] = 0
 		w := -s.items[i].gain + mu[i]
 		if w < 0 && caps[i] > 0 {
-			ws.ratio[i] = w / s.items[i].lambda
-			order = append(order, i)
+			h = append(h, ratioEntry{ratio: w / s.items[i].lambda, i: i})
 		}
 	}
-	ws.ratioSorter.order = order
-	ws.ratioSorter.ratio = ws.ratio
-	sort.Sort(&ws.ratioSorter)
+	h.init()
 	budget := s.inst.Bandwidth[s.n]
-	for _, i := range order {
-		if budget <= 0 {
-			break
-		}
+	for budget > 0 && len(h) > 0 {
+		i := h.pop()
 		it := s.items[i]
 		amount := math.Min(caps[i], budget/it.lambda)
 		y[i] = amount
 		budget -= amount * it.lambda
 	}
+	return budget
 }
 
 // routingGivenCacheInto computes the exact optimal routing for a fixed
 // cache vector x into the caller-supplied per-item buffer y and returns
 // the gain. The eligible items are walked in the precomputed density order
 // (the knapsack's fill order is static), so a call is one linear scan with
-// no sort and no allocation.
+// no sort and no allocation. A nil y scores the cache without writing a
+// routing: the gain is the same walk's, bit for bit.
 func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 {
 	for i := range y {
 		y[i] = 0
@@ -459,7 +455,9 @@ func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 
 			continue
 		}
 		amount := math.Min(caps[i], budget/it.lambda)
-		y[i] = amount
+		if y != nil {
+			y[i] = amount
+		}
 		budget -= amount * it.lambda
 		gain += amount * it.gain
 	}
@@ -502,52 +500,47 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 	return block, nil
 }
 
-// recoverPrimal evaluates every candidate cache vector (plus a greedy
-// marginal-gain candidate) with exact routing and returns the best
-// feasible pair as a Result in matrix form. The Result is workspace-owned.
+// recoverPrimal scores every candidate cache vector (plus a greedy
+// marginal-gain candidate) by its exact routing gain, improves the best
+// one by local search, and only then fills the winner's routing. Scoring
+// is a gain-only walk that writes no routing, so the losing candidates
+// cost no per-item writes. It returns the best feasible pair as a Result
+// in matrix form. The Result is workspace-owned.
 func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 	ws := &s.ws
 	// The greedy candidate is evaluated unconditionally: it must not be
 	// crowded out when the dual loop already produced MaxCandidates
 	// distinct vectors.
-	best, cand := ws.yA, ws.yB
-
-	var bestGain float64 = -1
-	var bestX []bool
-	if gain := s.routingGivenCacheInto(s.greedyCache(caps), caps, best); gain > bestGain {
-		bestGain, bestX = gain, ws.greedyX
-	}
+	bestX := s.greedyCache(caps)
+	bestGain := s.routingGivenCacheInto(bestX, caps, nil)
 	for ci := 0; ci < ws.pool.n; ci++ {
 		x := ws.pool.list[ci]
-		gain := s.routingGivenCacheInto(x, caps, cand)
-		if gain > bestGain {
+		if gain := s.routingGivenCacheInto(x, caps, nil); gain > bestGain {
 			bestGain, bestX = gain, x
-			best, cand = cand, best
 		}
 	}
-	bestX, best, bestGain = s.localSearch(bestX, best, cand, bestGain, caps)
+	bestGain = s.localSearch(bestX, bestGain, caps)
 
+	// The fill is the walk that scored bestX, so its gain is bestGain.
+	y := ws.yBest
+	s.routingGivenCacheInto(bestX, caps, y)
 	res := &ws.result
 	copy(res.Cache, bestX)
 	res.Routing.Zero()
 	for i, it := range s.items {
-		res.Routing.Set(it.u, it.f, best[i])
+		res.Routing.Set(it.u, it.f, y[i])
 	}
 	res.Gain = bestGain
 	res.DualIters = 0
 	return res
 }
 
-// localSearch improves a cache vector by 1-swap exchanges (replace one
-// cached content with one uncached content) until no swap improves the
-// exact routing gain. The greedy candidate is near-optimal but not optimal
-// (submodular greedy); swaps close the residual gap on the instances this
-// repository targets. best and cand are the double-buffered routing
-// evaluations; the returned slice is whichever buffer holds the winner.
-func (s *Subproblem) localSearch(x []bool, best, cand []float64, gain float64, caps []float64) ([]bool, []float64, float64) {
-	if x == nil {
-		return x, best, gain
-	}
+// localSearch improves the cache vector x in place by 1-swap exchanges
+// (replace one cached content with one uncached content) until no swap
+// improves the exact routing gain, and returns the final gain. The greedy
+// candidate is near-optimal but not optimal (submodular greedy); swaps
+// close the residual gap on the instances this repository targets.
+func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64 {
 	const maxPasses = 4
 	work := s.ws.workX
 	copy(work, x)
@@ -562,10 +555,9 @@ func (s *Subproblem) localSearch(x []bool, best, cand []float64, gain float64, c
 					continue
 				}
 				work[out], work[in] = false, true
-				candGain := s.routingGivenCacheInto(work, caps, cand)
+				candGain := s.routingGivenCacheInto(work, caps, nil)
 				if candGain > gain+1e-9 {
 					gain = candGain
-					best, cand = cand, best
 					copy(x, work)
 					improved = true
 					break // 'out' is no longer cached; rescan
@@ -577,7 +569,7 @@ func (s *Subproblem) localSearch(x []bool, best, cand []float64, gain float64, c
 			break
 		}
 	}
-	return x, best, gain
+	return gain
 }
 
 // greedyCache builds a cache vector by repeatedly adding the content with
@@ -595,7 +587,7 @@ func (s *Subproblem) greedyCache(caps []float64) []bool {
 	if capN == 0 || len(s.items) == 0 {
 		return x
 	}
-	baseGain := s.routingGivenCacheInto(x, caps, ws.scratchY)
+	baseGain := s.routingGivenCacheInto(x, caps, nil)
 	for picked := 0; picked < capN; picked++ {
 		bestF, bestGain := -1, baseGain
 		for f := 0; f < s.inst.F; f++ {
@@ -603,7 +595,7 @@ func (s *Subproblem) greedyCache(caps []float64) []bool {
 				continue
 			}
 			x[f] = true
-			gain := s.routingGivenCacheInto(x, caps, ws.scratchY)
+			gain := s.routingGivenCacheInto(x, caps, nil)
 			x[f] = false
 			if gain > bestGain+1e-12 {
 				bestF, bestGain = f, gain
@@ -701,22 +693,64 @@ func (s *scoreSorter) Less(a, b int) bool {
 }
 func (s *scoreSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// ratioSorter orders item indices by precomputed w/λ ascending, ties by
-// index.
-type ratioSorter struct {
-	order []int
-	ratio []float64
+// ratioEntry is one routingStep-eligible item keyed by its cost ratio w/λ.
+type ratioEntry struct {
+	ratio float64
+	i     int
 }
 
-func (s *ratioSorter) Len() int { return len(s.order) }
-func (s *ratioSorter) Less(a, b int) bool {
-	ia, ib := s.order[a], s.order[b]
-	if s.ratio[ia] != s.ratio[ib] { //edgecache:lint-ignore floateq sort comparator must be a strict weak order; epsilon ties would break transitivity
-		return s.ratio[ia] < s.ratio[ib]
+// ratioHeap is a binary min-heap of eligible items ordered by w/λ
+// ascending, ties by item index. Ratios are never NaN (w < 0 and λ > 0),
+// so the order is strict and total: successive pops yield exactly the
+// sequence a sort would, whatever the heap's internal layout.
+type ratioHeap []ratioEntry
+
+func (h ratioHeap) less(a, b int) bool {
+	if h[a].ratio < h[b].ratio {
+		return true
 	}
-	return ia < ib
+	if h[b].ratio < h[a].ratio {
+		return false
+	}
+	return h[a].i < h[b].i
 }
-func (s *ratioSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
+// init establishes the heap invariant over the whole slice in O(len).
+func (h ratioHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes and returns the item index with the smallest key.
+func (h *ratioHeap) pop() int {
+	old := *h
+	top := old[0].i
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
+}
+
+// down sifts entry i toward the leaves until neither child is smaller.
+func (h ratioHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 func clamp01(v float64) float64 {
 	if v < 0 {
