@@ -269,7 +269,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			cfg.Checkpoint = &core.CheckpointConfig{Sink: store, EverySweeps: 1}
+			cfg.Checkpoint = &core.CheckpointConfig{Sink: store}
 		}
 		var coord *core.Coordinator
 		coord, err = core.NewCoordinator(inst, cfg)

@@ -73,7 +73,7 @@ func Solve(inst *Instance) (*RunResult, error) {
 // PrivacyParams configures SolveWithPrivacy.
 type PrivacyParams struct {
 	// Epsilon is the per-release differential-privacy budget (Theorem 4
-	// calibrates the Laplace scale as Sensitivity/ε).
+	// calibrates the Laplace scale as 1/ε).
 	Epsilon float64
 	// Delta is the paper's Laplace component factor δ ∈ [0,1): noise for a
 	// routing value y is drawn on [0, δ·y].

@@ -99,7 +99,7 @@ func TestBSCrashResumeExact(t *testing.T) {
 // within 5% of the fault-free cost.
 func TestBSCrashUnderLoss(t *testing.T) {
 	inst := testInstance(42, 3, 6, 8)
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	sched, err := ParseSpec("seed=7,drop=0.3,bscrash=1+1")
 	if err != nil {
 		t.Fatal(err)
@@ -107,10 +107,9 @@ func TestBSCrashUnderLoss(t *testing.T) {
 	cfg := Config{
 		BS: sim.BSConfig{
 			PhaseTimeout:    800 * time.Millisecond,
-			ProbeTimeout:    150 * time.Millisecond,
 			AnnounceRetries: 5,
 			MaxSweeps:       40,
-			Checkpoint:      &core.CheckpointConfig{Sink: store, EverySweeps: 1},
+			Checkpoint:      &core.CheckpointConfig{Sink: store},
 		},
 		Sub:      core.DefaultSubproblemConfig(),
 		Schedule: sched,

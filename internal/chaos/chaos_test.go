@@ -155,16 +155,14 @@ func TestParseSpec(t *testing.T) {
 
 // TestCrashRestartCycleExactStats injects a crash and a restart on clean
 // links and asserts the BS's fault accounting matches the schedule
-// exactly: one miss, one quarantine span, QuarantineSweeps skipped
-// phases, a successful probe and a rejoin.
+// exactly: two misses (the BS quarantines after two), one quarantine
+// span, QuarantineSweeps skipped phases, a successful probe and a rejoin.
 func TestCrashRestartCycleExactStats(t *testing.T) {
 	inst := testInstance(11, 3, 6, 8)
 	cfg := Config{
 		BS: sim.BSConfig{
 			PhaseTimeout:     400 * time.Millisecond,
-			ProbeTimeout:     50 * time.Millisecond,
 			AnnounceRetries:  -1, // clean links: keep Retries at 0 for exact stats
-			QuarantineAfter:  1,
 			QuarantineSweeps: 2,
 			MaxSweeps:        30,
 		},
@@ -186,13 +184,14 @@ func TestCrashRestartCycleExactStats(t *testing.T) {
 	if !res.Converged {
 		t.Error("run did not converge")
 	}
-	// The cycle is: miss at sweep 1 (quarantine), skip sweeps 2-3, probe
-	// at sweep 4 answered by the restarted agent. The run must have
-	// reached at least sweep 4 for the rejoin to happen at all.
-	if res.Sweeps < 5 {
+	// The cycle is: misses at sweeps 1 and 2 (quarantine), skip sweeps
+	// 3-4, probe at sweep 5 answered by the agent restarted at sweep 4.
+	// The run must have reached at least sweep 5 for the rejoin to happen
+	// at all.
+	if res.Sweeps < 6 {
 		t.Errorf("run ended after %d sweeps, before the rejoin cycle completed", res.Sweeps)
 	}
-	want := core.SBSFaultStats{Misses: 1, QuarantineSpans: 1, SkippedPhases: 2}
+	want := core.SBSFaultStats{Misses: 2, QuarantineSpans: 1, SkippedPhases: 2}
 	if res.Faults[1] != want {
 		t.Errorf("SBS 1 fault stats = %+v, want %+v", res.Faults[1], want)
 	}
@@ -206,7 +205,7 @@ func TestCrashRestartCycleExactStats(t *testing.T) {
 			len(report.Fired), len(report.Unfired), report.Fired, report.Unfired)
 	}
 	for kind, wantCount := range map[sim.EventKind]int{
-		sim.EventUploadTimeout: 1,
+		sim.EventUploadTimeout: 2,
 		sim.EventQuarantine:    1,
 		sim.EventRejoin:        1,
 		sim.EventProbeFailed:   0,
@@ -216,8 +215,8 @@ func TestCrashRestartCycleExactStats(t *testing.T) {
 			t.Errorf("counter[%v] = %d, want %d", kind, got, wantCount)
 		}
 	}
-	// Only the single miss burns a PhaseTimeout; everything else is fast.
-	if elapsed > cfg.BS.PhaseTimeout+5*time.Second {
+	// Only the two misses burn a PhaseTimeout; everything else is fast.
+	if elapsed > 2*cfg.BS.PhaseTimeout+5*time.Second {
 		t.Errorf("run took %v; quarantine did not bound the stall", elapsed)
 	}
 	// The crashed SBS rejoined with its policy intact, so the run must
@@ -280,7 +279,6 @@ func TestPartitionHealsWithoutQuarantine(t *testing.T) {
 		BS: sim.BSConfig{
 			PhaseTimeout:    300 * time.Millisecond,
 			AnnounceRetries: -1,
-			QuarantineAfter: 2,
 			MaxSweeps:       30,
 		},
 		Sub: core.DefaultSubproblemConfig(),
@@ -328,9 +326,7 @@ func TestChaosAcceptance(t *testing.T) {
 	inst := testInstance(42, 3, 6, 8)
 	bs := sim.BSConfig{
 		PhaseTimeout:     800 * time.Millisecond,
-		ProbeTimeout:     100 * time.Millisecond,
 		AnnounceRetries:  5, // sub-window ~133ms; miss prob ~0.51^6 per phase
-		QuarantineAfter:  2,
 		QuarantineSweeps: 2,
 		MaxSweeps:        40,
 	}
@@ -357,10 +353,10 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	// Stats must reflect the schedule: the crashed SBS accumulated the
-	// misses that led to quarantine and at least one quarantine span.
+	// two misses that led to quarantine and at least one quarantine span.
 	crashed := res.Faults[1]
-	if crashed.Misses < bs.QuarantineAfter {
-		t.Errorf("crashed SBS misses = %d, want >= %d", crashed.Misses, bs.QuarantineAfter)
+	if crashed.Misses < 2 {
+		t.Errorf("crashed SBS misses = %d, want >= 2", crashed.Misses)
 	}
 	if crashed.QuarantineSpans < 1 || crashed.SkippedPhases < 1 {
 		t.Errorf("crashed SBS never quarantined/skipped: %+v", crashed)
@@ -370,12 +366,12 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	// Stall bound: every miss burns at most one PhaseTimeout and every
-	// failed probe one ProbeTimeout; everything else (skipped phases,
+	// failed probe an eighth of one; everything else (skipped phases,
 	// live phases, retransmits) must be fast. The slack covers solver and
 	// scheduling overhead across all sweeps.
 	total := res.TotalFaults()
 	budget := time.Duration(total.Misses)*bs.PhaseTimeout +
-		time.Duration(total.FailedProbes)*bs.ProbeTimeout + 5*time.Second
+		time.Duration(total.FailedProbes)*bs.PhaseTimeout/8 + 5*time.Second
 	if elapsed > budget {
 		t.Errorf("run took %v, budget %v (faults %+v)", elapsed, budget, total)
 	}
@@ -411,9 +407,8 @@ func TestRunFromSpec(t *testing.T) {
 	inst := testInstance(6, 3, 5, 6)
 	cfg := Config{
 		BS: sim.BSConfig{
-			PhaseTimeout:    300 * time.Millisecond,
-			QuarantineAfter: 2,
-			MaxSweeps:       30,
+			PhaseTimeout: 300 * time.Millisecond,
+			MaxSweeps:    30,
 		},
 		Sub:      core.DefaultSubproblemConfig(),
 		Schedule: sched,

@@ -134,7 +134,7 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 	// A schedule that crashes the BS needs somewhere to recover from:
 	// default to an in-memory store snapshotting every sweep boundary.
 	if bsCfg.Checkpoint == nil && hasBSCrash(cfg.Schedule) {
-		bsCfg.Checkpoint = &core.CheckpointConfig{Sink: model.NewMemCheckpointStore(0), EverySweeps: 1}
+		bsCfg.Checkpoint = &core.CheckpointConfig{Sink: model.NewMemCheckpointStore()}
 	}
 
 	// startBS brings up one BS endpoint incarnation. Each gets disjoint

@@ -34,7 +34,6 @@ type agentConfig struct {
 	// BS-only.
 	result       string
 	ckptDir      string
-	ckptRetain   int
 	resume       bool
 	gamma        float64
 	maxSweeps    int
@@ -65,7 +64,6 @@ func AgentMain(args []string) error {
 	fs.Float64Var(&cfg.delta, "delta", 0, "LPPM delta (sbs role)")
 	fs.StringVar(&cfg.result, "result", "", "result JSON path (bs role)")
 	fs.StringVar(&cfg.ckptDir, "ckpt-dir", "", "checkpoint directory (bs role)")
-	fs.IntVar(&cfg.ckptRetain, "ckpt-retain", 0, "checkpoint retention (bs role; 0 = store default)")
 	fs.BoolVar(&cfg.resume, "resume", false, "resume from the newest checkpoint if any (bs role)")
 	fs.Float64Var(&cfg.gamma, "gamma", 0, "convergence threshold (bs role; 0 = default)")
 	fs.IntVar(&cfg.maxSweeps, "max-sweeps", 0, "sweep budget (bs role; 0 = default)")
@@ -296,7 +294,7 @@ func runBS(cfg agentConfig, out io.Writer, in io.Reader) error {
 	if err := servePeers(ep.tcp, in); err != nil {
 		return err
 	}
-	store, err := model.NewCheckpointStore(cfg.ckptDir, cfg.ckptRetain)
+	store, err := model.NewCheckpointStore(cfg.ckptDir, 0)
 	if err != nil {
 		return err
 	}

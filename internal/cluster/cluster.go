@@ -115,12 +115,12 @@ type AgentResult struct {
 // supervisor — which reads it only after the clean exit that follows —
 // never sees a torn file even if the agent dies mid-write.
 func writeResultFile(path string, res *AgentResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
+	data, err := encodeResult(res)
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -130,15 +130,33 @@ func writeResultFile(path string, res *AgentResult) error {
 	return nil
 }
 
+// encodeResult is result.json's byte form: indented JSON and a newline.
+func encodeResult(res *AgentResult) ([]byte, error) {
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
 // ReadResultFile loads a BS agent's result.json.
 func ReadResultFile(path string) (*AgentResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	res, err := decodeResult(data)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: decode %s: %w", path, err)
+	}
+	return res, nil
+}
+
+// decodeResult parses result.json's bytes.
+func decodeResult(data []byte) (*AgentResult, error) {
 	var res AgentResult
 	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("cluster: decode %s: %w", path, err)
+		return nil, err
 	}
 	return &res, nil
 }

@@ -10,7 +10,7 @@ import (
 // under testdata/fuzz: plain `go test` (short mode included) replays
 // them, so they are part of the regression suite.
 func TestCorpusCommitted(t *testing.T) {
-	for _, name := range []string{"FuzzControlLine"} {
+	for _, name := range []string{"FuzzControlLine", "FuzzResultFile"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", name))
 		if err != nil || len(entries) == 0 {
 			t.Errorf("no committed seed corpus for %s (err=%v)", name, err)

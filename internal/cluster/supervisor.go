@@ -471,9 +471,6 @@ func (s *Supervisor) agentArgs(p *proc) []string {
 		if spec.MaxSweeps > 0 {
 			args = append(args, "-max-sweeps", strconv.Itoa(spec.MaxSweeps))
 		}
-		if spec.CheckpointRetain > 0 {
-			args = append(args, "-ckpt-retain", strconv.Itoa(spec.CheckpointRetain))
-		}
 		if p.gen > 0 {
 			args = append(args, "-resume")
 		}

@@ -44,16 +44,12 @@ func (m NoiseMechanism) String() string {
 // PrivacyConfig enables LPPM (§IV of the paper) on every routing upload.
 type PrivacyConfig struct {
 	// Epsilon is the per-release privacy budget ε; Theorem 4 calibrates the
-	// Laplace scale as β = Sensitivity/ε.
+	// Laplace scale as β = Δf/ε with Δf = 1 (lppmSensitivity).
 	Epsilon float64
 	// Delta is the paper's Laplace component factor δ ∈ [0,1): the noise
 	// drawn for routing value y lives on [0, δ·y] (eq. 28). It is NOT the
 	// (ε,δ)-DP slack.
 	Delta float64
-	// Sensitivity is Δf in eq. 30. The routing values are fractions in
-	// [0,1], so the default (0 → 1) is the worst-case L1 change from one
-	// SBS altering one routing entry.
-	Sensitivity float64
 	// Noise drives the noise draws (required). It is a draw-counting,
 	// seekable source, so the noise stream's position can be captured in a
 	// checkpoint and restored on resume.
@@ -63,10 +59,17 @@ type PrivacyConfig struct {
 	// Mechanism selects the noise family; the zero value is the paper's
 	// bounded Laplace (LPPM).
 	Mechanism NoiseMechanism
-	// DPDelta is the (ε, δ)-DP slack used only by MechanismGaussian.
-	// 0 means 1e-5. Distinct from Delta, the noise-interval factor.
-	DPDelta float64
 }
+
+const (
+	// lppmSensitivity is Δf in eq. 30. The routing values are fractions in
+	// [0,1], so 1 is the worst-case L1 change from one SBS altering one
+	// routing entry.
+	lppmSensitivity = 1
+	// gaussianDPDelta is the (ε, δ)-DP slack of MechanismGaussian, distinct
+	// from PrivacyConfig.Delta, the noise-interval factor.
+	gaussianDPDelta = 1e-5
+)
 
 func (p *PrivacyConfig) validate() error {
 	if p.Epsilon <= 0 {
@@ -75,36 +78,15 @@ func (p *PrivacyConfig) validate() error {
 	if p.Delta < 0 || p.Delta >= 1 {
 		return fmt.Errorf("core: privacy delta must be in [0,1), got %v", p.Delta)
 	}
-	if p.Sensitivity < 0 {
-		return fmt.Errorf("core: privacy sensitivity must be non-negative, got %v", p.Sensitivity)
-	}
 	if p.Noise == nil {
 		return fmt.Errorf("core: privacy config requires a Noise source")
 	}
 	switch p.Mechanism {
-	case MechanismLaplace, MechanismUniform:
-	case MechanismGaussian:
-		if d := p.dpDelta(); d <= 0 || d >= 1 {
-			return fmt.Errorf("core: gaussian mechanism needs DPDelta in (0,1), got %v", d)
-		}
+	case MechanismLaplace, MechanismUniform, MechanismGaussian:
 	default:
 		return fmt.Errorf("core: unknown noise mechanism %v", p.Mechanism)
 	}
 	return nil
-}
-
-func (p *PrivacyConfig) dpDelta() float64 {
-	if p.DPDelta > 0 {
-		return p.DPDelta
-	}
-	return 1e-5
-}
-
-func (p *PrivacyConfig) sensitivity() float64 {
-	if p.Sensitivity > 0 {
-		return p.Sensitivity
-	}
-	return 1
 }
 
 // Config tunes Algorithm 1.
@@ -167,13 +149,11 @@ type Config struct {
 	RestartSeed int64
 }
 
-// CheckpointConfig tunes snapshot capture.
+// CheckpointConfig tunes snapshot capture. A snapshot is taken at every
+// sweep boundary.
 type CheckpointConfig struct {
 	// Sink receives every snapshot. Required.
 	Sink model.CheckpointSink
-	// EverySweeps is the sweep-boundary capture cadence; 0 means every
-	// sweep.
-	EverySweeps int
 	// EachPhase additionally captures after every phase inside a sweep, so
 	// a resume can continue mid-sweep. More snapshots, same guarantee.
 	EachPhase bool
@@ -185,7 +165,6 @@ func DefaultConfig() Config {
 }
 
 func (c Config) withDefaults() Config {
-	c.Sub = c.Sub.withDefaults()
 	if c.Gamma <= 0 {
 		c.Gamma = 1e-6
 	}
@@ -259,7 +238,7 @@ type SBSFaultStats struct {
 	// sweeps that did NOT burn a PhaseTimeout on a dead SBS.
 	SkippedPhases int
 	// FailedProbes counts cheap rejoin probes that went unanswered (each
-	// costs only ProbeTimeout, not PhaseTimeout).
+	// costs only an eighth of the BS's PhaseTimeout).
 	FailedProbes int
 }
 

@@ -166,9 +166,9 @@ type Driver struct {
 	// sweep budget. Both must be set (Config.withDefaults does).
 	Gamma     float64
 	MaxSweeps int
-	// Checkpoint, when non-nil, sets the capture cadence; Snapshot must
-	// then be set and is called with the resume point (sweep, phase) to
-	// capture.
+	// Checkpoint, when non-nil, enables capture at every sweep boundary
+	// (and after every phase with EachPhase); Snapshot must then be set and
+	// is called with the resume point (sweep, phase) to capture.
 	Checkpoint *CheckpointConfig
 	Snapshot   func(st *SweepState, res *RunResult, sweep, phase int) error
 	// HoldConvergence, when non-nil, is consulted exactly once after every
@@ -189,10 +189,6 @@ type Driver struct {
 // the natural BS-side behaviour.
 func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	res := &RunResult{History: st.History, Sweeps: len(st.History)}
-	every := 1
-	if d.Checkpoint != nil && d.Checkpoint.EverySweeps > 0 {
-		every = d.Checkpoint.EverySweeps
-	}
 	var phaseDone func(int) error
 	wc, _ := eng.(workCounter)
 	var prevSolves, prevSkipped uint64
@@ -238,7 +234,7 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 			break
 		}
 		st.PrevCost = cost.Total
-		if d.Checkpoint != nil && (sweep+1)%every == 0 {
+		if d.Checkpoint != nil {
 			if err := d.Snapshot(st, res, sweep+1, 0); err != nil {
 				return nil, err
 			}

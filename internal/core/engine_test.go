@@ -151,7 +151,7 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 
 	cfg = jacobiCfg()
-	cfg.Checkpoint = &CheckpointConfig{Sink: model.NewMemCheckpointStore(0), EachPhase: true}
+	cfg.Checkpoint = &CheckpointConfig{Sink: model.NewMemCheckpointStore(), EachPhase: true}
 	if _, err := NewCoordinator(inst, cfg); err == nil || !strings.Contains(err.Error(), "atomic") {
 		t.Errorf("per-phase checkpoints on jacobi engine: got %v", err)
 	}
@@ -165,7 +165,7 @@ func TestJacobiCheckpointResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inst := randomInstance(rng, 4, 6, 8)
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := jacobiCfg()
 	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
@@ -227,7 +227,7 @@ func TestParallelPrivateCheckpointResume(t *testing.T) {
 		return cfg
 	}
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := cfgFor(NewNoiseSource(seed))
 	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
@@ -261,7 +261,7 @@ func TestResumeEngineFamilyMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	inst := randomInstance(rng, 3, 5, 6)
 
-	gsStore := model.NewMemCheckpointStore(0)
+	gsStore := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
 	cfg.Checkpoint = &CheckpointConfig{Sink: gsStore}
 	gs, err := NewCoordinator(inst, cfg)
@@ -287,7 +287,7 @@ func TestResumeEngineFamilyMismatch(t *testing.T) {
 		t.Errorf("jacobi resume of gs snapshot: got %v", err)
 	}
 
-	jacStore := model.NewMemCheckpointStore(0)
+	jacStore := model.NewMemCheckpointStore()
 	cfg = jacobiCfg()
 	cfg.Checkpoint = &CheckpointConfig{Sink: jacStore}
 	jacCk, err := NewCoordinator(inst, cfg)

@@ -142,7 +142,7 @@ func TestIncrementalResumeBitIdentical(t *testing.T) {
 
 	want := runCfg(t, inst, withoutIncremental(base))
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	ckCfg := base
 	ckCfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
 	full := runCfg(t, inst, ckCfg)
@@ -175,7 +175,7 @@ func TestIncrementalResumeBitIdentical(t *testing.T) {
 	jac := jacobiCfg()
 	jac.MaxSweeps = 8
 	jacWant := runCfg(t, inst, withoutIncremental(jac))
-	jacStore := model.NewMemCheckpointStore(0)
+	jacStore := model.NewMemCheckpointStore()
 	jacCk := jac
 	jacCk.Checkpoint = &CheckpointConfig{Sink: jacStore}
 	bitEqualResults(t, runCfg(t, inst, jacCk), jacWant, "checkpointed jacobi memo run vs reference")

@@ -150,17 +150,12 @@ func TestNoiseMechanismValidation(t *testing.T) {
 		t.Error("gaussian with ε=5: want error")
 	}
 	if _, err := NewLPPM(PrivacyConfig{
-		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: MechanismGaussian, DPDelta: 2,
-	}); err == nil {
-		t.Error("DPDelta=2: want error")
-	}
-	if _, err := NewLPPM(PrivacyConfig{
 		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: NoiseMechanism(9),
 	}); err == nil {
 		t.Error("unknown mechanism: want error")
 	}
 	l, err := NewLPPM(PrivacyConfig{
-		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: MechanismGaussian, DPDelta: 1e-5,
+		Epsilon: 0.5, Delta: 0.5, Noise: NewNoiseSource(27), Mechanism: MechanismGaussian,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,16 +35,16 @@ func NewLPPM(cfg PrivacyConfig) (*LPPM, error) {
 	l := &LPPM{cfg: cfg, rng: rand.New(cfg.Noise)}
 	switch cfg.Mechanism {
 	case MechanismLaplace:
-		beta, err := dp.BetaForEpsilon(cfg.sensitivity(), cfg.Epsilon)
+		beta, err := dp.BetaForEpsilon(lppmSensitivity, cfg.Epsilon)
 		if err != nil {
 			return nil, err
 		}
 		l.beta = beta
 	case MechanismGaussian:
 		sigma, err := dp.GaussianMechanism{
-			Sensitivity: cfg.sensitivity(),
+			Sensitivity: lppmSensitivity,
 			Epsilon:     cfg.Epsilon,
-			Delta:       cfg.dpDelta(),
+			Delta:       gaussianDPDelta,
 		}.Sigma()
 		if err != nil {
 			return nil, err

@@ -55,7 +55,7 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		t.Error("nil sink: want error")
 	}
 
-	cfg.Checkpoint = &CheckpointConfig{Sink: model.NewMemCheckpointStore(0)}
+	cfg.Checkpoint = &CheckpointConfig{Sink: model.NewMemCheckpointStore()}
 	cfg.Restarts = 2
 	if _, err := NewCoordinator(inst, cfg); err == nil {
 		t.Error("checkpoint with restarts: want error")
@@ -84,7 +84,7 @@ func TestCheckpointCaptureIsNonIntrusive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
 	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
 	coord, err := NewCoordinator(inst, cfg)
@@ -109,7 +109,7 @@ func TestResumeEveryBoundaryBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	inst := randomInstance(rng, 4, 6, 8)
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
 	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
 	coord, err := NewCoordinator(inst, cfg)
@@ -154,7 +154,7 @@ func TestResumePrivateRunBitIdentical(t *testing.T) {
 		return cfg
 	}
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := privateCfg(NewNoiseSource(seed))
 	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
 	coord, err := NewCoordinator(inst, cfg)
@@ -186,7 +186,7 @@ func TestResumeRejections(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inst := randomInstance(rng, 3, 5, 6)
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
 	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
@@ -291,7 +291,7 @@ func TestResumeIgnoresCheckpointMu(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	inst := randomInstance(rng, 3, 5, 7)
 
-	store := model.NewMemCheckpointStore(0)
+	store := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
 	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
 	coord, err := NewCoordinator(inst, cfg)

@@ -33,37 +33,26 @@ import (
 
 // SubproblemConfig tunes the dual-decomposition solver for P_n.
 type SubproblemConfig struct {
-	// DualIters is K, the number of sub-gradient iterations.
+	// DualIters is K, the number of sub-gradient iterations. 0 means
+	// defaultDualIters.
 	DualIters int
-	// Alpha is the step-size decay in η(k) = 1/(1 + α·k) (eq. 22).
-	Alpha float64
-	// StepScale multiplies η(k). The paper leaves the absolute step scale
-	// implicit; the multipliers μ live on the scale of d̂·λ, so the scale
-	// is calibrated per-SBS from the instance when left at 0 (auto).
-	StepScale float64
-	// MaxCandidates bounds the distinct cache vectors retained for primal
-	// recovery. 0 means the default (8).
-	MaxCandidates int
 }
 
 // DefaultSubproblemConfig returns the configuration used by the experiment
 // harness.
 func DefaultSubproblemConfig() SubproblemConfig {
-	return SubproblemConfig{DualIters: 60, Alpha: 0.2}
+	return SubproblemConfig{DualIters: defaultDualIters}
 }
 
-func (c SubproblemConfig) withDefaults() SubproblemConfig {
-	if c.DualIters <= 0 {
-		c.DualIters = 60
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.2
-	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 8
-	}
-	return c
-}
+const (
+	// defaultDualIters is the default K.
+	defaultDualIters = 60
+	// stepDecay is α in the step size η(k) = 1/(1 + α·k) (eq. 22).
+	stepDecay = 0.2
+	// maxCandidates bounds the distinct cache vectors retained for primal
+	// recovery.
+	maxCandidates = 8
+)
 
 // Subproblem solves P_n for one SBS. It precomputes the SBS's item list
 // (linked (u,f) pairs with positive demand) once and can then be solved
@@ -86,7 +75,8 @@ type Subproblem struct {
 	// candidate cache with a gain-only walk and fills the routing once,
 	// for the winner.
 	densityOrder []int
-	// stepScale is the resolved sub-gradient step scale.
+	// stepScale is the sub-gradient step scale, calibrated from the SBS's
+	// largest per-unit density.
 	stepScale float64
 	// ws is the reusable solve workspace.
 	ws solveWorkspace
@@ -205,7 +195,9 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 	if n < 0 || n >= inst.N {
 		return nil, fmt.Errorf("core: SBS index %d outside [0,%d)", n, inst.N)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.DualIters <= 0 {
+		cfg.DualIters = defaultDualIters
+	}
 	s := &Subproblem{inst: inst, n: n, cfg: cfg}
 	var maxDensity float64
 	for u := 0; u < inst.U; u++ {
@@ -228,16 +220,13 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 			})
 		}
 	}
-	s.stepScale = cfg.StepScale
+	// μ must climb to the scale of the routing coefficients
+	// ((d̂−d)·λ ≈ density·λ) within a handful of iterations; scale the step
+	// by the largest per-unit density so convergence speed is
+	// instance-independent. The paper leaves the absolute scale implicit.
+	s.stepScale = maxDensity
 	if s.stepScale <= 0 {
-		// μ must climb to the scale of the routing coefficients
-		// ((d̂−d)·λ ≈ density·λ) within a handful of iterations; scale the
-		// step by the largest per-unit density so convergence speed is
-		// instance-independent.
-		s.stepScale = maxDensity
-		if s.stepScale <= 0 {
-			s.stepScale = 1
-		}
+		s.stepScale = 1
 	}
 
 	s.densityOrder = make([]int, len(s.items))
@@ -260,7 +249,7 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		yBest:    make([]float64, ni),
 		result:   Result{Cache: make([]bool, inst.F), Routing: model.NewMat(inst.U, inst.F)},
 	}
-	s.ws.pool = newCandidatePool(cfg.MaxCandidates, inst.F)
+	s.ws.pool = newCandidatePool(maxCandidates, inst.F)
 	return s, nil
 }
 
@@ -333,7 +322,7 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 		s.routingStep(y, mu, caps)
 
 		// Projected sub-gradient update μ ← [μ + η·(y − x)]⁺ (eq. 21-23).
-		eta := s.stepScale / (1 + s.cfg.Alpha*float64(k))
+		eta := s.stepScale / (1 + stepDecay*float64(k))
 		done := true
 		for i, it := range s.items {
 			g := y[i]
@@ -509,7 +498,7 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 	ws := &s.ws
 	// The greedy candidate is evaluated unconditionally: it must not be
-	// crowded out when the dual loop already produced MaxCandidates
+	// crowded out when the dual loop already produced maxCandidates
 	// distinct vectors.
 	bestX := s.greedyCache(caps)
 	bestGain := s.routingGivenCacheInto(bestX, caps, nil)

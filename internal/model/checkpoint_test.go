@@ -402,16 +402,13 @@ func TestCheckpointStoreTornTempPruneInterleave(t *testing.T) {
 }
 
 func TestMemCheckpointStore(t *testing.T) {
-	store := NewMemCheckpointStore(2)
+	store := NewMemCheckpointStore()
 	for sweep := 1; sweep <= 3; sweep++ {
 		ck := testCheckpoint()
 		ck.Sweep = sweep
 		if err := store.Save(ck); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if store.Len() != 2 {
-		t.Errorf("Len() = %d, want 2 after retention", store.Len())
 	}
 	got, err := store.Latest()
 	if err != nil {
@@ -423,7 +420,7 @@ func TestMemCheckpointStore(t *testing.T) {
 	// The stored snapshot went through the codec: mutating it must not
 	// touch what a later Latest returns... and it must not alias the saved
 	// original either.
-	all := NewMemCheckpointStore(0)
+	all := NewMemCheckpointStore()
 	ck := testCheckpoint()
 	if err := all.Save(ck); err != nil {
 		t.Fatal(err)
@@ -433,7 +430,7 @@ func TestMemCheckpointStore(t *testing.T) {
 	if stored.Caching.Get(0, 1) {
 		t.Error("stored snapshot aliases the live policy")
 	}
-	unlimited := NewMemCheckpointStore(0)
+	unlimited := NewMemCheckpointStore()
 	for i := 0; i < 10; i++ {
 		if err := unlimited.Save(testCheckpoint()); err != nil {
 			t.Fatal(err)

@@ -288,7 +288,6 @@ func (s *CheckpointStore) verify(path string) (*Checkpoint, error) {
 // the live run AND the codec is exercised on every capture.
 type MemCheckpointStore struct {
 	mu      sync.Mutex
-	retain  int
 	entries []*Checkpoint
 }
 
@@ -297,10 +296,10 @@ var (
 	_ CheckpointSource = (*MemCheckpointStore)(nil)
 )
 
-// NewMemCheckpointStore returns an in-memory store keeping the newest
-// retain snapshots (retain <= 0 keeps everything).
-func NewMemCheckpointStore(retain int) *MemCheckpointStore {
-	return &MemCheckpointStore{retain: retain}
+// NewMemCheckpointStore returns an in-memory store that keeps every
+// snapshot.
+func NewMemCheckpointStore() *MemCheckpointStore {
+	return &MemCheckpointStore{}
 }
 
 // Save implements CheckpointSink.
@@ -315,9 +314,6 @@ func (s *MemCheckpointStore) Save(ck *Checkpoint) error {
 	}
 	s.mu.Lock()
 	s.entries = append(s.entries, stored)
-	if s.retain > 0 && len(s.entries) > s.retain {
-		s.entries = append([]*Checkpoint(nil), s.entries[len(s.entries)-s.retain:]...)
-	}
 	s.mu.Unlock()
 	return nil
 }

@@ -16,6 +16,8 @@ import (
 //
 // Durations are carried as integer milliseconds so the JSON stays plain;
 // the accessor methods return time.Duration with the defaults applied.
+// Validate caps every duration, the heartbeat deadline included, at 24
+// hours.
 type ClusterSpec struct {
 	// Cells lists the BS cells. Names must be non-empty and unique (they
 	// become directory names and chaos targets).
@@ -39,15 +41,18 @@ type ClusterSpec struct {
 	// consume before escalation (permanent quarantine for an SBS, cell
 	// failure for a BS). 0 means 3; -1 means no restarts at all.
 	RestartBudget int `json:"restart_budget,omitempty"`
-	// BackoffBaseMS is the delay before the first restart, doubling per
-	// consumed restart up to BackoffMaxMS (defaults 25 and 1000).
-	BackoffBaseMS int `json:"backoff_base_ms,omitempty"`
-	BackoffMaxMS  int `json:"backoff_max_ms,omitempty"`
-
-	// CheckpointRetain bounds each cell's on-disk snapshot count
-	// (0 means the store default).
-	CheckpointRetain int `json:"checkpoint_retain,omitempty"`
 }
+
+const (
+	// restartBackoffBase is the delay before the first restart; it doubles
+	// per consumed restart up to restartBackoffMax.
+	restartBackoffBase = 25 * time.Millisecond
+	restartBackoffMax  = time.Second
+	// maxSpecDuration bounds every duration a spec can express (the phase
+	// timeout, the heartbeat interval and the heartbeat deadline), so the
+	// millisecond fields cannot overflow time.Duration.
+	maxSpecDuration = 24 * time.Hour
+)
 
 // ClusterCell is one BS cell of the cluster: a name, an SBS fleet size and
 // either a pre-built instance file or the scenario knobs the launcher
@@ -101,9 +106,17 @@ func (s *ClusterSpec) Validate() error {
 		}
 	}
 	if s.Gamma < 0 || s.MaxSweeps < 0 || s.PhaseTimeoutMS < 0 ||
-		s.HeartbeatMS < 0 || s.HeartbeatMisses < 0 ||
-		s.BackoffBaseMS < 0 || s.BackoffMaxMS < 0 || s.CheckpointRetain < 0 {
+		s.HeartbeatMS < 0 || s.HeartbeatMisses < 0 {
 		return fmt.Errorf("model: cluster spec has a negative tuning field")
+	}
+	const maxMS = int64(maxSpecDuration / time.Millisecond)
+	if int64(s.PhaseTimeoutMS) > maxMS || int64(s.HeartbeatMS) > maxMS {
+		return fmt.Errorf("model: cluster spec durations must be at most %v", maxSpecDuration)
+	}
+	// The deadline is interval × misses; dividing keeps the check itself
+	// from overflowing.
+	if interval := int64(s.HeartbeatInterval() / time.Millisecond); int64(s.heartbeatMisses()) > maxMS/interval {
+		return fmt.Errorf("model: cluster spec heartbeat deadline (interval × misses) must be at most %v", maxSpecDuration)
 	}
 	if s.RestartBudget < -1 {
 		return fmt.Errorf("model: RestartBudget must be >= -1, got %d", s.RestartBudget)
@@ -141,11 +154,15 @@ func (s *ClusterSpec) HeartbeatInterval() time.Duration {
 // HeartbeatDeadline returns the liveness deadline: the interval times the
 // allowed miss count.
 func (s *ClusterSpec) HeartbeatDeadline() time.Duration {
-	misses := s.HeartbeatMisses
-	if misses <= 0 {
-		misses = 40
+	return s.HeartbeatInterval() * time.Duration(s.heartbeatMisses())
+}
+
+// heartbeatMisses returns the allowed miss count with the default applied.
+func (s *ClusterSpec) heartbeatMisses() int {
+	if s.HeartbeatMisses <= 0 {
+		return 40
 	}
-	return s.HeartbeatInterval() * time.Duration(misses)
+	return s.HeartbeatMisses
 }
 
 // Restarts returns the per-process restart budget with the default
@@ -162,28 +179,13 @@ func (s *ClusterSpec) Restarts() int {
 }
 
 // Backoff returns the delay before restart number attempt (1-based):
-// base doubling per consumed restart, capped.
+// 25ms doubling per consumed restart, capped at one second.
 func (s *ClusterSpec) Backoff(attempt int) time.Duration {
-	base := s.BackoffBaseMS
-	if base <= 0 {
-		base = 25
-	}
-	maxMS := s.BackoffMaxMS
-	if maxMS <= 0 {
-		maxMS = 1000
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
+	d := restartBackoffBase
+	for i := 1; i < attempt && d < restartBackoffMax; i++ {
 		d *= 2
-		if d >= maxMS {
-			d = maxMS
-			break
-		}
 	}
-	if d > maxMS {
-		d = maxMS
-	}
-	return time.Duration(d) * time.Millisecond
+	return min(d, restartBackoffMax)
 }
 
 // WriteJSON serializes the spec, indented for human inspection; the spec
@@ -200,9 +202,7 @@ func (s *ClusterSpec) WriteJSON(w io.Writer) error {
 // ReadClusterSpec deserializes and validates a cluster spec.
 func ReadClusterSpec(r io.Reader) (*ClusterSpec, error) {
 	var s ClusterSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("model: decode cluster spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

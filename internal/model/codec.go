@@ -2,9 +2,26 @@ package model
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
+
+// decodeStrict decodes exactly one JSON value from r into v. It rejects
+// fields v does not declare and anything but whitespace after the value,
+// so a truncated edit or two concatenated documents fail loudly instead of
+// silently yielding the first one.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
 
 // instanceJSON is the stable on-disk schema for Instance. Field names are
 // spelled out so saved scenarios remain readable and diffable.
@@ -44,9 +61,7 @@ func (in *Instance) WriteJSON(w io.Writer) error {
 // ReadJSON deserializes and validates an instance.
 func ReadJSON(r io.Reader) (*Instance, error) {
 	var raw instanceJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := decodeStrict(r, &raw); err != nil {
 		return nil, fmt.Errorf("model: decode instance: %w", err)
 	}
 	in := &Instance{
@@ -95,9 +110,7 @@ func (s *Solution) WriteJSON(w io.Writer) error {
 // infeasible.
 func ReadSolutionJSON(r io.Reader, in *Instance) (*Solution, error) {
 	var raw solutionJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := decodeStrict(r, &raw); err != nil {
 		return nil, fmt.Errorf("model: decode solution: %w", err)
 	}
 	if len(raw.Caching) != in.N || len(raw.Routing) != in.N {

@@ -47,6 +47,24 @@ func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"sbss": 1, "groups": 1, "contents": 1}`)); err == nil {
 		t.Error("missing matrices: want error")
 	}
+	// Anything but whitespace after a valid instance is an error.
+	var buf bytes.Buffer
+	if err := testInstance().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.String()
+	if _, err := ReadJSON(strings.NewReader(valid + " \n\t")); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
+	}
+	for name, tail := range map[string]string{
+		"trailing garbage":    "garbage{",
+		"second instance":     valid,
+		"stray closing brace": "}",
+	} {
+		if _, err := ReadJSON(strings.NewReader(valid + tail)); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
 }
 
 func TestSolutionJSONRoundTrip(t *testing.T) {
@@ -70,6 +88,27 @@ func TestSolutionJSONRoundTrip(t *testing.T) {
 	}
 	if got.Cost.Total != sol.Cost.Total {
 		t.Errorf("re-derived cost %v != original %v", got.Cost.Total, sol.Cost.Total)
+	}
+}
+
+func TestSolutionJSONRejectsTrailingBytes(t *testing.T) {
+	in := testInstance()
+	sol := &Solution{Caching: NewCachingPolicy(in), Routing: NewRoutingPolicy(in)}
+	var buf bytes.Buffer
+	if err := sol.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.String()
+	if _, err := ReadSolutionJSON(strings.NewReader(valid+"\n"), in); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
+	}
+	for name, tail := range map[string]string{
+		"trailing garbage": "garbage{",
+		"second solution":  valid,
+	} {
+		if _, err := ReadSolutionJSON(strings.NewReader(valid+tail), in); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
 }
 

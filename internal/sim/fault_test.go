@@ -151,8 +151,6 @@ func TestQuarantineSkipsDeadSBS(t *testing.T) {
 	var counter EventCounter
 	bs, err := NewBSAgent(inst, BSConfig{
 		PhaseTimeout:     phaseTimeout,
-		ProbeTimeout:     20 * time.Millisecond,
-		QuarantineAfter:  1,
 		QuarantineSweeps: 2,
 		MaxSweeps:        8,
 		OnEvent:          counter.Hook(),
@@ -170,8 +168,8 @@ func TestQuarantineSkipsDeadSBS(t *testing.T) {
 		t.Error("run did not converge with two healthy SBSs")
 	}
 	dead := res.Faults[1]
-	if dead.Misses != 1 {
-		t.Errorf("dead SBS misses = %d, want exactly 1 (then quarantine)", dead.Misses)
+	if dead.Misses != quarantineAfter {
+		t.Errorf("dead SBS misses = %d, want exactly %d (then quarantine)", dead.Misses, quarantineAfter)
 	}
 	if dead.QuarantineSpans < 1 {
 		t.Error("dead SBS was never quarantined")
@@ -187,7 +185,7 @@ func TestQuarantineSkipsDeadSBS(t *testing.T) {
 	// The stall bound: one PhaseTimeout per full-window miss plus cheap
 	// probes — far below one PhaseTimeout per sweep.
 	budget := time.Duration(dead.Misses)*phaseTimeout +
-		time.Duration(dead.FailedProbes)*20*time.Millisecond + 2*time.Second
+		time.Duration(dead.FailedProbes)*phaseTimeout/probeDivisor + 2*time.Second
 	if elapsed > budget {
 		t.Errorf("run took %v, stall budget %v", elapsed, budget)
 	}
@@ -251,10 +249,9 @@ func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
 
 	var counter EventCounter
 	bs, err := NewBSAgent(inst, BSConfig{
-		PhaseTimeout:    150 * time.Millisecond,
-		QuarantineAfter: 1,
-		MaxSweeps:       8,
-		OnEvent:         counter.Hook(),
+		PhaseTimeout: 150 * time.Millisecond,
+		MaxSweeps:    8,
+		OnEvent:      counter.Hook(),
 	}, bsEp, sbsNames)
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +266,9 @@ func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
 	}
 	if bad.Misses == 0 {
 		t.Error("rogue phases were not treated as missing")
+	}
+	if bad.QuarantineSpans == 0 {
+		t.Error("rogue SBS was never quarantined")
 	}
 	if c := counter.Count(EventBadUpload); c != bad.Malformed {
 		t.Errorf("hook counted %d bad uploads, stats say %d", c, bad.Malformed)

@@ -127,8 +127,8 @@ func TestSimCheckpointNonIntrusive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	store := model.NewMemCheckpointStore()
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	got, _, err := runProtocol(t, ctx, inst, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +158,8 @@ func TestSimResumeEveryBoundaryBitIdentical(t *testing.T) {
 	inst := randomInstance(rng, 8, 12, 16)
 	ctx := testCtx(t)
 
-	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	store := model.NewMemCheckpointStore()
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	want, _, err := runProtocol(t, ctx, inst, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +186,8 @@ func TestSimStateSyncHandshake(t *testing.T) {
 	inst := randomInstance(rng, 3, 5, 6)
 	ctx := testCtx(t)
 
-	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	store := model.NewMemCheckpointStore()
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	if _, _, err := runProtocol(t, ctx, inst, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,8 @@ func TestSimResumeRejections(t *testing.T) {
 	inst := randomInstance(rng, 3, 5, 6)
 	ctx := testCtx(t)
 
-	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	store := model.NewMemCheckpointStore()
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	if _, _, err := runProtocol(t, ctx, inst, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestBSAgentRejectsPerPhaseCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: model.NewMemCheckpointStore(0), EachPhase: true}}
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: model.NewMemCheckpointStore(), EachPhase: true}}
 	_, err = NewBSAgent(inst, cfg, ep, []string{"sbs-0", "sbs-1", "sbs-2"})
 	if err == nil || !strings.Contains(err.Error(), "EachPhase") {
 		t.Fatalf("per-phase checkpoint cadence: got %v, want an EachPhase error", err)

@@ -12,12 +12,13 @@
 // and a final MsgDone broadcast. The BS tolerates SBS failures at three
 // levels: the announce is retransmitted within the phase window
 // (AnnounceRetries), a phase whose upload never arrives keeps the SBS's
-// previous policy, and an SBS that misses QuarantineAfter consecutive
-// phases is quarantined — its phases are skipped for QuarantineSweeps
-// sweeps and a cheap ProbeTimeout-bounded rejoin probe (instead of a full
-// PhaseTimeout wait) decides when it is healthy again. Per-SBS fault
-// accounting is returned on core.RunResult.Faults and every anomaly is
-// observable through an EventHook.
+// previous policy, and an SBS that misses two consecutive phases
+// (quarantineAfter) is quarantined — its phases are skipped for
+// QuarantineSweeps sweeps and a cheap rejoin probe bounded by
+// PhaseTimeout/8 (instead of a full PhaseTimeout wait) decides when it is
+// healthy again. Per-SBS fault accounting is returned on
+// core.RunResult.Faults and every anomaly is observable through an
+// EventHook.
 //
 // The BS does not keep its own sweep loop: it runs core's Gauss-Seidel
 // engine under core.Driver, and only the answer to a phase — the announce,
@@ -51,17 +52,9 @@ type BSConfig struct {
 	// and lost uploads are both recovered this way. 0 means 2; negative
 	// disables retransmission.
 	AnnounceRetries int
-	// QuarantineAfter is the number of consecutive full-window misses
-	// before an SBS is quarantined. 0 means 2; negative disables
-	// quarantine (every miss burns a full PhaseTimeout, the pre-fault-
-	// tolerance behaviour).
-	QuarantineAfter int
 	// QuarantineSweeps is how many sweeps a quarantined SBS's phases are
 	// skipped outright before a cheap rejoin probe is sent. 0 means 3.
 	QuarantineSweeps int
-	// ProbeTimeout bounds the wait for a rejoin-probe reply. 0 means
-	// PhaseTimeout/8.
-	ProbeTimeout time.Duration
 	// OnEvent, when non-nil, observes protocol anomalies and
 	// fault-handling actions (see EventKind). Must be fast and non-nil
 	// safe across goroutines.
@@ -74,6 +67,15 @@ type BSConfig struct {
 	// agent only checkpoints at boundaries where that state is empty.
 	Checkpoint *core.CheckpointConfig
 }
+
+const (
+	// quarantineAfter is the number of consecutive full-window misses
+	// before an SBS is quarantined.
+	quarantineAfter = 2
+	// probeDivisor sets the rejoin-probe and state-sync wait to
+	// PhaseTimeout/probeDivisor.
+	probeDivisor = 8
+)
 
 func (c BSConfig) withDefaults() BSConfig {
 	if c.Gamma <= 0 {
@@ -90,14 +92,8 @@ func (c BSConfig) withDefaults() BSConfig {
 	} else if c.AnnounceRetries < 0 {
 		c.AnnounceRetries = 0
 	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 2
-	}
 	if c.QuarantineSweeps <= 0 {
 		c.QuarantineSweeps = 3
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.PhaseTimeout / 8
 	}
 	return c
 }
@@ -239,7 +235,7 @@ func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([
 
 	// Quarantined SBSs are skipped outright — no announce, no PhaseTimeout
 	// burned — until their probe sweep comes up; then one cheap probe
-	// (ProbeTimeout) decides rejoin vs another quarantine span.
+	// (PhaseTimeout/probeDivisor) decides rejoin vs another quarantine span.
 	probing := false
 	timeout := b.cfg.PhaseTimeout
 	if h.quarantined {
@@ -248,7 +244,7 @@ func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([
 			return nil, model.Mat{}, false, nil
 		}
 		probing = true
-		timeout = b.cfg.ProbeTimeout
+		timeout = b.cfg.PhaseTimeout / probeDivisor
 	}
 
 	// The BS sweeps in identity order (validated at Resume), so phase n
@@ -279,7 +275,7 @@ func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([
 			h.consecMisses++
 			s.sweepMissed = true
 			b.event(EventUploadTimeout, n, sweep, n, nil)
-			if b.cfg.QuarantineAfter > 0 && h.consecMisses >= b.cfg.QuarantineAfter {
+			if h.consecMisses >= quarantineAfter {
 				h.quarantined = true
 				h.consecMisses = 0
 				fs.QuarantineSpans++
@@ -526,9 +522,9 @@ func (b *BSAgent) restoreHealth(hs []model.SBSHealthState, faults []core.SBSFaul
 // live agents drop pre-crash ghosts and their reply caches. The sync is
 // header-only (Sweep and Phase) and carries no policy: an SBS's solve
 // depends only on the announced y_{-n}. Acks are gathered within one
-// ProbeTimeout window; a missing ack is observable (EventStateSyncMiss)
-// but never fatal — the phase-timeout machinery owns recovery, exactly as
-// for lost announces.
+// probe window (PhaseTimeout/probeDivisor); a missing ack is observable
+// (EventStateSyncMiss) but never fatal — the phase-timeout machinery owns
+// recovery, exactly as for lost announces.
 func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 	awaiting := make([]bool, b.inst.N)
 	expected := 0
@@ -546,7 +542,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 	if expected == 0 {
 		return
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, b.cfg.ProbeTimeout)
+	waitCtx, cancel := context.WithTimeout(ctx, b.cfg.PhaseTimeout/probeDivisor)
 	defer cancel()
 	for acked := 0; acked < expected; {
 		msg, err := b.ep.Recv(waitCtx)

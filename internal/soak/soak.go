@@ -149,9 +149,7 @@ type Result struct {
 func episodeBSConfig() sim.BSConfig {
 	return sim.BSConfig{
 		PhaseTimeout:     800 * time.Millisecond,
-		ProbeTimeout:     100 * time.Millisecond,
 		AnnounceRetries:  5,
-		QuarantineAfter:  2,
 		QuarantineSweeps: 2,
 		MaxSweeps:        40,
 	}
@@ -394,7 +392,7 @@ func (r *soakRun) diskDrill(ep *Episode) []Violation {
 	sink := &tolerantSink{sink: store}
 
 	cfg := core.DefaultConfig()
-	cfg.Checkpoint = &core.CheckpointConfig{Sink: sink, EverySweeps: 1}
+	cfg.Checkpoint = &core.CheckpointConfig{Sink: sink}
 	coord, err := core.NewCoordinator(ep.Inst, cfg)
 	if err != nil {
 		return []Violation{{"disk-recovery", fmt.Sprintf("coordinator: %v", err)}}

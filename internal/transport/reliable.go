@@ -3,89 +3,49 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// RetryPolicy describes an exponential-backoff retry schedule with jitter.
-// The zero value asks for the defaults (4 attempts, 10ms base doubling up
-// to 1s, 20% jitter). It is shared by ReliableEndpoint (per-send retries)
-// and TCPEndpoint (redial-with-backoff on a dead cached connection).
+// RetryPolicy configures a ReliableEndpoint. Every send is retried on one
+// fixed schedule (sendRetry: 4 attempts, 10ms doubling, ±20% jitter); the
+// policy only seeds its jitter.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first.
-	// 0 means 4; 1 disables retries.
-	MaxAttempts int
-	// BaseDelay is the wait before the first retry. 0 means 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth. 0 means 1s.
-	MaxDelay time.Duration
-	// Multiplier is the per-retry growth factor. 0 means 2.
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized: the actual
-	// wait is uniform in [d·(1−Jitter), d·(1+Jitter)]. 0 means 0.2;
-	// negative disables jitter (deterministic delays for tests).
-	Jitter float64
-	// Seed drives the jitter randomness (deterministic tests).
+	// Seed drives the jitter randomness (deterministic tests and runs).
 	Seed int64
 }
 
-// Validate checks the policy ranges.
-func (p RetryPolicy) Validate() error {
-	if p.MaxAttempts < 0 {
-		return fmt.Errorf("transport: MaxAttempts must be non-negative, got %d", p.MaxAttempts)
-	}
-	if p.BaseDelay < 0 || p.MaxDelay < 0 {
-		return fmt.Errorf("transport: retry delays must be non-negative, got base=%v max=%v",
-			p.BaseDelay, p.MaxDelay)
-	}
-	if p.Multiplier < 0 {
-		return fmt.Errorf("transport: Multiplier must be non-negative, got %v", p.Multiplier)
-	}
-	if p.Jitter > 1 {
-		return fmt.Errorf("transport: Jitter must be at most 1, got %v", p.Jitter)
-	}
-	return nil
+// backoff is an exponential retry schedule: retry k (0-based) waits
+// base·2^k, scaled by a uniform factor in [1−retryJitter, 1+retryJitter].
+type backoff struct {
+	attempts int           // total tries, including the first
+	base     time.Duration // wait before the first retry
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay == 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = time.Second
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
-	return p
-}
+// retryJitter is the fraction of each backoff delay that is randomized.
+const retryJitter = 0.2
+
+var (
+	// sendRetry is ReliableEndpoint's per-send schedule: waits of about
+	// 10, 20 and 40ms.
+	sendRetry = backoff{attempts: 4, base: 10 * time.Millisecond}
+	// tcpRedial is TCPEndpoint's schedule for a dead cached connection or
+	// a failed dial: waits of about 5 and 10ms ride out a peer restart
+	// without stalling the caller for longer than a protocol phase
+	// sub-window.
+	tcpRedial = backoff{attempts: 3, base: 5 * time.Millisecond}
+)
 
 // delay returns the jittered backoff before retry number retry (0-based).
 // Callers must hold whatever lock guards rng.
-func (p RetryPolicy) delay(retry int, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseDelay)
+func (b backoff) delay(retry int, rng *rand.Rand) time.Duration {
+	d := float64(b.base)
 	for i := 0; i < retry; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
+		d *= 2
 	}
-	if p.Jitter > 0 && rng != nil {
-		d *= 1 - p.Jitter + 2*p.Jitter*rng.Float64()
-	}
-	if d < 0 {
-		d = 0
-	}
+	d *= 1 - retryJitter + 2*retryJitter*rng.Float64()
 	return time.Duration(d)
 }
 
@@ -158,8 +118,7 @@ func (w *dedupWindow) observe(seq uint64) bool {
 // (the peer set is static in this protocol, so an unknown name cannot
 // become known by waiting).
 type ReliableEndpoint struct {
-	inner  Endpoint
-	policy RetryPolicy
+	inner Endpoint
 
 	nextSeq atomic.Uint64
 
@@ -171,18 +130,13 @@ type ReliableEndpoint struct {
 
 var _ Endpoint = (*ReliableEndpoint)(nil)
 
-// NewReliableEndpoint wraps inner with the given retry policy (zero value
-// for defaults).
+// NewReliableEndpoint wraps inner, seeding the retry jitter from policy.
+// The error is always nil.
 func NewReliableEndpoint(inner Endpoint, policy RetryPolicy) (*ReliableEndpoint, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	policy = policy.withDefaults()
 	return &ReliableEndpoint{
-		inner:  inner,
-		policy: policy,
-		rng:    rand.New(rand.NewSource(policy.Seed)),
-		seen:   make(map[string]*dedupWindow),
+		inner: inner,
+		rng:   rand.New(rand.NewSource(policy.Seed)),
+		seen:  make(map[string]*dedupWindow),
 	}, nil
 }
 
@@ -208,11 +162,11 @@ func (e *ReliableEndpoint) Send(ctx context.Context, to string, m Message) error
 	e.mu.Unlock()
 
 	var lastErr error
-	for attempt := 0; attempt < e.policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < sendRetry.attempts; attempt++ {
 		if attempt > 0 {
 			e.mu.Lock()
 			e.stats.Retries++
-			d := e.policy.delay(attempt-1, e.rng)
+			d := sendRetry.delay(attempt-1, e.rng)
 			e.mu.Unlock()
 			if err := sleepCtx(ctx, d); err != nil {
 				return err

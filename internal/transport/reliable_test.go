@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -52,35 +53,50 @@ func (f *flakyEndpoint) sentCount() int {
 	return len(f.sent)
 }
 
-func TestRetryPolicyValidateAndDefaults(t *testing.T) {
-	for _, bad := range []RetryPolicy{
-		{MaxAttempts: -1},
-		{BaseDelay: -time.Second},
-		{MaxDelay: -1},
-		{Multiplier: -2},
-		{Jitter: 1.5},
+// TestBackoffSchedulesPinned pins the exact jittered delays of the two
+// fixed retry schedules: a ReliableEndpoint seeded with 7 and a
+// TCPEndpoint (whose redial jitter is seeded with 1). An edit to either
+// schedule or to the jitter shows up here.
+func TestBackoffSchedulesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		b    backoff
+		seed int64
+		want []time.Duration
+	}{
+		{"send", sendRetry, 7, []time.Duration{11675568, 17852057, 35862201}},
+		{"redial", tcpRedial, 1, []time.Duration{5209320, 11762036}},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("policy %+v: want validation error", bad)
+		rng := rand.New(rand.NewSource(tc.seed))
+		var got []time.Duration
+		for retry := 0; retry < tc.b.attempts-1; retry++ {
+			got = append(got, tc.b.delay(retry, rng))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s delays = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	p := RetryPolicy{}.withDefaults()
-	if p.MaxAttempts != 4 || p.BaseDelay != 10*time.Millisecond || p.Multiplier != 2 {
-		t.Errorf("defaults = %+v", p)
+	// The endpoints draw from the same seeded sources.
+	ep, err := NewReliableEndpoint(&flakyEndpoint{}, RetryPolicy{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Negative jitter disables randomization: the schedule is exact.
-	d := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond,
-		Multiplier: 2, Jitter: -1}.withDefaults()
-	for i, want := range []time.Duration{10, 20, 35, 35} {
-		if got := d.delay(i, nil); got != want*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", i, got, want*time.Millisecond)
-		}
+	if got := sendRetry.delay(0, ep.rng); got != 11675568 {
+		t.Errorf("ReliableEndpoint first delay = %v, want 11.675568ms", got)
+	}
+	tcp, err := NewTCPEndpoint("a", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if got := tcpRedial.delay(0, tcp.rng); got != 5209320 {
+		t.Errorf("TCPEndpoint first redial delay = %v, want 5.20932ms", got)
 	}
 }
 
 func TestReliableSendRetriesUntilSuccess(t *testing.T) {
 	inner := &flakyEndpoint{failures: 2}
-	ep, err := NewReliableEndpoint(inner, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: -1})
+	ep, err := NewReliableEndpoint(inner, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +118,7 @@ func TestReliableSendRetriesUntilSuccess(t *testing.T) {
 
 func TestReliableSendExhaustsAttempts(t *testing.T) {
 	inner := &flakyEndpoint{failures: 100}
-	ep, err := NewReliableEndpoint(inner, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: -1})
+	ep, err := NewReliableEndpoint(inner, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +126,7 @@ func TestReliableSendExhaustsAttempts(t *testing.T) {
 		t.Fatal("want error after exhausting attempts")
 	}
 	st := ep.Stats()
-	if st.SendFailures != 1 || st.Retries != 2 {
+	if st.SendFailures != 1 || st.Retries != int64(sendRetry.attempts-1) {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -121,25 +137,26 @@ func TestReliableSendDoesNotRetryUnknownPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := NewReliableEndpoint(raw, RetryPolicy{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond})
+	ep, err := NewReliableEndpoint(raw, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	if err := ep.Send(testCtx(t), "ghost", Message{Type: MsgDone}); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("err = %v, want ErrUnknownPeer", err)
 	}
-	if time.Since(start) > 40*time.Millisecond {
-		t.Error("unknown peer was retried with backoff")
+	if st := ep.Stats(); st.Retries != 0 {
+		t.Errorf("unknown peer was retried %d times", st.Retries)
 	}
 }
 
 func TestReliableSendRespectsContext(t *testing.T) {
 	inner := &flakyEndpoint{failures: 100}
-	ep, err := NewReliableEndpoint(inner, RetryPolicy{MaxAttempts: 100, BaseDelay: 20 * time.Millisecond, Jitter: -1})
+	ep, err := NewReliableEndpoint(inner, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The schedule's three waits add up to at least 56ms, so the deadline
+	// lands before the attempts run out.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // maxFrameSize bounds inbound frames (16 MiB); a malformed or hostile
@@ -31,8 +30,7 @@ type TCPEndpoint struct {
 	peers   map[string]string
 	conns   map[string]*tcpConn
 	inbound map[net.Conn]struct{}
-	redial  RetryPolicy
-	rng     *rand.Rand
+	rng     *rand.Rand // tcpRedial jitter
 
 	wg sync.WaitGroup
 }
@@ -62,33 +60,11 @@ func NewTCPEndpoint(name, listenAddr string) (*TCPEndpoint, error) {
 		peers:   make(map[string]string),
 		conns:   make(map[string]*tcpConn),
 		inbound: make(map[net.Conn]struct{}),
-		redial:  defaultRedialPolicy(),
 		rng:     rand.New(rand.NewSource(1)),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
-}
-
-// defaultRedialPolicy keeps Send's worst case short: three attempts with
-// 5ms→20ms backoff covers a peer restart without stalling the caller for
-// longer than a protocol phase sub-window.
-func defaultRedialPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}.withDefaults()
-}
-
-// SetRedialPolicy replaces the redial-with-backoff schedule used by Send
-// when a cached connection turns out to be dead or a dial fails (zero
-// value restores the default). Call before the endpoint is shared.
-func (e *TCPEndpoint) SetRedialPolicy(p RetryPolicy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.redial = p.withDefaults()
-	e.rng = rand.New(rand.NewSource(p.Seed))
-	e.mu.Unlock()
-	return nil
 }
 
 // Name implements Endpoint.
@@ -154,8 +130,8 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 }
 
 // Send implements Endpoint. A dead cached connection or a failed dial is
-// retried under the endpoint's redial policy (exponential backoff with
-// jitter), which rides out a peer restart mid-run; the at-most-once
+// retried on the tcpRedial schedule (exponential backoff with jitter),
+// which rides out a peer restart mid-run; the at-most-once
 // delivery contract is unchanged because a successful write is never
 // repeated. Send returns the last error once the attempts are exhausted,
 // and returns immediately on context cancellation or endpoint close.
@@ -166,7 +142,6 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, m Message) error {
 		return ErrClosed
 	}
 	addr, ok := e.peers[to]
-	policy := e.redial
 	e.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
@@ -179,10 +154,10 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, m Message) error {
 		return err
 	}
 	var lastErr error
-	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < tcpRedial.attempts; attempt++ {
 		if attempt > 0 {
 			e.mu.Lock()
-			d := policy.delay(attempt-1, e.rng)
+			d := tcpRedial.delay(attempt-1, e.rng)
 			e.mu.Unlock()
 			if err := sleepCtx(ctx, d); err != nil {
 				return err

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,9 +19,6 @@ func TestTCPSendToDeadPeerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.SetRedialPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: -1}); err != nil {
-		t.Fatal(err)
-	}
 	b, err := NewTCPEndpoint("b", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +106,6 @@ func TestTCPCloseDuringInflightSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SetRedialPolicy(RetryPolicy{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, Jitter: -1}); err != nil {
-		t.Fatal(err)
-	}
 	// The peer dies immediately, so Sends sit in the redial loop.
 	b, err := NewTCPEndpoint("b", "127.0.0.1:0")
 	if err != nil {
@@ -120,17 +116,27 @@ func TestTCPCloseDuringInflightSend(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each sender keeps calling Send until one returns ErrClosed, so all
+	// eight are inside Send (dialling or backing off) when Close runs.
 	var wg sync.WaitGroup
+	var running atomic.Int32
+	final := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				if err := a.Send(ctx, "b", Message{Type: MsgDone}); err != nil {
+			running.Add(1)
+			for {
+				err := a.Send(ctx, "b", Message{Type: MsgDone})
+				if errors.Is(err, ErrClosed) || ctx.Err() != nil {
+					final <- err
 					return
 				}
 			}
 		}()
+	}
+	for running.Load() < 8 {
+		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
 	if err := a.Close(); err != nil {
@@ -142,6 +148,12 @@ func TestTCPCloseDuringInflightSend(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Send deadlocked across Close")
+	}
+	close(final)
+	for err := range final {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("in-flight Send ended with %v, want ErrClosed", err)
+		}
 	}
 	// A send on the closed endpoint fails fast.
 	if err := a.Send(context.Background(), "b", Message{Type: MsgDone}); err == nil {

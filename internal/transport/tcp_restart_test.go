@@ -25,7 +25,7 @@ func TestTCPRestartStormSeqDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bsTCP.Close()
-	bs, err := NewReliableEndpoint(bsTCP, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: -1})
+	bs, err := NewReliableEndpoint(bsTCP, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestTCPRestartStormSeqDisjoint(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		sbs, err := NewReliableEndpoint(sbsTCP, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: -1})
+		sbs, err := NewReliableEndpoint(sbsTCP, RetryPolicy{Seed: int64(gen) + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
