@@ -108,22 +108,6 @@ func fillYMinus(yMinus model.Mat) {
 	}
 }
 
-// TestSortDensityOrderZeroAllocs pins the sorter idiom: re-sorting the
-// density order through the reusable sort.Sort adapter must not allocate
-// (the old sort.Slice closure allocated its func value and reflect shim on
-// every call).
-func TestSortDensityOrderZeroAllocs(t *testing.T) {
-	inst := benchScale(3, 30, 50)
-	sub, err := NewSubproblem(inst, 1, DefaultSubproblemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub.sortDensityOrder()
-	if allocs := testing.AllocsPerRun(10, sub.sortDensityOrder); allocs != 0 {
-		t.Fatalf("sortDensityOrder allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestMemoProbeZeroAllocs pins the dirty-set fast path itself: probing the
 // memo and returning the cached workspace result must stay allocation-free
 // — the whole point of the skip is to cost less than the solve.

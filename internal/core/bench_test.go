@@ -86,3 +86,26 @@ func BenchmarkSubproblemSolveDense(b *testing.B) {
 		allocSink = res.Gain
 	}
 }
+
+// BenchmarkSubproblemSolveSparse measures one warm P_n solve at the sparse
+// shape (N=100, U=60, F=60, 5% links, drawn as edgebench draws its sparse
+// workload; about a hundred items per SBS) against a partly served y₋ₙ,
+// where primal recovery outweighs the dual loop.
+func BenchmarkSubproblemSolveSparse(b *testing.B) {
+	inst := shapeInstance(99, 100, 60, 60, 0.05)
+	sub, err := NewSubproblem(inst, 2, DefaultSubproblemConfig()) // 131 items
+	if err != nil {
+		b.Fatal(err)
+	}
+	yMinus := inst.NewUFMat()
+	fillYMinus(yMinus)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sub.Solve(yMinus)
+		if err != nil {
+			b.Fatal(err)
+		}
+		allocSink = res.Gain
+	}
+}

@@ -1,15 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"edgecache/internal/model"
 )
 
-// sortFill is the reference for routingStep's heap fill, the fractional
+// sortFill is the reference for the knapsack fills (routingFill and the
+// full-scan routingStep), the fractional
 // knapsack written the plain way: it sorts every eligible item by w/λ
 // ascending (ties by index) and fills the sorted prefix until the budget
 // is spent, writing y and returning the unspent budget.
@@ -54,16 +54,6 @@ func (s *ratioSorter) Less(a, b int) bool {
 }
 func (s *ratioSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
-// fillSubproblem wraps bare items in the smallest Subproblem routingStep
-// can run on: one SBS whose bandwidth is budget.
-func fillSubproblem(items []item, budget float64) *Subproblem {
-	return &Subproblem{
-		inst:  &model.Instance{N: 1, Bandwidth: []float64{budget}},
-		items: items,
-		ws:    solveWorkspace{heap: make(ratioHeap, 0, len(items))},
-	}
-}
-
 // Value tables the fill fuzzer draws from. Repeated values make equal
 // ratios common; λ = 5e-324 and 1e-310 against a gain of 1e300 overflow
 // w/λ to −Inf; a zero cap and a μ above the gain make items ineligible.
@@ -76,11 +66,13 @@ var (
 )
 
 // decodeFill maps fuzz bytes to a budget and a list of items with their
-// μ and caps: byte 0 picks the budget, then every 4 bytes are one item's
-// λ, gain, μ and cap. The density is gain/λ, as NewSubproblem builds it.
-func decodeFill(data []byte) (items []item, mu, caps []float64, budget float64) {
+// μ, caps and touched flags: byte 0 picks the budget, then every 4 bytes
+// are one item's λ, gain, μ and cap. An item is touched if its μ is
+// positive (the dual loop's invariant) or its cap byte has the high bit
+// set. The density is gain/λ, as NewSubproblem builds it.
+func decodeFill(data []byte) (items []item, mu, caps []float64, touched []bool, budget float64) {
 	if len(data) == 0 {
-		return nil, nil, nil, 0
+		return nil, nil, nil, nil, 0
 	}
 	budget = fillBudgets[int(data[0])%len(fillBudgets)]
 	for rest := data[1:]; len(rest) >= 4; rest = rest[4:] {
@@ -89,13 +81,60 @@ func decodeFill(data []byte) (items []item, mu, caps []float64, budget float64) 
 		items = append(items, item{lambda: lambda, gain: gain, density: gain / lambda})
 		mu = append(mu, fillMus[int(rest[2])%len(fillMus)])
 		caps = append(caps, fillCaps[int(rest[3])%len(fillCaps)])
+		touched = append(touched, mu[len(mu)-1] > 0 || rest[3] >= 0x80)
 	}
-	return items, mu, caps, budget
+	return items, mu, caps, touched, budget
 }
 
-// FuzzRoutingFill holds routingStep's heap fill to the sort-based oracle
-// bit for bit: every y entry and the unspent budget. Run longer sessions
-// with `go test -run '^$' -fuzz=FuzzRoutingFill ./internal/core`.
+// checkFill compares a fill's routing and unspent budget with sortFill's,
+// bit for bit.
+func checkFill(t *testing.T, name string, got, want []float64, gotBudget, wantBudget float64) {
+	t.Helper()
+	if math.Float64bits(gotBudget) != math.Float64bits(wantBudget) {
+		t.Fatalf("%s: unspent budget %v (bits %#x), oracle %v (bits %#x)", name,
+			gotBudget, math.Float64bits(gotBudget), wantBudget, math.Float64bits(wantBudget))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: y[%d] = %v, oracle %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// fillFromTouched runs routingFill as the dual loop would, with y zero
+// outside T: the entries on T start as NaN, so the fill must overwrite
+// them. It checks that T stays ascending and holds every routed item.
+func fillFromTouched(t *testing.T, s *Subproblem, y, mu, caps []float64) float64 {
+	t.Helper()
+	for i := range y {
+		y[i] = 0
+	}
+	for _, i := range s.ws.touched {
+		y[i] = math.NaN()
+	}
+	budget := s.routingFill(y, mu, caps)
+	for j, i := range s.ws.touched {
+		if j > 0 && s.ws.touched[j-1] >= i {
+			t.Fatalf("touched set %v is not strictly ascending", s.ws.touched)
+		}
+		if !s.ws.isTouched[i] {
+			t.Fatalf("item %d is in T but not flagged", i)
+		}
+	}
+	for i, v := range y {
+		if v != 0 && !s.ws.isTouched[i] {
+			t.Fatalf("item %d routed %v but not in T", i, v)
+		}
+	}
+	return budget
+}
+
+// FuzzRoutingFill holds both knapsack fills to the sort-based oracle bit
+// for bit, every y entry and the unspent budget: the full-scan routingStep,
+// and routingFill's merge of the static order with the heap over T, twice
+// in a row, so the second fill walks the prefix the first one popped. Run
+// longer sessions with `go test -run '^$' -fuzz=FuzzRoutingFill
+// ./internal/core`.
 func FuzzRoutingFill(f *testing.F) {
 	f.Add([]byte{})                                                                          // no items at all
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 0})                                                 // budget 0
@@ -103,32 +142,36 @@ func FuzzRoutingFill(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0}) // equal ratios under a binding budget: ties by index
 	f.Add([]byte{1, 5, 4, 0, 0, 6, 4, 0, 0, 0, 2, 0, 0})                                     // −Inf ratios from a tiny λ
 	f.Add([]byte{6, 3, 2, 1, 2, 4, 5, 6, 4, 2, 3, 7, 0, 1, 0, 2, 3})
+	f.Add([]byte{2, 0, 0, 0, 0x80, 2, 1, 0, 0x87, 3, 2, 2, 0x83, 0, 7, 0, 0x85}) // touched items with μ = 0 stay in the static walk
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, mu, caps, budget := decodeFill(data)
+		items, mu, caps, touched, budget := decodeFill(data)
 		want := make([]float64, len(items))
 		wantBudget := sortFill(items, want, mu, caps, budget)
+		s := itemSubproblem(items, 1, 0, budget, 1, 1)
 
 		got := make([]float64, len(items))
 		for i := range got {
 			got[i] = math.NaN() // routingStep must overwrite every entry
 		}
-		gotBudget := fillSubproblem(items, budget).routingStep(got, mu, caps)
+		checkFill(t, "routingStep", got, want, s.routingStep(got, mu, caps), wantBudget)
 
-		if math.Float64bits(gotBudget) != math.Float64bits(wantBudget) {
-			t.Fatalf("unspent budget %v (bits %#x), oracle %v (bits %#x)",
-				gotBudget, math.Float64bits(gotBudget), wantBudget, math.Float64bits(wantBudget))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("y[%d] = %v, oracle %v", i, got[i], want[i])
+		s.resetDual(caps)
+		for i, in := range touched {
+			if in {
+				s.ws.isTouched[i] = true
+				s.ws.touched = append(s.ws.touched, i)
 			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			checkFill(t, "routingFill", got, want, fillFromTouched(t, s, got, mu, caps), wantBudget)
 		}
 	})
 }
 
-// TestRoutingStepMatchesSortOracleOnSolveInputs replays the heap fill
-// against the oracle on the μ a real dual loop produces: ratios cluster
-// as μ climbs toward the gains, which random tables rarely reach.
+// TestRoutingStepMatchesSortOracleOnSolveInputs replays the dual loop's
+// routing step, routingFill, against the oracle on the μ, touched set and
+// popped static prefix a real solve leaves behind: ratios cluster as μ
+// climbs toward the gains, which random tables rarely reach.
 func TestRoutingStepMatchesSortOracleOnSolveInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -151,15 +194,7 @@ func TestRoutingStepMatchesSortOracleOnSolveInputs(t *testing.T) {
 		want := make([]float64, len(sub.items))
 		wantBudget := sortFill(sub.items, want, mu, caps, inst.Bandwidth[sub.n])
 		got := make([]float64, len(sub.items))
-		gotBudget := sub.routingStep(got, mu, caps)
-		if math.Float64bits(gotBudget) != math.Float64bits(wantBudget) {
-			t.Fatalf("trial %d: unspent budget %v, oracle %v", trial, gotBudget, wantBudget)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: y[%d] = %v, oracle %v", trial, i, got[i], want[i])
-			}
-		}
+		checkFill(t, fmt.Sprintf("trial %d", trial), got, want, fillFromTouched(t, sub, got, mu, caps), wantBudget)
 	}
 }
 

@@ -117,18 +117,7 @@ func solveGoldenDigests(t *testing.T, seed int64) [2]uint64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range res.Cache {
-				if c {
-					hashU64(hs, 1)
-				} else {
-					hashU64(hs, 0)
-				}
-			}
-			for _, v := range res.Routing.Data {
-				hashU64(hs, math.Float64bits(v))
-			}
-			hashU64(hs, math.Float64bits(res.Gain))
-			hashU64(hs, uint64(res.DualIters))
+			hashResult(hs, res)
 		}
 	}
 

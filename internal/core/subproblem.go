@@ -58,7 +58,10 @@ const (
 // (linked (u,f) pairs with positive demand) once and can then be solved
 // repeatedly against different aggregate routings y_{-n}, which is exactly
 // the access pattern of the Gauss-Seidel sweep. All scratch state lives in
-// a preallocated workspace, so warm Solve calls allocate nothing.
+// a preallocated workspace, so warm Solve calls allocate nothing. A solve
+// sets up in O(#items); after that, each dual iteration works on the few
+// items it has routed (see dualLoop), and primal recovery walks the
+// static density order.
 //
 // A Subproblem is NOT safe for concurrent use: Solve, SolveExact and
 // RoutingGivenCache share the workspace. Give each goroutine its own
@@ -80,11 +83,6 @@ type Subproblem struct {
 	stepScale float64
 	// ws is the reusable solve workspace.
 	ws solveWorkspace
-	// densitySorter is the reusable sort.Sort adapter for densityOrder;
-	// living in the struct keeps the one-time constructor sort — and any
-	// future re-sort — free of the per-call closure allocation that
-	// sort.Slice would cost.
-	densitySorter densitySorter
 	// memo is the dirty-set fast path: the epoch key of the tracker state
 	// ws.result was solved against (see memoHit).
 	memo solveMemo
@@ -170,13 +168,28 @@ type item struct {
 // solveWorkspace holds every buffer a Solve call touches. Sized once in
 // NewSubproblem; nothing here escapes to the caller except result, whose
 // ownership contract is documented on Solve.
+//
+// The dual loop works on the touched set T: the items routed at least
+// once in the current solve, typically about ten out of thousands. μ and
+// y are nonzero only on T, and every other item keeps its static knapsack
+// key −gain/λ for the whole solve, so the per-iteration passes walk T and
+// the static order is built once per solve (see dualLoop).
 type solveWorkspace struct {
-	caps     []float64 // per-item residual capacity for this solve
-	mu       []float64 // dual multipliers
-	yDual    []float64 // routing iterate of the dual loop
+	caps      []float64 // per-item residual capacity for this solve
+	mu        []float64 // dual multipliers; nonzero only on touched items
+	yDual     []float64 // routing iterate of the dual loop; nonzero only on touched items
+	touched   []int     // T in ascending item order (cap #items)
+	isTouched []bool    // membership flag of T (len #items)
+	// static holds the eligible items keyed −gain/λ in the heapsort layout:
+	// a min-heap in static[:len(static)-popped] and the entries popped so
+	// far in the rest, the k-th pop at static[len(static)-1-k]. That popped
+	// tail is a prefix of the static fill order, shared by every iteration
+	// of a solve (cap #items).
+	static   ratioHeap
+	popped   int
+	dyn      ratioHeap // routingFill's heap of touched items with μ > 0 (cap #items)
 	score    []float64 // per-content multiplier mass (len F)
 	scoreIdx []int     // cachingStep sort buffer (cap F)
-	heap     ratioHeap // routingStep eligible-item heap (cap #items)
 	xStep    []bool    // cachingStep output (len F)
 	greedyX  []bool    // greedyCache output (len F)
 	workX    []bool    // localSearch mutation buffer (len F)
@@ -184,7 +197,8 @@ type solveWorkspace struct {
 	pool     candidatePool
 	result   Result
 
-	scoreSorter scoreSorter
+	scoreSorter   scoreSorter
+	touchedSorter indexSorter
 }
 
 // NewSubproblem builds the solver for SBS n.
@@ -199,6 +213,27 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		cfg.DualIters = defaultDualIters
 	}
 	s := &Subproblem{inst: inst, n: n, cfg: cfg}
+	// Count first, so items is sized exactly.
+	ni, linked := 0, 0
+	for u := 0; u < inst.U; u++ {
+		if !inst.Links[n][u] {
+			continue
+		}
+		linked++
+		for _, lambda := range inst.Demand[u] {
+			if lambda > 0 {
+				ni++
+			}
+		}
+	}
+	s.items = make([]item, 0, ni)
+	// users holds each linked user's density and item range: a user's items
+	// are contiguous in index order.
+	type userItems struct {
+		density    float64
+		start, end int
+	}
+	users := make([]userItems, 0, linked)
 	var maxDensity float64
 	for u := 0; u < inst.U; u++ {
 		if !inst.Links[n][u] {
@@ -208,6 +243,7 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		if density > maxDensity {
 			maxDensity = density
 		}
+		start := len(s.items)
 		for f := 0; f < inst.F; f++ {
 			lambda := inst.Demand[u][f]
 			if lambda <= 0 {
@@ -219,6 +255,7 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 				density: density,
 			})
 		}
+		users = append(users, userItems{density: density, start: start, end: len(s.items)})
 	}
 	// μ must climb to the scale of the routing coefficients
 	// ((d̂−d)·λ ≈ density·λ) within a handful of iterations; scale the step
@@ -229,28 +266,40 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		s.stepScale = 1
 	}
 
-	s.densityOrder = make([]int, len(s.items))
-	for i := range s.densityOrder {
-		s.densityOrder[i] = i
+	// Density is per user, so a stable sort of the users by density
+	// descending, expanded into their item ranges, is the item order by
+	// density descending with ties by index.
+	sort.SliceStable(users, func(a, b int) bool { return users[a].density > users[b].density })
+	s.densityOrder = make([]int, 0, ni)
+	for _, us := range users {
+		for i := us.start; i < us.end; i++ {
+			s.densityOrder = append(s.densityOrder, i)
+		}
 	}
-	s.sortDensityOrder()
 
-	ni := len(s.items)
-	s.ws = solveWorkspace{
-		caps:     make([]float64, ni),
-		mu:       make([]float64, ni),
-		yDual:    make([]float64, ni),
-		score:    make([]float64, inst.F),
-		scoreIdx: make([]int, 0, inst.F),
-		heap:     make(ratioHeap, 0, ni),
-		xStep:    make([]bool, inst.F),
-		greedyX:  make([]bool, inst.F),
-		workX:    make([]bool, inst.F),
-		yBest:    make([]float64, ni),
-		result:   Result{Cache: make([]bool, inst.F), Routing: model.NewMat(inst.U, inst.F)},
-	}
-	s.ws.pool = newCandidatePool(maxCandidates, inst.F)
+	s.ws = newSolveWorkspace(ni, inst.U, inst.F)
 	return s, nil
+}
+
+// newSolveWorkspace sizes a workspace for ni items and a U×F instance.
+func newSolveWorkspace(ni, u, f int) solveWorkspace {
+	return solveWorkspace{
+		caps:      make([]float64, ni),
+		mu:        make([]float64, ni),
+		yDual:     make([]float64, ni),
+		touched:   make([]int, 0, ni),
+		isTouched: make([]bool, ni),
+		static:    make(ratioHeap, 0, ni),
+		dyn:       make(ratioHeap, 0, ni),
+		score:     make([]float64, f),
+		scoreIdx:  make([]int, 0, f),
+		xStep:     make([]bool, f),
+		greedyX:   make([]bool, f),
+		workX:     make([]bool, f),
+		yBest:     make([]float64, ni),
+		pool:      newCandidatePool(maxCandidates, f),
+		result:    Result{Cache: make([]bool, f), Routing: model.NewMat(u, f)},
+	}
 }
 
 // Result is the outcome of one P_n solve.
@@ -295,11 +344,33 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
 	}
 
-	// Dual loop (eq. 21-23).
+	iters := s.dualLoop(caps)
+
+	// Primal recovery: for every distinct cache vector seen, compute the
+	// exact optimal routing given that cache and keep the best.
+	best := s.recoverPrimal(caps)
+	best.DualIters = iters
+	return best, nil
+}
+
+// dualLoop runs the sub-gradient iterations (eq. 21-23) against the
+// residual capacities caps, leaving the distinct caching steps in the
+// candidate pool, and returns the number of iterations run.
+//
+// An iteration costs O(|T| log |T| + F) plus the items its fill pops,
+// where T is the set of items routed at least once in this solve. Outside T, μ = +0
+// and y = 0, and each pass leaves such an item as it is: adding +0 to a
+// score changes nothing, μ ← max(0, 0 + η·g) with g ∈ {0, −1} stays +0,
+// and g ≤ 0 cannot clear done. So the score and μ passes walk T in
+// ascending item order, which keeps every score sum bit for bit the sum
+// over all items. An item outside T also keeps the knapsack key
+// (−gain + 0)/λ for the whole solve, so the eligible items are heapified
+// on that key once per solve (resetDual), and routingFill merges their
+// static order with a per-iteration heap over T.
+func (s *Subproblem) dualLoop(caps []float64) int {
+	s.resetDual(caps)
+	ws := &s.ws
 	mu := ws.mu // μ_uf ≥ 0, one per servable pair
-	for i := range mu {
-		mu[i] = 0
-	}
 	y := ws.yDual
 	scoreBuf := ws.score
 	ws.pool.reset()
@@ -311,22 +382,22 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 		for f := range scoreBuf {
 			scoreBuf[f] = 0
 		}
-		for i, it := range s.items {
-			scoreBuf[it.f] += mu[i]
+		for _, i := range ws.touched {
+			scoreBuf[s.items[i].f] += mu[i]
 		}
 		x := s.cachingStep(scoreBuf)
 		ws.pool.add(x)
 
 		// Routing sub-problem (eq. 20): fractional knapsack with
 		// coefficients w = (d−d̂)·λ + μ over the bandwidth budget.
-		s.routingStep(y, mu, caps)
+		s.routingFill(y, mu, caps)
 
 		// Projected sub-gradient update μ ← [μ + η·(y − x)]⁺ (eq. 21-23).
 		eta := s.stepScale / (1 + stepDecay*float64(k))
 		done := true
-		for i, it := range s.items {
+		for _, i := range ws.touched {
 			g := y[i]
-			if x[it.f] {
+			if x[s.items[i].f] {
 				g -= 1
 			}
 			if g > 1e-9 {
@@ -340,12 +411,7 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 			break
 		}
 	}
-
-	// Primal recovery: for every distinct cache vector seen, compute the
-	// exact optimal routing given that cache and keep the best.
-	best := s.recoverPrimal(caps)
-	best.DualIters = iters
-	return best, nil
+	return iters
 }
 
 // Multipliers returns a copy of the dual multipliers μ as left by the most
@@ -394,33 +460,103 @@ func (s *Subproblem) cachingStep(score []float64) []bool {
 	return x
 }
 
-// routingStep solves eq. 20 in place: minimize Σ (w_i)·y_i with
-// w_i = −gain_i + μ_i, subject to Σ λ_i·y_i ≤ B_n and 0 ≤ y_i ≤ caps_i.
-// Only negative-coefficient items are worth serving; the optimal solution
-// of this LP fills them in increasing w/λ order (fractional knapsack).
-// The budget admits only a few items, so the eligible items go into a
-// min-heap and are popped until the budget is spent: O(#items) to build,
-// O(log #items) per filled item, instead of sorting every item. It returns
-// the unspent budget.
-func (s *Subproblem) routingStep(y, mu, caps []float64) float64 {
-	h := s.ws.heap[:0]
+// resetDual starts a solve's dual state against caps: T empties (μ and y
+// back to zero on it) and the static order is rebuilt. That order is every
+// eligible item (w = −gain + 0 < 0, cap > 0) heapified on the key w/λ, for
+// routingFill to pop lazily.
+func (s *Subproblem) resetDual(caps []float64) {
+	ws := &s.ws
+	// Only the previous solve's touched items can hold a nonzero μ or y.
+	for _, i := range ws.touched {
+		ws.mu[i], ws.yDual[i] = 0, 0
+		ws.isTouched[i] = false
+	}
+	ws.touched = ws.touched[:0]
+	h := ws.static[:0]
 	for i := range s.items {
-		y[i] = 0
-		w := -s.items[i].gain + mu[i]
-		if w < 0 && caps[i] > 0 {
-			h = append(h, ratioEntry{ratio: w / s.items[i].lambda, i: i})
+		if it := &s.items[i]; it.gain > 0 && caps[i] > 0 {
+			h = append(h, ratioEntry{ratio: -it.gain / it.lambda, i: i})
 		}
 	}
 	h.init()
+	ws.static, ws.popped = h, 0
+}
+
+// routingFill solves eq. 20 in place: minimize Σ (w_i)·y_i with
+// w_i = −gain_i + μ_i, subject to Σ λ_i·y_i ≤ B_n and 0 ≤ y_i ≤ caps_i.
+// Only negative-coefficient items are worth serving; the optimal solution
+// of this LP fills them in increasing w/λ order (fractional knapsack),
+// ties by index. It returns the unspent budget.
+//
+// An eligible item with μ = 0 has its static key, so it comes from the
+// walk along the static order (see dualLoop); one with μ > 0 is in T and
+// goes into a heap built for this call. The fill merges the two by
+// (w/λ, index) until the budget is spent, so a call costs O(|T|) plus
+// O(log) per filled item, and a sort of T when the fill adds to it. y must
+// be zero outside T on entry; every item the fill reaches joins T.
+func (s *Subproblem) routingFill(y, mu, caps []float64) float64 {
+	ws := &s.ws
+	d := ws.dyn[:0]
+	for _, i := range ws.touched {
+		y[i] = 0
+		if mu[i] > 0 { // μ = 0 leaves the item in the static walk
+			if w := -s.items[i].gain + mu[i]; w < 0 && caps[i] > 0 {
+				d = append(d, ratioEntry{ratio: w / s.items[i].lambda, i: i})
+			}
+		}
+	}
+	d.init()
+	t := ws.touched
+	known := len(t)
 	budget := s.inst.Bandwidth[s.n]
-	for budget > 0 && len(h) > 0 {
-		i := h.pop()
+fill:
+	for k := 0; budget > 0; {
+		se, ok := ws.staticAt(k)
+		for ok && mu[se.i] > 0 { // re-keyed: d holds it if it is eligible
+			k++
+			se, ok = ws.staticAt(k)
+		}
+		var i int
+		switch {
+		case ok && (len(d) == 0 || se.before(d[0])):
+			i = se.i
+			k++
+		case len(d) > 0:
+			i = d.pop()
+		default:
+			break fill // nothing eligible is left
+		}
 		it := s.items[i]
 		amount := math.Min(caps[i], budget/it.lambda)
 		y[i] = amount
 		budget -= amount * it.lambda
+		if !ws.isTouched[i] {
+			ws.isTouched[i] = true
+			t = t[:len(t)+1]
+			t[len(t)-1] = i
+		}
 	}
+	if len(t) > known { // the fill appended items in key order
+		ws.touchedSorter.idx = t
+		sort.Sort(&ws.touchedSorter)
+	}
+	ws.touched = t
 	return budget
+}
+
+// staticAt returns the k-th entry of the static fill order, popping the
+// static heap as far as k; ok is false past its last entry.
+func (ws *solveWorkspace) staticAt(k int) (e ratioEntry, ok bool) {
+	n := len(ws.static)
+	if k >= n {
+		return ratioEntry{}, false
+	}
+	for ws.popped <= k {
+		h := ws.static[:n-ws.popped]
+		h.pop() // leaves the popped entry in h's last slot
+		ws.popped++
+	}
+	return ws.static[n-1-k], true
 }
 
 // routingGivenCacheInto computes the exact optimal routing for a fixed
@@ -639,33 +775,6 @@ func boolsEqual(a, b []bool) bool {
 	return true
 }
 
-// sortDensityOrder (re)establishes the density-descending order of
-// densityOrder through the reusable sorter, so a sort costs no closure
-// allocation.
-//
-//edgecache:noalloc
-func (s *Subproblem) sortDensityOrder() {
-	s.densitySorter.order = s.densityOrder
-	s.densitySorter.items = s.items
-	sort.Sort(&s.densitySorter)
-}
-
-// densitySorter orders item indices by density descending, ties by index.
-type densitySorter struct {
-	order []int
-	items []item
-}
-
-func (s *densitySorter) Len() int { return len(s.order) }
-func (s *densitySorter) Less(a, b int) bool {
-	ia, ib := s.order[a], s.order[b]
-	if s.items[ia].density != s.items[ib].density { //edgecache:lint-ignore floateq sort comparator must be a strict weak order; epsilon ties would break transitivity
-		return s.items[ia].density > s.items[ib].density
-	}
-	return ia < ib
-}
-func (s *densitySorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-
 // scoreSorter orders content indices by score descending, ties by index.
 type scoreSorter struct {
 	idx   []int
@@ -682,27 +791,37 @@ func (s *scoreSorter) Less(a, b int) bool {
 }
 func (s *scoreSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// ratioEntry is one routingStep-eligible item keyed by its cost ratio w/λ.
+// indexSorter orders item indices ascending.
+type indexSorter struct{ idx []int }
+
+func (s *indexSorter) Len() int           { return len(s.idx) }
+func (s *indexSorter) Less(a, b int) bool { return s.idx[a] < s.idx[b] }
+func (s *indexSorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
+
+// ratioEntry is one knapsack-eligible item keyed by its cost ratio w/λ.
 type ratioEntry struct {
 	ratio float64
 	i     int
 }
 
-// ratioHeap is a binary min-heap of eligible items ordered by w/λ
-// ascending, ties by item index. Ratios are never NaN (w < 0 and λ > 0),
-// so the order is strict and total: successive pops yield exactly the
-// sequence a sort would, whatever the heap's internal layout.
-type ratioHeap []ratioEntry
-
-func (h ratioHeap) less(a, b int) bool {
-	if h[a].ratio < h[b].ratio {
+// before orders entries by ratio ascending, ties by item index. Ratios are
+// never NaN (w < 0 and λ > 0), so the order is strict and total.
+func (e ratioEntry) before(o ratioEntry) bool {
+	if e.ratio < o.ratio {
 		return true
 	}
-	if h[b].ratio < h[a].ratio {
+	if o.ratio < e.ratio {
 		return false
 	}
-	return h[a].i < h[b].i
+	return e.i < o.i
 }
+
+// ratioHeap is a binary min-heap of eligible items in before order:
+// successive pops yield exactly the sequence a sort would, whatever the
+// heap's internal layout.
+type ratioHeap []ratioEntry
+
+func (h ratioHeap) less(a, b int) bool { return h[a].before(h[b]) }
 
 // init establishes the heap invariant over the whole slice in O(len).
 func (h ratioHeap) init() {
@@ -711,12 +830,13 @@ func (h ratioHeap) init() {
 	}
 }
 
-// pop removes and returns the item index with the smallest key.
+// pop removes and returns the item index with the smallest key. The
+// removed entry is swapped into the slot just past the shrunk heap.
 func (h *ratioHeap) pop() int {
 	old := *h
 	top := old[0].i
 	last := len(old) - 1
-	old[0] = old[last]
+	old[0], old[last] = old[last], old[0]
 	*h = old[:last]
 	h.down(0)
 	return top

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -404,5 +405,55 @@ func TestRoutingGivenCachePrefersDensity(t *testing.T) {
 	}
 	if math.Abs(gain-149*4) > 1e-6 {
 		t.Errorf("gain = %v, want %v", gain, 149.0*4)
+	}
+}
+
+// TestDensityOrderMatchesItemSort holds NewSubproblem's user-level density
+// order to the item-level definition: every item index sorted stably by
+// density descending. The instances mix users with equal densities, users
+// with no items and users whose density is zero or negative.
+func TestDensityOrderMatchesItemSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		inst := randomInstance(rng, 3, 2+rng.Intn(12), 1+rng.Intn(8))
+		for u := 0; u < inst.U; u++ {
+			switch rng.Intn(5) {
+			case 0: // no items
+				for f := range inst.Demand[u] {
+					inst.Demand[u][f] = 0
+				}
+			case 1: // zero or negative density at every SBS
+				inst.BSCost[u] = float64(rng.Intn(2))
+			}
+			// A coarse grid of costs makes equal densities common.
+			inst.BSCost[u] = math.Floor(inst.BSCost[u] / 25)
+			for n := 0; n < inst.N; n++ {
+				inst.EdgeCost[n][u] = float64(rng.Intn(3))
+			}
+		}
+		for n := 0; n < inst.N; n++ {
+			sub, err := NewSubproblem(inst, n, DefaultSubproblemConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]int, len(sub.items))
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				return sub.items[want[a]].density > sub.items[want[b]].density
+			})
+			if len(sub.densityOrder) != len(want) {
+				t.Fatalf("trial %d SBS %d: order has %d items, want %d", trial, n, len(sub.densityOrder), len(want))
+			}
+			for k := range want {
+				if sub.densityOrder[k] != want[k] {
+					t.Fatalf("trial %d SBS %d: order %v, item-level sort %v", trial, n, sub.densityOrder, want)
+				}
+			}
+			if len(sub.items) != cap(sub.items) {
+				t.Fatalf("trial %d SBS %d: %d items in a buffer of %d", trial, n, len(sub.items), cap(sub.items))
+			}
+		}
 	}
 }

@@ -24,8 +24,9 @@ const (
 	// EventBadUpload: the BS received an upload it could not decode; it
 	// is treated as missing.
 	EventBadUpload
-	// EventMalformedUpload: the upload decoded but failed shape
-	// validation in applyUpload; the previous policy stays in force.
+	// EventMalformedUpload: the upload decoded but failed validation in
+	// checkUpload (a shape mismatch, or a routing entry that is NaN,
+	// infinite or outside [0,1]); the previous policy stays in force.
 	EventMalformedUpload
 	// EventUploadTimeout: a full phase window elapsed with no usable
 	// upload from the SBS.

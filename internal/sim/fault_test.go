@@ -198,91 +198,132 @@ func TestQuarantineSkipsDeadSBS(t *testing.T) {
 }
 
 // TestMalformedUploadsAreCountedAndSurvived: a rogue agent answers every
-// announce with an undecodable payload; the BS must count each bad upload,
-// treat the phase as missed, quarantine the rogue and still converge with
-// the healthy SBSs.
+// announce with a bad upload. An undecodable payload is counted and
+// treated as a missed phase, so the rogue is quarantined; a decodable one
+// whose routing entries are NaN, infinite or outside [0,1] is counted as
+// malformed and its previous policy stays in force. Either way the BS must
+// keep its aggregate finite and still converge with the healthy SBSs.
 func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	inst := randomInstance(rng, 3, 5, 6)
-	ctx := testCtx(t)
+	for _, tc := range []struct {
+		name  string
+		value float64 // every routing entry of the rogue's upload
+		event EventKind
+	}{
+		{"undecodable", 0, EventBadUpload},
+		{"nan", math.NaN(), EventMalformedUpload},
+		{"inf", math.Inf(1), EventMalformedUpload},
+		{"above-one", 1.5, EventMalformedUpload},
+		{"negative", -0.1, EventMalformedUpload},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			inst := randomInstance(rng, 3, 5, 6)
+			ctx := testCtx(t)
 
-	hub := transport.NewHub()
-	bsEp, err := hub.Register("bs", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbsNames := []string{"sbs-0", "sbs-1", "sbs-2"}
-	rogue, err := hub.Register("sbs-0", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rogue.Close()
-	go func() {
-		for {
-			msg, err := rogue.Recv(ctx)
+			payload := []byte("not gob")
+			if tc.event == EventMalformedUpload {
+				rows := make([][]float64, inst.U)
+				for u := range rows {
+					rows[u] = make([]float64, inst.F)
+					for f := range rows[u] {
+						rows[u][f] = tc.value
+					}
+				}
+				var err error
+				payload, err = transport.EncodePayload(transport.PolicyUpload{
+					Cache: make([]bool, inst.F), Routing: rows,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			hub := transport.NewHub()
+			bsEp, err := hub.Register("bs", 64)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			if msg.Type != transport.MsgPhaseStart {
-				continue
+			sbsNames := []string{"sbs-0", "sbs-1", "sbs-2"}
+			rogue, err := hub.Register("sbs-0", 16)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_ = rogue.Send(ctx, "bs", transport.Message{
-				Type:    transport.MsgPolicyUpload,
-				Sweep:   msg.Sweep,
-				Phase:   msg.Phase,
-				Payload: []byte("not gob"),
-			})
-		}
-	}()
-	for _, n := range []int{1, 2} {
-		ep, err := hub.Register(sbsNames[n], 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		agent, err := NewSBSAgent(inst, n, core.DefaultSubproblemConfig(), nil, ep, "bs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go agent.Run(ctx) //nolint — exits on MsgDone or ctx cancel
-	}
+			defer rogue.Close()
+			go func() {
+				for {
+					msg, err := rogue.Recv(ctx)
+					if err != nil {
+						return
+					}
+					if msg.Type != transport.MsgPhaseStart {
+						continue
+					}
+					_ = rogue.Send(ctx, "bs", transport.Message{
+						Type:    transport.MsgPolicyUpload,
+						Sweep:   msg.Sweep,
+						Phase:   msg.Phase,
+						Payload: payload,
+					})
+				}
+			}()
+			for _, n := range []int{1, 2} {
+				ep, err := hub.Register(sbsNames[n], 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ep.Close()
+				agent, err := NewSBSAgent(inst, n, core.DefaultSubproblemConfig(), nil, ep, "bs")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go agent.Run(ctx) //nolint — exits on MsgDone or ctx cancel
+			}
 
-	var counter EventCounter
-	bs, err := NewBSAgent(inst, BSConfig{
-		PhaseTimeout: 150 * time.Millisecond,
-		MaxSweeps:    8,
-		OnEvent:      counter.Hook(),
-	}, bsEp, sbsNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := bs.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := res.Faults[0]
-	if bad.Malformed == 0 {
-		t.Error("no malformed uploads counted for the rogue SBS")
-	}
-	if bad.Misses == 0 {
-		t.Error("rogue phases were not treated as missing")
-	}
-	if bad.QuarantineSpans == 0 {
-		t.Error("rogue SBS was never quarantined")
-	}
-	if c := counter.Count(EventBadUpload); c != bad.Malformed {
-		t.Errorf("hook counted %d bad uploads, stats say %d", c, bad.Malformed)
-	}
-	if vs := model.CheckFeasibility(inst, res.Solution.Caching, res.Solution.Routing); len(vs) != 0 {
-		t.Fatalf("infeasible:\n%s", model.FormatViolations(vs))
-	}
-	// The rogue never contributed a valid policy.
-	for u := 0; u < inst.U; u++ {
-		for f := 0; f < inst.F; f++ {
-			if res.Solution.Routing.At(0, u, f) != 0 {
-				t.Fatal("rogue SBS has nonzero routing")
+			var counter EventCounter
+			bs, err := NewBSAgent(inst, BSConfig{
+				PhaseTimeout: 150 * time.Millisecond,
+				MaxSweeps:    8,
+				OnEvent:      counter.Hook(),
+			}, bsEp, sbsNames)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			res, err := bs.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := res.Faults[0]
+			if bad.Malformed == 0 {
+				t.Error("no malformed uploads counted for the rogue SBS")
+			}
+			if c := counter.Count(tc.event); c != bad.Malformed {
+				t.Errorf("hook counted %d %v events, stats say %d malformed", c, tc.event, bad.Malformed)
+			}
+			if tc.event == EventBadUpload {
+				if bad.Misses == 0 {
+					t.Error("rogue phases were not treated as missing")
+				}
+				if bad.QuarantineSpans == 0 {
+					t.Error("rogue SBS was never quarantined")
+				}
+			}
+			for sweep, cost := range res.History {
+				if math.IsNaN(cost) || math.IsInf(cost, 0) {
+					t.Fatalf("History[%d] = %v: a rejected upload reached the aggregate", sweep, cost)
+				}
+			}
+			if vs := model.CheckFeasibility(inst, res.Solution.Caching, res.Solution.Routing); len(vs) != 0 {
+				t.Fatalf("infeasible:\n%s", model.FormatViolations(vs))
+			}
+			// The rogue never contributed a valid policy.
+			for u := 0; u < inst.U; u++ {
+				for f := 0; f < inst.F; f++ {
+					if res.Solution.Routing.At(0, u, f) != 0 {
+						t.Fatal("rogue SBS has nonzero routing")
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -433,8 +433,11 @@ func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
 	}
 }
 
-// checkUpload validates the shapes of SBS n's upload and returns its
-// routing block.
+// checkUpload validates SBS n's upload and returns its routing block: the
+// shapes must match the instance, and every routing entry must lie in
+// [0, 1], as the solver's routing and its LPPM perturbation always do. A
+// NaN or infinite entry would otherwise poison the aggregate for the rest
+// of the run (agg − y_n stays NaN once agg is).
 func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, error) {
 	inst := b.inst
 	if len(up.Cache) != inst.F {
@@ -446,6 +449,13 @@ func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, erro
 	}
 	if routing.U != inst.U || routing.F != inst.F {
 		return model.Mat{}, fmt.Errorf("sim: SBS %d routing is %dx%d, want %dx%d", n, routing.U, routing.F, inst.U, inst.F)
+	}
+	for u, row := range up.Routing {
+		for f, v := range row {
+			if !(v >= 0 && v <= 1) { // NaN fails both comparisons
+				return model.Mat{}, fmt.Errorf("sim: SBS %d routing entry (%d,%d) = %v is outside [0,1]", n, u, f, v)
+			}
+		}
 	}
 	return routing, nil
 }
