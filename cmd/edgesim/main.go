@@ -82,7 +82,7 @@ func run(args []string) error {
 		saveSol     = fs.String("save-solution", "", "write the final solution as JSON")
 		validate    = fs.Bool("validate", false, "packet-level replay of the solved policy (fluid-model check)")
 		ckptDir     = fs.String("checkpoint-dir", "", "snapshot sweep state into this directory at every sweep boundary (in-process mode)")
-		ckptRetain  = fs.Int("checkpoint-retain", 3, "how many snapshots -checkpoint-dir keeps (0 keeps all)")
+		ckptRetain  = fs.Int("checkpoint-retain", 3, "how many snapshots -checkpoint-dir keeps (at least 1)")
 		resume      = fs.Bool("resume", false, "continue from the newest snapshot in -checkpoint-dir instead of starting cold")
 		clusterMode = fs.Bool("cluster", false, "supervise a multi-process cluster per the -cells spec")
 		cellsPath   = fs.String("cells", "", "cluster spec JSON for -cluster")
@@ -285,7 +285,7 @@ func run(args []string) error {
 			if lerr != nil {
 				return fmt.Errorf("resume from %s: %w", *ckptDir, lerr)
 			}
-			fmt.Printf("resuming from checkpoint at sweep %d phase %d\n\n", ck.Sweep, ck.Phase)
+			fmt.Printf("resuming from checkpoint at sweep %d\n\n", ck.Sweep)
 			res, err = coord.Resume(ck)
 		} else {
 			res, err = coord.Run()

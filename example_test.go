@@ -51,7 +51,7 @@ func ExampleSolveWithPrivacy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("feasible:", model.IsFeasible(inst, res.Solution.Caching, res.Solution.Routing))
+	fmt.Println("feasible:", len(model.CheckFeasibility(inst, res.Solution.Caching, res.Solution.Routing)) == 0)
 	fmt.Println("per-SBS budgets tracked:", len(ledger.ByLabel()) == inst.N)
 	// Output:
 	// feasible: true

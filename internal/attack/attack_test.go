@@ -217,7 +217,7 @@ func TestReconstructionErrorValidation(t *testing.T) {
 	// Zero-mass truth with zero-recovery is a perfect (trivial) match.
 	zero := make([][][]float64, inst.N)
 	for n := range zero {
-		zero[n] = inst.NewZeroMatrix()
+		zero[n] = inst.NewUFMat().Rows()
 	}
 	e, err := ReconstructionError(inst, y, zero)
 	if err != nil || e != 0 {

@@ -17,6 +17,9 @@ import (
 	"edgecache/internal/transport"
 )
 
+// ckptRetain is how many snapshots a BS agent keeps in its -ckpt-dir.
+const ckptRetain = 5
+
 // agentConfig is the parsed agent command line.
 type agentConfig struct {
 	role       Role
@@ -294,7 +297,7 @@ func runBS(cfg agentConfig, out io.Writer, in io.Reader) error {
 	if err := servePeers(ep.tcp, in); err != nil {
 		return err
 	}
-	store, err := model.NewCheckpointStore(cfg.ckptDir, 0)
+	store, err := model.NewCheckpointStore(cfg.ckptDir, ckptRetain)
 	if err != nil {
 		return err
 	}

@@ -532,3 +532,28 @@ func TestReadLinesSkipsOverlongLine(t *testing.T) {
 		}
 	}
 }
+
+// TestBSAgentCheckpointRetention: a BS agent's store keeps its five newest
+// snapshots — the count is passed explicitly, since the store has no
+// default.
+func TestBSAgentCheckpointRetention(t *testing.T) {
+	inst := testInstance(t, 2, 1)
+	dir := t.TempDir()
+	store, err := model.NewCheckpointStore(dir, ckptRetain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := core.NewSweepState(inst, []int{0, 1})
+	for sweep := 1; sweep <= 7; sweep++ {
+		if err := store.Save(st.Checkpoint(inst, model.EngineGaussSeidel, nil, sweep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 5 {
+		t.Fatalf("BS agent store kept %d snapshots, want 5: %v", len(names), names)
+	}
+}

@@ -149,14 +149,11 @@ type Config struct {
 	RestartSeed int64
 }
 
-// CheckpointConfig tunes snapshot capture. A snapshot is taken at every
-// sweep boundary.
+// CheckpointConfig selects where snapshots go. A snapshot is taken at
+// every sweep boundary, the only point a run resumes at.
 type CheckpointConfig struct {
 	// Sink receives every snapshot. Required.
 	Sink model.CheckpointSink
-	// EachPhase additionally captures after every phase inside a sweep, so
-	// a resume can continue mid-sweep. More snapshots, same guarantee.
-	EachPhase bool
 }
 
 // DefaultConfig returns the configuration used by the experiment harness.
@@ -302,9 +299,6 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 		}
 		if cfg.Restarts > 0 {
 			return nil, fmt.Errorf("core: checkpointing is incompatible with Restarts > 0: a snapshot records a single trajectory")
-		}
-		if ck.EachPhase && cfg.Engine != EngineGaussSeidel {
-			return nil, fmt.Errorf("core: per-phase checkpoints need mid-sweep resume points; a %v round is atomic (use sweep-boundary cadence)", cfg.Engine)
 		}
 	}
 	c := &Coordinator{inst: inst, cfg: cfg}
@@ -465,17 +459,17 @@ func (c *Coordinator) Resume(ck *model.Checkpoint) (*RunResult, error) {
 	return c.runEngine(c.engine, SweepStateFromCheckpoint(c.inst, ck))
 }
 
-// snapshot captures the current sweep state as of resume point
-// (sweep, phase) and hands it to the sink, recording which engine kind
-// produced the trajectory and, for a private run, the noise position.
-func (c *Coordinator) snapshot(sink model.CheckpointSink, kind EngineKind, st *SweepState, res *RunResult, sweep, phase int) error {
-	ck := st.Checkpoint(c.inst, kind, res.History, sweep, phase)
+// snapshot captures the current sweep state as the resume point at the
+// start of sweep `sweep` and hands it to the sink, recording which engine
+// kind produced the trajectory and, for a private run, the noise position.
+func (c *Coordinator) snapshot(sink model.CheckpointSink, kind EngineKind, st *SweepState, res *RunResult, sweep int) error {
+	ck := st.Checkpoint(c.inst, kind, res.History, sweep)
 	if c.lppm != nil {
 		ck.HasNoise = true
 		ck.NoiseSeed, ck.NoiseDraws = c.cfg.Privacy.Noise.Pos()
 	}
 	if err := sink.Save(ck); err != nil {
-		return fmt.Errorf("core: checkpoint at sweep %d phase %d: %w", sweep, phase, err)
+		return fmt.Errorf("core: checkpoint at sweep %d: %w", sweep, err)
 	}
 	return nil
 }

@@ -31,14 +31,20 @@ const (
 // SweepState is everything a run carries between sweeps — the live
 // counterpart of a model.Checkpoint. NewSweepState builds the
 // iteration-zero state; Coordinator.Resume rebuilds one from a snapshot.
+// A run resumes at sweep boundaries only (model.UnmarshalCheckpoint
+// rejects anything else).
 type SweepState struct {
 	// Order is the SBS update order of the run. Gauss-Seidel honours it;
 	// the Jacobi engines require the identity order (a Jacobi round has no
 	// update order — every SBS sees the same pre-round state).
 	Order []int
-	// Sweep and Phase are the NEXT point to execute: order position Phase
-	// of sweep Sweep.
-	Sweep, Phase int
+	// Sweep is the next sweep to execute.
+	Sweep int
+	// Phase is always 0: a run resumes at sweep boundaries only.
+	//
+	// Deprecated: nothing in this module reads Phase; it goes once
+	// cmd/edgebench's replay stops reading it.
+	Phase int
 	// X and Y are the BS's view of the policies (post-LPPM when privacy is
 	// on).
 	X *model.CachingPolicy
@@ -67,15 +73,14 @@ func NewSweepState(inst *model.Instance, order []int) *SweepState {
 	}
 }
 
-// Checkpoint captures st as resume point (sweep, phase) of a run by
-// engine kind over inst; history is the run's cost trail so far
-// (RunResult.History). Every slice and policy is copied, so the run may
-// keep mutating st. Callers add their own extras: the noise position of
+// Checkpoint captures st as the resume point at the start of sweep
+// `sweep` of a run by engine kind over inst; history is the run's cost
+// trail so far (RunResult.History). Every slice and policy is copied, so
+// the run may keep mutating st. Callers add their own extras: the noise position of
 // a private run, the BS agent's per-SBS health.
-func (st *SweepState) Checkpoint(inst *model.Instance, kind EngineKind, history []float64, sweep, phase int) *model.Checkpoint {
+func (st *SweepState) Checkpoint(inst *model.Instance, kind EngineKind, history []float64, sweep int) *model.Checkpoint {
 	return &model.Checkpoint{
 		Sweep:      sweep,
-		Phase:      phase,
 		Engine:     kind,
 		Order:      append([]int(nil), st.Order...),
 		Caching:    st.X.Clone(),
@@ -95,7 +100,6 @@ func SweepStateFromCheckpoint(inst *model.Instance, ck *model.Checkpoint) *Sweep
 	st := &SweepState{
 		Order:    append([]int(nil), ck.Order...),
 		Sweep:    ck.Sweep,
-		Phase:    ck.Phase,
 		X:        ck.Caching.Clone(),
 		Y:        ck.Routing.Clone(),
 		Tracker:  model.NewAggregateTracker(inst),
@@ -126,16 +130,8 @@ type SweepEngine interface {
 	// Kind identifies the engine; checkpoints record it and resume
 	// requires a same-family engine.
 	Kind() model.EngineKind
-	// Sweep runs order positions [first, len(st.Order)) of sweep `sweep`.
-	// first is nonzero only when resuming mid-sweep; engines that cannot
-	// restart mid-sweep (the Jacobi family, whose rounds are atomic)
-	// return an error for first != 0.
-	//
-	// phaseDone, when non-nil, is invoked after every completed phase
-	// except the sweep's last, with the next order position to execute —
-	// the mid-sweep checkpoint hook. Engines without mid-sweep resume
-	// points never call it.
-	Sweep(st *SweepState, sweep, first int, phaseDone func(nextPhase int) error) error
+	// Sweep runs the whole of sweep `sweep`, every phase in st.Order.
+	Sweep(st *SweepState, sweep int) error
 	// Close releases engine resources (the parallel engine's worker
 	// pool). It is idempotent; the sequential engines are no-ops.
 	Close()
@@ -166,11 +162,9 @@ type Driver struct {
 	// sweep budget. Both must be set (Config.withDefaults does).
 	Gamma     float64
 	MaxSweeps int
-	// Checkpoint, when non-nil, enables capture at every sweep boundary
-	// (and after every phase with EachPhase); Snapshot must then be set and
-	// is called with the resume point (sweep, phase) to capture.
-	Checkpoint *CheckpointConfig
-	Snapshot   func(st *SweepState, res *RunResult, sweep, phase int) error
+	// Snapshot, when non-nil, is called at every sweep boundary the run
+	// continues past, with the sweep to resume at.
+	Snapshot func(st *SweepState, res *RunResult, sweep int) error
 	// HoldConvergence, when non-nil, is consulted exactly once after every
 	// sweep; a true return vetoes the γ stop for that sweep. The BS agent uses
 	// it when faults corrupted the sweep's cost signal (missed uploads,
@@ -189,7 +183,6 @@ type Driver struct {
 // the natural BS-side behaviour.
 func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	res := &RunResult{History: st.History, Sweeps: len(st.History)}
-	var phaseDone func(int) error
 	wc, _ := eng.(workCounter)
 	var prevSolves, prevSkipped uint64
 	if wc != nil {
@@ -197,15 +190,7 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	}
 
 	for sweep := st.Sweep; sweep < d.MaxSweeps; sweep++ {
-		first := 0
-		if sweep == st.Sweep {
-			first = st.Phase
-		}
-		if d.Checkpoint != nil && d.Checkpoint.EachPhase {
-			s := sweep // capture per iteration for the closure
-			phaseDone = func(nextPhase int) error { return d.Snapshot(st, res, s, nextPhase) }
-		}
-		if err := eng.Sweep(st, sweep, first, phaseDone); err != nil {
+		if err := eng.Sweep(st, sweep); err != nil {
 			return nil, err
 		}
 		if wc != nil {
@@ -234,8 +219,8 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 			break
 		}
 		st.PrevCost = cost.Total
-		if d.Checkpoint != nil {
-			if err := d.Snapshot(st, res, sweep+1, 0); err != nil {
+		if d.Snapshot != nil {
+			if err := d.Snapshot(st, res, sweep+1); err != nil {
 				return nil, err
 			}
 		}
@@ -275,9 +260,8 @@ func NewGaussSeidelEngine(inst *model.Instance, answer PhaseFunc) SweepEngine {
 func (e *gsEngine) Kind() model.EngineKind { return model.EngineGaussSeidel }
 func (e *gsEngine) Close()                 {}
 
-func (e *gsEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
-	for pi := first; pi < len(st.Order); pi++ {
-		n := st.Order[pi]
+func (e *gsEngine) Sweep(st *SweepState, sweep int) error {
+	for _, n := range st.Order {
 		// Each phase is one mutation stage: bumps from this phase's Install
 		// stamp a clock value newer than any memo key captured before it.
 		st.Tracker.BeginPhase()
@@ -291,11 +275,6 @@ func (e *gsEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) e
 		if ok {
 			st.X.SetRow(n, cache)
 			st.Tracker.Install(e.inst, st.Y, n, e.yMinus, upload)
-		}
-		if phaseDone != nil && pi+1 < len(st.Order) {
-			if err := phaseDone(pi + 1); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -334,10 +313,9 @@ func (c *Coordinator) runEngine(eng SweepEngine, st *SweepState) (*RunResult, er
 		MaxSweeps: c.cfg.MaxSweeps,
 	}
 	if ckpt := c.cfg.Checkpoint; ckpt != nil {
-		d.Checkpoint = ckpt
 		kind := eng.Kind()
-		d.Snapshot = func(st *SweepState, res *RunResult, sweep, phase int) error {
-			return c.snapshot(ckpt.Sink, kind, st, res, sweep, phase)
+		d.Snapshot = func(st *SweepState, res *RunResult, sweep int) error {
+			return c.snapshot(ckpt.Sink, kind, st, res, sweep)
 		}
 	}
 	return d.Run(eng, st)

@@ -60,23 +60,3 @@ func popcount(v int) int {
 	}
 	return count
 }
-
-// EvaluateUpload computes the objective contribution of a routing block for
-// SBS n against the instance: the gain Σ (d̂_u − d_nu)·λ_uf·y_nuf over
-// linked pairs. Used by tests and the experiment harness to compare
-// sub-problem solutions without rebuilding full policies.
-func EvaluateUpload(inst *model.Instance, n int, routing model.Mat) float64 {
-	var gain float64
-	for u := 0; u < inst.U; u++ {
-		if !inst.Links[n][u] {
-			continue
-		}
-		density := inst.BSCost[u] - inst.EdgeCost[n][u]
-		row := routing.Row(u)
-		demand := inst.Demand[u]
-		for f := range row {
-			gain += density * demand[f] * row[f]
-		}
-	}
-	return gain
-}

@@ -127,13 +127,13 @@ func TestIncrementalSkipsOnStandardScenario(t *testing.T) {
 }
 
 // TestIncrementalResumeBitIdentical extends the memo contract across
-// crash recovery: a memo-enabled run checkpointed after every phase
-// (mid-sweep included) must resume onto the memo-disabled reference
-// trajectory from every snapshot. The memo is rebuilt from scratch on
-// resume — a resumed tracker starts a fresh generation — so this also
-// exercises the re-learning path.
+// crash recovery: a memo-enabled run checkpointed at every sweep boundary
+// must resume onto the memo-disabled reference trajectory from every
+// snapshot. The memo is rebuilt from scratch on resume — a resumed tracker
+// starts a fresh generation — so this also exercises the re-learning path.
 func TestIncrementalResumeBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
+	// Seed 12 draws an instance that needs three sweeps: two boundaries.
+	rng := rand.New(rand.NewSource(12))
 	inst := randomInstance(rng, 6, 9, 11)
 
 	base := DefaultConfig()
@@ -144,31 +144,24 @@ func TestIncrementalResumeBitIdentical(t *testing.T) {
 
 	store := model.NewMemCheckpointStore()
 	ckCfg := base
-	ckCfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	ckCfg.Checkpoint = &CheckpointConfig{Sink: store}
 	full := runCfg(t, inst, ckCfg)
 	bitEqualResults(t, full, want, "checkpointed memo run vs reference")
 
 	snaps := store.All()
-	if len(snaps) < inst.N {
-		t.Fatalf("only %d snapshots captured; want mid-sweep coverage", len(snaps))
+	if len(snaps) < 2 {
+		t.Fatalf("only %d snapshots captured", len(snaps))
 	}
-	midSweep := false
 	for _, ck := range snaps {
-		if ck.Phase != 0 {
-			midSweep = true
-		}
 		fresh, err := NewCoordinator(inst, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := fresh.Resume(ck)
 		if err != nil {
-			t.Fatalf("resume at sweep %d phase %d: %v", ck.Sweep, ck.Phase, err)
+			t.Fatalf("resume at sweep %d: %v", ck.Sweep, err)
 		}
 		bitEqualResults(t, got, want, "memo resume vs reference")
-	}
-	if !midSweep {
-		t.Fatal("no mid-sweep snapshot exercised")
 	}
 
 	// Jacobi family: boundary snapshots, resumed under both engines.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"edgecache/internal/model"
-)
+import "edgecache/internal/model"
 
 // jacobiEngine is the sequential reference implementation of the
 // parallel-update variant the paper leaves as future work (§VII): instead
@@ -95,10 +91,7 @@ func markDirtyRows(inst *model.Instance, dirtyBlock, dirtyRow []bool) bool {
 	return any
 }
 
-func (e *jacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
-	if first != 0 {
-		return fmt.Errorf("core: a jacobi round is atomic; cannot resume at phase %d", first)
-	}
+func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 	c, inst := e.c, e.c.inst
 	memo := c.incremental()
 	if memo && c.lppm == nil && allMemoHits(c, st.Tracker) {

@@ -56,9 +56,6 @@ func NewLPPM(cfg PrivacyConfig) (*LPPM, error) {
 	return l, nil
 }
 
-// Beta returns the calibrated Laplace scale (zero for other mechanisms).
-func (l *LPPM) Beta() float64 { return l.beta }
-
 // Sigma returns the calibrated Gaussian scale (zero for other mechanisms).
 func (l *LPPM) Sigma() float64 { return l.sigma }
 

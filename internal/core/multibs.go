@@ -131,7 +131,7 @@ func (e *regionalEngine) Close()                 {}
 
 // Sweep runs one round. RunMultiBS neither checkpoints nor resumes, so
 // first is always zero.
-func (e *regionalEngine) Sweep(st *SweepState, sweep, _ int, _ func(int) error) error {
+func (e *regionalEngine) Sweep(st *SweepState, sweep int) error {
 	inst := e.c.inst
 	for r, agg := range e.foreign {
 		agg.Zero()

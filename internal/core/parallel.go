@@ -312,10 +312,7 @@ func (e *parallelJacobiEngine) clampWorkers(work int) int {
 	return work
 }
 
-func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
-	if first != 0 {
-		return fmt.Errorf("core: a jacobi round is atomic; cannot resume at phase %d", first)
-	}
+func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 	if err := e.ensureStarted(); err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func TestParallelSweepZeroAllocsPerWorker(t *testing.T) {
 	st := NewSweepState(inst, identityOrder(inst.N))
 
 	round := func() {
-		if err := c.engine.Sweep(st, 0, 0, nil); err != nil {
+		if err := c.engine.Sweep(st, 0); err != nil {
 			panic(err)
 		}
 		cost := model.TotalServingCostFromAggregate(inst, st.Y, st.Tracker.Aggregate())
@@ -75,7 +75,7 @@ func TestParallelPoolChaosScheduledCrashes(t *testing.T) {
 			refSt := NewSweepState(inst, identityOrder(inst.N))
 			var want []float64
 			for sweep := 0; sweep < rounds; sweep++ {
-				if err := ref.engine.Sweep(refSt, sweep, 0, nil); err != nil {
+				if err := ref.engine.Sweep(refSt, sweep); err != nil {
 					t.Fatal(err)
 				}
 				want = append(want, model.TotalServingCostFromAggregate(inst, refSt.Y, refSt.Tracker.Aggregate()).Total)
@@ -106,12 +106,12 @@ func TestParallelPoolChaosScheduledCrashes(t *testing.T) {
 					crashes++
 					saved := c.subs[n]
 					c.subs[n] = broken
-					if err := c.engine.Sweep(st, sweep, 0, nil); err == nil {
+					if err := c.engine.Sweep(st, sweep); err == nil {
 						t.Fatalf("sweep %d: crashed SBS %d surfaced no error", sweep, n)
 					}
 					c.subs[n] = saved
 				}
-				if err := c.engine.Sweep(st, sweep, 0, nil); err != nil {
+				if err := c.engine.Sweep(st, sweep); err != nil {
 					t.Fatalf("sweep %d: recovery round: %v", sweep, err)
 				}
 				got = append(got, model.TotalServingCostFromAggregate(inst, st.Y, st.Tracker.Aggregate()).Total)

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -86,7 +91,7 @@ func TestCheckpointCaptureIsNonIntrusive(t *testing.T) {
 
 	store := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
-	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,15 +108,57 @@ func TestCheckpointCaptureIsNonIntrusive(t *testing.T) {
 
 func TestResumeEveryBoundaryBitIdentical(t *testing.T) {
 	// The headline guarantee: crash at ANY capture point (every sweep
-	// boundary and every mid-sweep phase), resume in a fresh process, and
-	// the trajectory — history, final cost, final policies — is
-	// bit-identical to the uninterrupted run.
-	rng := rand.New(rand.NewSource(21))
-	inst := randomInstance(rng, 4, 6, 8)
+	// boundary), resume in a fresh process, and the trajectory — history,
+	// final cost, final policies — is bit-identical to the uninterrupted
+	// run. The seeds draw instances that need three sweeps, so each run
+	// has two boundaries to resume from.
+	for _, seed := range []int64{55, 63, 72} {
+		inst := randomInstance(rand.New(rand.NewSource(seed)), 4, 6, 8)
+		store := model.NewMemCheckpointStore()
+		cfg := DefaultConfig()
+		cfg.Checkpoint = &CheckpointConfig{Sink: store}
+		coord, err := NewCoordinator(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coord.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := store.All()
+		if len(snaps) < 2 {
+			t.Fatalf("seed %d: only %d snapshots captured", seed, len(snaps))
+		}
+		for _, ck := range snaps {
+			// A fresh coordinator models the post-crash process; it does
+			// not checkpoint again (recovery needs no recursive snapshots).
+			fresh, err := NewCoordinator(inst, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fresh.Resume(ck)
+			if err != nil {
+				t.Fatalf("seed %d: resume at sweep %d: %v", seed, ck.Sweep, err)
+			}
+			bitEqualResults(t, got, want, fmt.Sprintf("seed %d: resume at sweep %d", seed, ck.Sweep))
+		}
+	}
+}
 
-	store := model.NewMemCheckpointStore()
+// TestResumeSkipsMidSweepSnapshot: a store whose newest file is a
+// snapshot an earlier build took mid-sweep still resumes. DeepLatest
+// quarantines the file the codec rejects and returns the newest boundary
+// snapshot, and the run resumed from it replays the uninterrupted one bit
+// for bit.
+func TestResumeSkipsMidSweepSnapshot(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(55)), 4, 6, 8)
+	dir := t.TempDir()
+	store, err := model.NewCheckpointStore(dir, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultConfig()
-	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -120,23 +167,53 @@ func TestResumeEveryBoundaryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := store.All()
-	if len(snaps) < 4 {
-		t.Fatalf("only %d snapshots captured", len(snaps))
+
+	// Patch the newest boundary snapshot into a mid-sweep one at phase 1
+	// of the same sweep, under the name an earlier build gave it.
+	names, err := store.List()
+	if err != nil || len(names) == 0 {
+		t.Fatalf("stored snapshots %v: %v", names, err)
 	}
-	for _, ck := range snaps {
-		// A fresh coordinator models the post-crash process; it does not
-		// checkpoint again (recovery needs no recursive snapshots).
-		fresh, err := NewCoordinator(inst, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fresh.Resume(ck)
-		if err != nil {
-			t.Fatalf("resume at sweep %d phase %d: %v", ck.Sweep, ck.Phase, err)
-		}
-		bitEqualResults(t, got, want, "resume at sweep "+string(rune('0'+ck.Sweep))+" phase "+string(rune('0'+ck.Phase)))
+	newest := names[len(names)-1]
+	data, err := os.ReadFile(filepath.Join(dir, newest))
+	if err != nil {
+		t.Fatal(err)
 	}
+	boundary, err := model.UnmarshalCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const phaseWordOffset = len("EDGECKPT") + 2 + 3*4 + 8 + 4 // magic, version, N/U/F, fingerprint, sweep
+	data[phaseWordOffset] = 1
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+	if _, err := model.UnmarshalCheckpoint(data); err == nil || !strings.Contains(err.Error(), "phase 1") {
+		t.Fatalf("patched snapshot: got %v, want a mid-sweep rejection naming phase 1", err)
+	}
+	midName := strings.TrimSuffix(newest, "0000.ckpt") + "0001.ckpt"
+	if err := os.WriteFile(filepath.Join(dir, midName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := store.DeepLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, midName)); !os.IsNotExist(err) {
+		t.Fatalf("DeepLatest did not quarantine %s", midName)
+	}
+	if ck.Sweep != boundary.Sweep {
+		t.Fatalf("DeepLatest returned sweep %d, want the newest boundary snapshot (sweep %d)", ck.Sweep, boundary.Sweep)
+	}
+	fresh, err := NewCoordinator(inst, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Resume(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitEqualResults(t, got, want, "resume past a mid-sweep snapshot")
 }
 
 func TestResumePrivateRunBitIdentical(t *testing.T) {
@@ -156,7 +233,7 @@ func TestResumePrivateRunBitIdentical(t *testing.T) {
 
 	store := model.NewMemCheckpointStore()
 	cfg := privateCfg(NewNoiseSource(seed))
-	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +244,7 @@ func TestResumePrivateRunBitIdentical(t *testing.T) {
 	}
 	for _, ck := range store.All() {
 		if !ck.HasNoise || ck.NoiseSeed != seed {
-			t.Fatalf("snapshot at %d/%d lost the noise position: %+v", ck.Sweep, ck.Phase, ck)
+			t.Fatalf("snapshot at sweep %d lost the noise position: %+v", ck.Sweep, ck)
 		}
 		// Fresh same-seed source at position zero: Resume must seek it.
 		fresh, err := NewCoordinator(inst, privateCfg(NewNoiseSource(seed)))
@@ -176,7 +253,7 @@ func TestResumePrivateRunBitIdentical(t *testing.T) {
 		}
 		got, err := fresh.Resume(ck)
 		if err != nil {
-			t.Fatalf("resume at sweep %d phase %d: %v", ck.Sweep, ck.Phase, err)
+			t.Fatalf("resume at sweep %d: %v", ck.Sweep, err)
 		}
 		bitEqualResults(t, got, want, "private resume")
 	}
@@ -293,7 +370,7 @@ func TestResumeIgnoresCheckpointMu(t *testing.T) {
 
 	store := model.NewMemCheckpointStore()
 	cfg := DefaultConfig()
-	cfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	cfg.Checkpoint = &CheckpointConfig{Sink: store}
 	coord, err := NewCoordinator(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +399,7 @@ func TestResumeIgnoresCheckpointMu(t *testing.T) {
 	}
 	for _, ck := range snaps {
 		if ck.Mu != nil {
-			t.Fatalf("snapshot at sweep %d phase %d carries raw multipliers", ck.Sweep, ck.Phase)
+			t.Fatalf("snapshot at sweep %d carries raw multipliers", ck.Sweep)
 		}
 		ck.Mu = mu
 		data, err := ck.MarshalBinary()
@@ -342,7 +419,7 @@ func TestResumeIgnoresCheckpointMu(t *testing.T) {
 		}
 		got, err := fresh.Resume(withMu)
 		if err != nil {
-			t.Fatalf("resume at sweep %d phase %d: %v", ck.Sweep, ck.Phase, err)
+			t.Fatalf("resume at sweep %d: %v", ck.Sweep, err)
 		}
 		bitEqualResults(t, got, want, "resume from a snapshot carrying μ")
 	}

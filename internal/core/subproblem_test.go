@@ -135,8 +135,8 @@ func TestSolveFeasibleAndPositiveGain(t *testing.T) {
 			t.Fatalf("gain = %v, want ≥ 0", res.Gain)
 		}
 		// Gain must agree with an independent evaluation.
-		if got := EvaluateUpload(inst, 0, res.Routing); math.Abs(got-res.Gain) > 1e-6*(1+res.Gain) {
-			t.Fatalf("EvaluateUpload = %v, Result.Gain = %v", got, res.Gain)
+		if got := evaluateUpload(inst, 0, res.Routing); math.Abs(got-res.Gain) > 1e-6*(1+res.Gain) {
+			t.Fatalf("evaluateUpload = %v, Result.Gain = %v", got, res.Gain)
 		}
 	}
 }
@@ -456,4 +456,23 @@ func TestDensityOrderMatchesItemSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evaluateUpload computes the objective contribution of a routing block for
+// SBS n against the instance: the gain Σ (d̂_u − d_nu)·λ_uf·y_nuf over
+// linked pairs. It is the independent oracle for Result.Gain.
+func evaluateUpload(inst *model.Instance, n int, routing model.Mat) float64 {
+	var gain float64
+	for u := 0; u < inst.U; u++ {
+		if !inst.Links[n][u] {
+			continue
+		}
+		density := inst.BSCost[u] - inst.EdgeCost[n][u]
+		row := routing.Row(u)
+		demand := inst.Demand[u]
+		for f := range row {
+			gain += density * demand[f] * row[f]
+		}
+	}
+	return gain
 }

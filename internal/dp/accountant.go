@@ -2,7 +2,6 @@ package dp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -91,33 +90,6 @@ func (a *Accountant) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.spends = nil
-}
-
-// AdvancedComposition returns the (ε_total, δ_total) guarantee for k
-// releases of an (ε, δ)-DP mechanism over the same data under the
-// advanced composition theorem (Dwork & Roth, Thm 3.20):
-//
-//	ε_total = ε·√(2k·ln(1/δ′)) + k·ε·(e^ε − 1),  δ_total = k·δ + δ′,
-//
-// for a chosen slack δ′ ∈ (0,1). For small ε and large k this beats the
-// sequential total k·ε, which is why a long LPPM run's ledger overstates
-// the worst case; the accountant exposes both views.
-func AdvancedComposition(epsilon, delta float64, k int, deltaPrime float64) (float64, float64, error) {
-	if epsilon <= 0 {
-		return 0, 0, fmt.Errorf("dp: epsilon must be positive, got %v", epsilon)
-	}
-	if delta < 0 || delta >= 1 {
-		return 0, 0, fmt.Errorf("dp: delta must be in [0,1), got %v", delta)
-	}
-	if k <= 0 {
-		return 0, 0, fmt.Errorf("dp: k must be positive, got %d", k)
-	}
-	if deltaPrime <= 0 || deltaPrime >= 1 {
-		return 0, 0, fmt.Errorf("dp: deltaPrime must be in (0,1), got %v", deltaPrime)
-	}
-	epsTotal := epsilon*math.Sqrt(2*float64(k)*math.Log(1/deltaPrime)) +
-		float64(k)*epsilon*(math.Exp(epsilon)-1)
-	return epsTotal, float64(k)*delta + deltaPrime, nil
 }
 
 // String renders a stable per-label summary, e.g. for the privacysweep

@@ -89,18 +89,8 @@ func NewBoundedLaplace(beta, lo, hi float64) (*BoundedLaplace, error) {
 	return b, nil
 }
 
-// Interval returns the support [lo, hi].
-func (b *BoundedLaplace) Interval() (lo, hi float64) { return b.lo, b.hi }
-
 // Beta returns the scale parameter β.
 func (b *BoundedLaplace) Beta() float64 { return b.beta }
-
-// NormalizingConstant returns α(β) = ∫ e^(−|r|/β)/(2β) dr over the support,
-// i.e. the probability mass the untruncated Laplace places on [lo, hi].
-// The paper's eq. 28 divides by this to renormalize.
-func (b *BoundedLaplace) NormalizingConstant() float64 {
-	return (b.massNeg + b.massPos) / (2 * b.beta)
-}
 
 // Density evaluates the renormalized density at r (eq. 28): zero outside
 // the support.

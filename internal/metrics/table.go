@@ -118,42 +118,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// WriteMarkdown writes the table as a GitHub-flavored Markdown table with
-// the title as a heading and notes as trailing italics — the format the
-// EXPERIMENTS.md result sections use.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "### %s\n\n", t.Title); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(t.columns, " | ")); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "|%s|\n", strings.Join(sep, "|")); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		escaped := make([]string, len(row))
-		for i, cell := range row {
-			escaped[i] = strings.ReplaceAll(cell, "|", "\\|")
-		}
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(escaped, " | ")); err != nil {
-			return err
-		}
-	}
-	for _, note := range t.Notes {
-		if _, err := fmt.Fprintf(w, "\n*%s*\n", note); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSV writes the header and rows in CSV form (title and notes are
 // omitted: CSV output feeds plotting scripts).
 func (t *Table) WriteCSV(w io.Writer) error {

@@ -42,22 +42,6 @@ func TestTableAddRowMismatch(t *testing.T) {
 	tb.MustAddRow(1, 2, 3)
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("Fig. 3", "a", "b")
-	tb.MustAddRow(1, "x|y")
-	tb.AddNote("n=%d", 3)
-	var b strings.Builder
-	if err := tb.WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	for _, want := range []string{"### Fig. 3", "| a | b |", "|---|---|", "| 1 | x\\|y |", "*n=3*"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("markdown missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("t", "a", "b")
 	tb.MustAddRow(1, "x,y")

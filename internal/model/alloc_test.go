@@ -77,7 +77,7 @@ func TestAggregateTrackerZeroAllocs(t *testing.T) {
 	y.Set(0, 0, 0, 0.5)
 	y.Set(1, 1, 2, 0.25)
 	tr := NewAggregateTracker(in)
-	tr.Reset(in, y)
+	tr.Restore(y.Aggregate(in))
 	yMinus := NewMat(in.U, in.F)
 	upload := NewMat(in.U, in.F)
 	upload.Set(0, 1, 0.125)

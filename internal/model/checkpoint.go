@@ -8,8 +8,8 @@ import (
 
 // This file is the durable-state layer of the repository: a versioned,
 // CRC-guarded binary snapshot of everything the DUA sweep (Algorithm 1)
-// needs to continue after a coordinator crash — iteration τ, the phase
-// cursor, both policies, the incremental aggregate, the cost history, the
+// needs to continue after a coordinator crash — the sweep τ to resume at,
+// both policies, the incremental aggregate, the cost history, the
 // LPPM noise-stream position and the per-SBS health records of a
 // distributed run (plus a legacy dual-multiplier section; see Mu).
 //
@@ -31,9 +31,11 @@ const (
 	// checkpointMagic identifies a checkpoint file.
 	checkpointMagic = "EDGECKPT"
 	// checkpointVersion is the current format version. Version 2 added the
-	// engine-kind byte after the phase cursor; version-1 snapshots (which
+	// engine-kind byte after the phase word; version-1 snapshots (which
 	// predate pluggable engines and were always Gauss-Seidel) still decode,
-	// with Engine defaulting to EngineGaussSeidel.
+	// with Engine defaulting to EngineGaussSeidel. Both versions carry a
+	// u32 phase word after the sweep: earlier builds could capture
+	// mid-sweep, so a nonzero phase is rejected and the encoder writes 0.
 	checkpointVersion = 2
 	// maxCheckpointDim bounds each of N, U, F in a decoded checkpoint; a
 	// hostile header must not drive a huge allocation.
@@ -61,13 +63,14 @@ type SBSHealthState struct {
 	FailedProbes    int
 }
 
-// Checkpoint is one recoverable snapshot of a DUA run. Sweep and Phase are
-// the RESUME point: the next phase to execute is order position Phase of
-// sweep Sweep (Phase 0 means a sweep boundary).
+// Checkpoint is one recoverable snapshot of a DUA run, taken at a sweep
+// boundary: the BS evaluates f(y(τ)) and applies the γ stop rule only at
+// the end of a sweep, so a boundary is Algorithm 1's natural resume point
+// and the only one the codec accepts.
 type Checkpoint struct {
-	// Sweep and Phase locate the resume point in protocol time.
+	// Sweep is the resume point: the next sweep to execute, from its first
+	// phase.
 	Sweep int
-	Phase int
 	// Engine records the sweep discipline that produced the trajectory.
 	// Resume requires an engine of the same family: a Gauss-Seidel snapshot
 	// cannot continue under a Jacobi engine (the trajectories diverge), but
@@ -127,8 +130,8 @@ func (c *Checkpoint) preflight() error {
 	if n <= 0 || u <= 0 || f <= 0 || n > maxCheckpointDim || u > maxCheckpointDim || f > maxCheckpointDim {
 		return fmt.Errorf("model: checkpoint: dimensions %dx%dx%d out of range", n, u, f)
 	}
-	if c.Sweep < 0 || c.Phase < 0 || c.Phase >= n {
-		return fmt.Errorf("model: checkpoint: resume point sweep %d phase %d out of range (N=%d)", c.Sweep, c.Phase, n)
+	if c.Sweep < 0 {
+		return fmt.Errorf("model: checkpoint: resume sweep %d out of range", c.Sweep)
 	}
 	if !c.Engine.Valid() {
 		return fmt.Errorf("model: checkpoint: unknown engine kind %d", c.Engine)
@@ -200,7 +203,7 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	w.u32(uint32(f))
 	w.u64(c.InstanceFP)
 	w.u32(uint32(c.Sweep))
-	w.u32(uint32(c.Phase))
+	w.u32(0) // phase word: always a sweep boundary
 	w.u8(uint8(c.Engine))
 	w.f64(c.PrevCost)
 	if c.HasNoise {
@@ -260,7 +263,9 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 // UnmarshalCheckpoint decodes a snapshot, verifying the CRC trailer first
 // and bounds-checking every length against the remaining input before
 // allocating. It returns a structured error for any truncated, corrupted
-// or inconsistent input; it never panics.
+// or inconsistent input; it never panics. A snapshot an earlier build took
+// mid-sweep (nonzero phase word) is rejected: resume happens at sweep
+// boundaries only, and a store falls back to its newest boundary snapshot.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	const headerLen = len(checkpointMagic) + 2
 	if len(data) > maxCheckpointSize {
@@ -291,7 +296,7 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck := &Checkpoint{InstanceFP: r.u64("fingerprint")}
 	ck.Sweep = int(r.u32("sweep"))
-	ck.Phase = int(r.u32("phase"))
+	phase := r.u32("phase")
 	if version >= 2 {
 		// Version 1 predates pluggable engines; its snapshots were always
 		// produced by the Gauss-Seidel sweep, which the zero value encodes.
@@ -307,8 +312,11 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if ck.Sweep < 0 || ck.Phase < 0 || ck.Phase >= n {
-		return nil, fmt.Errorf("model: checkpoint: resume point sweep %d phase %d out of range (N=%d)", ck.Sweep, ck.Phase, n)
+	if ck.Sweep < 0 {
+		return nil, fmt.Errorf("model: checkpoint: resume sweep %d out of range", ck.Sweep)
+	}
+	if phase != 0 {
+		return nil, fmt.Errorf("model: checkpoint: snapshot taken mid-sweep (sweep %d phase %d); mid-sweep snapshots no longer resume, only sweep boundaries do", ck.Sweep, phase)
 	}
 
 	ck.Order = make([]int, n)

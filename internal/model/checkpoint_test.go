@@ -30,7 +30,6 @@ func testCheckpoint() *Checkpoint {
 	by := y.Clone()
 	return &Checkpoint{
 		Sweep:      3,
-		Phase:      1,
 		Order:      []int{1, 0},
 		Caching:    x,
 		Routing:    y,
@@ -204,7 +203,6 @@ func TestCheckpointPreflightErrors(t *testing.T) {
 		{"nil caching", func(ck *Checkpoint) { ck.Caching = nil }},
 		{"order not permutation", func(ck *Checkpoint) { ck.Order = []int{0, 0} }},
 		{"order too short", func(ck *Checkpoint) { ck.Order = []int{0} }},
-		{"phase out of range", func(ck *Checkpoint) { ck.Phase = 2 }},
 		{"negative sweep", func(ck *Checkpoint) { ck.Sweep = -1 }},
 		{"mu length", func(ck *Checkpoint) { ck.Mu = ck.Mu[:1] }},
 		{"health length", func(ck *Checkpoint) { ck.Health = ck.Health[:1] }},
@@ -248,7 +246,6 @@ func TestCheckpointStoreSaveLatestRetention(t *testing.T) {
 	for sweep := 1; sweep <= 5; sweep++ {
 		ck := testCheckpoint()
 		ck.Sweep = sweep
-		ck.Phase = 0
 		if err := store.Save(ck); err != nil {
 			t.Fatal(err)
 		}
@@ -276,13 +273,13 @@ func TestCheckpointStoreSkipsCorruptNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := testCheckpoint()
-	ck.Sweep, ck.Phase = 1, 0
+	ck.Sweep = 1
 	if err := store.Save(ck); err != nil {
 		t.Fatal(err)
 	}
 	// A torn newer file (e.g. crash on a filesystem without atomic rename)
 	// must not block recovery from the older good one.
-	if err := os.WriteFile(filepath.Join(dir, fileName(2, 0)), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fileName(2)), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := store.Latest()
@@ -293,7 +290,7 @@ func TestCheckpointStoreSkipsCorruptNewest(t *testing.T) {
 		t.Errorf("Latest() sweep = %d, want the older intact snapshot", got.Sweep)
 	}
 	// All corrupt: the collected decode errors surface, not ErrNoCheckpoint.
-	if err := os.Remove(filepath.Join(dir, fileName(1, 0))); err != nil {
+	if err := os.Remove(filepath.Join(dir, fileName(1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Latest(); err == nil || errors.Is(err, ErrNoCheckpoint) {
@@ -312,7 +309,7 @@ func TestCheckpointStoreEmptyAndTempCleanup(t *testing.T) {
 	}
 	// A leftover .tmp from a crashed write is removed by the next prune and
 	// never surfaces through List.
-	tmp := filepath.Join(dir, fileName(9, 0)+".tmp")
+	tmp := filepath.Join(dir, fileName(9)+".tmp")
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -345,19 +342,19 @@ func TestCheckpointStoreTornTempPruneInterleave(t *testing.T) {
 	}
 	for sweep := 1; sweep <= 2; sweep++ {
 		ck := testCheckpoint()
-		ck.Sweep, ck.Phase = sweep, 0
+		ck.Sweep = sweep
 		if err := store.Save(ck); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Crash mid-save of sweep 3: the temp file exists, torn, never renamed.
-	torn3 := filepath.Join(dir, fileName(3, 0)+".tmp")
+	torn3 := filepath.Join(dir, fileName(3)+".tmp")
 	if err := os.WriteFile(torn3, []byte("partial write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Crash around the rename of sweep 4: the final name exists but holds
 	// garbage.
-	torn4 := filepath.Join(dir, fileName(4, 0))
+	torn4 := filepath.Join(dir, fileName(4))
 	if err := os.WriteFile(torn4, []byte("torn rename"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +372,7 @@ func TestCheckpointStoreTornTempPruneInterleave(t *testing.T) {
 	// The restarted run saves sweep 5; the piggy-backed prune must remove
 	// the stale .tmp and enforce retention over the .ckpt files.
 	ck := testCheckpoint()
-	ck.Sweep, ck.Phase = 5, 0
+	ck.Sweep = 5
 	if err := store.Save(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -491,10 +488,115 @@ func tryDecode(t *testing.T, data []byte) {
 	}
 }
 
-// engineByteOffset is where the version-2 engine-kind byte sits: after
-// magic, version, the three dims, the fingerprint and the sweep/phase
-// cursor.
-const engineByteOffset = len(checkpointMagic) + 2 + 3*4 + 8 + 4 + 4
+// phaseWordOffset is where the u32 phase word sits: after magic, version,
+// the three dims, the fingerprint and the sweep. The engine-kind byte of
+// version 2 follows it.
+const (
+	phaseWordOffset  = len(checkpointMagic) + 2 + 3*4 + 8 + 4
+	engineByteOffset = phaseWordOffset + 4
+)
+
+// midSweepBytes is ck encoded as an earlier build wrote a snapshot taken
+// mid-sweep: the boundary encoding with its phase word set to phase and
+// the CRC resealed.
+func midSweepBytes(t *testing.T, ck *Checkpoint, phase uint32) []byte {
+	t.Helper()
+	data, err := ck.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := data[phaseWordOffset : phaseWordOffset+4]; !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+		t.Fatalf("boundary snapshot encodes phase word %v, want 0", got)
+	}
+	data[phaseWordOffset] = byte(phase)
+	data[phaseWordOffset+1] = byte(phase >> 8)
+	data[phaseWordOffset+2] = byte(phase >> 16)
+	data[phaseWordOffset+3] = byte(phase >> 24)
+	resealCRC(data)
+	return data
+}
+
+// TestCheckpointRejectsMidSweepSnapshot: a run resumes at sweep boundaries
+// only, and the codec is the one place that says so. A snapshot an earlier
+// build took mid-sweep is rejected with an error naming its phase.
+func TestCheckpointRejectsMidSweepSnapshot(t *testing.T) {
+	_, err := UnmarshalCheckpoint(midSweepBytes(t, testCheckpoint(), 1))
+	if err == nil || !strings.Contains(err.Error(), "phase 1") || !strings.Contains(err.Error(), "mid-sweep") {
+		t.Fatalf("mid-sweep snapshot: got %v, want an error naming phase 1", err)
+	}
+	// The legacy layout carries the same phase word.
+	legacy := testCheckpoint()
+	legacy.Engine = EngineGaussSeidel
+	v1 := legacyV1Encode(t, legacy)
+	v1[phaseWordOffset] = 2
+	resealCRC(v1)
+	if _, err := UnmarshalCheckpoint(v1); err == nil || !strings.Contains(err.Error(), "phase 2") {
+		t.Fatalf("mid-sweep version-1 snapshot: got %v, want an error naming phase 2", err)
+	}
+}
+
+// TestCheckpointStoreFallsBackPastMidSweepSnapshot: a mid-sweep file an
+// earlier build left as the newest in a store sorts after its sweep's
+// boundary snapshot. Latest skips it and DeepLatest quarantines it; both
+// return the newest boundary snapshot.
+func TestCheckpointStoreFallsBackPastMidSweepSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewCheckpointStore(dir, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sweep := 1; sweep <= 2; sweep++ {
+		ck := testCheckpoint()
+		ck.Sweep = sweep
+		if err := store.Save(ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := testCheckpoint()
+	mid.Sweep = 2
+	oldName := fmt.Sprintf("ckpt-%08d-%04d%s", 2, 1, checkpointExt) // an earlier build's (sweep, phase) name
+	if err := os.WriteFile(filepath.Join(dir, oldName), midSweepBytes(t, mid, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names[len(names)-1] != oldName || names[len(names)-2] != fileName(2) {
+		t.Fatalf("store order %v: want %s newest, after %s", names, oldName, fileName(2))
+	}
+
+	got, err := store.Latest()
+	if err != nil || got.Sweep != 2 {
+		t.Fatalf("Latest() = %v, %v; want the sweep-2 boundary snapshot", got, err)
+	}
+	got, err = store.DeepLatest()
+	if err != nil || got.Sweep != 2 {
+		t.Fatalf("DeepLatest() = %v, %v; want the sweep-2 boundary snapshot", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, oldName)); !os.IsNotExist(err) {
+		t.Errorf("DeepLatest left the mid-sweep file in place: %v", err)
+	}
+	if _, err := os.Stat(quarantineName(filepath.Join(dir, oldName))); err != nil {
+		t.Errorf("mid-sweep file not quarantined: %v", err)
+	}
+}
+
+// TestCheckpointStoreRejectsRetainBelowOne: retention has no hidden
+// default; a store keeps at least one snapshot.
+func TestCheckpointStoreRejectsRetainBelowOne(t *testing.T) {
+	for _, retain := range []int{0, -1} {
+		if _, err := NewCheckpointStore(t.TempDir(), retain); err == nil {
+			t.Errorf("retain %d: want error", retain)
+		}
+		if _, err := NewCheckpointStoreFS(t.TempDir(), retain, OSCheckpointFS{}); err == nil {
+			t.Errorf("retain %d over an explicit filesystem: want error", retain)
+		}
+	}
+	if _, err := NewCheckpointStore(t.TempDir(), 1); err != nil {
+		t.Errorf("retain 1: %v", err)
+	}
+}
 
 // legacyV1Encode re-encodes ck in the version-1 layout (no engine byte) by
 // splicing the byte out of the current encoding and resealing the CRC. The
@@ -589,6 +691,7 @@ func TestRegenCorpus(t *testing.T) {
 	legacy := testCheckpoint()
 	legacy.Engine = EngineGaussSeidel
 	writeCorpusEntry(t, "FuzzSnapshot", "seed-v1-legacy", legacyV1Encode(t, legacy))
+	writeCorpusEntry(t, "FuzzSnapshot", "seed-v2-mid-sweep", midSweepBytes(t, testCheckpoint(), 1))
 }
 
 // writeCorpusEntry writes one []byte seed in the `go test fuzz v1` format

@@ -47,7 +47,7 @@ var (
 )
 
 // NewCheckpointStore opens (creating if needed) a snapshot directory.
-// retain bounds the number of kept snapshots; 0 means the default (5).
+// retain is the number of newest snapshots kept; it must be at least 1.
 func NewCheckpointStore(dir string, retain int) (*CheckpointStore, error) {
 	return NewCheckpointStoreFS(dir, retain, OSCheckpointFS{})
 }
@@ -59,8 +59,8 @@ func NewCheckpointStoreFS(dir string, retain int, fs CheckpointFS) (*CheckpointS
 	if dir == "" {
 		return nil, fmt.Errorf("model: checkpoint store needs a directory")
 	}
-	if retain <= 0 {
-		retain = 5
+	if retain < 1 {
+		return nil, fmt.Errorf("model: checkpoint store must retain at least 1 snapshot, got %d", retain)
 	}
 	if fs == nil {
 		fs = OSCheckpointFS{}
@@ -75,9 +75,10 @@ func NewCheckpointStoreFS(dir string, retain int, fs CheckpointFS) (*CheckpointS
 func (s *CheckpointStore) Dir() string { return s.dir }
 
 // fileName renders the canonical snapshot name; zero-padding makes the
-// lexicographic order the chronological order.
-func fileName(sweep, phase int) string {
-	return fmt.Sprintf("ckpt-%08d-%04d%s", sweep, phase, checkpointExt)
+// lexicographic order the chronological order. The "-0000" is the phase
+// slot of earlier builds' names, kept so old and new files sort together.
+func fileName(sweep int) string {
+	return fmt.Sprintf("ckpt-%08d-0000%s", sweep, checkpointExt)
 }
 
 // Save implements CheckpointSink with write-then-rename atomicity: the
@@ -89,7 +90,7 @@ func (s *CheckpointStore) Save(ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(s.dir, fileName(ck.Sweep, ck.Phase))
+	final := filepath.Join(s.dir, fileName(ck.Sweep))
 	tmp := final + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

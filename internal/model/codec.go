@@ -103,45 +103,3 @@ func (s *Solution) WriteJSON(w io.Writer) error {
 		Total:    s.Cost.Total,
 	})
 }
-
-// ReadSolutionJSON deserializes a solution and re-derives its cost against
-// the given instance (the stored cost is informational; the instance is
-// authoritative). It fails if the policies do not fit the instance or are
-// infeasible.
-func ReadSolutionJSON(r io.Reader, in *Instance) (*Solution, error) {
-	var raw solutionJSON
-	if err := decodeStrict(r, &raw); err != nil {
-		return nil, fmt.Errorf("model: decode solution: %w", err)
-	}
-	if len(raw.Caching) != in.N || len(raw.Routing) != in.N {
-		return nil, fmt.Errorf("model: solution sized for %d SBSs, instance has %d", len(raw.Caching), in.N)
-	}
-	for n := 0; n < in.N; n++ {
-		if len(raw.Caching[n]) != in.F {
-			return nil, fmt.Errorf("model: caching row %d has %d entries, want %d", n, len(raw.Caching[n]), in.F)
-		}
-		if len(raw.Routing[n]) != in.U {
-			return nil, fmt.Errorf("model: routing block %d has %d rows, want %d", n, len(raw.Routing[n]), in.U)
-		}
-		for u := 0; u < in.U; u++ {
-			if len(raw.Routing[n][u]) != in.F {
-				return nil, fmt.Errorf("model: routing[%d][%d] has %d entries, want %d",
-					n, u, len(raw.Routing[n][u]), in.F)
-			}
-		}
-	}
-	caching, err := CachingPolicyFromBools(raw.Caching)
-	if err != nil {
-		return nil, err
-	}
-	routing, err := RoutingPolicyFromBlocks(raw.Routing)
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Caching: caching, Routing: routing}
-	if vs := CheckFeasibility(in, sol.Caching, sol.Routing); len(vs) != 0 {
-		return nil, fmt.Errorf("model: stored solution infeasible:\n%s", FormatViolations(vs))
-	}
-	sol.Cost = TotalServingCost(in, sol.Routing)
-	return sol, nil
-}

@@ -32,7 +32,7 @@ func snapTracker(in *Instance, t *AggregateTracker, y *RoutingPolicy) trackerSna
 			row[f] = math.Float64bits(v)
 		}
 		s.aggBits = append(s.aggBits, row)
-		s.rowEp = append(s.rowEp, t.RowEpoch(u))
+		s.rowEp = append(s.rowEp, t.rowEpoch[u])
 	}
 	for n := 0; n < in.N; n++ {
 		block := y.SBS(n)
@@ -72,7 +72,7 @@ func (s trackerSnap) blockChanged(y *RoutingPolicy, n int) bool {
 func checkRowEpochsExact(t *testing.T, in *Instance, tr *AggregateTracker, before trackerSnap, ctx string) {
 	t.Helper()
 	for u := 0; u < in.U; u++ {
-		ep := tr.RowEpoch(u)
+		ep := tr.rowEpoch[u]
 		if ep < before.rowEp[u] {
 			t.Fatalf("%s: rowEpoch[%d] decreased %d -> %d", ctx, u, before.rowEp[u], ep)
 		}
@@ -125,10 +125,10 @@ func TestEpochInstallBumpsExactlyChangedRows(t *testing.T) {
 	installVia(in, tr, y, 0, upload)
 	checkRowEpochsExact(t, in, tr, before, "first install")
 	checkBlockEpochsExact(t, in, tr, y, before, "first install")
-	if tr.RowEpoch(0) == before.rowEp[0] || tr.RowEpoch(2) == before.rowEp[2] {
+	if tr.rowEpoch[0] == before.rowEp[0] || tr.rowEpoch[2] == before.rowEp[2] {
 		t.Fatal("install did not bump the rows it changed")
 	}
-	if tr.RowEpoch(1) != before.rowEp[1] {
+	if tr.rowEpoch[1] != before.rowEp[1] {
 		t.Fatal("install bumped an untouched row")
 	}
 	if tr.BlockEpoch(0) == before.blockEp[0] {
@@ -145,7 +145,7 @@ func TestEpochInstallBumpsExactlyChangedRows(t *testing.T) {
 	checkRowEpochsExact(t, in, tr, quiet, "converged re-install")
 	checkBlockEpochsExact(t, in, tr, y, quiet, "converged re-install")
 	for u := 0; u < in.U; u++ {
-		if tr.RowEpoch(u) != quiet.rowEp[u] {
+		if tr.rowEpoch[u] != quiet.rowEp[u] {
 			t.Fatalf("converged re-install bumped rowEpoch[%d]", u)
 		}
 	}
@@ -169,10 +169,10 @@ func TestEpochInstallUnlinkedRowUntouched(t *testing.T) {
 	before := snapTracker(in, tr, y)
 	installVia(in, tr, y, 1, upload)
 	checkRowEpochsExact(t, in, tr, before, "unlinked install")
-	if tr.RowEpoch(2) != before.rowEp[2] {
+	if tr.rowEpoch[2] != before.rowEp[2] {
 		t.Fatal("install on an unlinked SBS stamped the unlinked row")
 	}
-	if tr.RowEpoch(0) == before.rowEp[0] {
+	if tr.rowEpoch[0] == before.rowEp[0] {
 		t.Fatal("install did not stamp the linked row it changed")
 	}
 	if tr.BlockEpoch(1) == before.blockEp[1] {
@@ -194,10 +194,10 @@ func TestEpochRebuildRowsExact(t *testing.T) {
 	tr.BeginPhase()
 	tr.RebuildRows(in, y, 0, in.U)
 	checkRowEpochsExact(t, in, tr, before, "rebuild")
-	if tr.RowEpoch(1) == before.rowEp[1] {
+	if tr.rowEpoch[1] == before.rowEp[1] {
 		t.Fatal("rebuild did not stamp the changed row")
 	}
-	if tr.RowEpoch(0) != before.rowEp[0] || tr.RowEpoch(2) != before.rowEp[2] {
+	if tr.rowEpoch[0] != before.rowEp[0] || tr.rowEpoch[2] != before.rowEp[2] {
 		t.Fatal("rebuild stamped an unchanged row")
 	}
 
@@ -208,7 +208,7 @@ func TestEpochRebuildRowsExact(t *testing.T) {
 	tr.RebuildRowsScratch(in, y, 0, in.U, scratch)
 	checkRowEpochsExact(t, in, tr, quiet, "rebuild fixed point")
 	for u := 0; u < in.U; u++ {
-		if tr.RowEpoch(u) != quiet.rowEp[u] {
+		if tr.rowEpoch[u] != quiet.rowEp[u] {
 			t.Fatalf("idempotent rebuild stamped rowEpoch[%d]", u)
 		}
 	}
@@ -226,17 +226,17 @@ func TestEpochRepairOverserveExact(t *testing.T) {
 	// a zero share there. Row 1 is served within bounds.
 	y.Set(0, 0, 0, 1.5)
 	y.Set(1, 1, 1, 0.9)
-	tr.Reset(in, y)
+	tr.Restore(y.Aggregate(in))
 
 	before := snapTracker(in, tr, y)
 	tr.BeginPhase()
 	tr.RepairOverserveRows(in, y, 0, in.U)
 	checkRowEpochsExact(t, in, tr, before, "repair")
 	checkBlockEpochsExact(t, in, tr, y, before, "repair")
-	if tr.RowEpoch(0) == before.rowEp[0] {
+	if tr.rowEpoch[0] == before.rowEp[0] {
 		t.Fatal("repair did not stamp the overserved row")
 	}
-	if tr.RowEpoch(1) != before.rowEp[1] {
+	if tr.rowEpoch[1] != before.rowEp[1] {
 		t.Fatal("repair stamped an in-bounds row")
 	}
 	if tr.BlockEpoch(0) == before.blockEp[0] {
@@ -254,7 +254,7 @@ func TestEpochRepairOverserveExact(t *testing.T) {
 	tr.BeginPhase()
 	tr.RepairOverserveRows(in, y, 0, in.U)
 	for u := 0; u < in.U; u++ {
-		if tr.RowEpoch(u) != quiet.rowEp[u] {
+		if tr.rowEpoch[u] != quiet.rowEp[u] {
 			t.Fatalf("idempotent repair stamped rowEpoch[%d]", u)
 		}
 	}
@@ -273,13 +273,13 @@ func TestEpochResetRestoreInvalidate(t *testing.T) {
 	y := NewRoutingPolicy(in)
 	tr := NewAggregateTracker(in)
 	y.Set(0, 0, 0, 0.5)
-	tr.Reset(in, y)
+	tr.Restore(y.Aggregate(in))
 
 	for _, tc := range []struct {
 		name string
 		call func()
 	}{
-		{"reset", func() { tr.Reset(in, y) }},
+		{"restore-rebuilt", func() { tr.Restore(y.Aggregate(in)) }},
 		{"restore-identical", func() {
 			clone := NewMat(in.U, in.F)
 			clone.CopyFrom(tr.Aggregate())
@@ -292,8 +292,8 @@ func TestEpochResetRestoreInvalidate(t *testing.T) {
 			t.Fatalf("%s did not bump the generation", tc.name)
 		}
 		for u := 0; u < in.U; u++ {
-			if tr.RowEpoch(u) <= before.rowEp[u] {
-				t.Fatalf("%s left rowEpoch[%d] at %d", tc.name, u, tr.RowEpoch(u))
+			if tr.rowEpoch[u] <= before.rowEp[u] {
+				t.Fatalf("%s left rowEpoch[%d] at %d", tc.name, u, tr.rowEpoch[u])
 			}
 		}
 		for n := 0; n < in.N; n++ {
@@ -324,7 +324,7 @@ func TestEpochMarkBlockDirtyAndLinkedRowMax(t *testing.T) {
 		t.Fatal("MarkBlockDirty stamped a foreign block")
 	}
 	for u := 0; u < in.U; u++ {
-		if tr.RowEpoch(u) != before.rowEp[u] {
+		if tr.rowEpoch[u] != before.rowEp[u] {
 			t.Fatal("MarkBlockDirty stamped a row")
 		}
 	}
@@ -426,7 +426,7 @@ func FuzzTrackerEpochs(f *testing.F) {
 			case 4: // wholesale re-synchronization
 				wholesale = true
 				if rng.Intn(2) == 0 {
-					tr.Reset(in, y)
+					tr.Restore(y.Aggregate(in))
 				} else {
 					clone := NewMat(in.U, in.F)
 					clone.CopyFrom(tr.Aggregate())
@@ -447,7 +447,7 @@ func FuzzTrackerEpochs(f *testing.F) {
 					t.Fatalf("op %d: wholesale resync did not bump the generation", i)
 				}
 				for u := 0; u < in.U; u++ {
-					if tr.RowEpoch(u) <= before.rowEp[u] {
+					if tr.rowEpoch[u] <= before.rowEp[u] {
 						t.Fatalf("op %d: resync left rowEpoch[%d] behind", i, u)
 					}
 				}

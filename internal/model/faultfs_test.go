@@ -10,12 +10,11 @@ import (
 	"testing"
 )
 
-// saveAt stores the canonical test checkpoint stamped at (sweep, phase).
-func saveAt(t *testing.T, store *CheckpointStore, sweep, phase int) *Checkpoint {
+// saveAt stores the canonical test checkpoint stamped at sweep.
+func saveAt(t *testing.T, store *CheckpointStore, sweep int) *Checkpoint {
 	t.Helper()
 	ck := testCheckpoint()
 	ck.Sweep = sweep
-	ck.Phase = phase
 	if err := store.Save(ck); err != nil {
 		t.Fatalf("save sweep %d: %v", sweep, err)
 	}
@@ -32,9 +31,9 @@ func TestDeepLatestBitRotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveAt(t, store, 1, 0)
-	want := saveAt(t, store, 2, 0)
-	saveAt(t, store, 3, 0)
+	saveAt(t, store, 1)
+	want := saveAt(t, store, 2)
+	saveAt(t, store, 3)
 
 	// Flip one byte mid-file in the newest snapshot.
 	names, err := store.List()
@@ -94,7 +93,7 @@ func TestSaveENOSPCKeepsStoreReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveAt(t, clean, 1, 0)
+	want := saveAt(t, clean, 1)
 
 	ffs := NewFaultFS(OSCheckpointFS{}, FaultFSConfig{Seed: 7, ENOSPC: 1})
 	faulty, err := NewCheckpointStoreFS(dir, 5, ffs)
@@ -138,7 +137,7 @@ func TestTornRenameRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveAt(t, clean, 1, 0)
+	want := saveAt(t, clean, 1)
 
 	ffs := NewFaultFS(OSCheckpointFS{}, FaultFSConfig{Seed: 3, TornRename: 1})
 	faulty, err := NewCheckpointStoreFS(dir, 5, ffs)
@@ -180,9 +179,9 @@ func TestScrubQuarantinesAllCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveAt(t, store, 1, 0)
-	saveAt(t, store, 2, 0)
-	saveAt(t, store, 3, 0)
+	saveAt(t, store, 1)
+	saveAt(t, store, 2)
+	saveAt(t, store, 3)
 	names, err := store.List()
 	if err != nil {
 		t.Fatal(err)

@@ -27,60 +27,29 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s at %s exceeded by %.3g", v.Constraint, v.Where, v.Amount)
 }
 
+// maxViolations caps a report to bound output on badly broken inputs.
+const maxViolations = 100
+
 // CheckFeasibility verifies the full constraint system (eq. 1-4 plus the
 // box constraints on x and y) and returns every violation found, up to a
 // cap of 100 to bound output on badly broken inputs. A nil/empty result
-// means the pair (x, y) is feasible within FeasibilityTolerance.
+// means the pair (x, y) is feasible within FeasibilityTolerance. Every
+// check is written as !(v <= bound), so a NaN is a violation.
 func CheckFeasibility(in *Instance, x *CachingPolicy, y *RoutingPolicy) []Violation {
-	const maxViolations = 100
-	var out []Violation
-	add := func(v Violation) bool {
-		out = append(out, v)
-		return len(out) >= maxViolations
-	}
-
-	// Eq. 1: cache capacity.
+	var vs violations
 	for n := 0; n < in.N; n++ {
-		if c := x.Count(n); c > in.CacheCap[n] {
-			if add(Violation{"cache-capacity (1)", fmt.Sprintf("n=%d", n), float64(c - in.CacheCap[n])}) {
-				return out
-			}
+		if vs.capacity(in, n, x.Count(n)) {
+			return vs
 		}
 	}
-
-	// Box constraints and eq. 2: routing requires the content cached.
 	for n := 0; n < in.N; n++ {
-		block := y.SBS(n)
-		for u := 0; u < in.U; u++ {
-			row := block.Row(u)
-			for f := range row {
-				v := row[f]
-				if v < -FeasibilityTolerance || v > 1+FeasibilityTolerance {
-					if add(Violation{"box", fmt.Sprintf("n=%d u=%d f=%d", n, u, f), boxExcess(v)}) {
-						return out
-					}
-					continue
-				}
-				if v > FeasibilityTolerance && !x.Get(n, f) {
-					if add(Violation{"routing-requires-cache (2)", fmt.Sprintf("n=%d u=%d f=%d", n, u, f), v}) {
-						return out
-					}
-				}
-				if v > FeasibilityTolerance && !in.Links[n][u] {
-					if add(Violation{"no-link", fmt.Sprintf("n=%d u=%d f=%d", n, u, f), v}) {
-						return out
-					}
-				}
-			}
+		if vs.routing(in, n, x.RowBools(n), y.SBS(n)) {
+			return vs
 		}
 	}
-
-	// Eq. 3: bandwidth.
 	for n := 0; n < in.N; n++ {
-		if load := y.Load(in, n); load > in.Bandwidth[n]+bandwidthTol(in.Bandwidth[n]) {
-			if add(Violation{"bandwidth (3)", fmt.Sprintf("n=%d", n), load - in.Bandwidth[n]}) {
-				return out
-			}
+		if vs.bandwidth(in, n, y.Load(in, n)) {
+			return vs
 		}
 	}
 
@@ -89,19 +58,87 @@ func CheckFeasibility(in *Instance, x *CachingPolicy, y *RoutingPolicy) []Violat
 	for u := 0; u < in.U; u++ {
 		row := agg.Row(u)
 		for f := range row {
-			if row[f] > 1+FeasibilityTolerance {
-				if add(Violation{"no-overserve (4)", fmt.Sprintf("u=%d f=%d", u, f), row[f] - 1}) {
-					return out
+			if !(row[f] <= 1+FeasibilityTolerance) {
+				if vs.add(Violation{"no-overserve (4)", fmt.Sprintf("u=%d f=%d", u, f), row[f] - 1}) {
+					return vs
 				}
 			}
 		}
 	}
-	return out
+	return vs
 }
 
-// IsFeasible reports whether (x, y) satisfies the full constraint system.
-func IsFeasible(in *Instance, x *CachingPolicy, y *RoutingPolicy) bool {
-	return len(CheckFeasibility(in, x, y)) == 0
+// CheckSBS verifies the constraints SBS n's own policy must meet on its
+// own — cache capacity (1), routing requires cache (2), bandwidth (3), the
+// link mask and the box on y — for one caching row and routing block, with
+// the same rules and tolerances as CheckFeasibility. No-overserve (4)
+// couples the SBSs and is not checked. The BS runs it on every upload
+// before installing it.
+func CheckSBS(in *Instance, n int, cache []bool, block Mat) []Violation {
+	var vs violations
+	count := 0
+	for _, c := range cache {
+		if c {
+			count++
+		}
+	}
+	if !vs.capacity(in, n, count) && !vs.routing(in, n, cache, block) {
+		vs.bandwidth(in, n, blockLoad(in, n, block))
+	}
+	return vs
+}
+
+// violations accumulates a feasibility report; each check returns true
+// once the report is full.
+type violations []Violation
+
+func (vs *violations) add(v Violation) bool {
+	*vs = append(*vs, v)
+	return len(*vs) >= maxViolations
+}
+
+// capacity checks eq. 1 for SBS n caching count contents.
+func (vs *violations) capacity(in *Instance, n, count int) bool {
+	if count > in.CacheCap[n] {
+		return vs.add(Violation{"cache-capacity (1)", fmt.Sprintf("n=%d", n), float64(count - in.CacheCap[n])})
+	}
+	return false
+}
+
+// routing checks the box constraints, eq. 2 (routing requires the content
+// cached) and the link mask on SBS n's routing block.
+func (vs *violations) routing(in *Instance, n int, cache []bool, block Mat) bool {
+	for u := 0; u < in.U; u++ {
+		row := block.Row(u)
+		for f := range row {
+			v := row[f]
+			if !(v >= -FeasibilityTolerance && v <= 1+FeasibilityTolerance) {
+				if vs.add(Violation{"box", fmt.Sprintf("n=%d u=%d f=%d", n, u, f), boxExcess(v)}) {
+					return true
+				}
+				continue
+			}
+			if !(v <= FeasibilityTolerance) && !cache[f] {
+				if vs.add(Violation{"routing-requires-cache (2)", fmt.Sprintf("n=%d u=%d f=%d", n, u, f), v}) {
+					return true
+				}
+			}
+			if !(v <= FeasibilityTolerance) && !in.Links[n][u] {
+				if vs.add(Violation{"no-link", fmt.Sprintf("n=%d u=%d f=%d", n, u, f), v}) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// bandwidth checks eq. 3 for SBS n carrying load.
+func (vs *violations) bandwidth(in *Instance, n int, load float64) bool {
+	if !(load <= in.Bandwidth[n]+bandwidthTol(in.Bandwidth[n])) {
+		return vs.add(Violation{"bandwidth (3)", fmt.Sprintf("n=%d", n), load - in.Bandwidth[n]})
+	}
+	return false
 }
 
 // FormatViolations renders violations one per line for error messages.

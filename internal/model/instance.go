@@ -285,19 +285,6 @@ func cloneBoolMatrix(m [][]bool) [][]bool {
 	return out
 }
 
-// NewZeroMatrix returns a U×F zero matrix in nested form, shaped like a
-// demand matrix for this instance. The solver layers work on the flat Mat
-// (see NewUFMat); the nested form survives for the serialization and
-// transport boundaries, whose wire schema stays nested for stability.
-func (in *Instance) NewZeroMatrix() [][]float64 {
-	m := make([][]float64, in.U)
-	backing := make([]float64, in.U*in.F)
-	for u := range m {
-		m[u], backing = backing[:in.F:in.F], backing[in.F:]
-	}
-	return m
-}
-
 // NewUFMat returns a flat U×F zero matrix shaped like an aggregate routing
 // matrix for this instance.
 func (in *Instance) NewUFMat() Mat { return NewMat(in.U, in.F) }

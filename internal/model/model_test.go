@@ -1,7 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -295,6 +298,59 @@ func requireViolation(t *testing.T, vs []Violation, constraint string) {
 		}
 	}
 	t.Fatalf("violations %v do not include %q", vs, constraint)
+}
+
+// TestFeasibilityFlagsNaN: every check compares as !(v <= bound), so a NaN
+// routing entry is a violation — of the box, and through the load and the
+// aggregate of bandwidth (3) and no-overserve (4) — whether or not its
+// content is cached.
+func TestFeasibilityFlagsNaN(t *testing.T) {
+	in := &Instance{
+		N: 1, U: 1, F: 1,
+		Demand:    [][]float64{{1}},
+		Links:     [][]bool{{true}},
+		CacheCap:  []int{1},
+		Bandwidth: []float64{1},
+		EdgeCost:  [][]float64{{1}},
+		BSCost:    []float64{10},
+	}
+	for _, cached := range []bool{true, false} {
+		x := NewCachingPolicy(in)
+		x.Set(0, 0, cached)
+		y := NewRoutingPolicy(in)
+		y.Set(0, 0, 0, math.NaN())
+		vs := CheckFeasibility(in, x, y)
+		for _, c := range []string{"box", "bandwidth (3)", "no-overserve (4)"} {
+			requireViolation(t, vs, c)
+		}
+		requireViolation(t, CheckSBS(in, 0, x.RowBools(0), y.SBS(0)), "box")
+	}
+}
+
+// TestCheckSBSMatchesCheckFeasibility: CheckSBS reports exactly the
+// violations CheckFeasibility attributes to SBS n, in the same order.
+func TestCheckSBSMatchesCheckFeasibility(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		in, y, x := randomPolicyInstance(rng, 1+rng.Intn(3), 1+rng.Intn(4), 1+rng.Intn(5))
+		all := CheckFeasibility(in, x, y)
+		if len(all) >= 100 {
+			continue // capped: the per-SBS subsets are not complete
+		}
+		for n := 0; n < in.N; n++ {
+			tag := fmt.Sprintf("n=%d", n)
+			var want []Violation
+			for _, v := range all {
+				if v.Where == tag || strings.HasPrefix(v.Where, tag+" ") {
+					want = append(want, v)
+				}
+			}
+			got := CheckSBS(in, n, x.RowBools(n), y.SBS(n))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d SBS %d: CheckSBS = %v, want %v", trial, n, got, want)
+			}
+		}
+	}
 }
 
 func TestFeasibilityViolationCap(t *testing.T) {

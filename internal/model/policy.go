@@ -318,8 +318,14 @@ func (p *RoutingPolicy) AggregateExceptInto(in *Instance, n int, dst Mat) {
 //
 //edgecache:noalloc
 func (p *RoutingPolicy) Load(in *Instance, n int) float64 {
+	return blockLoad(in, n, p.T.SBSRow(n))
+}
+
+// blockLoad is Load for SBS n's routing block given on its own.
+//
+//edgecache:noalloc
+func blockLoad(in *Instance, n int, block Mat) float64 {
 	var load float64
-	block := p.T.SBSRow(n)
 	for u := 0; u < in.U; u++ {
 		if !in.Links[n][u] {
 			continue
@@ -363,7 +369,7 @@ type AggregateTracker struct {
 	// each mutation stage, and bumps within a stage stamp the current
 	// value. Serial by contract — only the driver goroutine advances it.
 	clock uint64
-	// gen counts wholesale re-synchronizations (Reset/Restore). Memos
+	// gen counts wholesale re-synchronizations (Restore). Memos
 	// record it so a resumed or rebuilt tracker invalidates every memo.
 	gen uint64
 	// rowEpoch[u] is the clock stamp of the last bitwise change to
@@ -392,15 +398,6 @@ func NewAggregateTracker(in *Instance) *AggregateTracker {
 	}
 }
 
-// Reset re-synchronizes the tracker with policy y (a full O(N·U·F)
-// rebuild). Call it when y changes outside the YMinusInto/Install cycle.
-// Every row and block is considered changed: memos keyed on the previous
-// generation go stale.
-func (t *AggregateTracker) Reset(in *Instance, y *RoutingPolicy) {
-	y.AggregateInto(in, t.agg)
-	t.invalidateEpochs()
-}
-
 // invalidateEpochs bumps the generation and stamps every row and block
 // dirty, so any memo keyed on earlier epochs misses.
 func (t *AggregateTracker) invalidateEpochs() {
@@ -425,12 +422,6 @@ func (t *AggregateTracker) BeginPhase() { t.clock++ }
 //
 //edgecache:noalloc
 func (t *AggregateTracker) Gen() uint64 { return t.gen }
-
-// RowEpoch returns the stamp of the last bitwise change to aggregate
-// row u.
-//
-//edgecache:noalloc
-func (t *AggregateTracker) RowEpoch(u int) uint64 { return t.rowEpoch[u] }
 
 // BlockEpoch returns the stamp of the last bitwise change to SBS n's
 // routing block.
@@ -468,7 +459,7 @@ func (t *AggregateTracker) MarkBlockDirty(n int) { t.blockEpoch[n].Store(t.clock
 func (t *AggregateTracker) Aggregate() Mat { return t.agg }
 
 // Restore overwrites the tracker with a serialized aggregate (a
-// checkpoint's). Resume must NOT rebuild via Reset: the incremental
+// checkpoint's). Resume must NOT rebuild it from the policy: the incremental
 // YMinusInto/Install path accumulates in a different floating-point order
 // than a full rebuild, and the bit-identical resume guarantee requires the
 // exact running sums. Epochs are invalidated wholesale — they are never

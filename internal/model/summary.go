@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -90,38 +89,4 @@ func (s InstanceSummary) String() string {
 	fmt.Fprintf(&b, "resources: %d cache slots, %.0f bandwidth (%.2fx demand); backhaul ceiling %.0f",
 		s.TotalCacheSlots, s.TotalBandwidth, s.BandwidthDemandRatio, s.MaxCost)
 	return b.String()
-}
-
-// DegreeHistogram returns, for each possible degree 0..N, how many MU
-// groups have exactly that many SBS links. Useful when analyzing Fig. 5's
-// link sweeps.
-func (in *Instance) DegreeHistogram() []int {
-	hist := make([]int, in.N+1)
-	for u := 0; u < in.U; u++ {
-		degree := 0
-		for n := 0; n < in.N; n++ {
-			if in.Links[n][u] {
-				degree++
-			}
-		}
-		hist[degree]++
-	}
-	return hist
-}
-
-// PopularityRanking returns content indices sorted by total demand,
-// most-demanded first (ties by lower index).
-func (in *Instance) PopularityRanking() []int {
-	pop := make([]float64, in.F)
-	for u := 0; u < in.U; u++ {
-		for f := 0; f < in.F; f++ {
-			pop[f] += in.Demand[u][f]
-		}
-	}
-	idx := make([]int, in.F)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return pop[idx[a]] > pop[idx[b]] })
-	return idx
 }

@@ -58,34 +58,3 @@ func TestSummarizeZeroDemand(t *testing.T) {
 		t.Errorf("zero-demand ratios = %v/%v, want 0/0", s.TopContentShare, s.BandwidthDemandRatio)
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	in := testInstance()
-	hist := in.DegreeHistogram()
-	// MU0: 2 links, MU1: 2 links, MU2: 1 link.
-	want := []int{0, 1, 2}
-	for d, w := range want {
-		if hist[d] != w {
-			t.Errorf("hist[%d] = %d, want %d (full: %v)", d, hist[d], w, hist)
-		}
-	}
-	total := 0
-	for _, h := range hist {
-		total += h
-	}
-	if total != in.U {
-		t.Errorf("histogram sums to %d, want U=%d", total, in.U)
-	}
-}
-
-func TestPopularityRanking(t *testing.T) {
-	in := testInstance()
-	// Content demands: f0=12, f1=7, f2=10, f3=11.
-	got := in.PopularityRanking()
-	want := []int{0, 3, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ranking = %v, want %v", got, want)
-		}
-	}
-}

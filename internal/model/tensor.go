@@ -130,9 +130,6 @@ func (m Mat) Zero() {
 	}
 }
 
-// ShapeEquals reports whether m and o have the same dimensions.
-func (m Mat) ShapeEquals(o Mat) bool { return m.U == o.U && m.F == o.F }
-
 // BitsEqual reports whether m and o hold bitwise-identical values (an
 // exact Float64bits compare, so -0 ≠ +0 and NaN == NaN with the same
 // payload). The sweep engines use it for dirty-set change detection, where

@@ -35,9 +35,6 @@ func TestMatBasics(t *testing.T) {
 	if m.At(0, 0) == 42 {
 		t.Fatal("Clone shares storage")
 	}
-	if !m.ShapeEquals(cl) || m.ShapeEquals(NewMat(3, 2)) {
-		t.Fatal("ShapeEquals wrong")
-	}
 	m.Zero()
 	for _, v := range m.Data {
 		if v != 0 {
@@ -154,7 +151,7 @@ func randomPolicyInstance(rng *rand.Rand, n, u, f int) (*Instance, *RoutingPolic
 // so the flat-tensor implementations can be compared bit-for-bit.
 
 func refAggregate(in *Instance, y *RoutingPolicy) [][]float64 {
-	agg := in.NewZeroMatrix()
+	agg := in.NewUFMat().Rows()
 	for n := 0; n < in.N; n++ {
 		for u := 0; u < in.U; u++ {
 			if !in.Links[n][u] {
@@ -169,7 +166,7 @@ func refAggregate(in *Instance, y *RoutingPolicy) [][]float64 {
 }
 
 func refAggregateExcept(in *Instance, y *RoutingPolicy, except int) [][]float64 {
-	agg := in.NewZeroMatrix()
+	agg := in.NewUFMat().Rows()
 	for n := 0; n < in.N; n++ {
 		if n == except {
 			continue
@@ -392,14 +389,6 @@ func TestAggregateTrackerMatchesRebuild(t *testing.T) {
 				if math.Abs(agg.Data[i]-full.Data[i]) > 1e-12 {
 					t.Fatalf("trial %d phase %d: aggregate drifted: %v vs %v", trial, phase, agg.Data[i], full.Data[i])
 				}
-			}
-		}
-		// Reset must snap back to the exact rebuild.
-		tracker.Reset(in, y)
-		full := y.Aggregate(in)
-		for i := range full.Data {
-			if tracker.Aggregate().Data[i] != full.Data[i] {
-				t.Fatalf("trial %d: Reset is not the exact rebuild", trial)
 			}
 		}
 	}

@@ -204,16 +204,55 @@ func TestQuarantineSkipsDeadSBS(t *testing.T) {
 // malformed and its previous policy stays in force. Either way the BS must
 // keep its aggregate finite and still converge with the healthy SBSs.
 func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
+	// full sets every routing entry of the rogue's upload to v, caching
+	// nothing.
+	full := func(v float64) func(*testing.T, *model.Instance) transport.PolicyUpload {
+		return func(_ *testing.T, inst *model.Instance) transport.PolicyUpload {
+			up := transport.PolicyUpload{Cache: make([]bool, inst.F), Routing: make([][]float64, inst.U)}
+			for u := range up.Routing {
+				up.Routing[u] = make([]float64, inst.F)
+				for f := range up.Routing[u] {
+					up.Routing[u][f] = v
+				}
+			}
+			return up
+		}
+	}
+	// oneShare routes a small share of content 0 to the first user whose
+	// link to the rogue SBS 0 is `linked`, with content 0 cached or not.
+	oneShare := func(linked, cached bool) func(*testing.T, *model.Instance) transport.PolicyUpload {
+		return func(t *testing.T, inst *model.Instance) transport.PolicyUpload {
+			up := full(0)(t, inst)
+			up.Cache[0] = cached
+			for u, l := range inst.Links[0] {
+				if l == linked {
+					up.Routing[u][0] = 0.01
+					return up
+				}
+			}
+			t.Fatalf("SBS 0 has no user with link=%v", linked)
+			return up
+		}
+	}
 	for _, tc := range []struct {
-		name  string
-		value float64 // every routing entry of the rogue's upload
-		event EventKind
+		name   string
+		upload func(*testing.T, *model.Instance) transport.PolicyUpload // nil: undecodable bytes
+		event  EventKind
 	}{
-		{"undecodable", 0, EventBadUpload},
-		{"nan", math.NaN(), EventMalformedUpload},
-		{"inf", math.Inf(1), EventMalformedUpload},
-		{"above-one", 1.5, EventMalformedUpload},
-		{"negative", -0.1, EventMalformedUpload},
+		{"undecodable", nil, EventBadUpload},
+		{"nan", full(math.NaN()), EventMalformedUpload},
+		{"inf", full(math.Inf(1)), EventMalformedUpload},
+		{"above-one", full(1.5), EventMalformedUpload},
+		{"negative", full(-0.1), EventMalformedUpload},
+		{"cache-over-capacity", func(t *testing.T, inst *model.Instance) transport.PolicyUpload {
+			up := full(0)(t, inst)
+			for f := range up.Cache {
+				up.Cache[f] = true
+			}
+			return up
+		}, EventMalformedUpload},
+		{"uncached-content", oneShare(true, false), EventMalformedUpload},
+		{"unlinked-user", oneShare(false, true), EventMalformedUpload},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
@@ -221,18 +260,9 @@ func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
 			ctx := testCtx(t)
 
 			payload := []byte("not gob")
-			if tc.event == EventMalformedUpload {
-				rows := make([][]float64, inst.U)
-				for u := range rows {
-					rows[u] = make([]float64, inst.F)
-					for f := range rows[u] {
-						rows[u][f] = tc.value
-					}
-				}
+			if tc.upload != nil {
 				var err error
-				payload, err = transport.EncodePayload(transport.PolicyUpload{
-					Cache: make([]bool, inst.F), Routing: rows,
-				})
+				payload, err = transport.EncodePayload(tc.upload(t, inst))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -138,9 +138,6 @@ func TestSimCheckpointNonIntrusive(t *testing.T) {
 		t.Fatal("no snapshots captured")
 	}
 	for _, ck := range store.All() {
-		if ck.Phase != 0 {
-			t.Fatalf("BS snapshot at phase %d; want sweep boundaries only", ck.Phase)
-		}
 		if ck.HasNoise {
 			t.Fatal("BS snapshot claims an in-process noise stream")
 		}
@@ -180,8 +177,7 @@ func TestSimResumeEveryBoundaryBitIdentical(t *testing.T) {
 func TestSimStateSyncHandshake(t *testing.T) {
 	// A resumed BS rebroadcasts the resume point in a header-only
 	// MsgStateSync: every live SBS must receive exactly one, record the
-	// header's sweep and phase, and acknowledge it within the handshake
-	// window.
+	// header's sweep, and acknowledge it within the handshake window.
 	rng := rand.New(rand.NewSource(81))
 	inst := randomInstance(rng, 3, 5, 6)
 	ctx := testCtx(t)
@@ -205,9 +201,9 @@ func TestSimStateSyncHandshake(t *testing.T) {
 		t.Errorf("state-sync events = %d, want %d", got, inst.N)
 	}
 	for _, ev := range sbsEvents.Events() {
-		if ev.Kind == EventStateSync && (ev.Sweep != ck.Sweep || ev.Phase != ck.Phase) {
-			t.Errorf("SBS %d synced to (%d, %d), want the resume point (%d, %d)",
-				ev.SBS, ev.Sweep, ev.Phase, ck.Sweep, ck.Phase)
+		if ev.Kind == EventStateSync && (ev.Sweep != ck.Sweep || ev.Phase != 0) {
+			t.Errorf("SBS %d synced to (%d, %d), want the boundary of sweep %d",
+				ev.SBS, ev.Sweep, ev.Phase, ck.Sweep)
 		}
 	}
 	if got := bsEvents.Count(EventStateSyncMiss); got != 0 {
@@ -252,12 +248,6 @@ func TestSimResumeRejections(t *testing.T) {
 		t.Errorf("noise-bearing snapshot: got %v", err)
 	}
 
-	midSweep := *ck
-	midSweep.Phase = 1
-	if _, err := bs.Resume(ctx, &midSweep); err == nil || !strings.Contains(err.Error(), "boundaries") {
-		t.Errorf("mid-sweep snapshot: got %v", err)
-	}
-
 	shuffled := *ck
 	shuffled.Order = []int{2, 1, 0}
 	if _, err := bs.Resume(ctx, &shuffled); err == nil || !strings.Contains(err.Error(), "order") {
@@ -268,24 +258,6 @@ func TestSimResumeRejections(t *testing.T) {
 	if _, err := NewBSAgent(inst, BSConfig{Checkpoint: &core.CheckpointConfig{}}, ep,
 		[]string{"sbs-0", "sbs-1", "sbs-2"}); err == nil {
 		t.Error("checkpoint config without sink: want error")
-	}
-}
-
-// TestBSAgentRejectsPerPhaseCheckpoints: the BS's γ-deferral state is
-// intra-sweep and not captured, so a mid-sweep snapshot could not be
-// resumed (Resume rejects Phase != 0). The constructor must refuse the
-// cadence up front instead of writing snapshots nobody can use.
-func TestBSAgentRejectsPerPhaseCheckpoints(t *testing.T) {
-	inst := randomInstance(rand.New(rand.NewSource(92)), 3, 5, 6)
-	ep, err := transport.NewHub().Register("bs", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: model.NewMemCheckpointStore(), EachPhase: true}}
-	_, err = NewBSAgent(inst, cfg, ep, []string{"sbs-0", "sbs-1", "sbs-2"})
-	if err == nil || !strings.Contains(err.Error(), "EachPhase") {
-		t.Fatalf("per-phase checkpoint cadence: got %v, want an EachPhase error", err)
 	}
 }
 

@@ -61,10 +61,10 @@ type BSConfig struct {
 	OnEvent EventHook
 	// Checkpoint, when non-nil, snapshots the BS's sweep state (policies,
 	// aggregate, history, per-SBS health and fault accounting) to the
-	// configured sink at sweep boundaries, enabling Resume after a
-	// coordinator crash. EachPhase must be false: the BS's γ-deferral state
-	// (a live SBS missed this sweep) is intra-sweep and not captured, so the
-	// agent only checkpoints at boundaries where that state is empty.
+	// configured sink at every sweep boundary, enabling Resume after a
+	// coordinator crash. A boundary is also where the BS's intra-sweep
+	// γ-deferral state (a live SBS missed this sweep) is empty, so the
+	// snapshot need not carry it.
 	Checkpoint *core.CheckpointConfig
 }
 
@@ -138,13 +138,8 @@ func NewBSAgent(inst *model.Instance, cfg BSConfig, ep transport.Endpoint, sbsNa
 	if len(sbsNames) != inst.N {
 		return nil, fmt.Errorf("sim: %d SBS names for N=%d SBSs", len(sbsNames), inst.N)
 	}
-	if ck := cfg.Checkpoint; ck != nil {
-		if ck.Sink == nil {
-			return nil, errors.New("sim: checkpoint config requires a sink")
-		}
-		if ck.EachPhase {
-			return nil, errors.New("sim: the BS agent checkpoints at sweep boundaries only; EachPhase is not supported")
-		}
+	if ck := cfg.Checkpoint; ck != nil && ck.Sink == nil {
+		return nil, errors.New("sim: checkpoint config requires a sink")
 	}
 	return &BSAgent{inst: inst, cfg: cfg.withDefaults(), ep: ep, sbsNames: sbsNames,
 		health: make([]sbsHealth, inst.N)}, nil
@@ -180,9 +175,6 @@ func (b *BSAgent) Resume(ctx context.Context, ck *model.Checkpoint) (*core.RunRe
 	}
 	if ck.HasNoise {
 		return nil, errors.New("sim: checkpoint records an in-process noise stream; in the distributed deployment noise lives inside the SBS agents and the BS cannot restore it")
-	}
-	if ck.Phase != 0 {
-		return nil, fmt.Errorf("sim: BS agent resumes at sweep boundaries only, got phase %d", ck.Phase)
 	}
 	if ck.Engine.Family() != model.FamilyGaussSeidel {
 		return nil, fmt.Errorf("sim: checkpoint records a %v-family engine; the BS protocol is a Gauss-Seidel sweep and cannot resume a %v run", ck.Engine.Family(), ck.Engine)
@@ -325,11 +317,9 @@ func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResul
 		HoldConvergence: phases.holdConvergence,
 	}
 	if ckpt := b.cfg.Checkpoint; ckpt != nil {
-		// Sweep-boundary snapshots only (NewBSAgent rejects EachPhase).
 		// Unlike core.Coordinator the BS also records per-SBS health and
 		// fault accounting.
-		d.Checkpoint = ckpt
-		d.Snapshot = func(st *core.SweepState, res *core.RunResult, sweep, _ int) error {
+		d.Snapshot = func(st *core.SweepState, res *core.RunResult, sweep int) error {
 			return b.snapshot(ckpt.Sink, st, res, phases.faults, sweep)
 		}
 	}
@@ -434,10 +424,14 @@ func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
 }
 
 // checkUpload validates SBS n's upload and returns its routing block: the
-// shapes must match the instance, and every routing entry must lie in
-// [0, 1], as the solver's routing and its LPPM perturbation always do. A
-// NaN or infinite entry would otherwise poison the aggregate for the rest
-// of the run (agg − y_n stays NaN once agg is).
+// shapes must match the instance, every routing entry must lie in [0, 1],
+// and the upload must meet SBS n's own constraints (model.CheckSBS: cache
+// capacity, routing only on cached contents and linked users, bandwidth),
+// as the solver's routing and its LPPM perturbation always do — LPPM keeps
+// zeros at zero and only shrinks values. A NaN or infinite entry would
+// otherwise poison the aggregate for the rest of the run (agg − y_n stays
+// NaN once agg is), and a rogue upload would make the run's solution
+// infeasible.
 func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, error) {
 	inst := b.inst
 	if len(up.Cache) != inst.F {
@@ -457,6 +451,9 @@ func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, erro
 			}
 		}
 	}
+	if vs := model.CheckSBS(inst, n, up.Cache, routing); len(vs) != 0 {
+		return model.Mat{}, fmt.Errorf("sim: SBS %d upload breaks its own constraints: %v", n, vs[0])
+	}
 	return routing, nil
 }
 
@@ -474,7 +471,7 @@ func (b *BSAgent) broadcastDone(ctx context.Context) {
 // probe schedules instead of re-learning which SBSs are dead.
 func (b *BSAgent) snapshot(sink model.CheckpointSink, st *core.SweepState, res *core.RunResult,
 	faults []core.SBSFaultStats, sweep int) error {
-	ck := st.Checkpoint(b.inst, model.EngineGaussSeidel, res.History, sweep, 0)
+	ck := st.Checkpoint(b.inst, model.EngineGaussSeidel, res.History, sweep)
 	ck.Health = b.healthSnapshot(faults)
 	if err := sink.Save(ck); err != nil {
 		return fmt.Errorf("sim: checkpoint at sweep %d: %w", sweep, err)
@@ -542,9 +539,9 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 		if b.health[n].quarantined {
 			continue // known-dead: do not stall the handshake on it
 		}
-		msg := transport.Message{Type: transport.MsgStateSync, Sweep: ck.Sweep, Phase: ck.Phase}
+		msg := transport.Message{Type: transport.MsgStateSync, Sweep: ck.Sweep}
 		if err := b.ep.Send(ctx, name, msg); err != nil {
-			b.event(EventSendFailed, n, ck.Sweep, ck.Phase, err)
+			b.event(EventSendFailed, n, ck.Sweep, 0, err)
 		}
 		awaiting[n] = true
 		expected++
@@ -559,7 +556,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 		if err != nil {
 			break
 		}
-		if msg.Type != transport.MsgStateAck || msg.Sweep != ck.Sweep || msg.Phase != ck.Phase {
+		if msg.Type != transport.MsgStateAck || msg.Sweep != ck.Sweep {
 			continue
 		}
 		for n, name := range b.sbsNames {
@@ -572,7 +569,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 	}
 	for n, w := range awaiting {
 		if w {
-			b.event(EventStateSyncMiss, n, ck.Sweep, ck.Phase, nil)
+			b.event(EventStateSyncMiss, n, ck.Sweep, 0, nil)
 		}
 	}
 }
@@ -588,10 +585,10 @@ type SBSAgent struct {
 	bsName string
 	hook   EventHook
 
-	// syncSweep/syncPhase mark the last BS resume point received via
-	// MsgStateSync; announces strictly older are pre-crash ghosts and are
-	// dropped (EventStaleAnnounce).
-	syncSweep, syncPhase int
+	// syncSweep is the sweep boundary of the last BS resume received via
+	// MsgStateSync; announces of earlier sweeps are pre-crash ghosts and
+	// are dropped (EventStaleAnnounce).
+	syncSweep int
 	// lastSweep/lastPhase/lastReply cache the most recent upload so a
 	// duplicated announce (BS retransmission, or replay across a BS
 	// restart at the same protocol point) is answered byte-identically
@@ -668,7 +665,7 @@ func (a *SBSAgent) handlePhase(ctx context.Context, msg transport.Message) error
 	// Announces older than the BS's announced resume point are pre-crash
 	// ghosts still in flight; answering them would upload state the
 	// resumed BS has already rolled past.
-	if msg.Sweep < a.syncSweep || (msg.Sweep == a.syncSweep && msg.Phase < a.syncPhase) {
+	if msg.Sweep < a.syncSweep {
 		a.event(EventStaleAnnounce, msg.Sweep, msg.Phase, nil)
 		return nil
 	}
@@ -736,7 +733,7 @@ func (a *SBSAgent) sendReply(ctx context.Context, sweep, phase int, payload []by
 // reply cache (pre-crash uploads must not answer post-resume announces)
 // and acknowledges.
 func (a *SBSAgent) handleStateSync(ctx context.Context, msg transport.Message) {
-	a.syncSweep, a.syncPhase = msg.Sweep, msg.Phase
+	a.syncSweep = msg.Sweep
 	a.lastSweep, a.lastPhase, a.lastReply = -1, -1, nil
 	a.event(EventStateSync, msg.Sweep, msg.Phase, nil)
 	ack := transport.Message{Type: transport.MsgStateAck, Sweep: msg.Sweep, Phase: msg.Phase}

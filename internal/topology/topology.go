@@ -199,16 +199,3 @@ func DistanceEdgeCosts(dist [][]float64, base, perUnit float64) ([][]float64, er
 	}
 	return m, nil
 }
-
-// CountLinks returns the number of true cells in a connectivity matrix.
-func CountLinks(links [][]bool) int {
-	count := 0
-	for _, row := range links {
-		for _, l := range row {
-			if l {
-				count++
-			}
-		}
-	}
-	return count
-}

@@ -12,7 +12,7 @@ func TestRandomLinksExactCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("TotalLinks=%d: %v", total, err)
 		}
-		if got := CountLinks(links); got != total {
+		if got := countLinks(links); got != total {
 			t.Errorf("TotalLinks=%d: CountLinks = %d", total, got)
 		}
 		if len(links) != 3 || len(links[0]) != 30 {
@@ -28,7 +28,7 @@ func TestRandomLinksCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CountLinks(links); got != 40 {
+	if got := countLinks(links); got != 40 {
 		t.Fatalf("CountLinks = %d, want 40", got)
 	}
 	for u := 0; u < 30; u++ {
@@ -85,7 +85,7 @@ func TestRandomLinksCountProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return CountLinks(links) == total
+		return countLinks(links) == total
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -199,4 +199,17 @@ func TestPointDist(t *testing.T) {
 	if got := (Point{0, 0}).Dist(Point{3, 4}); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
+}
+
+// countLinks returns the number of true cells in a connectivity matrix.
+func countLinks(links [][]bool) int {
+	count := 0
+	for _, row := range links {
+		for _, l := range row {
+			if l {
+				count++
+			}
+		}
+	}
+	return count
 }
