@@ -92,6 +92,8 @@ func TestScheduleValidate(t *testing.T) {
 		{Events: []Event{{SBS: 0, Op: OpPartition, Phases: -1}}},
 		{Events: []Event{{SBS: 0, Op: Op(99)}}},
 		{Events: []Event{{SBS: -1, Op: OpLinkFaults, Faults: transport.FaultConfig{DupProb: -1}}}},
+		{Links: transport.FaultConfig{DupProb: math.NaN()}},
+		{Events: []Event{{Sweep: 1, SBS: 0, Op: OpLinkFaults, Faults: transport.FaultConfig{ReorderProb: math.NaN()}}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(3); err == nil {
@@ -146,6 +148,7 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"bogus=1", "drop=1.5", "drop", "crash=1", "crash=x@2", "crash=1@y",
 		"crash=1@2+0", "partition=0@1+-2", "delay=3parsecs", "seed=abc",
+		"seed=1,drop=NaN", "linkfault=0@1:reorder=NaN",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", bad)
@@ -231,42 +234,88 @@ func TestCrashRestartCycleExactStats(t *testing.T) {
 	}
 }
 
-// TestDuplicateStormIsInvisible turns on 100% duplication on every link
-// mid-run: sequence-number dedup must cancel it exactly, leaving the run
-// bit-for-bit identical to the fault-free baseline.
+// TestDuplicateStormIsInvisible duplicates every message on every link and
+// compares the run against the same schedule without duplication. The
+// transport dedups nothing, so every duplicate reaches an agent, and the
+// protocol's (sweep, phase) identity must absorb it: a repeated announce
+// is answered from the SBS's reply cache (no re-solve, no new LPPM noise
+// draw), a repeated upload or state-sync ack is discarded or counted
+// once, and a repeated state-sync resets the reply cache again before any
+// later announce. The result must be bit-for-bit the clean run's.
 func TestDuplicateStormIsInvisible(t *testing.T) {
 	inst := testInstance(4, 3, 5, 6)
-	cfg := Config{
-		BS:  sim.BSConfig{PhaseTimeout: 5 * time.Second},
-		Sub: core.DefaultSubproblemConfig(),
-		Schedule: Schedule{
-			Seed: 9,
-			Events: []Event{
-				{Sweep: 0, SBS: -1, Op: OpLinkFaults, Faults: transport.FaultConfig{DupProb: 1}},
-			},
-		},
+	crash := []Event{
+		{Sweep: 1, Phase: 1, SBS: -1, Op: OpBSCrash},
+		{Sweep: 2, SBS: -1, Op: OpBSRestart},
 	}
-	res, report, err := Run(testCtx(t), inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := faultFreeBaseline(t, inst)
-	if res.Sweeps != base.Sweeps || res.Converged != base.Converged {
-		t.Errorf("sweeps/converged = %d/%v, want %d/%v", res.Sweeps, res.Converged, base.Sweeps, base.Converged)
-	}
-	if len(res.History) != len(base.History) {
-		t.Fatalf("history length %d, want %d", len(res.History), len(base.History))
-	}
-	for i := range res.History {
-		if math.Abs(res.History[i]-base.History[i]) > 1e-9 {
-			t.Errorf("history[%d] = %v, want %v", i, res.History[i], base.History[i])
-		}
-	}
-	if got := res.TotalFaults(); got != (core.SBSFaultStats{}) {
-		t.Errorf("duplication leaked into fault stats: %+v", got)
-	}
-	if len(report.Fired) != 1 {
-		t.Errorf("fired = %v, want the single link-faults event", report.Fired)
+	for _, tc := range []struct {
+		name      string
+		lppm      bool
+		maxSweeps int
+		events    []Event
+	}{
+		{name: "plain"},
+		{name: "lppm", lppm: true, maxSweeps: 8},
+		{name: "bscrash", events: crash},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(dup float64) (*core.RunResult, *Report, []*core.NoiseSource) {
+				noise := make([]*core.NoiseSource, inst.N)
+				cfg := Config{
+					BS:  sim.BSConfig{PhaseTimeout: 5 * time.Second, MaxSweeps: tc.maxSweeps},
+					Sub: core.DefaultSubproblemConfig(),
+					Schedule: Schedule{
+						Seed:   9,
+						Links:  transport.FaultConfig{DupProb: dup},
+						Events: tc.events,
+					},
+				}
+				if tc.lppm {
+					cfg.PrivacyFor = func(n int) *core.PrivacyConfig {
+						noise[n] = core.NewNoiseSource(int64(100 + n))
+						return &core.PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Noise: noise[n]}
+					}
+				}
+				res, report, err := Run(testCtx(t), inst, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(report.Unfired) != 0 {
+					t.Fatalf("unfired events: %v", report.Unfired)
+				}
+				return res, report, noise
+			}
+			base, baseReport, baseNoise := run(0)
+			res, report, noise := run(1)
+			exactMatch(t, res, base)
+			if got := res.TotalFaults(); got != (core.SBSFaultStats{}) {
+				t.Errorf("duplication leaked into fault stats: %+v", got)
+			}
+			if tc.lppm {
+				for n := range noise {
+					_, got := noise[n].Pos()
+					_, want := baseNoise[n].Pos()
+					if got != want {
+						t.Errorf("SBS %d drew %d noise values, want %d", n, got, want)
+					}
+				}
+			}
+			if tc.events == nil {
+				// Every announce arrives twice and its copy is replayed. An
+				// SBS reads the copy before its next announce, so every
+				// sweep but the last is certain; the runner cancels the
+				// agents once the BS is done, which can cut off a copy of
+				// a final-sweep announce still queued.
+				got, n := report.Counter.Count(sim.EventReplayedUpload), inst.N
+				if got < (res.Sweeps-1)*n || got > res.Sweeps*n {
+					t.Errorf("replayed uploads = %d, want %d (sweeps × N) less at most the last sweep's %d",
+						got, res.Sweeps*n, n)
+				}
+				if got := baseReport.Counter.Count(sim.EventReplayedUpload); got != 0 {
+					t.Errorf("clean run replayed %d uploads", got)
+				}
+			}
+		})
 	}
 }
 

@@ -137,9 +137,7 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 		bsCfg.Checkpoint = &core.CheckpointConfig{Sink: model.NewMemCheckpointStore()}
 	}
 
-	// startBS brings up one BS endpoint incarnation. Each gets disjoint
-	// sequence numbers (AdvanceSeq) so the SBS-side dedup windows do not
-	// discard the restarted coordinator's first messages as duplicates.
+	// startBS brings up one BS endpoint incarnation.
 	var bsEp *controller
 	startBS := func(gen int) error {
 		rawBS, err := r.hub.Register(bsName, 8*inst.N+8)
@@ -157,7 +155,6 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 		if err != nil {
 			return err
 		}
-		rel.AdvanceSeq(uint64(gen) << 20)
 		r.mu.Lock()
 		r.bsLink = lk
 		r.mu.Unlock()
@@ -294,10 +291,6 @@ func (r *runner) startAgent(n int) error {
 	if err != nil {
 		return err
 	}
-	// Each incarnation must use a sequence range disjoint from its
-	// predecessors', or the BS's dedup window would discard the restarted
-	// agent's first uploads as retry duplicates.
-	rel.AdvanceSeq(uint64(generation) << 20)
 	var privacy *core.PrivacyConfig
 	if r.cfg.PrivacyFor != nil {
 		privacy = r.cfg.PrivacyFor(n)

@@ -200,10 +200,7 @@ func listenWithRetry(name, addr string) (*transport.TCPEndpoint, error) {
 }
 
 // openEndpoint builds the agent's endpoint stack — TCP listener, reliable
-// wrapper with a generation-disjoint sequence range, progress tap — and
-// reports the bound address. The seq-range jump mirrors the in-process
-// chaos runner: receivers still holding the previous incarnation's numbers
-// in their dedup windows must not discard the newcomer's first messages.
+// wrapper, progress tap — and reports the bound address.
 func openEndpoint(name string, cfg agentConfig, rep *reporter) (*progressEndpoint, error) {
 	tcp, err := listenWithRetry(name, cfg.listen)
 	if err != nil {
@@ -214,9 +211,6 @@ func openEndpoint(name string, cfg agentConfig, rep *reporter) (*progressEndpoin
 	if err != nil {
 		tcp.Close()
 		return nil, err
-	}
-	if cfg.generation > 0 {
-		rel.AdvanceSeq(uint64(cfg.generation) << 20)
 	}
 	return &progressEndpoint{inner: rel, tcp: tcp, rep: rep}, nil
 }

@@ -129,8 +129,7 @@ func newRegionalEngine(c *Coordinator, regions [][]int) *regionalEngine {
 func (e *regionalEngine) Kind() model.EngineKind { return model.EngineJacobi }
 func (e *regionalEngine) Close()                 {}
 
-// Sweep runs one round. RunMultiBS neither checkpoints nor resumes, so
-// first is always zero.
+// Sweep runs one round.
 func (e *regionalEngine) Sweep(st *SweepState, sweep int) error {
 	inst := e.c.inst
 	for r, agg := range e.foreign {

@@ -48,7 +48,7 @@ func (n *Node) BadReadLocked(ctx context.Context) (transport.Message, error) {
 func (n *Node) GoodReleaseFirst(ctx context.Context, m transport.Message) error {
 	n.mu.Lock()
 	n.seq++
-	m.Seq = uint64(n.seq)
+	m.Sweep = n.seq
 	n.mu.Unlock()
 	return n.ep.Send(ctx, "peer", m)
 }

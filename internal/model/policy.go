@@ -418,7 +418,7 @@ func (t *AggregateTracker) invalidateEpochs() {
 //edgecache:noalloc
 func (t *AggregateTracker) BeginPhase() { t.clock++ }
 
-// Gen returns the re-synchronization generation (see Reset/Restore).
+// Gen returns the re-synchronization generation (see Restore).
 //
 //edgecache:noalloc
 func (t *AggregateTracker) Gen() uint64 { return t.gen }

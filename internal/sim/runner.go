@@ -37,9 +37,9 @@ func RunInmemWithStats(ctx context.Context, inst *model.Instance, cfg BSConfig, 
 	if err != nil {
 		return nil, transport.Stats{}, err
 	}
-	// The reliability layer (send retries + sequence-number dedup) is on by
-	// default: with no faults it is invisible — the equivalence tests assert
-	// the run stays bit-for-bit identical to core.Coordinator.
+	// The reliability layer (send retries) is on by default: with no faults
+	// it is invisible — the equivalence tests assert the run stays
+	// bit-for-bit identical to core.Coordinator.
 	relBsEp, err := transport.NewReliableEndpoint(rawBsEp, transport.RetryPolicy{})
 	if err != nil {
 		return nil, transport.Stats{}, err

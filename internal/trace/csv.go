@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -12,7 +13,8 @@ import (
 // user substitute a real trending trace for the synthetic one: feed the
 // result into DemandMatrix, or set Scenario.CustomViews.
 //
-// Rows must be in rank order starting at 1; views must be non-negative.
+// Rows must be in rank order starting at 1; views must be finite and
+// non-negative.
 func LoadViewsCSV(r io.Reader) ([]float64, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -41,6 +43,9 @@ func LoadViewsCSV(r io.Reader) ([]float64, error) {
 		}
 		if v < 0 {
 			return nil, fmt.Errorf("trace: row %d has negative views %v", i+1, v)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("trace: row %d has non-finite views %v", i+1, v)
 		}
 		views = append(views, v)
 	}

@@ -37,6 +37,8 @@ func TestLoadViewsCSVErrors(t *testing.T) {
 		{"rank gap", "rank,views\n1,5\n3,4\n"},
 		{"bad views", "rank,views\n1,abc\n"},
 		{"negative views", "rank,views\n1,-2\n"},
+		{"NaN views", "rank,views\n1,NaN\n"},
+		{"infinite views", "rank,views\n1,+Inf\n"},
 		{"wrong columns", "rank,views\n1,2,3\n"},
 	}
 	for _, tc := range cases {

@@ -157,8 +157,7 @@ type FaultConfig struct {
 
 // Validate checks probability ranges.
 func (c FaultConfig) Validate() error {
-	if c.DropProb < 0 || c.DropProb > 1 || c.DupProb < 0 || c.DupProb > 1 ||
-		c.ReorderProb < 0 || c.ReorderProb > 1 {
+	if !validProb(c.DropProb) || !validProb(c.DupProb) || !validProb(c.ReorderProb) {
 		return fmt.Errorf("transport: fault probabilities must be in [0,1], got drop=%v dup=%v reorder=%v",
 			c.DropProb, c.DupProb, c.ReorderProb)
 	}
@@ -167,6 +166,9 @@ func (c FaultConfig) Validate() error {
 	}
 	return nil
 }
+
+// validProb reports whether p is a probability in [0, 1]; NaN is not.
+func validProb(p float64) bool { return p >= 0 && p <= 1 }
 
 // FaultyEndpoint wraps an endpoint with message dropping, duplication,
 // reordering and delay on the send path. Receives pass through untouched.

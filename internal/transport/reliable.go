@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -69,50 +68,13 @@ type ReliabilityStats struct {
 	// Sends counts Send calls; Retries counts extra attempts beyond the
 	// first; SendFailures counts Sends that exhausted every attempt.
 	Sends, Retries, SendFailures int64
-	// DupsDropped counts inbound messages discarded by sequence-number
-	// deduplication.
-	DupsDropped int64
-}
-
-// dedupWindowSize bounds the per-peer set of remembered sequence numbers.
-// The protocol is request/response with small in-flight counts, so a
-// window of 512 comfortably exceeds any realistic retry burst.
-const dedupWindowSize = 512
-
-// dedupWindow remembers the last dedupWindowSize sequence numbers from one
-// peer; membership is O(1) and eviction is FIFO.
-type dedupWindow struct {
-	seen  map[uint64]struct{}
-	order []uint64
-	next  int
-}
-
-func newDedupWindow() *dedupWindow {
-	return &dedupWindow{seen: make(map[uint64]struct{}), order: make([]uint64, 0, dedupWindowSize)}
-}
-
-// observe records seq and reports whether it was already present.
-func (w *dedupWindow) observe(seq uint64) bool {
-	if _, ok := w.seen[seq]; ok {
-		return true
-	}
-	if len(w.order) < dedupWindowSize {
-		w.order = append(w.order, seq)
-	} else {
-		delete(w.seen, w.order[w.next])
-		w.order[w.next] = seq
-		w.next = (w.next + 1) % dedupWindowSize
-	}
-	w.seen[seq] = struct{}{}
-	return false
 }
 
 // ReliableEndpoint wraps an Endpoint with per-send retries (exponential
-// backoff + jitter) and receiver-side sequence-number deduplication, so
-// retries compose safely with the at-most-once Endpoint contract: a
-// message duplicated by a retry (or by a faulty link) is delivered to the
-// application at most once. Messages from senders that do not stamp
-// sequence numbers (Seq == 0) pass through untouched.
+// backoff + jitter). Recv passes every message through: a duplicate, from
+// a faulty link or from a retry whose failed attempt still reached the
+// peer, is absorbed by the protocol's (sweep, phase) identity (see
+// internal/sim).
 //
 // Send never retries on context cancellation or on ErrClosed/ErrUnknownPeer
 // (the peer set is static in this protocol, so an unknown name cannot
@@ -120,11 +82,8 @@ func (w *dedupWindow) observe(seq uint64) bool {
 type ReliableEndpoint struct {
 	inner Endpoint
 
-	nextSeq atomic.Uint64
-
 	mu    sync.Mutex
 	rng   *rand.Rand
-	seen  map[string]*dedupWindow
 	stats ReliabilityStats
 }
 
@@ -136,27 +95,14 @@ func NewReliableEndpoint(inner Endpoint, policy RetryPolicy) (*ReliableEndpoint,
 	return &ReliableEndpoint{
 		inner: inner,
 		rng:   rand.New(rand.NewSource(policy.Seed)),
-		seen:  make(map[string]*dedupWindow),
 	}, nil
 }
 
 // Name implements Endpoint.
 func (e *ReliableEndpoint) Name() string { return e.inner.Name() }
 
-// AdvanceSeq skips the next n sequence numbers. A restarted sender that
-// reuses its peer name must advance past the range its previous
-// incarnation used, or receivers still holding those numbers in their
-// dedup window will discard its first messages as retry duplicates.
-func (e *ReliableEndpoint) AdvanceSeq(n uint64) { e.nextSeq.Add(n) }
-
-// Send implements Endpoint with retries. Each message gets a fresh
-// sequence number, so a deliberate re-send by the caller (e.g. a protocol
-// retransmission) is a distinct message, while the retries issued here
-// reuse the number and are deduplicated by the receiver.
+// Send implements Endpoint with retries.
 func (e *ReliableEndpoint) Send(ctx context.Context, to string, m Message) error {
-	if m.Seq == 0 {
-		m.Seq = e.nextSeq.Add(1)
-	}
 	e.mu.Lock()
 	e.stats.Sends++
 	e.mu.Unlock()
@@ -187,32 +133,8 @@ func (e *ReliableEndpoint) Send(ctx context.Context, to string, m Message) error
 	return lastErr
 }
 
-// Recv implements Endpoint, dropping sequence-number duplicates.
-func (e *ReliableEndpoint) Recv(ctx context.Context) (Message, error) {
-	for {
-		m, err := e.inner.Recv(ctx)
-		if err != nil {
-			return m, err
-		}
-		if m.Seq == 0 {
-			return m, nil
-		}
-		e.mu.Lock()
-		w, ok := e.seen[m.From]
-		if !ok {
-			w = newDedupWindow()
-			e.seen[m.From] = w
-		}
-		dup := w.observe(m.Seq)
-		if dup {
-			e.stats.DupsDropped++
-		}
-		e.mu.Unlock()
-		if !dup {
-			return m, nil
-		}
-	}
-}
+// Recv implements Endpoint.
+func (e *ReliableEndpoint) Recv(ctx context.Context) (Message, error) { return e.inner.Recv(ctx) }
 
 // Close implements Endpoint.
 func (e *ReliableEndpoint) Close() error { return e.inner.Close() }

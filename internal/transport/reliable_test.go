@@ -110,10 +110,6 @@ func TestReliableSendRetriesUntilSuccess(t *testing.T) {
 	if st.Sends != 1 || st.Retries != 2 || st.SendFailures != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Retries reuse one sequence number, so the receiver can deduplicate.
-	if inner.sent[0].Seq == 0 {
-		t.Error("sent message has no sequence number")
-	}
 }
 
 func TestReliableSendExhaustsAttempts(t *testing.T) {
@@ -168,117 +164,6 @@ func TestReliableSendRespectsContext(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("send did not honor context cancellation")
-	}
-}
-
-func TestReliableRecvDeduplicates(t *testing.T) {
-	ctx := testCtx(t)
-	hub := NewHub()
-	rawA, err := hub.Register("a", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawB, err := hub.Register("b", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewReliableEndpoint(rawB, RetryPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a retry burst: the same sequence number arrives three times,
-	// then a new one, then an unsequenced message.
-	dup := Message{Type: MsgPolicyUpload, Seq: 7, Payload: []byte("x")}
-	for i := 0; i < 3; i++ {
-		if err := rawA.Send(ctx, "b", dup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rawA.Send(ctx, "b", Message{Type: MsgPolicyUpload, Seq: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rawA.Send(ctx, "b", Message{Type: MsgDone}); err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	for i := 0; i < 3; i++ {
-		m, err := b.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, m.Seq)
-	}
-	if got[0] != 7 || got[1] != 8 || got[2] != 0 {
-		t.Errorf("received seqs %v, want [7 8 0]", got)
-	}
-	if st := b.Stats(); st.DupsDropped != 2 {
-		t.Errorf("DupsDropped = %d, want 2", st.DupsDropped)
-	}
-}
-
-func TestReliableEndToEndOverHub(t *testing.T) {
-	ctx := testCtx(t)
-	hub := NewHub()
-	rawA, err := hub.Register("a", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawB, err := hub.Register("b", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A duplicating link between two reliable endpoints: the injected
-	// duplicates carry the same sequence number and are filtered out.
-	faulty, err := NewFaultyEndpoint(rawA, FaultConfig{DupProb: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewReliableEndpoint(faulty, RetryPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewReliableEndpoint(rawB, RetryPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := a.Send(ctx, "b", Message{Type: MsgPhaseStart, Sweep: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		m, err := b.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Sweep != i {
-			t.Fatalf("message %d has sweep %d (duplicate leaked)", i, m.Sweep)
-		}
-	}
-	// The duplicate of the final message is still queued (Recv returned on
-	// the unique copy), so exactly 4 duplicates have been dropped.
-	if st := b.Stats(); st.DupsDropped != 4 {
-		t.Errorf("DupsDropped = %d, want 4", st.DupsDropped)
-	}
-}
-
-func TestDedupWindowEviction(t *testing.T) {
-	w := newDedupWindow()
-	for seq := uint64(1); seq <= dedupWindowSize+10; seq++ {
-		if w.observe(seq) {
-			t.Fatalf("fresh seq %d reported as duplicate", seq)
-		}
-	}
-	// The oldest entries have been evicted and would be accepted again;
-	// recent ones are still remembered.
-	if w.observe(1) {
-		t.Error("evicted seq 1 still reported as duplicate")
-	}
-	if !w.observe(dedupWindowSize + 10) {
-		t.Error("recent seq not reported as duplicate")
-	}
-	if len(w.seen) > dedupWindowSize+1 {
-		t.Errorf("window grew to %d entries", len(w.seen))
 	}
 }
 

@@ -68,10 +68,6 @@ type Message struct {
 	To    string
 	Sweep int
 	Phase int
-	// Seq is a per-sender sequence number stamped by ReliableEndpoint so
-	// receivers can discard retry-induced duplicates. 0 means the sender
-	// does not use sequencing and the message is never deduplicated.
-	Seq uint64
 	// Payload is the gob-encoded body (AggregateAnnounce or PolicyUpload;
 	// empty for the other message types).
 	Payload []byte

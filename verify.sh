@@ -47,11 +47,14 @@ echo "verify: edgelint ./..."
 go run ./cmd/edgelint ./...
 
 # Crash-recovery gate: the checkpoint/resume paths (bit-identical resume,
-# snapshot codec hardening, BS crash recovery, state-sync handshake) run
-# first under -race so a regression in the headline durability guarantee
-# fails fast, before the broad suites.
+# snapshot codec hardening, BS crash recovery, state-sync handshake) and
+# the protocol's duplicate handling (the duplicate-storm table: 100%
+# duplication on every link, bit-identical to the clean run — the
+# (sweep, phase) filter is the only one, the transport dedups nothing)
+# run first under -race so a regression in either fails fast, before the
+# broad suites.
 echo "verify: crash-resume recovery gate (-race)"
-go test -race -run 'Resume|Checkpoint|BSCrash|StateSync|ReplyCache|NoiseSource' \
+go test -race -run 'Resume|Checkpoint|BSCrash|StateSync|ReplyCache|NoiseSource|Duplicate' \
 	./internal/model ./internal/core ./internal/sim ./internal/chaos
 
 # Parallel sweep-engine gate: the worker pool's determinism and crash
