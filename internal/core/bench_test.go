@@ -109,3 +109,50 @@ func BenchmarkSubproblemSolveSparse(b *testing.B) {
 		allocSink = res.Gain
 	}
 }
+
+// denseShape is edgebench's dense workload instance: N=50, U=100, F=100,
+// 60% links, seed 99.
+func denseShape() *model.Instance { return shapeInstance(99, 50, 100, 100, 0.6) }
+
+// BenchmarkDenseRound measures the round edgebench's dense workload runs:
+// all 50 SBSs of its instance solved against an empty y₋ₙ, the first
+// Jacobi round. Primal recovery is most of each solve.
+func BenchmarkDenseRound(b *testing.B) {
+	inst := denseShape()
+	subs := make([]*Subproblem, inst.N)
+	for n := range subs {
+		sub, err := NewSubproblem(inst, n, DefaultSubproblemConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs[n] = sub
+	}
+	yMinus := inst.NewUFMat()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sub := range subs {
+			res, err := sub.Solve(yMinus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			allocSink = res.Gain
+		}
+	}
+}
+
+// BenchmarkNewCoordinatorDense measures setup at the dense shape: one
+// validation and 50 per-SBS solvers with their workspaces. Its B/op is
+// the per-SBS solver state.
+func BenchmarkNewCoordinatorDense(b *testing.B) {
+	inst := denseShape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coord, err := NewCoordinator(inst, DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		coord.Close()
+	}
+}

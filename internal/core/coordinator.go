@@ -311,7 +311,7 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 	}
 	c.subs = make([]*Subproblem, inst.N)
 	for n := 0; n < inst.N; n++ {
-		sub, err := NewSubproblem(inst, n, cfg.Sub)
+		sub, err := newSubproblem(inst, n, cfg.Sub) // validated above
 		if err != nil {
 			return nil, err
 		}

@@ -10,9 +10,11 @@ import (
 )
 
 // referenceSolve is Solve with the full-scan dual loop: every sub-gradient
-// iteration zeroes, scores, heapifies and updates every item. It is the
-// reference the touched-set loop (dualLoop, routingFill) must match bit for
-// bit; routingStep's own reference is sortFill.
+// iteration zeroes, scores, heapifies and updates every item, and primal
+// recovery scans the whole density order for every candidate. It is the
+// reference the touched-set loop (dualLoop, routingFill) and the merge
+// walk (recoverPrimal) must match bit for bit; routingStep's own reference
+// is sortFill.
 func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 	if yMinus.U != s.inst.U || yMinus.F != s.inst.F {
 		return nil, fmt.Errorf("core: yMinus is %dx%d, want U=%d F=%d",
@@ -75,7 +77,7 @@ func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 
 	// Primal recovery: for every distinct cache vector seen, compute the
 	// exact optimal routing given that cache and keep the best.
-	best := s.recoverPrimal(caps)
+	best := s.referenceRecoverPrimal(caps)
 	best.DualIters = iters
 	return best, nil
 }
@@ -111,7 +113,7 @@ func (s *Subproblem) routingStep(y, mu, caps []float64) float64 {
 
 // itemSubproblem wraps bare items in a one-SBS Subproblem: item j is the
 // pair (j/F, j%F), the density order is the item-level sort, and the
-// workspace is NewSubproblem's.
+// workspace and per-content lists are NewSubproblem's.
 func itemSubproblem(items []item, f, capN int, budget, stepScale float64, iters int) *Subproblem {
 	u := (len(items) + f - 1) / f
 	if u == 0 {
@@ -120,19 +122,21 @@ func itemSubproblem(items []item, f, capN int, budget, stepScale float64, iters 
 	for j := range items {
 		items[j].u, items[j].f = j/f, j%f
 	}
-	order := make([]int, len(items))
+	order := make([]int32, len(items))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return items[order[a]].density > items[order[b]].density })
-	return &Subproblem{
-		inst:         &model.Instance{N: 1, U: u, F: f, CacheCap: []int{capN}, Bandwidth: []float64{budget}},
-		cfg:          SubproblemConfig{DualIters: iters},
-		items:        items,
-		densityOrder: order,
-		stepScale:    stepScale,
-		ws:           newSolveWorkspace(len(items), u, f),
+	s := &Subproblem{
+		inst:      &model.Instance{N: 1, U: u, F: f, CacheCap: []int{capN}, Bandwidth: []float64{budget}},
+		cfg:       SubproblemConfig{DualIters: iters},
+		items:     items,
+		posItem:   order,
+		stepScale: stepScale,
+		ws:        newSolveWorkspace(len(items), u, f),
 	}
+	s.indexContents()
+	return s
 }
 
 // Value tables the dual-loop fuzzer draws from, beside the fill tables:

@@ -21,15 +21,12 @@ func (s *Subproblem) SolveExact(yMinus model.Mat) (*Result, error) {
 		return nil, fmt.Errorf("core: yMinus is %dx%d, want U=%d F=%d",
 			yMinus.U, yMinus.F, s.inst.U, s.inst.F)
 	}
-	caps := make([]float64, len(s.items))
-	for i, it := range s.items {
-		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
-	}
+	caps := s.capsFor(yMinus)
+	s.findHeads(caps)
 
 	capN := s.inst.CacheCap[s.n]
 	bestGain := -1.0
 	var bestX []bool
-	var bestY []float64
 	x := make([]bool, s.inst.F)
 	for mask := 0; mask < 1<<s.inst.F; mask++ {
 		if popcount(mask) > capN {
@@ -38,18 +35,13 @@ func (s *Subproblem) SolveExact(yMinus model.Mat) (*Result, error) {
 		for f := 0; f < s.inst.F; f++ {
 			x[f] = mask&(1<<f) != 0
 		}
-		y, gain := s.RoutingGivenCache(x, caps)
-		if gain > bestGain {
+		if gain, _ := s.walk(s.cacheSet(x), caps, nil); gain > bestGain {
 			bestGain = gain
 			bestX = append([]bool(nil), x...)
-			bestY = y
 		}
 	}
-	res := &Result{Cache: bestX, Routing: model.NewMat(s.inst.U, s.inst.F), Gain: bestGain}
-	for i, it := range s.items {
-		res.Routing.Set(it.u, it.f, bestY[i])
-	}
-	return res, nil
+	routing, _ := s.routingGivenCache(bestX, caps)
+	return &Result{Cache: bestX, Routing: routing, Gain: bestGain}, nil
 }
 
 func popcount(v int) int {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"edgecache/internal/model"
 )
 
 // sortFill is the reference for the knapsack fills (routingFill and the
@@ -199,8 +201,9 @@ func TestRoutingStepMatchesSortOracleOnSolveInputs(t *testing.T) {
 }
 
 // TestGainOnlyScoringMatchesFill pins the invariant primal recovery rests
-// on: scoring a cache with a nil routing buffer returns exactly the gain,
-// bit for bit, of the walk that writes the routing.
+// on: scoring a cache with a nil routing block returns exactly the gain,
+// bit for bit, of the walk that writes the routing, and both match the
+// full scan of the density order.
 func TestGainOnlyScoringMatchesFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -213,20 +216,26 @@ func TestGainOnlyScoringMatchesFill(t *testing.T) {
 		for i := range caps {
 			caps[i] = clamp01(rng.Float64() * 1.5)
 		}
+		sub.findHeads(caps)
 		x := make([]bool, inst.F)
-		y := make([]float64, len(sub.items))
+		y := model.NewMat(inst.U, inst.F)
 		for draw := 0; draw < 10; draw++ {
 			for f := range x {
 				x[f] = rng.Float64() < 0.4
 			}
-			scored := sub.routingGivenCacheInto(x, caps, nil)
-			filled := sub.routingGivenCacheInto(x, caps, y)
-			if math.Float64bits(scored) != math.Float64bits(filled) {
-				t.Fatalf("trial %d draw %d: gain-only %v, filled %v", trial, draw, scored, filled)
+			scored, scoredStop := sub.walk(sub.cacheSet(x), caps, nil)
+			y.Zero()
+			filled, filledStop := sub.walk(sub.cacheSet(x), caps, &y)
+			if math.Float64bits(scored) != math.Float64bits(filled) || scoredStop != filledStop {
+				t.Fatalf("trial %d draw %d: gain-only %v (stop %d), filled %v (stop %d)",
+					trial, draw, scored, scoredStop, filled, filledStop)
+			}
+			if ref := sub.referenceRoutingGivenCacheInto(x, caps, nil); math.Float64bits(ref) != math.Float64bits(filled) {
+				t.Fatalf("trial %d draw %d: walk %v, full scan %v", trial, draw, filled, ref)
 			}
 			var sum float64
-			for i, it := range sub.items {
-				sum += y[i] * it.gain
+			for _, it := range sub.items {
+				sum += y.At(it.u, it.f) * it.gain
 			}
 			if math.Abs(sum-filled) > 1e-9*math.Max(1, math.Abs(filled)) {
 				t.Fatalf("trial %d draw %d: filled routing earns %v, reported gain %v", trial, draw, sum, filled)

@@ -60,11 +60,12 @@ const (
 // the access pattern of the Gauss-Seidel sweep. All scratch state lives in
 // a preallocated workspace, so warm Solve calls allocate nothing. A solve
 // sets up in O(#items); after that, each dual iteration works on the few
-// items it has routed (see dualLoop), and primal recovery walks the
-// static density order.
+// items it has routed (see dualLoop), and primal recovery merges the
+// density-ordered item lists of the cached contents only, stopping where
+// the bandwidth runs out (see walk).
 //
 // A Subproblem is NOT safe for concurrent use: Solve, SolveExact and
-// RoutingGivenCache share the workspace. Give each goroutine its own
+// BestRoutingForCache share the workspace. Give each goroutine its own
 // Subproblem (the coordinator and the sim agents already do).
 type Subproblem struct {
 	inst *model.Instance
@@ -72,12 +73,17 @@ type Subproblem struct {
 	cfg  SubproblemConfig
 	// items enumerates the SBS's servable (u,f) pairs.
 	items []item
-	// densityOrder lists item indices sorted by density descending (ties
-	// by index). The density ranking is static, so the routing knapsack
-	// for a fixed cache is one walk along it: primal recovery scores every
-	// candidate cache with a gain-only walk and fills the routing once,
-	// for the winner.
-	densityOrder []int
+	// The density order ranks the items by density descending, ties by
+	// index; an item's rank is its position. The ranking is static, so
+	// the routing knapsack for a fixed cache is one walk along it, and
+	// only the cached contents' items take part. posItem maps a position
+	// to its item. Content f's positions, ascending, are
+	// contentPos[contentStart[f]:contentStart[f+1]]: one counting sort of
+	// the order by content, so a walk merges the cached contents' lists
+	// instead of scanning the whole order (see walk).
+	posItem      []int32
+	contentPos   []int32
+	contentStart []int32
 	// stepScale is the sub-gradient step scale, calibrated from the SBS's
 	// largest per-unit density.
 	stepScale float64
@@ -193,19 +199,36 @@ type solveWorkspace struct {
 	xStep    []bool    // cachingStep output (len F)
 	greedyX  []bool    // greedyCache output (len F)
 	workX    []bool    // localSearch mutation buffer (len F)
-	yBest    []float64 // routing of primal recovery's winning cache
-	pool     candidatePool
-	result   Result
+	// heads holds each content's first eligible (cap > 0, gain > 0) entry
+	// of its position list under this solve's caps (len F).
+	heads []cursor
+	// set lists the contents of the cache being scored, in any order (cap
+	// F+1: a greedy candidate is a full cache plus one), and cur holds
+	// walk's merge cursors, one per set slot (len F+1).
+	set    []int32
+	cur    []cursor
+	pool   candidatePool
+	result Result
 
 	scoreSorter   scoreSorter
 	touchedSorter indexSorter
 }
+
+// cursor points into a content's position list: k indexes contentPos and
+// pos is the position there, or #items once the list is spent.
+type cursor struct{ k, pos int32 }
 
 // NewSubproblem builds the solver for SBS n.
 func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subproblem, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
+	return newSubproblem(inst, n, cfg)
+}
+
+// newSubproblem is NewSubproblem for an instance the caller has already
+// validated: NewCoordinator checks it once, not once per SBS.
+func newSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subproblem, error) {
 	if n < 0 || n >= inst.N {
 		return nil, fmt.Errorf("core: SBS index %d outside [0,%d)", n, inst.N)
 	}
@@ -270,15 +293,40 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 	// descending, expanded into their item ranges, is the item order by
 	// density descending with ties by index.
 	sort.SliceStable(users, func(a, b int) bool { return users[a].density > users[b].density })
-	s.densityOrder = make([]int, 0, ni)
+	s.posItem = make([]int32, 0, ni)
 	for _, us := range users {
 		for i := us.start; i < us.end; i++ {
-			s.densityOrder = append(s.densityOrder, i)
+			s.posItem = append(s.posItem, int32(i))
 		}
 	}
 
 	s.ws = newSolveWorkspace(ni, inst.U, inst.F)
+	s.indexContents()
 	return s, nil
+}
+
+// indexContents builds the per-content position lists from posItem with
+// one counting sort: count each content's items, take prefix sums, and
+// deal the positions out in ascending order, so each list ascends.
+func (s *Subproblem) indexContents() {
+	start := make([]int32, s.inst.F+1)
+	for i := range s.items {
+		start[s.items[i].f+1]++
+	}
+	for f := 1; f < len(start); f++ {
+		start[f] += start[f-1]
+	}
+	// Dealing advances start[f] to the end of f's list, which is where
+	// f+1's begins; shifting by one slot restores the starts.
+	s.contentPos = make([]int32, len(s.posItem))
+	for p, i := range s.posItem {
+		f := s.items[i].f
+		s.contentPos[start[f]] = int32(p)
+		start[f]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	s.contentStart = start
 }
 
 // newSolveWorkspace sizes a workspace for ni items and a U×F instance.
@@ -296,7 +344,9 @@ func newSolveWorkspace(ni, u, f int) solveWorkspace {
 		xStep:     make([]bool, f),
 		greedyX:   make([]bool, f),
 		workX:     make([]bool, f),
-		yBest:     make([]float64, ni),
+		heads:     make([]cursor, f),
+		set:       make([]int32, 0, f+1),
+		cur:       make([]cursor, f+1),
 		pool:      newCandidatePool(maxCandidates, f),
 		result:    Result{Cache: make([]bool, f), Routing: model.NewMat(u, f)},
 	}
@@ -559,45 +609,119 @@ func (ws *solveWorkspace) staticAt(k int) (e ratioEntry, ok bool) {
 	return ws.static[n-1-k], true
 }
 
-// routingGivenCacheInto computes the exact optimal routing for a fixed
-// cache vector x into the caller-supplied per-item buffer y and returns
-// the gain. The eligible items are walked in the precomputed density order
-// (the knapsack's fill order is static), so a call is one linear scan with
-// no sort and no allocation. A nil y scores the cache without writing a
-// routing: the gain is the same walk's, bit for bit.
-func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 {
-	for i := range y {
-		y[i] = 0
+// findHeads records, for this solve's caps, each content's first
+// eligible (cap > 0, gain > 0) entry in its position list: walk starts
+// there, and the skip tests of greedyCache and localSearch compare its
+// position with a walk's stop.
+func (s *Subproblem) findHeads(caps []float64) {
+	end := int32(len(s.items))
+	for f := range s.ws.heads {
+		h := cursor{k: s.contentStart[f], pos: end}
+		for ; h.k < s.contentStart[f+1]; h.k++ {
+			p := s.contentPos[h.k]
+			if i := s.posItem[p]; caps[i] > 0 && s.items[i].gain > 0 {
+				h.pos = p
+				break
+			}
+		}
+		s.ws.heads[f] = h
+	}
+}
+
+// cacheSet lists the contents of the cache vector x in the workspace's
+// set buffer.
+func (s *Subproblem) cacheSet(x []bool) []int32 {
+	set := s.ws.set[:0]
+	for f, in := range x {
+		if in {
+			set = append(set, int32(f))
+		}
+	}
+	s.ws.set = set
+	return set
+}
+
+// walk solves the routing knapsack for the cache whose contents are set
+// (any order) and returns the gain and the stop position: the position
+// after the last item routed once the budget is spent (≤ 1e-12), or
+// #items if it never is. It writes the routing into out unless out is
+// nil; the gain is the same either way, bit for bit.
+//
+// The knapsack fills the cached, eligible items in density order. walk
+// merges the cached contents' position lists from their heads (see
+// findHeads), so it visits those items in that order and performs the
+// float operations a scan of the whole order would, without the scan.
+//
+// The stop position is what makes candidates cheap to score. Adding a
+// content whose first eligible position is ≥ stop changes nothing: the
+// walk over the larger cache is identical up to that position, and by
+// then it has already stopped. So that candidate's gain is this walk's,
+// bit for bit.
+func (s *Subproblem) walk(set []int32, caps []float64, out *model.Mat) (gain float64, stop int32) {
+	ws := &s.ws
+	end := int32(len(s.items))
+	cur := ws.cur[:len(set)]
+	for j, f := range set {
+		cur[j] = ws.heads[f]
 	}
 	budget := s.inst.Bandwidth[s.n]
-	var gain float64
-	for _, i := range s.densityOrder {
+	last := int32(-1)
+	for {
 		if budget <= 1e-12 {
-			break
+			return gain, last + 1
 		}
-		it := s.items[i]
-		if !x[it.f] || caps[i] <= 0 || it.gain <= 0 {
+		// The cache holds a few contents, so a linear scan of the cursors
+		// finds the next position faster than a heap would.
+		jMin, p := -1, end
+		for j, c := range cur {
+			if c.pos < p {
+				jMin, p = j, c.pos
+			}
+		}
+		if jMin < 0 {
+			return gain, end
+		}
+		c := &cur[jMin]
+		if c.k++; c.k < s.contentStart[set[jMin]+1] {
+			c.pos = s.contentPos[c.k]
+		} else {
+			c.pos = end
+		}
+		i := s.posItem[p]
+		it := &s.items[i]
+		if caps[i] <= 0 || it.gain <= 0 {
 			continue
 		}
 		amount := math.Min(caps[i], budget/it.lambda)
-		if y != nil {
-			y[i] = amount
+		if out != nil {
+			out.Set(it.u, it.f, amount)
 		}
 		budget -= amount * it.lambda
 		gain += amount * it.gain
+		last = p
 	}
-	return gain
 }
 
-// RoutingGivenCache computes the exact optimal routing for a fixed cache
+// capsFor returns the per-item residual capacities against yMinus in a
+// fresh slice (the non-hot-path callers' form of Solve's caps pass).
+func (s *Subproblem) capsFor(yMinus model.Mat) []float64 {
+	caps := make([]float64, len(s.items))
+	for i, it := range s.items {
+		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
+	}
+	return caps
+}
+
+// routingGivenCache computes the exact optimal routing for a fixed cache
 // vector x: a fractional knapsack over the cached, linked pairs with
-// per-item capacity caps. It returns a fresh flat item routing and the
-// total gain. This is both the primal-recovery engine and, composed with a
-// cache search, an independent P_n solver.
-func (s *Subproblem) RoutingGivenCache(x []bool, caps []float64) ([]float64, float64) {
-	y := make([]float64, len(s.items))
-	gain := s.routingGivenCacheInto(x, caps, y)
-	return y, gain
+// per-item capacity caps. It returns a fresh U×F routing block and the
+// total gain. Composed with a cache search, it is an independent P_n
+// solver (SolveExact).
+func (s *Subproblem) routingGivenCache(x []bool, caps []float64) (model.Mat, float64) {
+	s.findHeads(caps)
+	block := model.NewMat(s.inst.U, s.inst.F)
+	gain, _ := s.walk(s.cacheSet(x), caps, &block)
+	return block, gain
 }
 
 // BestRoutingForCache computes the optimal routing block (U×F) for a fixed
@@ -613,15 +737,7 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 		return model.Mat{}, fmt.Errorf("core: yMinus is %dx%d, want U=%d F=%d",
 			yMinus.U, yMinus.F, s.inst.U, s.inst.F)
 	}
-	caps := make([]float64, len(s.items))
-	for i, it := range s.items {
-		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
-	}
-	y, _ := s.RoutingGivenCache(x, caps)
-	block := model.NewMat(s.inst.U, s.inst.F)
-	for i, it := range s.items {
-		block.Set(it.u, it.f, y[i])
-	}
+	block, _ := s.routingGivenCache(x, s.capsFor(yMinus))
 	return block, nil
 }
 
@@ -633,28 +749,25 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 // in matrix form. The Result is workspace-owned.
 func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 	ws := &s.ws
+	s.findHeads(caps)
 	// The greedy candidate is evaluated unconditionally: it must not be
 	// crowded out when the dual loop already produced maxCandidates
 	// distinct vectors.
-	bestX := s.greedyCache(caps)
-	bestGain := s.routingGivenCacheInto(bestX, caps, nil)
+	bestX, bestGain := s.greedyCache(caps)
 	for ci := 0; ci < ws.pool.n; ci++ {
 		x := ws.pool.list[ci]
-		if gain := s.routingGivenCacheInto(x, caps, nil); gain > bestGain {
+		if gain, _ := s.walk(s.cacheSet(x), caps, nil); gain > bestGain {
 			bestGain, bestX = gain, x
 		}
 	}
+	// localSearch leaves ws.set listing bestX.
 	bestGain = s.localSearch(bestX, bestGain, caps)
 
 	// The fill is the walk that scored bestX, so its gain is bestGain.
-	y := ws.yBest
-	s.routingGivenCacheInto(bestX, caps, y)
 	res := &ws.result
 	copy(res.Cache, bestX)
 	res.Routing.Zero()
-	for i, it := range s.items {
-		res.Routing.Set(it.u, it.f, y[i])
-	}
+	s.walk(ws.set, caps, &res.Routing)
 	res.Gain = bestGain
 	res.DualIters = 0
 	return res
@@ -664,30 +777,51 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 // (replace one cached content with one uncached content) until no swap
 // improves the exact routing gain, and returns the final gain. The greedy
 // candidate is near-optimal but not optimal (submodular greedy); swaps
-// close the residual gap on the instances this repository targets.
+// close the residual gap on the instances this repository targets. It
+// leaves ws.set listing the final x.
+//
+// Each cached out is walked once without it; a swap-in whose first
+// eligible position is at or past that walk's stop scores that walk's
+// gain exactly (see walk), so only the others are walked.
 func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64 {
 	const maxPasses = 4
-	work := s.ws.workX
+	ws := &s.ws
+	work := ws.workX
 	copy(work, x)
+	set := s.cacheSet(x)
+	last := len(set) - 1 // out's slot while it is swapped
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for out := 0; out < s.inst.F; out++ {
 			if !work[out] {
 				continue
 			}
+			for j := range set {
+				if set[j] == int32(out) {
+					set[j], set[last] = set[last], set[j]
+					break
+				}
+			}
+			outGain, outStop := s.walk(set[:last], caps, nil)
 			for in := 0; in < s.inst.F; in++ {
-				if work[in] || in == out {
+				if work[in] { // out included: it stays cached until a swap is taken
 					continue
 				}
-				work[out], work[in] = false, true
-				candGain := s.routingGivenCacheInto(work, caps, nil)
+				set[last] = int32(in)
+				candGain := outGain
+				if ws.heads[in].pos < outStop {
+					candGain, _ = s.walk(set, caps, nil)
+				}
 				if candGain > gain+1e-9 {
 					gain = candGain
+					work[out], work[in] = false, true
 					copy(x, work)
 					improved = true
 					break // 'out' is no longer cached; rescan
 				}
-				work[out], work[in] = true, false
+			}
+			if work[out] {
+				set[last] = int32(out)
 			}
 		}
 		if !improved {
@@ -698,11 +832,16 @@ func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64
 }
 
 // greedyCache builds a cache vector by repeatedly adding the content with
-// the largest marginal routing gain (a submodular-style greedy). It is the
-// fallback candidate that keeps primal recovery strong when the dual
-// multipliers have not yet separated the useful contents. The returned
-// vector is the workspace's greedyX buffer.
-func (s *Subproblem) greedyCache(caps []float64) []bool {
+// the largest marginal routing gain (a submodular-style greedy), and
+// returns it with its gain. It is the fallback candidate that keeps
+// primal recovery strong when the dual multipliers have not yet separated
+// the useful contents. The returned vector is the workspace's greedyX
+// buffer.
+//
+// A candidate whose first eligible position is at or past the current
+// cache's stop scores the current gain exactly (see walk), which never
+// beats the best so far, so only the others are walked.
+func (s *Subproblem) greedyCache(caps []float64) ([]bool, float64) {
 	ws := &s.ws
 	x := ws.greedyX
 	for f := range x {
@@ -710,29 +849,30 @@ func (s *Subproblem) greedyCache(caps []float64) []bool {
 	}
 	capN := s.inst.CacheCap[s.n]
 	if capN == 0 || len(s.items) == 0 {
-		return x
+		return x, 0
 	}
-	baseGain := s.routingGivenCacheInto(x, caps, nil)
+	set := ws.set[:0]
+	baseGain, baseStop := s.walk(set, caps, nil)
 	for picked := 0; picked < capN; picked++ {
-		bestF, bestGain := -1, baseGain
+		bestF, bestGain, bestStop := -1, baseGain, baseStop
+		set = set[:len(set)+1]
 		for f := 0; f < s.inst.F; f++ {
-			if x[f] {
+			if x[f] || ws.heads[f].pos >= baseStop {
 				continue
 			}
-			x[f] = true
-			gain := s.routingGivenCacheInto(x, caps, nil)
-			x[f] = false
-			if gain > bestGain+1e-12 {
-				bestF, bestGain = f, gain
+			set[len(set)-1] = int32(f)
+			if gain, stop := s.walk(set, caps, nil); gain > bestGain+1e-12 {
+				bestF, bestGain, bestStop = f, gain, stop
 			}
 		}
 		if bestF == -1 {
 			break // no content adds gain (bandwidth exhausted or no demand)
 		}
+		set[len(set)-1] = int32(bestF)
 		x[bestF] = true
-		baseGain = bestGain
+		baseGain, baseStop = bestGain, bestStop
 	}
-	return x
+	return x, baseGain
 }
 
 // candidatePool deduplicates cache vectors up to a size cap, with every

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -59,6 +60,35 @@ func TestNewSubproblemErrors(t *testing.T) {
 	bad.Demand[0][0] = -1
 	if _, err := NewSubproblem(bad, 0, SubproblemConfig{}); err == nil {
 		t.Error("invalid instance: want error")
+	}
+}
+
+// TestNewSubproblemValidatesInstance pins the check NewSubproblem keeps
+// for its direct callers (sim, the baselines): NewCoordinator validates an
+// instance once and builds its solvers without repeating the check, but a
+// Subproblem built on its own must still refuse an invalid instance.
+func TestNewSubproblemValidatesInstance(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		name    string
+		breakIt func(*model.Instance)
+	}{
+		{"NaN bandwidth", func(in *model.Instance) { in.Bandwidth[1] = math.NaN() }},
+		{"negative cache cap", func(in *model.Instance) { in.CacheCap[0] = -1 }},
+		{"short demand row", func(in *model.Instance) { in.Demand[2] = in.Demand[2][:1] }},
+		{"missing link row", func(in *model.Instance) { in.Links = in.Links[:1] }},
+	} {
+		bad := randomInstance(rng, 2, 4, 5)
+		tc.breakIt(bad)
+		if _, err := NewSubproblem(bad, 0, DefaultSubproblemConfig()); err == nil {
+			t.Errorf("%s: NewSubproblem accepted the instance", tc.name)
+		}
+		if _, err := NewCoordinator(bad, DefaultConfig()); err == nil {
+			t.Errorf("%s: NewCoordinator accepted the instance", tc.name)
+		}
+	}
+	if _, err := NewSubproblem(nil, 0, DefaultSubproblemConfig()); err == nil {
+		t.Error("nil instance: want error")
 	}
 }
 
@@ -390,16 +420,9 @@ func TestRoutingGivenCachePrefersDensity(t *testing.T) {
 		t.Fatal(err)
 	}
 	caps := []float64{1, 1}
-	y, gain := sub.RoutingGivenCache([]bool{true, true}, caps)
+	y, gain := sub.routingGivenCache([]bool{true, true}, caps)
 	// Bandwidth 4 fits exactly one full demand; MU1 (density 149) wins.
-	var served0, served1 float64
-	for i, it := range sub.items {
-		if it.u == 0 {
-			served0 = y[i]
-		} else {
-			served1 = y[i]
-		}
-	}
+	served0, served1 := y.At(0, 0), y.At(1, 1)
 	if math.Abs(served1-1) > 1e-9 || served0 > 1e-9 {
 		t.Errorf("served = (%v, %v), want (0, 1)", served0, served1)
 	}
@@ -409,9 +432,11 @@ func TestRoutingGivenCachePrefersDensity(t *testing.T) {
 }
 
 // TestDensityOrderMatchesItemSort holds NewSubproblem's user-level density
-// order to the item-level definition: every item index sorted stably by
-// density descending. The instances mix users with equal densities, users
-// with no items and users whose density is zero or negative.
+// order to the item-level definition, every item index sorted stably by
+// density descending, and its per-content lists to that order: content
+// f's list holds the positions of f's items, ascending. The instances mix
+// users with equal densities, users with no items and users whose density
+// is zero or negative.
 func TestDensityOrderMatchesItemSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
@@ -436,19 +461,32 @@ func TestDensityOrderMatchesItemSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]int, len(sub.items))
+			want := make([]int32, len(sub.items))
 			for i := range want {
-				want[i] = i
+				want[i] = int32(i)
 			}
 			sort.SliceStable(want, func(a, b int) bool {
 				return sub.items[want[a]].density > sub.items[want[b]].density
 			})
-			if len(sub.densityOrder) != len(want) {
-				t.Fatalf("trial %d SBS %d: order has %d items, want %d", trial, n, len(sub.densityOrder), len(want))
+			if len(sub.posItem) != len(want) {
+				t.Fatalf("trial %d SBS %d: order has %d items, want %d", trial, n, len(sub.posItem), len(want))
 			}
 			for k := range want {
-				if sub.densityOrder[k] != want[k] {
-					t.Fatalf("trial %d SBS %d: order %v, item-level sort %v", trial, n, sub.densityOrder, want)
+				if sub.posItem[k] != want[k] {
+					t.Fatalf("trial %d SBS %d: order %v, item-level sort %v", trial, n, sub.posItem, want)
+				}
+			}
+			var lists []int32
+			for f := 0; f < inst.F; f++ {
+				lists = lists[:0]
+				for p, i := range sub.posItem {
+					if sub.items[i].f == f {
+						lists = append(lists, int32(p))
+					}
+				}
+				got := sub.contentPos[sub.contentStart[f]:sub.contentStart[f+1]]
+				if !slices.Equal(got, lists) {
+					t.Fatalf("trial %d SBS %d: content %d list %v, want %v", trial, n, f, got, lists)
 				}
 			}
 			if len(sub.items) != cap(sub.items) {
