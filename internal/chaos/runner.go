@@ -71,6 +71,8 @@ type runner struct {
 	bsCrashed  bool
 	bsRestarts []Event
 	bsFaults   transport.FaultConfig
+	// doneSent holds the SBS names whose inbox a MsgDone entered.
+	doneSent map[string]bool
 }
 
 // sbsSlot tracks one SBS position: its current agent (if alive), link and
@@ -108,6 +110,7 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 		baseCtx:     agentCtx,
 		partitioned: make(map[string]bool),
 		bsFaults:    cfg.Schedule.Links,
+		doneSent:    make(map[string]bool),
 	}
 	// BS restarts are consumed by the incarnation loop below, not fired at
 	// a protocol point, so they live in their own queue.
@@ -147,7 +150,7 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 		r.mu.Lock()
 		faults := r.bsFaults
 		r.mu.Unlock()
-		lk, err := newLink(rawBS, faults, r.linkSeed(-1, gen))
+		lk, err := newLink(doneTap{Endpoint: rawBS, r: r}, faults, r.linkSeed(-1, gen))
 		if err != nil {
 			return err
 		}
@@ -235,7 +238,18 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 		r.mu.Unlock()
 	}
 
-	cancelAgents()
+	// An agent whose inbox holds a MsgDone returns on its own once it has
+	// drained what is queued ahead of it (a duplicated final announce, say),
+	// so every event of the final sweep is counted; cancelling it early
+	// would cut that drain short. Only agents MsgDone never reached are
+	// cancelled.
+	r.mu.Lock()
+	for _, slot := range r.slots {
+		if slot.alive && !r.doneSent[slot.name] {
+			slot.cancel()
+		}
+	}
+	r.mu.Unlock()
 	done := make(chan struct{})
 	go func() { r.wg.Wait(); close(done) }()
 	select {
@@ -479,3 +493,20 @@ func (c *controller) Recv(ctx context.Context) (transport.Message, error) {
 }
 
 func (c *controller) Close() error { return c.inner.Close() }
+
+// doneTap sits under the BS link's faults, directly on the hub, and
+// records which SBS inboxes a MsgDone actually entered.
+type doneTap struct {
+	transport.Endpoint
+	r *runner
+}
+
+func (d doneTap) Send(ctx context.Context, to string, m transport.Message) error {
+	err := d.Endpoint.Send(ctx, to, m)
+	if err == nil && m.Type == transport.MsgDone {
+		d.r.mu.Lock()
+		d.r.doneSent[to] = true
+		d.r.mu.Unlock()
+	}
+	return err
+}

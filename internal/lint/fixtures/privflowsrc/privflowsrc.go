@@ -29,7 +29,7 @@ type Response struct {
 func RawDemand() []float64 { return []float64{1, 2} }
 
 // BadDirectSend ships raw shares over the wire: the taint survives the
-// gob encoding inside transport.EncodePayload.
+// type switch and the appends inside transport.EncodePayload.
 func BadDirectSend(ctx context.Context, ep transport.Endpoint, r *Response) error {
 	payload, err := transport.EncodePayload(r.Shares)
 	if err != nil {
@@ -66,6 +66,16 @@ func GoodStrongUpdate(rng *rand.Rand, r *Response) error {
 	}
 	log.Printf("noised share: %v", share)
 	return nil
+}
+
+// BadTypeSwitch leaks through a type-switch binding: the clause variable
+// carries the switched value's taint.
+func BadTypeSwitch(r *Response) {
+	var v any = r.Shares
+	switch p := v.(type) {
+	case []float64:
+		log.Printf("shares: %v", p) // want `private data reaches log output`
+	}
 }
 
 // BadLog leaks raw demand through the process log.

@@ -413,6 +413,24 @@ func (w *taintWalker) walkStmt(stmt ast.Stmt) {
 			}
 		}
 	case *ast.TypeSwitchStmt:
+		if s.Init != nil {
+			w.walkStmt(s.Init)
+		}
+		// `switch p := v.(type)` binds a fresh p in every clause; each one
+		// carries v's taint.
+		var m taintMask
+		switch a := s.Assign.(type) {
+		case *ast.AssignStmt:
+			m = w.evalMask(a.Rhs[0])
+		case *ast.ExprStmt:
+			w.evalMask(a.X)
+		}
+		for _, clause := range s.Body.List {
+			if obj := w.pkg.Info.Implicits[clause]; obj != nil {
+				w.locals[obj] = true
+				w.state[obj] = m
+			}
+		}
 		for _, clause := range s.Body.List {
 			for _, st := range clause.(*ast.CaseClause).Body {
 				w.walkStmt(st)
@@ -684,10 +702,10 @@ func (w *taintWalker) evalCall(call *ast.CallExpr) taintMask {
 
 // taintAddrArgs conservatively taints address-taken locals anywhere in a
 // call to an unresolved callee: fmt.Sscanf(s, "%f", &x) writes through the
-// pointer, and chained builders like gob.NewEncoder(&buf).Encode(v) write
+// pointer, and chained builders like json.NewEncoder(&buf).Encode(v) write
 // the encoded v into buf. Scanning the whole call expression (not just the
-// outermost argument list) is what lets EncodePayload's buffer pick up its
-// input's taint.
+// outermost argument list) is what lets such a buffer pick up its input's
+// taint.
 func (w *taintWalker) taintAddrArgs(call *ast.CallExpr, mask taintMask) {
 	if mask == 0 {
 		return

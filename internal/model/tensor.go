@@ -42,8 +42,7 @@ func NewMat(u, f int) Mat {
 }
 
 // MatFromRows copies a nested [][]float64 into a flat Mat, validating that
-// the rows are rectangular. It is the conversion used at serialization and
-// transport boundaries, where the wire format stays nested for stability.
+// the rows are rectangular.
 func MatFromRows(rows [][]float64) (Mat, error) {
 	u := len(rows)
 	if u == 0 {

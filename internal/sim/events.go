@@ -15,11 +15,12 @@ type EventKind int
 
 // Protocol event kinds.
 const (
-	// EventBadAnnounce: an SBS received a MsgPhaseStart it could not
-	// decode or whose aggregate had ragged shape; the phase is skipped.
+	// EventBadAnnounce: an SBS received a MsgPhaseStart whose payload it
+	// could not decode; the phase is skipped.
 	EventBadAnnounce EventKind = iota + 1
-	// EventUnsolvable: the announced aggregate had valid encoding but the
-	// sub-problem rejected it (wrong dimensions); the phase is skipped.
+	// EventUnsolvable: the announced aggregate decoded but the SBS cannot
+	// solve against it (its U×F is not the instance's, or the sub-problem
+	// rejected it); the phase is skipped.
 	EventUnsolvable
 	// EventBadUpload: the BS received an upload it could not decode; it
 	// is treated as missing.

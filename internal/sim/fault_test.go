@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync"
@@ -259,7 +260,7 @@ func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
 			inst := randomInstance(rng, 3, 5, 6)
 			ctx := testCtx(t)
 
-			payload := []byte("not gob")
+			payload := []byte("not a payload")
 			if tc.upload != nil {
 				var err error
 				payload, err = transport.EncodePayload(tc.upload(t, inst))
@@ -358,7 +359,8 @@ func TestMalformedUploadsAreCountedAndSurvived(t *testing.T) {
 }
 
 // TestSBSHookSeesBadAnnouncements: the SBS-side hook observes undecodable
-// and ragged announcements instead of swallowing them silently.
+// announcements (junk bytes, an out-of-range index) and wrong-shaped ones
+// instead of swallowing them silently.
 func TestSBSHookSeesBadAnnouncements(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	inst := randomInstance(rng, 1, 3, 4)
@@ -388,15 +390,17 @@ func TestSBSHookSeesBadAnnouncements(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Ragged aggregate.
-	ragged, err := transport.EncodePayload(transport.AggregateAnnounce{
-		YMinus: [][]float64{{1, 2}, {3}},
-	})
+	// Out-of-range index: a 3×4 body whose one entry names cell 12 = U·F.
+	// The body's last 12 bytes are that entry's (u32 index, u64 bits) pair.
+	rows := inst.NewUFMat()
+	rows.Set(2, 3, 0.5)
+	outOfRange, err := transport.EncodePayload(transport.AggregateAnnounce{YMinus: rows.Rows()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	binary.BigEndian.PutUint32(outOfRange[len(outOfRange)-12:], uint32(inst.U*inst.F))
 	if err := bsEp.Send(ctx, "sbs-0", transport.Message{
-		Type: transport.MsgPhaseStart, Sweep: 0, Phase: 0, Payload: ragged,
+		Type: transport.MsgPhaseStart, Sweep: 0, Phase: 0, Payload: outOfRange,
 	}); err != nil {
 		t.Fatal(err)
 	}

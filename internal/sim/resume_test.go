@@ -291,7 +291,7 @@ func TestSBSReplyCacheAndStaleFilter(t *testing.T) {
 	go func() { done <- agent.Run(ctx) }()
 
 	yMinus := inst.NewUFMat()
-	announce, err := buildAnnounce(2, 0, yMinus)
+	announce, err := buildAnnounce(make([][]float64, inst.U), 2, 0, yMinus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestSBSReplyCacheAndStaleFilter(t *testing.T) {
 
 	// The reply cache was cleared by the sync: a fresh announce at the
 	// resume point is solved anew, not replayed.
-	fresh, err := buildAnnounce(3, 0, yMinus)
+	fresh, err := buildAnnounce(make([][]float64, inst.U), 3, 0, yMinus)
 	if err != nil {
 		t.Fatal(err)
 	}

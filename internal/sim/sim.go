@@ -124,6 +124,16 @@ type BSAgent struct {
 	ep       transport.Endpoint
 	sbsNames []string
 	health   []sbsHealth
+
+	// upRouting and upCache receive every upload in place (upRows are
+	// upRouting's row views), so a phase decodes without allocating; the
+	// returned block is read by core only until the phase installs it.
+	upRouting model.Mat
+	upRows    [][]float64
+	upCache   []bool
+	// annRows are row views of the announced y_{-n}, refilled per phase by
+	// buildAnnounce.
+	annRows [][]float64
 }
 
 // NewBSAgent builds the BS agent. sbsNames[n] is the endpoint name of
@@ -141,8 +151,11 @@ func NewBSAgent(inst *model.Instance, cfg BSConfig, ep transport.Endpoint, sbsNa
 	if ck := cfg.Checkpoint; ck != nil && ck.Sink == nil {
 		return nil, errors.New("sim: checkpoint config requires a sink")
 	}
-	return &BSAgent{inst: inst, cfg: cfg.withDefaults(), ep: ep, sbsNames: sbsNames,
-		health: make([]sbsHealth, inst.N)}, nil
+	b := &BSAgent{inst: inst, cfg: cfg.withDefaults(), ep: ep, sbsNames: sbsNames,
+		health: make([]sbsHealth, inst.N), upRouting: inst.NewUFMat(), upCache: make([]bool, inst.F),
+		annRows: make([][]float64, inst.U)}
+	b.upRows = rowViews(make([][]float64, inst.U), b.upRouting)
+	return b, nil
 }
 
 // event reports a protocol event to the configured hook, if any.
@@ -241,7 +254,7 @@ func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([
 
 	// The BS sweeps in identity order (validated at Resume), so phase n
 	// belongs to SBS n.
-	announce, err := buildAnnounce(sweep, n, yMinus)
+	announce, err := buildAnnounce(b.annRows, sweep, n, yMinus)
 	if err != nil {
 		return nil, model.Mat{}, false, err
 	}
@@ -332,11 +345,12 @@ func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResul
 	return res, nil
 }
 
-// buildAnnounce renders the phase-start message carrying y_{-n}. The wire
-// schema stays nested, so the flat matrix is materialized at this boundary.
-func buildAnnounce(sweep, n int, yMinus model.Mat) (transport.Message, error) {
+// buildAnnounce renders the phase-start message carrying y_{-n}, encoded
+// straight from the flat matrix through views (len yMinus.U), which it
+// refills.
+func buildAnnounce(views [][]float64, sweep, n int, yMinus model.Mat) (transport.Message, error) {
 	payload, err := transport.EncodePayload(transport.AggregateAnnounce{
-		YMinus: yMinus.Rows(),
+		YMinus: rowViews(views, yMinus),
 	})
 	if err != nil {
 		return transport.Message{}, err
@@ -411,7 +425,7 @@ func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
 			msg.From != b.sbsNames[n] {
 			continue // stale, duplicated or foreign message
 		}
-		var upload transport.PolicyUpload
+		upload := transport.PolicyUpload{Cache: b.upCache, Routing: b.upRows}
 		if err := transport.DecodePayload(msg.Payload, &upload); err != nil {
 			// Undecodable upload: count it and keep waiting — a
 			// retransmission may still deliver a good copy in-window.
@@ -423,12 +437,14 @@ func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
 	}
 }
 
-// checkUpload validates SBS n's upload and returns its routing block: the
-// shapes must match the instance, every routing entry must lie in [0, 1],
-// and the upload must meet SBS n's own constraints (model.CheckSBS: cache
-// capacity, routing only on cached contents and linked users, bandwidth),
-// as the solver's routing and its LPPM perturbation always do — LPPM keeps
-// zeros at zero and only shrinks values. A NaN or infinite entry would
+// checkUpload validates SBS n's upload and returns its routing block,
+// b.upRouting: the shapes must match the instance (exactly the case in
+// which recvUpload decoded into b.upRouting), every routing entry must lie
+// in [0, 1], and the upload must meet SBS n's own constraints
+// (model.CheckSBS: cache capacity, routing only on cached contents and
+// linked users, bandwidth), as the solver's routing and its LPPM
+// perturbation always do — LPPM keeps zeros at zero and only shrinks
+// values. A NaN or infinite entry would
 // otherwise poison the aggregate for the rest of the run (agg − y_n stays
 // NaN once agg is), and a rogue upload would make the run's solution
 // infeasible.
@@ -437,12 +453,8 @@ func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, erro
 	if len(up.Cache) != inst.F {
 		return model.Mat{}, fmt.Errorf("sim: SBS %d cache vector has %d entries, want %d", n, len(up.Cache), inst.F)
 	}
-	routing, err := model.MatFromRows(up.Routing)
-	if err != nil {
-		return model.Mat{}, fmt.Errorf("sim: SBS %d routing: %w", n, err)
-	}
-	if routing.U != inst.U || routing.F != inst.F {
-		return model.Mat{}, fmt.Errorf("sim: SBS %d routing is %dx%d, want %dx%d", n, routing.U, routing.F, inst.U, inst.F)
+	if u, f := rowsShape(up.Routing); u != inst.U || f != inst.F {
+		return model.Mat{}, fmt.Errorf("sim: SBS %d routing is %dx%d, want %dx%d", n, u, f, inst.U, inst.F)
 	}
 	for u, row := range up.Routing {
 		for f, v := range row {
@@ -451,10 +463,27 @@ func (b *BSAgent) checkUpload(n int, up transport.PolicyUpload) (model.Mat, erro
 			}
 		}
 	}
-	if vs := model.CheckSBS(inst, n, up.Cache, routing); len(vs) != 0 {
+	if vs := model.CheckSBS(inst, n, up.Cache, b.upRouting); len(vs) != 0 {
 		return model.Mat{}, fmt.Errorf("sim: SBS %d upload breaks its own constraints: %v", n, vs[0])
 	}
-	return routing, nil
+	return b.upRouting, nil
+}
+
+// rowViews points dst's rows at m's and returns dst (len m.U).
+func rowViews(dst [][]float64, m model.Mat) [][]float64 {
+	for u := range dst {
+		dst[u] = m.Row(u)
+	}
+	return dst
+}
+
+// rowsShape returns the U×F shape of a decoded block; DecodePayload's rows
+// are always rectangular.
+func rowsShape(rows [][]float64) (u, f int) {
+	if len(rows) > 0 {
+		f = len(rows[0])
+	}
+	return len(rows), f
 }
 
 // broadcastDone tells every SBS the run finished; failures are ignored
@@ -596,6 +625,13 @@ type SBSAgent struct {
 	// for a protocol point already answered.
 	lastSweep, lastPhase int
 	lastReply            []byte
+
+	// yMinus receives every announced y_{-n} in place (yRows are its row
+	// views), so a phase decodes without allocating; upRows are row views
+	// of the routing being uploaded, refilled per phase.
+	yMinus model.Mat
+	yRows  [][]float64
+	upRows [][]float64
 }
 
 // NewSBSAgent builds the agent for SBS n. privacy may be nil. The SBS uses
@@ -613,7 +649,9 @@ func NewSBSAgent(inst *model.Instance, n int, sub core.SubproblemConfig,
 	if err != nil {
 		return nil, err
 	}
-	a := &SBSAgent{n: n, sub: solver, ep: ep, bsName: bsName, lastSweep: -1, lastPhase: -1}
+	a := &SBSAgent{n: n, sub: solver, ep: ep, bsName: bsName, lastSweep: -1, lastPhase: -1,
+		yMinus: inst.NewUFMat(), upRows: make([][]float64, inst.U)}
+	a.yRows = rowViews(make([][]float64, inst.U), a.yMinus)
 	if privacy != nil {
 		lppm, err := core.NewLPPM(*privacy)
 		if err != nil {
@@ -676,21 +714,21 @@ func (a *SBSAgent) handlePhase(ctx context.Context, msg transport.Message) error
 		a.event(EventReplayedUpload, msg.Sweep, msg.Phase, nil)
 		return a.sendReply(ctx, msg.Sweep, msg.Phase, a.lastReply)
 	}
-	var ann transport.AggregateAnnounce
+	ann := transport.AggregateAnnounce{YMinus: a.yRows}
 	if err := transport.DecodePayload(msg.Payload, &ann); err != nil {
 		// Malformed announcement: skip; the BS will retransmit or time out.
 		a.event(EventBadAnnounce, msg.Sweep, msg.Phase, err)
 		return nil
 	}
-	yMinus, err := model.MatFromRows(ann.YMinus)
-	if err != nil {
-		// Ragged announcement: skip; the BS will retransmit or time out.
-		a.event(EventBadAnnounce, msg.Sweep, msg.Phase, err)
+	// A body of the instance's shape was decoded into a.yMinus; any other
+	// shape landed in fresh rows and cannot be solved.
+	if u, f := rowsShape(ann.YMinus); u != a.yMinus.U || f != a.yMinus.F {
+		a.event(EventUnsolvable, msg.Sweep, msg.Phase,
+			fmt.Errorf("sim: announce is %dx%d, want %dx%d", u, f, a.yMinus.U, a.yMinus.F))
 		return nil
 	}
-	res, err := a.sub.Solve(yMinus)
+	res, err := a.sub.Solve(a.yMinus)
 	if err != nil {
-		// Unsolvable announcement (bad shapes): skip.
 		a.event(EventUnsolvable, msg.Sweep, msg.Phase, err)
 		return nil
 	}
@@ -701,7 +739,7 @@ func (a *SBSAgent) handlePhase(ctx context.Context, msg transport.Message) error
 			return err
 		}
 	}
-	payload, err := transport.EncodePayload(transport.PolicyUpload{Cache: res.Cache, Routing: routing.Rows()})
+	payload, err := transport.EncodePayload(transport.PolicyUpload{Cache: res.Cache, Routing: rowViews(a.upRows, routing)})
 	if err != nil {
 		return err
 	}

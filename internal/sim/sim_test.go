@@ -14,6 +14,12 @@ import (
 )
 
 func randomInstance(rng *rand.Rand, n, u, f int) *model.Instance {
+	return randomInstanceLinked(rng, n, u, f, 0.6)
+}
+
+// randomInstanceLinked draws an instance whose SBS–user links are present
+// with probability density.
+func randomInstanceLinked(rng *rand.Rand, n, u, f int, density float64) *model.Instance {
 	inst := &model.Instance{
 		N: n, U: u, F: f,
 		Demand:    make([][]float64, u),
@@ -36,7 +42,7 @@ func randomInstance(rng *rand.Rand, n, u, f int) *model.Instance {
 		inst.Links[i] = make([]bool, u)
 		inst.EdgeCost[i] = make([]float64, u)
 		for j := 0; j < u; j++ {
-			inst.Links[i][j] = rng.Float64() < 0.6
+			inst.Links[i][j] = rng.Float64() < density
 			inst.EdgeCost[i][j] = 1 + rng.Float64()*3
 		}
 		inst.CacheCap[i] = 1 + rng.Intn(f/2+1)

@@ -33,6 +33,10 @@ func TestRegenCorpus(t *testing.T) {
 	if os.Getenv("EDGECACHE_REGEN_CORPUS") == "" {
 		t.Skip("set EDGECACHE_REGEN_CORPUS=1 to rewrite testdata/fuzz seed files")
 	}
+	for _, s := range wireSeeds(t) {
+		writeCorpusEntry(t, "FuzzFrame", s.name, s.data)
+	}
+
 	valid, err := encodeFrame(Message{Type: MsgPhaseStart, Sweep: 1, Payload: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
@@ -45,23 +49,17 @@ func TestRegenCorpus(t *testing.T) {
 	writeCorpusEntry(t, "FuzzReadFrame", "seed-garbage-body", append(append([]byte(nil), valid[:4]...), 0xde, 0xad))
 	writeCorpusEntry(t, "FuzzReadFrame", "seed-over-limit-length", huge)
 
-	agg, err := EncodePayload(AggregateAnnounce{YMinus: [][]float64{{0.5, 0}, {1, 0.25}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := EncodePayload(PolicyUpload{Cache: []bool{true}, Routing: [][]float64{{0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeCorpusEntry(t, "FuzzDecodePayload", "seed-aggregate", agg)
-	writeCorpusEntry(t, "FuzzDecodePayload", "seed-upload", up)
+	writeCorpusEntry(t, "FuzzDecodePayload", "seed-aggregate",
+		mustEncode(t, AggregateAnnounce{YMinus: [][]float64{{0.5, 0}, {1, 0.25}}}))
+	writeCorpusEntry(t, "FuzzDecodePayload", "seed-upload",
+		mustEncode(t, PolicyUpload{Cache: []bool{true}, Routing: [][]float64{{0.5}}}))
 	writeCorpusEntry(t, "FuzzDecodePayload", "seed-garbage", []byte("garbage"))
 }
 
 // TestCorpusCommitted fails when a fuzz target loses its committed seeds:
 // the corpus is part of the regression suite, not an optional extra.
 func TestCorpusCommitted(t *testing.T) {
-	for _, name := range []string{"FuzzReadFrame", "FuzzDecodePayload"} {
+	for _, name := range []string{"FuzzFrame", "FuzzReadFrame", "FuzzDecodePayload"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", name))
 		if err != nil || len(entries) == 0 {
 			t.Errorf("no committed seed corpus for %s (err=%v); regenerate with EDGECACHE_REGEN_CORPUS=1", name, err)

@@ -1,23 +1,15 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 )
 
-// maxFrameSize bounds inbound frames (16 MiB); a malformed or hostile
-// length prefix must not drive an allocation of arbitrary size.
-const maxFrameSize = 16 << 20
-
-// TCPEndpoint is an Endpoint over TCP with length-prefixed gob frames.
+// TCPEndpoint is an Endpoint over TCP carrying the frames of wire.go.
 // Each endpoint listens on one address; outbound connections are dialed
 // lazily per peer and kept open. Peers are registered with AddPeer.
 type TCPEndpoint struct {
@@ -279,43 +271,4 @@ func (e *TCPEndpoint) Close() error {
 	}
 	e.wg.Wait()
 	return err
-}
-
-// encodeFrame renders a message as a length-prefixed gob frame.
-func encodeFrame(m Message) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(m); err != nil {
-		return nil, fmt.Errorf("transport: encode frame: %w", err)
-	}
-	if body.Len() > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", body.Len(), maxFrameSize)
-	}
-	frame := make([]byte, 4+body.Len())
-	binary.BigEndian.PutUint32(frame[:4], uint32(body.Len()))
-	copy(frame[4:], body.Bytes())
-	return frame, nil
-}
-
-// readFrame reads one length-prefixed gob frame.
-func readFrame(r io.Reader) (Message, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return Message{}, err
-	}
-	size := binary.BigEndian.Uint32(header[:])
-	if size > maxFrameSize {
-		return Message{}, fmt.Errorf("transport: inbound frame of %d bytes exceeds limit %d", size, maxFrameSize)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Message{}, err
-	}
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-		return Message{}, fmt.Errorf("transport: decode frame: %w", err)
-	}
-	if m.Type == 0 {
-		return Message{}, errors.New("transport: frame missing message type")
-	}
-	return m, nil
 }

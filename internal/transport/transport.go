@@ -2,25 +2,24 @@
 // between the BS coordinator and the SBS agents.
 //
 // Two implementations are provided: an in-memory hub (tests, benchmarks,
-// single-process simulations) and a TCP transport with length-prefixed gob
+// single-process simulations) and a TCP transport with checksummed binary
 // frames (the multi-operator deployment story of the paper, where SBSs
 // belong to different companies and only exchange protocol messages). A
 // fault-injecting wrapper simulates lossy links for the failure tests.
 //
 // The protocol itself (message types and payloads) is defined here so both
-// sides and both transports share one wire format.
+// sides and both transports share one wire format: the fixed-layout frame
+// and sparse payload bodies of wire.go.
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
 
-// MsgType enumerates the protocol messages. Values start at 1 so the gob
-// zero value is detectably invalid.
+// MsgType enumerates the protocol messages. Values start at 1 so a zero
+// type byte is detectably invalid.
 type MsgType uint8
 
 // Protocol message types.
@@ -68,8 +67,8 @@ type Message struct {
 	To    string
 	Sweep int
 	Phase int
-	// Payload is the gob-encoded body (AggregateAnnounce or PolicyUpload;
-	// empty for the other message types).
+	// Payload is the encoded body (EncodePayload of an AggregateAnnounce
+	// or PolicyUpload; empty for the other message types).
 	Payload []byte
 }
 
@@ -86,29 +85,6 @@ type AggregateAnnounce struct {
 type PolicyUpload struct {
 	Cache   []bool
 	Routing [][]float64
-}
-
-// EncodePayload gob-encodes a payload body.
-func EncodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload gob-decodes a payload body into out (a pointer). Inputs
-// larger than the frame limit are rejected up front: the in-memory hub has
-// no framing layer, so without this cap a hostile peer could hand the gob
-// decoder an arbitrarily large allocation request.
-func DecodePayload(data []byte, out any) error {
-	if len(data) > maxFrameSize {
-		return fmt.Errorf("transport: payload of %d bytes exceeds limit %d", len(data), maxFrameSize)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
-		return fmt.Errorf("transport: decode payload: %w", err)
-	}
-	return nil
 }
 
 // Endpoint is one node's connection to the network. Implementations must

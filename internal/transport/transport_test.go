@@ -30,7 +30,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		t.Errorf("round trip = %+v", out)
 	}
 
-	up := PolicyUpload{Cache: []bool{true, false}, Routing: [][]float64{{1}}}
+	up := PolicyUpload{Cache: []bool{true, false}, Routing: [][]float64{{1, 0}}}
 	data, err = EncodePayload(up)
 	if err != nil {
 		t.Fatal(err)

@@ -66,6 +66,12 @@ go test -race -run 'Resume|Checkpoint|BSCrash|StateSync|ReplyCache|NoiseSource|D
 echo "verify: parallel sweep-engine gate (-race)"
 go test -race -run 'TestParallel|TestEngine|TestJacobi|TestIncremental' ./internal/core
 
+# The transport run carries the wire codec's allocation gate:
+# TestPhaseCodecAllocs fails if decoding an announce or an upload into
+# existing rows allocates at all, or EncodePayload more than its returned
+# buffer. BenchmarkPhaseCodec (go test -bench PhaseCodec -benchmem) reports
+# the same four directions' time and allocs/op; CI gates on the allocation
+# counts, never on the timings.
 echo "verify: go test -race ./internal/core/... ./internal/sim/... ./internal/transport/..."
 go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
 
