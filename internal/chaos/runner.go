@@ -154,14 +154,10 @@ func Run(ctx context.Context, inst *model.Instance, cfg Config) (*core.RunResult
 		if err != nil {
 			return err
 		}
-		rel, err := transport.NewReliableEndpoint(lk, transport.RetryPolicy{Seed: cfg.Schedule.Seed + int64(gen)})
-		if err != nil {
-			return err
-		}
 		r.mu.Lock()
 		r.bsLink = lk
 		r.mu.Unlock()
-		bsEp = &controller{r: r, inner: rel}
+		bsEp = &controller{r: r, inner: lk}
 		return nil
 	}
 	if err := startBS(0); err != nil {
@@ -301,15 +297,11 @@ func (r *runner) startAgent(n int) error {
 	if err != nil {
 		return err
 	}
-	rel, err := transport.NewReliableEndpoint(lk, transport.RetryPolicy{Seed: r.linkSeed(n, generation) + 1})
-	if err != nil {
-		return err
-	}
 	var privacy *core.PrivacyConfig
 	if r.cfg.PrivacyFor != nil {
 		privacy = r.cfg.PrivacyFor(n)
 	}
-	agent, err := sim.NewSBSAgent(r.inst, n, r.cfg.Sub, privacy, rel, bsName)
+	agent, err := sim.NewSBSAgent(r.inst, n, r.cfg.Sub, privacy, lk, bsName)
 	if err != nil {
 		return err
 	}

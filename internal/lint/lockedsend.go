@@ -8,9 +8,9 @@ import (
 
 // LockedSend forbids blocking transport calls (Endpoint.Send/Recv and any
 // implementation's Send/Recv) while a sync.Mutex or sync.RWMutex is held.
-// The PR 2 retry loops make this shape actively dangerous: a Send can
-// sleep through several backoff windows (or redial TCP), so a mutex held
-// across it stalls every other goroutine touching that lock — in the
+// The send-retry loop makes this shape actively dangerous: a Send can
+// sleep through several backoff windows, so a mutex held across it
+// stalls every other goroutine touching that lock — in the
 // worst case the very Recv loop whose progress the Send is waiting on,
 // which is a deadlock, not a slowdown. The fix is the pattern
 // ReliableEndpoint.Send itself uses: update state under the lock, release

@@ -33,24 +33,6 @@ func NewCachingPolicyDims(n, f int) *CachingPolicy {
 	return &CachingPolicy{N: n, F: f, wordsPerRow: w, bits: make([]uint64, n*w)}
 }
 
-// CachingPolicyFromBools builds a policy from nested rows (the stable
-// serialization shape), validating rectangularity.
-func CachingPolicyFromBools(rows [][]bool) (*CachingPolicy, error) {
-	n := len(rows)
-	if n == 0 {
-		return nil, fmt.Errorf("model: caching policy needs at least one SBS row")
-	}
-	f := len(rows[0])
-	p := NewCachingPolicyDims(n, f)
-	for i, row := range rows {
-		if len(row) != f {
-			return nil, fmt.Errorf("model: caching row %d has %d entries, want %d", i, len(row), f)
-		}
-		p.SetRow(i, row)
-	}
-	return p, nil
-}
-
 // Get reports whether SBS n caches content f.
 //
 //edgecache:noalloc

@@ -51,11 +51,7 @@ func runProtocol(t *testing.T, ctx context.Context, inst *model.Instance, cfg BS
 	t.Helper()
 	hub := transport.NewHub()
 	const bsName = "bs"
-	rawBsEp, err := hub.Register(bsName, 4*inst.N+4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsEp, err := transport.NewReliableEndpoint(rawBsEp, transport.RetryPolicy{})
+	bsEp, err := hub.Register(bsName, 4*inst.N+4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +66,7 @@ func runProtocol(t *testing.T, ctx context.Context, inst *model.Instance, cfg BS
 			t.Fatal(err)
 		}
 		defer ep.Close()
-		relEp, err := transport.NewReliableEndpoint(ep, transport.RetryPolicy{Seed: int64(n) + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agent, err := NewSBSAgent(inst, n, core.DefaultSubproblemConfig(), nil, relEp, bsName)
+		agent, err := NewSBSAgent(inst, n, core.DefaultSubproblemConfig(), nil, ep, bsName)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,14 +37,9 @@ func RunInmemWithStats(ctx context.Context, inst *model.Instance, cfg BSConfig, 
 	if err != nil {
 		return nil, transport.Stats{}, err
 	}
-	// The reliability layer (send retries) is on by default: with no faults
-	// it is invisible — the equivalence tests assert the run stays
-	// bit-for-bit identical to core.Coordinator.
-	relBsEp, err := transport.NewReliableEndpoint(rawBsEp, transport.RetryPolicy{})
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	bsEp := transport.NewCountingEndpoint(relBsEp)
+	// No send-retry layer: a hub send fails only with ErrClosed,
+	// ErrUnknownPeer or a context error, none of which a retry can mend.
+	bsEp := transport.NewCountingEndpoint(rawBsEp)
 	defer bsEp.Close()
 
 	sbsNames := make([]string, inst.N)
@@ -56,15 +51,11 @@ func RunInmemWithStats(ctx context.Context, inst *model.Instance, cfg BSConfig, 
 			return nil, transport.Stats{}, err
 		}
 		defer ep.Close()
-		relEp, err := transport.NewReliableEndpoint(ep, transport.RetryPolicy{Seed: int64(n) + 1})
-		if err != nil {
-			return nil, transport.Stats{}, err
-		}
 		var privacy *core.PrivacyConfig
 		if privacyFor != nil {
 			privacy = privacyFor(n)
 		}
-		agent, err := NewSBSAgent(inst, n, sub, privacy, relEp, bsName)
+		agent, err := NewSBSAgent(inst, n, sub, privacy, ep, bsName)
 		if err != nil {
 			return nil, transport.Stats{}, err
 		}

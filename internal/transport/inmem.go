@@ -35,7 +35,7 @@ func (h *Hub) Register(name string, buffer int) (*InmemEndpoint, error) {
 	if _, ok := h.endpoints[name]; ok {
 		return nil, fmt.Errorf("transport: endpoint %q already registered", name)
 	}
-	ep := &InmemEndpoint{hub: h, name: name, inbox: make(chan Message, buffer)}
+	ep := &InmemEndpoint{hub: h, name: name, inbox: make(chan Message, buffer), done: make(chan struct{})}
 	h.endpoints[name] = ep
 	return ep, nil
 }
@@ -63,6 +63,7 @@ type InmemEndpoint struct {
 	mu     sync.Mutex
 	closed bool
 	inbox  chan Message
+	done   chan struct{} // closed by Close; wakes pending Recvs and deliveries
 }
 
 var _ Endpoint = (*InmemEndpoint)(nil)
@@ -88,18 +89,20 @@ func (e *InmemEndpoint) Send(ctx context.Context, to string, m Message) error {
 }
 
 // deliver places a message in the inbox, respecting the context and the
-// peer's closed state.
+// peer's closed state: a delivery blocked on a full inbox fails with
+// ErrClosed once the peer closes.
 func (e *InmemEndpoint) deliver(ctx context.Context, m Message) error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
 		return fmt.Errorf("%w: peer %q", ErrClosed, e.name)
 	}
-	inbox := e.inbox
-	e.mu.Unlock()
 	select {
-	case inbox <- m:
+	case e.inbox <- m:
 		return nil
+	case <-e.done:
+		return fmt.Errorf("%w: peer %q", ErrClosed, e.name)
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -108,18 +111,16 @@ func (e *InmemEndpoint) deliver(ctx context.Context, m Message) error {
 // Recv implements Endpoint.
 func (e *InmemEndpoint) Recv(ctx context.Context) (Message, error) {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
 		return Message{}, ErrClosed
 	}
-	inbox := e.inbox
-	e.mu.Unlock()
 	select {
-	case m, ok := <-inbox:
-		if !ok {
-			return Message{}, ErrClosed
-		}
+	case m := <-e.inbox:
 		return m, nil
+	case <-e.done:
+		return Message{}, ErrClosed
 	case <-ctx.Done():
 		return Message{}, ctx.Err()
 	}
@@ -134,6 +135,7 @@ func (e *InmemEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
+	close(e.done)
 	e.hub.remove(e.name)
 	return nil
 }

@@ -9,38 +9,29 @@ import (
 )
 
 // RetryPolicy configures a ReliableEndpoint. Every send is retried on one
-// fixed schedule (sendRetry: 4 attempts, 10ms doubling, ±20% jitter); the
-// policy only seeds its jitter.
+// fixed schedule (sendAttempts tries, waits of about 10, 20 and 40ms with
+// ±20% jitter); the policy only seeds its jitter.
 type RetryPolicy struct {
 	// Seed drives the jitter randomness (deterministic tests and runs).
 	Seed int64
 }
 
-// backoff is an exponential retry schedule: retry k (0-based) waits
-// base·2^k, scaled by a uniform factor in [1−retryJitter, 1+retryJitter].
-type backoff struct {
-	attempts int           // total tries, including the first
-	base     time.Duration // wait before the first retry
-}
-
-// retryJitter is the fraction of each backoff delay that is randomized.
-const retryJitter = 0.2
-
-var (
-	// sendRetry is ReliableEndpoint's per-send schedule: waits of about
-	// 10, 20 and 40ms.
-	sendRetry = backoff{attempts: 4, base: 10 * time.Millisecond}
-	// tcpRedial is TCPEndpoint's schedule for a dead cached connection or
-	// a failed dial: waits of about 5 and 10ms ride out a peer restart
-	// without stalling the caller for longer than a protocol phase
-	// sub-window.
-	tcpRedial = backoff{attempts: 3, base: 5 * time.Millisecond}
+const (
+	// sendAttempts is the number of tries per send, including the first.
+	sendAttempts = 4
+	// retryBase is the wait before the first retry; each later retry
+	// doubles it.
+	retryBase = 10 * time.Millisecond
+	// retryJitter is the fraction of each delay that is randomized.
+	retryJitter = 0.2
 )
 
-// delay returns the jittered backoff before retry number retry (0-based).
-// Callers must hold whatever lock guards rng.
-func (b backoff) delay(retry int, rng *rand.Rand) time.Duration {
-	d := float64(b.base)
+// retryDelay returns the jittered wait before retry number retry
+// (0-based): retryBase·2^retry scaled by a uniform factor in
+// [1−retryJitter, 1+retryJitter]. Callers must hold whatever lock guards
+// rng.
+func retryDelay(retry int, rng *rand.Rand) time.Duration {
+	d := float64(retryBase)
 	for i := 0; i < retry; i++ {
 		d *= 2
 	}
@@ -48,7 +39,7 @@ func (b backoff) delay(retry int, rng *rand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
-// sleep waits for the given duration or until the context is cancelled.
+// sleepCtx waits for the given duration or until the context is cancelled.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
@@ -66,19 +57,21 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // ReliabilityStats is a snapshot of a ReliableEndpoint's counters.
 type ReliabilityStats struct {
 	// Sends counts Send calls; Retries counts extra attempts beyond the
-	// first; SendFailures counts Sends that exhausted every attempt.
-	Sends, Retries, SendFailures int64
+	// first.
+	Sends, Retries int64
 }
 
 // ReliableEndpoint wraps an Endpoint with per-send retries (exponential
-// backoff + jitter). Recv passes every message through: a duplicate, from
-// a faulty link or from a retry whose failed attempt still reached the
-// peer, is absorbed by the protocol's (sweep, phase) identity (see
-// internal/sim).
+// backoff + jitter); it is the only retry loop in the transport. Recv
+// passes every message through: a duplicate, from a faulty link or from a
+// retry whose failed attempt still reached the peer, is absorbed by the
+// protocol's (sweep, phase) identity (see internal/sim).
 //
 // Send never retries on context cancellation or on ErrClosed/ErrUnknownPeer
 // (the peer set is static in this protocol, so an unknown name cannot
-// become known by waiting).
+// become known by waiting). A hub send fails only in those ways, so the
+// wrapper belongs over TCP, whose TCPEndpoint.Send makes a single attempt
+// and leaves the redial to the next one.
 type ReliableEndpoint struct {
 	inner Endpoint
 
@@ -108,11 +101,11 @@ func (e *ReliableEndpoint) Send(ctx context.Context, to string, m Message) error
 	e.mu.Unlock()
 
 	var lastErr error
-	for attempt := 0; attempt < sendRetry.attempts; attempt++ {
+	for attempt := 0; attempt < sendAttempts; attempt++ {
 		if attempt > 0 {
 			e.mu.Lock()
 			e.stats.Retries++
-			d := sendRetry.delay(attempt-1, e.rng)
+			d := retryDelay(attempt-1, e.rng)
 			e.mu.Unlock()
 			if err := sleepCtx(ctx, d); err != nil {
 				return err
@@ -127,9 +120,6 @@ func (e *ReliableEndpoint) Send(ctx context.Context, to string, m Message) error
 			break
 		}
 	}
-	e.mu.Lock()
-	e.stats.SendFailures++
-	e.mu.Unlock()
 	return lastErr
 }
 

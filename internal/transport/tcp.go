@@ -2,9 +2,7 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 )
@@ -22,7 +20,7 @@ type TCPEndpoint struct {
 	peers   map[string]string
 	conns   map[string]*tcpConn
 	inbound map[net.Conn]struct{}
-	rng     *rand.Rand // tcpRedial jitter
+	done    chan struct{} // closed by Close; wakes a pending Recv
 
 	wg sync.WaitGroup
 }
@@ -52,7 +50,7 @@ func NewTCPEndpoint(name, listenAddr string) (*TCPEndpoint, error) {
 		peers:   make(map[string]string),
 		conns:   make(map[string]*tcpConn),
 		inbound: make(map[net.Conn]struct{}),
-		rng:     rand.New(rand.NewSource(1)),
+		done:    make(chan struct{}),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -121,12 +119,12 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// Send implements Endpoint. A dead cached connection or a failed dial is
-// retried on the tcpRedial schedule (exponential backoff with jitter),
-// which rides out a peer restart mid-run; the at-most-once
-// delivery contract is unchanged because a successful write is never
-// repeated. Send returns the last error once the attempts are exhausted,
-// and returns immediately on context cancellation or endpoint close.
+// Send implements Endpoint with a single attempt: it writes the frame on
+// the cached connection to the peer, dialing one when there is none. A
+// failed write drops the connection and returns the error, so the next
+// Send dials afresh; riding out a peer restart is ReliableEndpoint's job,
+// whose retries are those next Sends. A successful write is never
+// repeated, so delivery stays at-most-once.
 func (e *TCPEndpoint) Send(ctx context.Context, to string, m Message) error {
 	e.mu.Lock()
 	if e.closed {
@@ -145,51 +143,32 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, m Message) error {
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	for attempt := 0; attempt < tcpRedial.attempts; attempt++ {
-		if attempt > 0 {
-			e.mu.Lock()
-			d := tcpRedial.delay(attempt-1, e.rng)
-			e.mu.Unlock()
-			if err := sleepCtx(ctx, d); err != nil {
-				return err
-			}
-		}
-		tc, err := e.connTo(ctx, to, addr, attempt > 0)
-		if err != nil {
-			if errors.Is(err, ErrClosed) || ctx.Err() != nil {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		tc.mu.Lock()
-		_, werr := tc.conn.Write(frame)
-		tc.mu.Unlock()
-		if werr == nil {
-			return nil
-		}
-		e.dropConn(to, tc)
-		lastErr = fmt.Errorf("transport: send to %q: %w", to, werr)
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
+	tc, err := e.connTo(ctx, to, addr)
+	if err != nil {
+		return err
 	}
-	return lastErr
+	tc.mu.Lock()
+	_, werr := tc.conn.Write(frame)
+	tc.mu.Unlock()
+	if werr == nil {
+		return nil
+	}
+	e.dropConn(to, tc)
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	return fmt.Errorf("transport: send to %q: %w", to, werr)
 }
 
-// connTo returns the cached connection to a peer, dialing when absent or
-// when refresh is set.
-func (e *TCPEndpoint) connTo(ctx context.Context, name, addr string, refresh bool) (*tcpConn, error) {
+// connTo returns the cached connection to a peer, dialing one when absent.
+func (e *TCPEndpoint) connTo(ctx context.Context, name, addr string) (*tcpConn, error) {
 	e.mu.Lock()
-	if !refresh {
-		if tc, ok := e.conns[name]; ok {
-			e.mu.Unlock()
-			return tc, nil
-		}
+	if tc, ok := e.conns[name]; ok {
+		e.mu.Unlock()
+		return tc, nil
 	}
 	e.mu.Unlock()
 
@@ -205,7 +184,7 @@ func (e *TCPEndpoint) connTo(ctx context.Context, name, addr string, refresh boo
 		conn.Close()
 		return nil, ErrClosed
 	}
-	if old, ok := e.conns[name]; ok && !refresh {
+	if old, ok := e.conns[name]; ok {
 		// Lost a dial race; keep the existing connection.
 		e.mu.Unlock()
 		conn.Close()
@@ -236,13 +215,15 @@ func (e *TCPEndpoint) Recv(ctx context.Context) (Message, error) {
 	select {
 	case m := <-e.inbox:
 		return m, nil
+	case <-e.done:
+		return Message{}, ErrClosed
 	case <-ctx.Done():
 		return Message{}, ctx.Err()
 	}
 }
 
-// Close implements Endpoint: stops the listener, closes all connections
-// and waits for the reader goroutines to exit.
+// Close implements Endpoint: fails pending Recv calls, stops the listener,
+// closes all connections and waits for the reader goroutines to exit.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -250,6 +231,7 @@ func (e *TCPEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
+	close(e.done)
 	conns := e.conns
 	e.conns = make(map[string]*tcpConn)
 	inbound := make([]net.Conn, 0, len(e.inbound))

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTCPSendToDeadPeerErrors: once the peer dies and its port stops
-// listening, Send must surface an error after the redial attempts are
-// exhausted rather than pretending delivery succeeded forever.
+// listening, Send must surface an error (the failed write, or the refused
+// dial of the next Send) rather than pretending delivery succeeded forever.
 func TestTCPSendToDeadPeerErrors(t *testing.T) {
 	ctx := testCtx(t)
 	a, err := NewTCPEndpoint("a", "127.0.0.1:0")
@@ -46,21 +46,26 @@ func TestTCPSendToDeadPeerErrors(t *testing.T) {
 }
 
 // TestTCPSendRecoversAfterRedial: after the peer restarts on the same
-// address, the very next Send call must succeed by redialing inside the
-// call (backoff rides out the stale cached connection).
+// address, the very next Send call through the deployment stack
+// (ReliableEndpoint over TCPEndpoint) must succeed: the attempt that hits
+// the stale cached connection drops it, and the retry redials.
 func TestTCPSendRecoversAfterRedial(t *testing.T) {
 	ctx := testCtx(t)
-	a, err := NewTCPEndpoint("a", "127.0.0.1:0")
+	aTCP, err := NewTCPEndpoint("a", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
+	defer aTCP.Close()
+	a, err := NewReliableEndpoint(aTCP, RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b, err := NewTCPEndpoint("b", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := b.Addr()
-	a.AddPeer("b", addr)
+	aTCP.AddPeer("b", addr)
 	if err := a.Send(ctx, "b", Message{Type: MsgDone}); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func TestTCPSendRecoversAfterRedial(t *testing.T) {
 	}
 	defer b2.Close()
 	// Sends may lose a message into the stale socket buffer, but with the
-	// restarted listener up, redial-with-backoff must deliver promptly.
+	// restarted listener up, the retried redial must deliver promptly.
 	received := make(chan struct{})
 	go func() {
 		if _, err := b2.Recv(ctx); err == nil {
@@ -98,7 +103,7 @@ func TestTCPSendRecoversAfterRedial(t *testing.T) {
 }
 
 // TestTCPCloseDuringInflightSend: closing the endpoint while Sends are
-// mid-retry must not deadlock — every Send returns promptly. Run under
+// mid-dial must not deadlock — every Send returns promptly. Run under
 // -race (verify.sh does).
 func TestTCPCloseDuringInflightSend(t *testing.T) {
 	ctx := testCtx(t)
@@ -106,7 +111,7 @@ func TestTCPCloseDuringInflightSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The peer dies immediately, so Sends sit in the redial loop.
+	// The peer dies immediately, so every Send dials and fails.
 	b, err := NewTCPEndpoint("b", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +122,7 @@ func TestTCPCloseDuringInflightSend(t *testing.T) {
 	}
 
 	// Each sender keeps calling Send until one returns ErrClosed, so all
-	// eight are inside Send (dialling or backing off) when Close runs.
+	// eight are inside Send (dialling) when Close runs.
 	var wg sync.WaitGroup
 	var running atomic.Int32
 	final := make(chan error, 8)

@@ -143,8 +143,75 @@ func TestHubSendToClosedPeer(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(ctx, "b", Message{Type: MsgDone}); err == nil {
-		t.Error("send to closed peer: want error")
+	// Close unregisters b, so the send fails with ErrUnknownPeer (a send
+	// that raced the close gets ErrClosed; see the next test). Both are
+	// final to ReliableEndpoint, which is why a hub deployment runs
+	// without it.
+	if err := a.Send(ctx, "b", Message{Type: MsgDone}); !errors.Is(err, ErrUnknownPeer) {
+		t.Errorf("send to closed peer: %v, want ErrUnknownPeer", err)
+	}
+}
+
+// TestHubSendBlockedOnPeerClose: a send blocked on a peer's full inbox
+// fails with ErrClosed when that peer closes, instead of waiting for its
+// context.
+func TestHubSendBlockedOnPeerClose(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	hub := NewHub()
+	a, _ := hub.Register("a", 1)
+	b, _ := hub.Register("b", 0)
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(ctx, "b", Message{Type: MsgDone}) }()
+	time.Sleep(20 * time.Millisecond)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; !errors.Is(err, ErrClosed) {
+		t.Errorf("blocked send across peer close: %v, want ErrClosed", err)
+	}
+}
+
+// TestPendingRecvFailsOnClose: Close wakes a Recv already blocked on an
+// empty inbox with ErrClosed, on both transports, as the Endpoint contract
+// promises ("pending and future Recv calls fail").
+func TestPendingRecvFailsOnClose(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) Endpoint
+	}{
+		{"hub", func(t *testing.T) Endpoint {
+			ep, err := NewHub().Register("a", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ep
+		}},
+		{"tcp", func(t *testing.T) Endpoint {
+			ep, err := NewTCPEndpoint("a", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ep
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ep := tc.open(t)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			got := make(chan error, 1)
+			go func() {
+				_, err := ep.Recv(ctx)
+				got <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			if err := ep.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-got; !errors.Is(err, ErrClosed) {
+				t.Errorf("pending Recv across Close: %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 

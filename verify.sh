@@ -8,7 +8,7 @@
 #   internal/model     flat tensor substrate, packed policies (zero-alloc)
 #   internal/core      DUA sweep, zero-alloc subproblem workspaces
 #   internal/sim       distributed BS/SBS protocol (goroutines + transport)
-#   internal/transport in-process message passing
+#   internal/transport hub and TCP endpoints, the send-retry layer, wire codec
 #   internal/chaos     fault schedules against the protocol (short mode)
 #   cmd/...            CLI drivers, including the edgelint self-check
 #   cmd/edgebench      the benchmark harness (a nested module)
@@ -56,6 +56,14 @@ go run ./cmd/edgelint ./...
 echo "verify: crash-resume recovery gate (-race)"
 go test -race -run 'Resume|Checkpoint|BSCrash|StateSync|ReplyCache|NoiseSource|Duplicate' \
 	./internal/model ./internal/core ./internal/sim ./internal/chaos
+
+# Retry-layer gate: ReliableEndpoint is the only send-retry loop, and
+# TCPEndpoint.Send makes one attempt, so a peer restart is ridden out only
+# by the retries redialing. The TCP fault and restart tests, the pinned
+# retry schedule and Close waking a pending Recv run ten times under -race
+# to shake out dial/close interleavings before the broad suites.
+echo "verify: retry-layer gate (-race, 10 runs)"
+go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/transport
 
 # Parallel sweep-engine gate: the worker pool's determinism and crash
 # recovery run under -race before the broad suites — a data race in the
