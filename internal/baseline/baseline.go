@@ -29,17 +29,21 @@ import (
 // sub-problem uses). It mutates nothing and returns a fresh policy.
 func GreedyRouting(inst *model.Instance, caching *model.CachingPolicy) (*model.RoutingPolicy, error) {
 	routing := model.NewRoutingPolicy(inst)
+	tracker := model.NewAggregateTracker(inst)
+	yMinus := inst.NewUFMat()
 	for n := 0; n < inst.N; n++ {
 		sub, err := core.NewSubproblem(inst, n, core.SubproblemConfig{DualIters: 1})
 		if err != nil {
 			return nil, err
 		}
-		yMinus := routing.AggregateExcept(inst, n)
+		// Later SBSs have routed nothing yet, so y_{-n} is the running sum
+		// of the earlier blocks.
+		tracker.YMinusInto(inst, routing, n, yMinus)
 		block, err := sub.BestRoutingForCache(caching.RowBools(n), yMinus)
 		if err != nil {
 			return nil, err
 		}
-		routing.SetSBS(n, block)
+		tracker.Install(inst, routing, n, yMinus, block)
 	}
 	return routing, nil
 }

@@ -51,8 +51,8 @@ type SweepState struct {
 	Y *model.RoutingPolicy
 	// Tracker maintains the masked aggregate Σ_n y·l incrementally: each
 	// Gauss-Seidel phase derives y_{-n} in O(U·F), and the Jacobi engines
-	// rebuild it once per round in O(N·U·F) — replacing the per-phase
-	// O(N·U·F) AggregateExcept rebuild the seed implementation performed.
+	// rebuild the dirty rows once per round in O(N·U·F) at most, instead
+	// of an O(N·U·F) recompute of y_{-n} for every phase.
 	Tracker *model.AggregateTracker
 	// History is the per-sweep cost trail; PrevCost the γ reference.
 	History  []float64
@@ -281,7 +281,8 @@ func (e *gsEngine) Sweep(st *SweepState, sweep int) error {
 }
 
 // countedEngine attaches the coordinator's dirty-set accounting to an
-// engine whose phases Coordinator.answerPhase answers.
+// engine that counts into it: the phases Coordinator.answerPhase answers,
+// and the parallel engine's solve fan-out.
 type countedEngine struct {
 	SweepEngine
 	c *Coordinator
@@ -298,7 +299,7 @@ func (c *Coordinator) newEngine() (SweepEngine, error) {
 	case model.EngineJacobi:
 		return countedEngine{newJacobiEngine(c), c}, nil
 	case model.EngineParallelJacobi:
-		return newParallelJacobiEngine(c, c.cfg.Workers), nil
+		return countedEngine{newParallelJacobiEngine(c, c.cfg.Workers), c}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %v", c.cfg.Engine)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -94,8 +95,8 @@ func TestParallelBitIdenticalWithPrivacy(t *testing.T) {
 // aggregate to the reference definitions: after a run, the tracker-
 // maintained aggregate of the returned policy must equal a from-scratch
 // AggregateInto rebuild, and the repair must leave no overserve behind —
-// the properties the seed implementation got from recomputing
-// AggregateExcept every phase.
+// the properties the seed implementation got from recomputing y_{-n}
+// from scratch every phase.
 func TestJacobiTrackerMatchesReferenceRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	inst := randomInstance(rng, 5, 7, 8)
@@ -317,5 +318,167 @@ func TestParallelEngineCloseIdempotent(t *testing.T) {
 	coord.Close()
 	if _, err := coord.Run(); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("run after close: got %v", err)
+	}
+}
+
+// identicalSBSInstance returns an instance of n SBSs with the same links,
+// costs, bandwidth and cache size. No SBS links MU group 3, so a merge
+// over dirty rows splits into two runs.
+func identicalSBSInstance(n int) *model.Instance {
+	const u, f = 7, 5
+	inst := &model.Instance{
+		N: n, U: u, F: f,
+		Demand:    make([][]float64, u),
+		Links:     make([][]bool, n),
+		CacheCap:  make([]int, n),
+		Bandwidth: make([]float64, n),
+		EdgeCost:  make([][]float64, n),
+		BSCost:    make([]float64, u),
+	}
+	for i := range inst.Demand {
+		inst.Demand[i] = make([]float64, f)
+		for j := range inst.Demand[i] {
+			inst.Demand[i][j] = float64(1 + (3*i+5*j)%7)
+		}
+		inst.BSCost[i] = 100
+	}
+	for s := 0; s < n; s++ {
+		inst.Links[s] = make([]bool, u)
+		inst.EdgeCost[s] = make([]float64, u)
+		for i := range inst.Links[s] {
+			inst.Links[s][i] = i != 3
+			inst.EdgeCost[s][i] = 1 + float64(i)/2
+		}
+		inst.CacheCap[s] = 2
+		inst.Bandwidth[s] = 60
+	}
+	return inst
+}
+
+// TestJacobiMergeRepairsSharedClaims makes the round's merge provably run
+// the overserve repair: N identical SBSs all solve round 1 against a zero
+// y_{-n}, so their uploads are N copies of one block whose N-fold sum
+// exceeds one. Both engines must then agree bit for bit, at worker counts
+// that split the 7 rows unevenly, with the memo on and off; and the
+// reference engine's memo-on accounting must partition N every sweep.
+func TestJacobiMergeRepairsSharedClaims(t *testing.T) {
+	const n = 3
+	inst := identicalSBSInstance(n)
+	sub, err := NewSubproblem(inst, 0, DefaultSubproblemConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sub.Solve(zeroYMinus(inst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overserved := false
+	for _, v := range res.Routing.Data {
+		if n*v > 1+1e-12 {
+			overserved = true
+		}
+	}
+	if !overserved {
+		t.Fatal("round 1's identical uploads never sum past one; the repair would not run")
+	}
+
+	base := func(cfg Config) Config {
+		cfg.Gamma = 1e-300
+		cfg.MaxSweeps = 10
+		return cfg
+	}
+	want := runCfg(t, inst, withoutIncremental(base(jacobiCfg())))
+	// Round 1 overserved, so the repair must have scaled it back.
+	coord, err := NewCoordinator(inst, withoutIncremental(base(jacobiCfg())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewSweepState(inst, identityOrder(inst.N))
+	if err := coord.engine.Sweep(st, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range st.Tracker.Aggregate().Data {
+		if v > 1+1e-12 {
+			t.Fatalf("round 1 aggregate[%d] = %v after the merge, want ≤ 1", i, v)
+		}
+	}
+
+	memoRef := runCfg(t, inst, base(jacobiCfg()))
+	bitEqualResults(t, memoRef, want, "memo reference engine")
+	for i, w := range memoRef.Work {
+		if w.Solves+w.Skipped != inst.N {
+			t.Fatalf("reference sweep %d work %+v does not partition N=%d", i, w, inst.N)
+		}
+	}
+	for _, workers := range []int{1, 2, 3} {
+		for _, memo := range []bool{true, false} {
+			cfg := base(parallelCfg(workers))
+			cfg.DisableIncremental = !memo
+			got := runCfg(t, inst, cfg)
+			bitEqualResults(t, got, want, fmt.Sprintf("parallel workers=%d memo=%v", workers, memo))
+		}
+	}
+}
+
+// TestJacobiFullyHitRoundIsNoOp drives both Jacobi engines round by round
+// past a bitwise fixed point with the memo on. Only the parallel engine
+// short-cuts a round whose every memo hits; the reference engine answers
+// each phase from the memo and must leave the same bits and epochs behind,
+// counting N skips. Every round's solves and skips partition N and match
+// across the engines.
+func TestJacobiFullyHitRoundIsNoOp(t *testing.T) {
+	// Seed 2 reaches a Jacobi fixed point after about six rounds.
+	rng := rand.New(rand.NewSource(2))
+	inst := randomInstance(rng, 6, 9, 11)
+	ref, err := NewCoordinator(inst, jacobiCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := NewCoordinator(inst, parallelCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	refSt := NewSweepState(inst, identityOrder(inst.N))
+	parSt := NewSweepState(inst, identityOrder(inst.N))
+	bitsOf := func(st *SweepState) []float64 {
+		return append(append([]float64(nil), st.Y.T.Data...), st.Tracker.Aggregate().Data...)
+	}
+	fullHits := 0
+	for round := 0; round < 12; round++ {
+		before := bitsOf(refSt)
+		epochs := make([]uint64, inst.N)
+		for n := range epochs {
+			epochs[n] = refSt.Tracker.BlockEpoch(n)
+		}
+		solves, skips := ref.solves, ref.skips
+		if err := ref.engine.Sweep(refSt, round); err != nil {
+			t.Fatal(err)
+		}
+		solves, skips = ref.solves-solves, ref.skips-skips
+		if solves+skips != uint64(inst.N) {
+			t.Fatalf("round %d: %d solves + %d skips do not partition N=%d", round, solves, skips, inst.N)
+		}
+		parSolves, parSkips := par.solves, par.skips
+		if err := par.engine.Sweep(parSt, round); err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]uint64{par.solves - parSolves, par.skips - parSkips}; got != [2]uint64{solves, skips} {
+			t.Fatalf("round %d: parallel work %v, reference %v", round, got, [2]uint64{solves, skips})
+		}
+		bitEqualHistories(t, bitsOf(parSt), bitsOf(refSt), fmt.Sprintf("round %d parallel state", round))
+		if skips != uint64(inst.N) {
+			continue
+		}
+		fullHits++
+		bitEqualHistories(t, bitsOf(refSt), before, fmt.Sprintf("fully-hit round %d", round))
+		for n, e := range epochs {
+			if got := refSt.Tracker.BlockEpoch(n); got != e {
+				t.Fatalf("fully-hit round %d moved block %d's epoch %d -> %d", round, n, e, got)
+			}
+		}
+	}
+	if fullHits == 0 {
+		t.Fatal("no round was fully hit; pick an instance that reaches a fixed point")
 	}
 }

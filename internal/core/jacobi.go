@@ -17,12 +17,11 @@ import "edgecache/internal/model"
 // result is feasible.
 //
 // The per-SBS y_{-n} comes from the aggregate tracker in O(U·F) (the
-// round's aggregate minus SBS n's own pre-round block), and the tracker is
-// rebuilt once per round in O(N·U·F) — replacing the seed implementation's
-// per-phase AggregateExcept recompute, which cost O(N·U·F) for every SBS
-// of every round. The rebuild and the repair both accumulate each (u,f)
-// entry over n in ascending order, so the parallel engine, which shards
-// the same loops by row ranges, produces bit-identical aggregates.
+// round's aggregate minus SBS n's own pre-round block). The round ends in
+// endRound and mergeRows, which the parallel engine shares: the rebuild
+// and the repair both accumulate each (u,f) entry over n in ascending
+// order, so the parallel engine, which shards mergeRows by row ranges,
+// produces bit-identical aggregates.
 type jacobiEngine struct {
 	c      *Coordinator
 	yMinus model.Mat
@@ -30,11 +29,11 @@ type jacobiEngine struct {
 	// pre-round policy every SBS observes; the two swap at the end of the
 	// round, recycling the old tensor as the next round's buffer.
 	next *model.RoutingPolicy
-	// dirtyBlock[n] records whether SBS n's round-k block differs bitwise
-	// from its round-(k−1) block; dirtyRow[u] whether any dirty block is
-	// linked to user row u. Only dirty rows are re-merged and re-repaired.
+	// dirtyBlock and dirtyRow are the round's change sets (see endRound);
+	// scratch is mergeRows' length-F accumulation row.
 	dirtyBlock []bool
 	dirtyRow   []bool
+	scratch    []float64
 }
 
 func newJacobiEngine(c *Coordinator) *jacobiEngine {
@@ -44,62 +43,85 @@ func newJacobiEngine(c *Coordinator) *jacobiEngine {
 		next:       model.NewRoutingPolicy(c.inst),
 		dirtyBlock: make([]bool, c.inst.N),
 		dirtyRow:   make([]bool, c.inst.U),
+		scratch:    make([]float64, c.inst.F),
 	}
 }
 
 func (e *jacobiEngine) Kind() model.EngineKind { return model.EngineJacobi }
 func (e *jacobiEngine) Close()                 {}
 
-// allMemoHits reports whether every sub-problem's memo is valid for the
-// current tracker state. Such a round is a complete no-op for a non-private
-// run: every hit block is bitwise equal to its current value (had an
-// earlier install or repair changed it, the epoch bump would have missed
-// the memo), so the round's writes, merge and repair all reproduce the
-// existing bits.
+// endRound promotes the round's uploads in next to st.Y and prepares the
+// merge. dirtyBlock[n] records whether SBS n's upload differs bitwise from
+// its pre-round block; endRound sets dirtyRow[u] for every row a dirty
+// block is linked to — every row when memo is off — advances the phase
+// clock and stamps the dirty blocks. It returns the number of dirty rows,
+// 0 when no block changed: the aggregate is then already exact and
+// repaired, and the clock stays put.
 //
 //edgecache:noalloc
-func allMemoHits(c *Coordinator, t *model.AggregateTracker) bool {
-	for _, sub := range c.subs {
-		if !sub.memoHit(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// markDirtyRows ORs the link rows of every dirty block into dirtyRow and
-// reports whether any block was dirty. dirtyRow is reset first.
-//
-//edgecache:noalloc
-func markDirtyRows(inst *model.Instance, dirtyBlock, dirtyRow []bool) bool {
+func endRound(inst *model.Instance, st *SweepState, next *model.RoutingPolicy, memo bool, dirtyBlock, dirtyRow []bool) int {
+	st.Y.Swap(next)
 	for u := range dirtyRow {
-		dirtyRow[u] = false
+		dirtyRow[u] = !memo
 	}
-	any := false
+	stamped := false
 	for n, dirty := range dirtyBlock {
 		if !dirty {
 			continue
 		}
-		any = true
-		links := inst.Links[n]
-		for u := range dirtyRow {
-			if links[u] {
+		if !stamped {
+			st.Tracker.BeginPhase()
+			stamped = true
+		}
+		st.Tracker.MarkBlockDirty(n)
+		for u, linked := range inst.Links[n] {
+			if linked {
 				dirtyRow[u] = true
 			}
 		}
 	}
-	return any
+	if !stamped {
+		return 0
+	}
+	rows := 0
+	for _, dirty := range dirtyRow {
+		if dirty {
+			rows++
+		}
+	}
+	return rows
+}
+
+// mergeRows is the BS's reconciliation of a Jacobi round over the rows
+// [u0, u1): for each maximal run of dirty rows it rebuilds the aggregate
+// from the round's blocks, then repairs any overserve. Both steps read and
+// write only row u of each block and of the aggregate, so rebuilding and
+// repairing run by run gives the same bits as all rebuilds followed by
+// all repairs, and disjoint row ranges may run concurrently with disjoint
+// scratch. A clean row still equals the ascending-n sum of its unchanged
+// blocks and already satisfies the overserve bound; contiguous runs keep
+// each call on sequential aggregate and policy memory.
+//
+//edgecache:noalloc
+func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.RoutingPolicy, dirtyRow []bool, u0, u1 int, scratch []float64) {
+	for u0 < u1 {
+		if !dirtyRow[u0] {
+			u0++
+			continue
+		}
+		end := u0 + 1
+		for end < u1 && dirtyRow[end] {
+			end++
+		}
+		t.RebuildRowsScratch(inst, y, u0, end, scratch)
+		t.RepairOverserveRows(inst, y, u0, end)
+		u0 = end
+	}
 }
 
 func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 	c, inst := e.c, e.c.inst
 	memo := c.incremental()
-	if memo && c.lppm == nil && allMemoHits(c, st.Tracker) {
-		// Every block would be re-derived bit-identically, so the round
-		// changes nothing: the γ rule sees an identical cost and stops.
-		c.skips += uint64(inst.N)
-		return nil
-	}
 	// All SBSs observe the same pre-round policy (stale state). Every
 	// block of next is overwritten below, so the swapped-in buffer needs
 	// no clearing.
@@ -116,38 +138,8 @@ func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 		e.dirtyBlock[n] = !memo || !st.Y.SBS(n).BitsEqual(upload)
 		e.next.SetSBS(n, upload)
 	}
-	st.Y.Swap(e.next)
-	if !markDirtyRows(inst, e.dirtyBlock, e.dirtyRow) {
-		// Every upload reproduced its previous bits; the aggregate is
-		// already exact and repaired.
-		return nil
-	}
-	st.Tracker.BeginPhase()
-	for n, dirty := range e.dirtyBlock {
-		if dirty {
-			st.Tracker.MarkBlockDirty(n)
-		}
-	}
-	if !memo {
-		st.Tracker.RebuildRows(inst, st.Y, 0, inst.U)
-		st.Tracker.RepairOverserveRows(inst, st.Y, 0, inst.U)
-		return nil
-	}
-	// Merge and repair only the rows a dirty block contributes to:
-	// untouched rows still equal the ascending-n sum of their (unchanged)
-	// contributing blocks and already satisfied the overserve bound.
-	for u0 := 0; u0 < inst.U; {
-		if !e.dirtyRow[u0] {
-			u0++
-			continue
-		}
-		u1 := u0 + 1
-		for u1 < inst.U && e.dirtyRow[u1] {
-			u1++
-		}
-		st.Tracker.RebuildRows(inst, st.Y, u0, u1)
-		st.Tracker.RepairOverserveRows(inst, st.Y, u0, u1)
-		u0 = u1
+	if endRound(inst, st, e.next, memo, e.dirtyBlock, e.dirtyRow) > 0 {
+		mergeRows(st.Tracker, inst, st.Y, e.dirtyRow, 0, inst.U, e.scratch)
 	}
 	return nil
 }

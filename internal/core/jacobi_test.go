@@ -188,6 +188,15 @@ func TestPerturbKeepsZeroesAndRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Perturb a dense block first: the result workspace is reused, so
+		// the zero check below also catches entries left from that call.
+		dense, err := model.MatFromRows([][]float64{{1, 1, 1}, {1, 1, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Perturb("x", dense); err != nil {
+			t.Fatal(err)
+		}
 		noised, err := l.Perturb("x", routing)
 		if err != nil {
 			t.Fatal(err)

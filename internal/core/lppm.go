@@ -24,6 +24,8 @@ type LPPM struct {
 	rng   *rand.Rand // draws through cfg.Noise, so every draw is counted
 	beta  float64    // Laplace scale (MechanismLaplace)
 	sigma float64    // Gaussian scale (MechanismGaussian)
+	// out is Perturb's result workspace, reused while the shape matches.
+	out model.Mat
 }
 
 // NewLPPM validates the configuration and calibrates the noise scale.
@@ -70,16 +72,21 @@ func (l *LPPM) Mechanism() NoiseMechanism { return l.cfg.Mechanism }
 // accountant is configured. Zero entries stay exactly zero: a demand that
 // was never served leaks nothing and must not be jittered into service.
 //
-// Perturb allocates the returned matrix: the zero-allocation guarantee of
-// the sweep loop applies to the non-private path, and a fresh copy keeps
-// the clean block intact for the UploadTap ground truth.
+// The returned matrix is the LPPM's own workspace and is overwritten by
+// the next call; callers that need to retain it must copy it (SetSBS,
+// Install and EncodePayload do exactly that). The clean block is left
+// intact for the UploadTap ground truth.
 func (l *LPPM) Perturb(label string, routing model.Mat) (model.Mat, error) {
-	noised := model.NewMat(routing.U, routing.F)
+	if l.out.U != routing.U || l.out.F != routing.F {
+		l.out = model.NewMat(routing.U, routing.F)
+	}
+	noised := l.out
 	for u := 0; u < routing.U; u++ {
 		src := routing.Row(u)
 		dst := noised.Row(u)
 		for f, v := range src {
 			if v <= 0 {
+				dst[f] = 0
 				continue
 			}
 			r, err := l.noise(v)
@@ -112,7 +119,12 @@ func (l *LPPM) noise(y float64) (float64, error) {
 }
 
 // PerturbSBS is a convenience for callers that label spends by SBS index
-// rather than by name.
+// rather than by name. The label is formatted only when an accountant
+// records it.
 func (l *LPPM) PerturbSBS(n int, routing model.Mat) (model.Mat, error) {
-	return l.Perturb(fmt.Sprintf("sbs-%d", n), routing)
+	label := ""
+	if l.cfg.Accountant != nil {
+		label = fmt.Sprintf("sbs-%d", n)
+	}
+	return l.Perturb(label, routing)
 }

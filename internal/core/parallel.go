@@ -27,28 +27,29 @@ import (
 //     the driver goroutine perturbs the uploads alone, in ascending SBS
 //     order — the same draw sequence as the sequential engines. Solves
 //     consume no randomness, so scheduling cannot reorder draws.
-//   - Merge and repair phases: the aggregate rebuild and the overserve
-//     repair are sharded by contiguous user-row ranges and, with the memo
-//     enabled, touch only the rows some bitwise-changed block contributes
-//     to. Both accumulate each (u,f) entry over n in ascending order (see
+//   - Merge phase: the driver's endRound (shared with the reference
+//     engine) swaps the uploads in and marks the dirty rows; the workers
+//     then run mergeRows on contiguous user-row shards, rebuilding and
+//     repairing each dirty run in place. Both steps are row-local and
+//     accumulate each (u,f) entry over n in ascending order (see
 //     AggregateTracker.RebuildRows), so the reduction order — and
 //     therefore every floating-point bit — is independent of the worker
 //     count, of scheduling, and of which rows were skipped (a skipped
 //     row's recompute would reproduce its current bits).
 //
 // Workers park between phases on a wake channel and signal a done channel
-// after each phase, giving the engine a barrier per phase; the
-// channel hand-offs also carry the happens-before edges that publish the
-// driver's phase setup to the workers and the workers' writes back.
+// after each phase, giving the engine a barrier per phase — two per
+// round; the channel hand-offs also carry the happens-before edges that
+// publish the driver's phase setup to the workers and the workers' writes
+// back.
 type parallelJacobiEngine struct {
 	c       *Coordinator
 	workers int
 
 	// Per-worker scratch: y_{-n} matrices for the solve phase and
-	// length-F accumulation rows for the merge phase (shards of
-	// RebuildRowsScratch must not share scratch). Everything else a worker
-	// touches is either read-only or owned by the SBS index or row range
-	// it claimed.
+	// length-F accumulation rows for the merge phase (mergeRows shards
+	// must not share scratch). Everything else a worker touches is either
+	// read-only or owned by the SBS index or row range it claimed.
 	yMinus       []model.Mat
 	mergeScratch [][]float64
 	next         *model.RoutingPolicy
@@ -65,20 +66,18 @@ type parallelJacobiEngine struct {
 
 	// Per-round dirty-set state. hit is the driver's memo pre-pass;
 	// dirtyBlock is written only by the worker that claimed the SBS (or by
-	// the driver's LPPM pass); dirtyRow is driver-only.
+	// the driver's LPPM pass); dirtyRow is written by the driver's
+	// endRound and read by the merge shards.
 	hit        []bool
 	dirtyBlock []bool
 	dirtyRow   []bool
 
-	// solves and skips are the engine-lifetime dirty-set accounting.
-	solves, skips uint64
-
 	started bool
 	closed  bool
-	// wake is per-worker: the merge and repair shards are assigned by
-	// worker id, so each worker must run every phase exactly once — a
-	// shared channel would let a fast worker steal a slow one's token and
-	// leave that worker's shard stale.
+	// wake is per-worker: the merge shards are assigned by worker id, so
+	// each worker must run every phase exactly once — a shared channel
+	// would let a fast worker steal a slow one's token and leave that
+	// worker's shard stale.
 	wake []chan struct{}
 	done chan struct{} // one token back per worker per phase
 	quit chan struct{}
@@ -88,7 +87,6 @@ type parallelJacobiEngine struct {
 const (
 	phaseSolve = iota
 	phaseMerge
-	phaseRepair
 )
 
 func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine {
@@ -125,8 +123,6 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 }
 
 func (e *parallelJacobiEngine) Kind() model.EngineKind { return model.EngineParallelJacobi }
-
-func (e *parallelJacobiEngine) workCounts() (uint64, uint64) { return e.solves, e.skips }
 
 // Close stops the worker pool. Idempotent.
 func (e *parallelJacobiEngine) Close() {
@@ -185,44 +181,8 @@ func (e *parallelJacobiEngine) runPhase(w int) {
 	case phaseSolve:
 		e.solveShare(w)
 	case phaseMerge:
-		// With the memo on, rebuild only the maximal runs of dirty rows in
-		// the shard: contiguous runs keep the merge cache-blocked — each
-		// call streams sequential aggregate and policy memory.
 		u0, u1 := e.rowRange(w)
-		if !e.memoRound {
-			e.st.Tracker.RebuildRowsScratch(e.c.inst, e.st.Y, u0, u1, e.mergeScratch[w])
-			return
-		}
-		for r0 := u0; r0 < u1; {
-			if !e.dirtyRow[r0] {
-				r0++
-				continue
-			}
-			r1 := r0 + 1
-			for r1 < u1 && e.dirtyRow[r1] {
-				r1++
-			}
-			e.st.Tracker.RebuildRowsScratch(e.c.inst, e.st.Y, r0, r1, e.mergeScratch[w])
-			r0 = r1
-		}
-	case phaseRepair:
-		u0, u1 := e.rowRange(w)
-		if !e.memoRound {
-			e.st.Tracker.RepairOverserveRows(e.c.inst, e.st.Y, u0, u1)
-			return
-		}
-		for r0 := u0; r0 < u1; {
-			if !e.dirtyRow[r0] {
-				r0++
-				continue
-			}
-			r1 := r0 + 1
-			for r1 < u1 && e.dirtyRow[r1] {
-				r1++
-			}
-			e.st.Tracker.RepairOverserveRows(e.c.inst, e.st.Y, r0, r1)
-			r0 = r1
-		}
+		mergeRows(e.st.Tracker, e.c.inst, e.st.Y, e.dirtyRow, u0, u1, e.mergeScratch[w])
 	}
 }
 
@@ -275,8 +235,8 @@ func (e *parallelJacobiEngine) solveShare(w int) {
 	}
 }
 
-// rowRange is worker w's static user-row shard [u0, u1) for the merge and
-// repair phases, split across the workers woken for the phase. Contiguous
+// rowRange is worker w's static user-row shard [u0, u1) for the merge
+// phase, split across the workers woken for the phase. Contiguous
 // ranges keep each worker on sequential memory.
 //
 //edgecache:noalloc
@@ -332,8 +292,9 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 	if memo && c.lppm == nil && misses == 0 {
 		// Fully-hit non-private round: every block would be re-derived
 		// bit-identically, so the round is a no-op — no wakeups, no swap,
-		// no merge. The γ rule sees an identical cost and stops.
-		e.skips += uint64(inst.N)
+		// no merge. The reference engine reaches the same bits by
+		// answering every phase from the memo.
+		c.skips += uint64(inst.N)
 		return nil
 	}
 
@@ -359,8 +320,8 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 			return err
 		}
 	}
-	e.solves += uint64(misses)
-	e.skips += uint64(inst.N - misses)
+	c.solves += uint64(misses)
+	c.skips += uint64(inst.N - misses)
 
 	// Privacy pass: one shared noise stream means one drawer. Ascending
 	// SBS order reproduces the sequential engines' draw sequence exactly.
@@ -378,34 +339,16 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 		}
 	}
 
-	st.Y.Swap(e.next)
-	if !markDirtyRows(inst, e.dirtyBlock, e.dirtyRow) {
-		// Every upload reproduced its previous bits; the aggregate is
-		// already exact and repaired.
-		e.st = nil
-		return nil
-	}
-	st.Tracker.BeginPhase()
-	dirtyRows := 0
-	for n, dirty := range e.dirtyBlock {
-		if dirty {
-			st.Tracker.MarkBlockDirty(n)
+	if dirtyRows := endRound(inst, st, e.next, memo, e.dirtyBlock, e.dirtyRow); dirtyRows > 0 {
+		mergeWorkers := e.workers
+		if memo {
+			// A worker per handful of dirty rows: a nearly-converged round
+			// re-merges a sliver of the aggregate and should not pay
+			// workers·(wake+park) to do it.
+			mergeWorkers = e.clampWorkers((dirtyRows + 15) / 16)
 		}
+		e.barrier(phaseMerge, mergeWorkers)
 	}
-	for _, dirty := range e.dirtyRow {
-		if dirty {
-			dirtyRows++
-		}
-	}
-	mergeWorkers := e.workers
-	if memo {
-		// A worker per handful of dirty rows: a nearly-converged round
-		// re-merges a sliver of the aggregate and should not pay
-		// workers·(wake+park) to do it.
-		mergeWorkers = e.clampWorkers((dirtyRows + 15) / 16)
-	}
-	e.barrier(phaseMerge, mergeWorkers)
-	e.barrier(phaseRepair, mergeWorkers)
 	e.st = nil
 	return nil
 }

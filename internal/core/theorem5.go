@@ -80,11 +80,12 @@ func EvaluateTheorem5(inst *model.Instance, lppm *LPPM, y *model.RoutingPolicy,
 	within := 0
 	var totalIncrease float64
 	noised := y.Clone()
+	sampler := lppm.withRng(rng)
 	for s := 0; s < samples; s++ {
 		var noiseMass float64
 		for n := 0; n < inst.N; n++ {
 			clean := y.SBS(n)
-			block, err := lppm.withRng(rng).Perturb("theorem5", clean)
+			block, err := sampler.Perturb("theorem5", clean)
 			if err != nil {
 				return nil, err
 			}
@@ -116,10 +117,12 @@ func EvaluateTheorem5(inst *model.Instance, lppm *LPPM, y *model.RoutingPolicy,
 
 // withRng returns a copy of the mechanism bound to a caller-supplied noise
 // source and with accounting disabled — EvaluateTheorem5 draws thousands
-// of hypothetical samples that must not pollute the privacy ledger.
+// of hypothetical samples that must not pollute the privacy ledger. The
+// copy gets its own Perturb workspace.
 func (l *LPPM) withRng(rng *rand.Rand) *LPPM {
 	cp := *l
 	cp.rng = rng
 	cp.cfg.Accountant = nil
+	cp.out = model.Mat{}
 	return &cp
 }

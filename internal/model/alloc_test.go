@@ -67,7 +67,6 @@ func TestRoutingPolicyZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "RoutingPolicy.SBS", func() { sink += p.SBS(1).At(0, 0) })
 	assertZeroAllocs(t, "RoutingPolicy.Load", func() { sink += p.Load(in, 0) })
 	assertZeroAllocs(t, "RoutingPolicy.AggregateInto", func() { p.AggregateInto(in, dst) })
-	assertZeroAllocs(t, "RoutingPolicy.AggregateExceptInto", func() { p.AggregateExceptInto(in, 0, dst) })
 	_ = sink
 }
 

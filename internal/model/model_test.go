@@ -186,21 +186,6 @@ func TestAggregateMasksLinks(t *testing.T) {
 	}
 }
 
-func TestAggregateExcept(t *testing.T) {
-	in := testInstance()
-	y := NewRoutingPolicy(in)
-	y.Set(0, 0, 0, 0.25)
-	y.Set(1, 0, 0, 0.5)
-	agg := y.AggregateExcept(in, 0)
-	if agg.At(0, 0) != 0.5 {
-		t.Errorf("AggregateExcept(0)[0][0] = %v, want 0.5", agg.At(0, 0))
-	}
-	agg = y.AggregateExcept(in, 1)
-	if agg.At(0, 0) != 0.25 {
-		t.Errorf("AggregateExcept(1)[0][0] = %v, want 0.25", agg.At(0, 0))
-	}
-}
-
 func TestLoad(t *testing.T) {
 	in := testInstance()
 	y := NewRoutingPolicy(in)

@@ -255,43 +255,6 @@ func (p *RoutingPolicy) AggregateInto(in *Instance, dst Mat) {
 	}
 }
 
-// AggregateExcept returns the aggregate routing y_{-n} (eq. 14 of the
-// paper): the summed routing of every SBS other than n, masked by links.
-//
-// The DUA sweep no longer calls this — the coordinator and the BS agent
-// maintain the aggregate incrementally (AggregateTracker) and derive
-// y_{-n} in O(U·F) — but it remains the reference definition that the
-// incremental path is tested against, and baselines still use it.
-func (p *RoutingPolicy) AggregateExcept(in *Instance, n int) Mat {
-	agg := NewMat(in.U, in.F)
-	p.AggregateExceptInto(in, n, agg)
-	return agg
-}
-
-// AggregateExceptInto computes AggregateExcept into a caller-owned U×F
-// matrix without allocating. dst is overwritten.
-//
-//edgecache:noalloc
-func (p *RoutingPolicy) AggregateExceptInto(in *Instance, n int, dst Mat) {
-	dst.Zero()
-	for i := 0; i < in.N; i++ {
-		if i == n {
-			continue
-		}
-		block := p.T.SBSRow(i)
-		for u := 0; u < in.U; u++ {
-			if !in.Links[i][u] {
-				continue
-			}
-			dstRow := dst.Row(u)
-			srcRow := block.Row(u)
-			for f := range dstRow {
-				dstRow[f] += srcRow[f]
-			}
-		}
-	}
-}
-
 // Load returns Σ_u Σ_f y_nuf·l_nu·λ_uf, the bandwidth consumed at SBS n
 // (left side of eq. 3). Entries on (n,u) pairs without a link are masked
 // out, mirroring Aggregate: an off-link routing entry is structurally
@@ -322,8 +285,8 @@ func blockLoad(in *Instance, n int, block Mat) float64 {
 }
 
 // AggregateTracker maintains the running masked aggregate Σ_n y_nuf·l_nu
-// across a Gauss-Seidel sweep so each phase costs O(U·F) instead of the
-// O(N·U·F) AggregateExcept rebuild. The protocol per phase n is:
+// across a Gauss-Seidel sweep so each phase costs O(U·F) instead of an
+// O(N·U·F) recompute of y_{-n}. The protocol per phase n is:
 //
 //	tracker.YMinusInto(in, y, n, yMinus)   // y_{-n} = agg − y_n (masked)
 //	... SBS n computes its new block from yMinus ...
@@ -500,32 +463,23 @@ func (t *AggregateTracker) Install(in *Instance, y *RoutingPolicy, n int, yMinus
 	if blockChanged {
 		t.blockEpoch[n].Store(t.clock)
 	}
-	links := in.Links[n]
-	for u := 0; u < in.U; u++ {
+	for u, linked := range in.Links[n] {
+		if !linked {
+			// Off-link rows: the reference copies yMinus verbatim, and
+			// YMinusInto copied those rows verbatim from the aggregate, so
+			// the copy could change no bit and no epoch.
+			continue
+		}
 		aggRow := t.agg.Row(u)
 		ymRow := yMinus.Row(u)
+		upRow := upload.Row(u)
 		changed := false
-		if !links[u] {
-			// Off-link rows: the reference copies yMinus verbatim. By the
-			// YMinusInto contract those bits already equal the aggregate's,
-			// but the compare keeps the epochs exact even for callers that
-			// hand-built yMinus.
-			for f := range aggRow {
-				v := ymRow[f]
-				if math.Float64bits(aggRow[f]) != math.Float64bits(v) {
-					changed = true
-				}
-				aggRow[f] = v
+		for f := range aggRow {
+			v := ymRow[f] + upRow[f]
+			if math.Float64bits(aggRow[f]) != math.Float64bits(v) {
+				changed = true
 			}
-		} else {
-			upRow := upload.Row(u)
-			for f := range aggRow {
-				v := ymRow[f] + upRow[f]
-				if math.Float64bits(aggRow[f]) != math.Float64bits(v) {
-					changed = true
-				}
-				aggRow[f] = v
-			}
+			aggRow[f] = v
 		}
 		if changed {
 			t.rowEpoch[u] = t.clock
