@@ -420,62 +420,82 @@ func TestJacobiMergeRepairsSharedClaims(t *testing.T) {
 	}
 }
 
-// TestJacobiFullyHitRoundIsNoOp drives both Jacobi engines round by round
-// past a bitwise fixed point with the memo on. Only the parallel engine
-// short-cuts a round whose every memo hits; the reference engine answers
-// each phase from the memo and must leave the same bits and epochs behind,
-// counting N skips. Every round's solves and skips partition N and match
-// across the engines.
+// TestJacobiFullyHitRoundIsNoOp drives the reference Jacobi engine and
+// the parallel engine at 1, 2 and 3 workers round by round past a bitwise
+// fixed point with the memo on. No engine short-cuts a round whose every
+// memo hits: each answers every phase from the memo, finds no dirty block
+// and must leave its bits and block epochs unchanged, counting N skips.
+// Every round's solves and skips partition N and match across the
+// engines, and every engine's state is bit-equal to the reference's.
 func TestJacobiFullyHitRoundIsNoOp(t *testing.T) {
 	// Seed 2 reaches a Jacobi fixed point after about six rounds.
 	rng := rand.New(rand.NewSource(2))
 	inst := randomInstance(rng, 6, 9, 11)
-	ref, err := NewCoordinator(inst, jacobiCfg())
-	if err != nil {
-		t.Fatal(err)
+	type run struct {
+		name string
+		c    *Coordinator
+		st   *SweepState
 	}
-	par, err := NewCoordinator(inst, parallelCfg(2))
-	if err != nil {
-		t.Fatal(err)
+	runs := []run{{name: "reference"}}
+	for _, workers := range []int{1, 2, 3} {
+		runs = append(runs, run{name: fmt.Sprintf("parallel workers=%d", workers)})
 	}
-	defer par.Close()
-	refSt := NewSweepState(inst, identityOrder(inst.N))
-	parSt := NewSweepState(inst, identityOrder(inst.N))
+	for i := range runs {
+		cfg := jacobiCfg()
+		if i > 0 {
+			cfg = parallelCfg(i)
+		}
+		c, err := NewCoordinator(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		runs[i].c, runs[i].st = c, NewSweepState(inst, identityOrder(inst.N))
+	}
 	bitsOf := func(st *SweepState) []float64 {
 		return append(append([]float64(nil), st.Y.T.Data...), st.Tracker.Aggregate().Data...)
 	}
-	fullHits := 0
-	for round := 0; round < 12; round++ {
-		before := bitsOf(refSt)
+	epochsOf := func(st *SweepState) []uint64 {
 		epochs := make([]uint64, inst.N)
 		for n := range epochs {
-			epochs[n] = refSt.Tracker.BlockEpoch(n)
+			epochs[n] = st.Tracker.BlockEpoch(n)
 		}
-		solves, skips := ref.solves, ref.skips
-		if err := ref.engine.Sweep(refSt, round); err != nil {
-			t.Fatal(err)
-		}
-		solves, skips = ref.solves-solves, ref.skips-skips
-		if solves+skips != uint64(inst.N) {
-			t.Fatalf("round %d: %d solves + %d skips do not partition N=%d", round, solves, skips, inst.N)
-		}
-		parSolves, parSkips := par.solves, par.skips
-		if err := par.engine.Sweep(parSt, round); err != nil {
-			t.Fatal(err)
-		}
-		if got := [2]uint64{par.solves - parSolves, par.skips - parSkips}; got != [2]uint64{solves, skips} {
-			t.Fatalf("round %d: parallel work %v, reference %v", round, got, [2]uint64{solves, skips})
-		}
-		bitEqualHistories(t, bitsOf(parSt), bitsOf(refSt), fmt.Sprintf("round %d parallel state", round))
-		if skips != uint64(inst.N) {
-			continue
-		}
-		fullHits++
-		bitEqualHistories(t, bitsOf(refSt), before, fmt.Sprintf("fully-hit round %d", round))
-		for n, e := range epochs {
-			if got := refSt.Tracker.BlockEpoch(n); got != e {
-				t.Fatalf("fully-hit round %d moved block %d's epoch %d -> %d", round, n, e, got)
+		return epochs
+	}
+	fullHits := 0
+	for round := 0; round < 12; round++ {
+		var refWork [2]uint64
+		fullyHit := false
+		for i, r := range runs {
+			before, epochs := bitsOf(r.st), epochsOf(r.st)
+			solves, skips := r.c.solves, r.c.skips
+			if err := r.c.engine.Sweep(r.st, round); err != nil {
+				t.Fatal(err)
 			}
+			work := [2]uint64{r.c.solves - solves, r.c.skips - skips}
+			if i == 0 {
+				if work[0]+work[1] != uint64(inst.N) {
+					t.Fatalf("round %d: %d solves + %d skips do not partition N=%d", round, work[0], work[1], inst.N)
+				}
+				refWork, fullyHit = work, work[1] == uint64(inst.N)
+			} else {
+				if work != refWork {
+					t.Fatalf("round %d: %s work %v, reference %v", round, r.name, work, refWork)
+				}
+				bitEqualHistories(t, bitsOf(r.st), bitsOf(runs[0].st), fmt.Sprintf("round %d %s state", round, r.name))
+			}
+			if !fullyHit {
+				continue
+			}
+			bitEqualHistories(t, bitsOf(r.st), before, fmt.Sprintf("fully-hit round %d %s", round, r.name))
+			for n, e := range epochs {
+				if got := r.st.Tracker.BlockEpoch(n); got != e {
+					t.Fatalf("fully-hit round %d moved %s block %d's epoch %d -> %d", round, r.name, n, e, got)
+				}
+			}
+		}
+		if fullyHit {
+			fullHits++
 		}
 	}
 	if fullHits == 0 {

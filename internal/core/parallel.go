@@ -12,17 +12,14 @@ import (
 // jacobiEngine on a persistent worker pool. Parallelism is safe and
 // deterministic by construction:
 //
-//   - Solve phase: the round's sub-problems are claimed in chunks off an
-//     atomic cursor (chunkSize claims per fetch-add, sized from
-//     N/workers, so the fan-out cost is a handful of CASes per worker
-//     rather than one per SBS). Each SBS n touches only its own solver
-//     workspace (c.subs[n]), its own caching-policy row (word-disjoint in
-//     the packed bitset) and its own U×F block of the next-round tensor,
-//     so distinct n never share memory. Every input (the pre-round policy
-//     and aggregate) is read-only during the phase. Memo hits — SBSs whose
-//     inputs carry unchanged epochs — skip the solve and copy the cached
-//     result instead; the driver sizes the number of woken workers from
-//     the miss count, and a fully-hit non-private round wakes nobody.
+//   - Solve phase: workers claim sub-problems one SBS at a time off an
+//     atomic cursor. The claiming worker checks SBS n's memo itself: a hit
+//     copies the cached result, a miss solves. Each SBS n touches only its
+//     own solver workspace (c.subs[n]), its own caching-policy row
+//     (word-disjoint in the packed bitset) and its own U×F block of the
+//     next-round tensor, so distinct n never share memory. Every input
+//     (the pre-round policy, the aggregate and the tracker's epochs) is
+//     read-only during the phase.
 //   - LPPM pass: noise draws come from one shared sequential stream, so
 //     the driver goroutine perturbs the uploads alone, in ascending SBS
 //     order — the same draw sequence as the sequential engines. Solves
@@ -37,11 +34,11 @@ import (
 //     count, of scheduling, and of which rows were skipped (a skipped
 //     row's recompute would reproduce its current bits).
 //
-// Workers park between phases on a wake channel and signal a done channel
-// after each phase, giving the engine a barrier per phase — two per
-// round; the channel hand-offs also carry the happens-before edges that
-// publish the driver's phase setup to the workers and the workers' writes
-// back.
+// Every phase wakes every worker. Workers park between phases on a wake
+// channel and signal a done channel after each phase, giving the engine a
+// barrier per phase — two per round; the channel hand-offs also carry the
+// happens-before edges that publish the driver's phase setup to the
+// workers and the workers' writes back.
 type parallelJacobiEngine struct {
 	c       *Coordinator
 	workers int
@@ -55,20 +52,19 @@ type parallelJacobiEngine struct {
 	next         *model.RoutingPolicy
 
 	// Phase plumbing, written by the driver goroutine before the wake
-	// tokens and read by workers after them.
-	st        *SweepState
-	phase     int
-	cursor    atomic.Int64
-	chunk     int // solve-phase claims per cursor fetch-add
-	active    int // workers woken for the current phase; shard divisor
-	memoRound bool
-	errs      []error
+	// tokens and read by workers after them. errs and solved are
+	// per-worker slots: a worker's first solve error, and how many of its
+	// claims it solved rather than answered from the memo.
+	st     *SweepState
+	phase  int
+	cursor atomic.Int64
+	memo   bool
+	errs   []error
+	solved []int
 
-	// Per-round dirty-set state. hit is the driver's memo pre-pass;
-	// dirtyBlock is written only by the worker that claimed the SBS (or by
-	// the driver's LPPM pass); dirtyRow is written by the driver's
-	// endRound and read by the merge shards.
-	hit        []bool
+	// Per-round dirty-set state. dirtyBlock is written only by the worker
+	// that claimed the SBS (or by the driver's LPPM pass); dirtyRow is
+	// written by the driver's endRound and read by the merge shards.
 	dirtyBlock []bool
 	dirtyRow   []bool
 
@@ -100,19 +96,12 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 		mergeScratch: make([][]float64, workers),
 		next:         model.NewRoutingPolicy(c.inst),
 		errs:         make([]error, workers),
-		hit:          make([]bool, c.inst.N),
+		solved:       make([]int, workers),
 		dirtyBlock:   make([]bool, c.inst.N),
 		dirtyRow:     make([]bool, c.inst.U),
 		wake:         make([]chan struct{}, workers),
 		done:         make(chan struct{}, workers),
 		quit:         make(chan struct{}),
-	}
-	// Chunked claims amortize the cursor contention: ~4 chunks per worker
-	// keeps dynamic balancing while shrinking the CAS count from N to
-	// ~4·workers per round.
-	e.chunk = c.inst.N / (4 * workers)
-	if e.chunk < 1 {
-		e.chunk = 1
 	}
 	for w := range e.yMinus {
 		e.yMinus[w] = c.inst.NewUFMat()
@@ -186,90 +175,74 @@ func (e *parallelJacobiEngine) runPhase(w int) {
 	}
 }
 
-// solveShare claims chunks of sub-problems off the shared cursor until the
-// round is drained. Memo hits copy the cached result; misses solve.
+// solveShare claims sub-problems off the shared cursor, one SBS per
+// claim, until the round is drained. A memo hit copies the cached result;
+// a miss solves and is counted in solved[w].
 //
 //edgecache:noalloc
 func (e *parallelJacobiEngine) solveShare(w int) {
 	c, inst, st := e.c, e.c.inst, e.st
+	solved := 0
 	for {
-		base := int(e.cursor.Add(int64(e.chunk))) - e.chunk
-		if base >= inst.N {
-			return
+		n := int(e.cursor.Add(1)) - 1
+		if n >= inst.N {
+			break
 		}
-		top := base + e.chunk
-		if top > inst.N {
-			top = inst.N
+		if e.errs[w] != nil {
+			continue // drain the cursor; the round already failed
 		}
-		for n := base; n < top; n++ {
-			if e.errs[w] != nil {
-				continue // drain the cursor; the round already failed
-			}
-			if e.hit[n] {
-				// The cached result is bit-identical to what a re-solve
-				// would produce; install its clean routing so the LPPM pass
-				// (or the swap) sees exactly what the reference engine
-				// would have written.
-				sub := c.subs[n].cachedResult()
-				st.X.SetRow(n, sub.Cache)
-				e.next.SetSBS(n, sub.Routing)
-				e.dirtyBlock[n] = false
-				continue
-			}
-			st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus[w])
-			sub, err := c.subs[n].Solve(e.yMinus[w])
-			if err != nil {
-				e.errs[w] = err
-				continue
-			}
-			if e.memoRound {
-				c.subs[n].memoCapture(st.Tracker)
-			}
-			st.X.SetRow(n, sub.Cache)
-			// Change detection against the pre-round block (st.Y is frozen
-			// for the phase). Without the memo the round is the full
-			// reference: every block counts as dirty.
-			e.dirtyBlock[n] = !e.memoRound || !st.Y.SBS(n).BitsEqual(sub.Routing)
-			e.next.SetSBS(n, sub.Routing)
+		sub := c.subs[n]
+		if e.memo && sub.memoHit(st.Tracker) {
+			// The cached result is bit-identical to what a re-solve would
+			// produce; install its clean routing so the LPPM pass (or the
+			// swap) sees exactly what the reference engine would have
+			// written.
+			res := sub.cachedResult()
+			st.X.SetRow(n, res.Cache)
+			e.next.SetSBS(n, res.Routing)
+			e.dirtyBlock[n] = false
+			continue
 		}
+		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus[w])
+		res, err := sub.Solve(e.yMinus[w])
+		if err != nil {
+			e.errs[w] = err
+			continue
+		}
+		solved++
+		if e.memo {
+			sub.memoCapture(st.Tracker)
+		}
+		st.X.SetRow(n, res.Cache)
+		// Change detection against the pre-round block (st.Y is frozen
+		// for the phase). Without the memo the round is the full
+		// reference: every block counts as dirty.
+		e.dirtyBlock[n] = !e.memo || !st.Y.SBS(n).BitsEqual(res.Routing)
+		e.next.SetSBS(n, res.Routing)
 	}
+	e.solved[w] = solved
 }
 
 // rowRange is worker w's static user-row shard [u0, u1) for the merge
-// phase, split across the workers woken for the phase. Contiguous
-// ranges keep each worker on sequential memory.
+// phase. Contiguous ranges keep each worker on sequential memory.
 //
 //edgecache:noalloc
 func (e *parallelJacobiEngine) rowRange(w int) (int, int) {
 	u := e.c.inst.U
-	return w * u / e.active, (w + 1) * u / e.active
+	return w * u / e.workers, (w + 1) * u / e.workers
 }
 
-// barrier publishes phase to the first `active` workers and blocks until
-// every one of them has finished its share. Sizing active from the actual
-// work (miss count, dirty-row count) is what keeps all-hit and mostly-hit
-// rounds from paying workers·(wake+park) for nothing.
-func (e *parallelJacobiEngine) barrier(phase, active int) {
+// barrier publishes phase to every worker and blocks until each one has
+// finished its share.
+func (e *parallelJacobiEngine) barrier(phase int) {
 	e.phase = phase
-	e.active = active
 	e.cursor.Store(0)
-	for w := 0; w < active; w++ {
-		e.wake[w] <- struct{}{}
+	for _, wake := range e.wake {
+		wake <- struct{}{}
 	}
-	for w := 0; w < active; w++ {
+	for range e.wake {
 		<-e.done
 	}
-}
-
-// clampWorkers bounds a work-derived worker count to [1, workers].
-func (e *parallelJacobiEngine) clampWorkers(work int) int {
-	if work < 1 {
-		work = 1
-	}
-	if work > e.workers {
-		work = e.workers
-	}
-	return work
 }
 
 func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
@@ -277,51 +250,27 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 		return err
 	}
 	c, inst := e.c, e.c.inst
-	memo := c.incremental()
-	e.memoRound = memo
-
-	// Memo pre-pass (driver-side, serial): classify each SBS before any
-	// worker wakes, so the wake count can be sized from the misses.
-	misses := 0
-	for n := 0; n < inst.N; n++ {
-		e.hit[n] = memo && c.subs[n].memoHit(st.Tracker)
-		if !e.hit[n] {
-			misses++
-		}
-	}
-	if memo && c.lppm == nil && misses == 0 {
-		// Fully-hit non-private round: every block would be re-derived
-		// bit-identically, so the round is a no-op — no wakeups, no swap,
-		// no merge. The reference engine reaches the same bits by
-		// answering every phase from the memo.
-		c.skips += uint64(inst.N)
-		return nil
-	}
-
+	e.memo = c.incremental()
 	e.st = st
 	for w := range e.errs {
 		e.errs[w] = nil
 	}
 
-	// Solve every miss against the same pre-round aggregate (hits copy
-	// their cached result); the raw uploads land in e.next while st.Y
-	// stays frozen as the round's read-only input. Hit copies are memcpy
-	// cheap, so the wake count follows the solve work.
-	chunks := (inst.N + e.chunk - 1) / e.chunk
-	solveWorkers := e.clampWorkers(misses)
-	if solveWorkers > chunks {
-		solveWorkers = chunks
-	}
-	e.barrier(phaseSolve, solveWorkers)
-	for _, err := range e.errs {
+	// Solve every SBS against the same pre-round aggregate; the raw
+	// uploads land in e.next while st.Y stays frozen as the round's
+	// read-only input.
+	e.barrier(phaseSolve)
+	solves := 0
+	for w, err := range e.errs {
 		if err != nil {
 			c.invalidateMemos()
 			e.st = nil
 			return err
 		}
+		solves += e.solved[w]
 	}
-	c.solves += uint64(misses)
-	c.skips += uint64(inst.N - misses)
+	c.solves += uint64(solves)
+	c.skips += uint64(inst.N - solves)
 
 	// Privacy pass: one shared noise stream means one drawer. Ascending
 	// SBS order reproduces the sequential engines' draw sequence exactly.
@@ -334,20 +283,13 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 				e.st = nil
 				return err
 			}
-			e.dirtyBlock[n] = !memo || !st.Y.SBS(n).BitsEqual(upload)
+			e.dirtyBlock[n] = !e.memo || !st.Y.SBS(n).BitsEqual(upload)
 			e.next.SetSBS(n, upload)
 		}
 	}
 
-	if dirtyRows := endRound(inst, st, e.next, memo, e.dirtyBlock, e.dirtyRow); dirtyRows > 0 {
-		mergeWorkers := e.workers
-		if memo {
-			// A worker per handful of dirty rows: a nearly-converged round
-			// re-merges a sliver of the aggregate and should not pay
-			// workers·(wake+park) to do it.
-			mergeWorkers = e.clampWorkers((dirtyRows + 15) / 16)
-		}
-		e.barrier(phaseMerge, mergeWorkers)
+	if endRound(inst, st, e.next, e.memo, e.dirtyBlock, e.dirtyRow) > 0 {
+		e.barrier(phaseMerge)
 	}
 	e.st = nil
 	return nil

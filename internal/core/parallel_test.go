@@ -16,33 +16,55 @@ import (
 // allocations on any goroutine (AllocsPerRun counts process-wide mallocs,
 // so worker allocations are included). Any allocation sneaking into
 // runPhase, solveShare or the tracker row kernels fails this test, in
-// concert with the static noalloc analyzer gate.
+// concert with the static noalloc analyzer gate. With the memo on, the
+// measured rounds are mostly answered from the memo by the workers; with
+// it off, every round solves all N sub-problems and merges every row.
 func TestParallelSweepZeroAllocsPerWorker(t *testing.T) {
 	// The pool's workers must all exit when the coordinator closes.
 	leak.Check(t)
 	const workers = 4
 	inst := benchScale(workers, 30, 50)
-	c, err := NewCoordinator(inst, parallelCfg(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st := NewSweepState(inst, identityOrder(inst.N))
+	for _, tc := range []struct {
+		name string
+		memo bool
+	}{{"memo", true}, {"no-memo", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := parallelCfg(workers)
+			cfg.DisableIncremental = !tc.memo
+			c, err := NewCoordinator(inst, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			st := NewSweepState(inst, identityOrder(inst.N))
 
-	round := func() {
-		if err := c.engine.Sweep(st, 0); err != nil {
-			panic(err)
-		}
-		cost := model.TotalServingCostFromAggregate(inst, st.Y, st.Tracker.Aggregate())
-		allocSink = cost.Total
-	}
+			rounds := 0
+			round := func() {
+				if err := c.engine.Sweep(st, 0); err != nil {
+					panic(err)
+				}
+				cost := model.TotalServingCostFromAggregate(inst, st.Y, st.Tracker.Aggregate())
+				allocSink = cost.Total
+				rounds++
+			}
 
-	// Warm up: spawn the pool, size the solver workspaces.
-	round()
-	round()
+			// Warm up: spawn the pool, size the solver workspaces.
+			round()
+			round()
 
-	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-		t.Fatalf("steady-state parallel round allocated %.1f times per run, want 0", allocs)
+			rounds = 0
+			solves, skips := c.solves, c.skips
+			if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+				t.Fatalf("steady-state parallel round allocated %.1f times per run, want 0", allocs)
+			}
+			solves, skips = c.solves-solves, c.skips-skips
+			if solves+skips != uint64(rounds*inst.N) {
+				t.Fatalf("%d solves + %d skips over %d rounds do not partition N=%d", solves, skips, rounds, inst.N)
+			}
+			if !tc.memo && skips != 0 {
+				t.Fatalf("memo off: %d skips over %d rounds, want every SBS solved", skips, rounds)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edgecache/internal/model"
@@ -292,7 +294,7 @@ func newSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 	// Density is per user, so a stable sort of the users by density
 	// descending, expanded into their item ranges, is the item order by
 	// density descending with ties by index.
-	sort.SliceStable(users, func(a, b int) bool { return users[a].density > users[b].density })
+	slices.SortStableFunc(users, func(a, b userItems) int { return cmp.Compare(b.density, a.density) })
 	s.posItem = make([]int32, 0, ni)
 	for _, us := range users {
 		for i := us.start; i < us.end; i++ {

@@ -66,16 +66,18 @@ echo "verify: retry-layer gate (-race, 10 runs)"
 go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/transport
 
 # Parallel sweep-engine gate: the worker pool's determinism and crash
-# recovery run three times under -race before the broad suites — a data
-# race in the pool invalidates the bit-identity guarantee the engines are
-# built on, and each round's merge phase rebuilds and repairs row shards
-# concurrently, so more runs shake out more interleavings.
-# TestJacobiMergeRepairsSharedClaims forces the repair to run on uneven
-# shards; TestIncremental covers the dirty-set memo: bit-identity against
-# the memo-disabled reference (±LPPM, across resume) and the
-# solves-skipped>0 gate on the standard N=20 scenario.
-echo "verify: parallel sweep-engine gate (-race, 3 runs)"
-go test -race -count=3 -run 'TestParallel|TestEngine|TestJacobi|TestIncremental' ./internal/core
+# recovery run three times under -race, at GOMAXPROCS 1 and 2, before the
+# broad suites — a data race in the pool invalidates the bit-identity
+# guarantee the engines are built on. Each worker checks the memo of the
+# SBS it claimed, reading tracker epochs while other workers capture
+# theirs, and each round's merge phase rebuilds and repairs row shards
+# concurrently, so more runs and both P counts shake out more
+# interleavings. TestJacobiMergeRepairsSharedClaims forces the repair to
+# run on uneven shards; TestIncremental covers the dirty-set memo:
+# bit-identity against the memo-disabled reference (±LPPM, across resume)
+# and the solves-skipped>0 gate on the standard N=20 scenario.
+echo "verify: parallel sweep-engine gate (-race, 3 runs, -cpu 1,2)"
+go test -race -count=3 -cpu 1,2 -run 'TestParallel|TestEngine|TestJacobi|TestIncremental' ./internal/core
 
 # The transport run carries the wire codec's allocation gate:
 # TestPhaseCodecAllocs fails if decoding an announce or an upload into
