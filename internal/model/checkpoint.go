@@ -22,25 +22,40 @@ import (
 //     resume guarantee in the last bit.
 //   - Floats round-trip through math.Float64bits, so +Inf (the initial
 //     prevCost) and every denormal survive exactly.
+//   - The routing tensor, the aggregate and the best routing tensor are
+//     almost all zeros (each SBS serves a few (user, content) pairs), so
+//     version 3 writes them as pair bodies — the sparse-block codec of
+//     pairbody.go, which the wire shares — and the encoder sizes its one
+//     output buffer from the counted nonzeros before writing.
 //   - The decoder never trusts a length: every count is bounds-checked
 //     against the remaining bytes BEFORE any allocation, and a corrupted or
-//     truncated input yields a structured error, never a panic. The CRC32
-//     trailer is verified first, so random corruption is rejected cheaply.
+//     truncated input yields a structured error, never a panic. A pair body
+//     no longer ties the file size to the dense size, so the declared
+//     N·U·F block must also fit maxCheckpointSize as dense float64s before
+//     anything is allocated: a small file cannot demand a huge tensor. The
+//     CRC32 trailer is verified first, so random corruption is rejected
+//     cheaply.
 
 const (
 	// checkpointMagic identifies a checkpoint file.
 	checkpointMagic = "EDGECKPT"
-	// checkpointVersion is the current format version. Version 2 added the
-	// engine-kind byte after the phase word; version-1 snapshots (which
-	// predate pluggable engines and were always Gauss-Seidel) still decode,
-	// with Engine defaulting to EngineGaussSeidel. Both versions carry a
-	// u32 phase word after the sweep: earlier builds could capture
+	// checkpointVersion is the current format version. The history:
+	//   - Version 1 wrote every tensor densely and had no engine byte; its
+	//     snapshots (which predate pluggable engines and were always
+	//     Gauss-Seidel) decode with Engine set to EngineGaussSeidel.
+	//   - Version 2 added the engine-kind byte after the phase word.
+	//   - Version 3 writes Routing, Aggregate and Best.Routing as pair
+	//     bodies (big-endian, see pairbody.go) instead of dense float64s;
+	//     every other field keeps its little-endian version-2 layout.
+	// Versions 1 and 2 still decode through the dense path. All three carry
+	// a u32 phase word after the sweep: earlier builds could capture
 	// mid-sweep, so a nonzero phase is rejected and the encoder writes 0.
-	checkpointVersion = 2
+	checkpointVersion = 3
 	// maxCheckpointDim bounds each of N, U, F in a decoded checkpoint; a
 	// hostile header must not drive a huge allocation.
 	maxCheckpointDim = 1 << 20
-	// maxCheckpointSize bounds the whole encoded snapshot (1 GiB).
+	// maxCheckpointSize bounds the whole encoded snapshot (1 GiB), and the
+	// N·U·F tensor a snapshot declares, as dense float64s.
 	maxCheckpointSize = 1 << 30
 )
 
@@ -127,8 +142,8 @@ func (c *Checkpoint) preflight() error {
 	if c.Aggregate.U != u || c.Aggregate.F != f {
 		return fmt.Errorf("model: checkpoint: aggregate is %dx%d, want %dx%d", c.Aggregate.U, c.Aggregate.F, u, f)
 	}
-	if n <= 0 || u <= 0 || f <= 0 || n > maxCheckpointDim || u > maxCheckpointDim || f > maxCheckpointDim {
-		return fmt.Errorf("model: checkpoint: dimensions %dx%dx%d out of range", n, u, f)
+	if err := checkDims(n, u, f); err != nil {
+		return err
 	}
 	if c.Sweep < 0 {
 		return fmt.Errorf("model: checkpoint: resume sweep %d out of range", c.Sweep)
@@ -152,6 +167,20 @@ func (c *Checkpoint) preflight() error {
 		if b.Caching.N != n || b.Caching.F != f || b.Routing.T.N != n || b.Routing.T.U != u || b.Routing.T.F != f {
 			return fmt.Errorf("model: checkpoint: best solution shape mismatch")
 		}
+	}
+	return nil
+}
+
+// checkDims bounds a snapshot's shape: each dimension in
+// [1, maxCheckpointDim], and the N·U·F routing tensor, as dense float64s,
+// within maxCheckpointSize — which also keeps every flat index of a pair
+// body inside u32.
+func checkDims(n, u, f int) error {
+	if n <= 0 || u <= 0 || f <= 0 || n > maxCheckpointDim || u > maxCheckpointDim || f > maxCheckpointDim {
+		return fmt.Errorf("model: checkpoint: dimensions %dx%dx%d out of range", n, u, f)
+	}
+	if cells := uint64(n) * uint64(u) * uint64(f); cells > maxCheckpointSize/8 {
+		return fmt.Errorf("model: checkpoint: %dx%dx%d tensor of %d cells exceeds the %d-byte limit", n, u, f, cells, maxCheckpointSize)
 	}
 	return nil
 }
@@ -188,15 +217,36 @@ func (c *Checkpoint) Validate(in *Instance) error {
 	return nil
 }
 
-// MarshalBinary encodes the snapshot in the versioned binary format with a
-// CRC32 trailer.
+// ckptFixed is the encoded size of the fixed fields: magic, version, the
+// three dimensions, fingerprint, sweep, phase, engine, prevCost, the noise
+// flag, seed and draws, the history length, the best, mu and health flags
+// or lengths, and the CRC trailer.
+const ckptFixed = len(checkpointMagic) + 2 + 3*4 + 8 + 4 + 4 + 1 + 8 + 1 + 8 + 8 + 4 + 1 + 1 + 4 + 4
+
+// MarshalBinary encodes the snapshot in the current binary format with a
+// CRC32 trailer. It counts the nonzeros of the sparse tensors first, so
+// the returned buffer is the encode's one allocation, sized exactly.
 func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	if err := c.preflight(); err != nil {
 		return nil, err
 	}
 	n, u, f := c.Caching.N, c.Routing.T.U, c.Caching.F
-	w := &ckptWriter{}
-	w.raw([]byte(checkpointMagic))
+	routingNNZ, aggNNZ := CountPairs(c.Routing.T.Data), CountPairs(c.Aggregate.Data)
+	size := ckptFixed + 4*n + 8*len(c.Caching.bits) + PairBodySize(routingNNZ) + PairBodySize(aggNNZ) +
+		8*len(c.History) + len(c.Health)*healthEntrySize
+	bestNNZ := 0
+	if c.Best != nil {
+		bestNNZ = CountPairs(c.Best.Routing.T.Data)
+		size += 8*len(c.Best.Caching.bits) + PairBodySize(bestNNZ) + 3*8
+	}
+	for _, mu := range c.Mu {
+		size += 4 + 8*len(mu)
+	}
+	if size > maxCheckpointSize {
+		return nil, fmt.Errorf("model: checkpoint: encoded size %d exceeds limit %d", size, maxCheckpointSize)
+	}
+	w := ckptWriter{buf: make([]byte, 0, size)}
+	w.buf = append(w.buf, checkpointMagic...)
 	w.u16(checkpointVersion)
 	w.u32(uint32(n))
 	w.u32(uint32(u))
@@ -206,39 +256,29 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	w.u32(0) // phase word: always a sweep boundary
 	w.u8(uint8(c.Engine))
 	w.f64(c.PrevCost)
-	if c.HasNoise {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.bool8(c.HasNoise)
 	w.i64(c.NoiseSeed)
 	w.u64(c.NoiseDraws)
 	for _, v := range c.Order {
 		w.u32(uint32(v))
 	}
 	w.words(c.Caching.bits)
-	w.f64s(c.Routing.T.Data)
-	w.f64s(c.Aggregate.Data)
+	w.buf = AppendPairBody(w.buf, routingNNZ, c.Routing.T.Data)
+	w.buf = AppendPairBody(w.buf, aggNNZ, c.Aggregate.Data)
 	w.u32(uint32(len(c.History)))
 	w.f64s(c.History)
+	w.bool8(c.Best != nil)
 	if c.Best != nil {
-		w.u8(1)
 		w.words(c.Best.Caching.bits)
-		w.f64s(c.Best.Routing.T.Data)
+		w.buf = AppendPairBody(w.buf, bestNNZ, c.Best.Routing.T.Data)
 		w.f64(c.Best.Cost.Edge)
 		w.f64(c.Best.Cost.Backhaul)
 		w.f64(c.Best.Cost.Total)
-	} else {
-		w.u8(0)
 	}
-	if len(c.Mu) == 0 {
-		w.u8(0)
-	} else {
-		w.u8(1)
-		for _, mu := range c.Mu {
-			w.u32(uint32(len(mu)))
-			w.f64s(mu)
-		}
+	w.bool8(len(c.Mu) != 0)
+	for _, mu := range c.Mu {
+		w.u32(uint32(len(mu)))
+		w.f64s(mu)
 	}
 	w.u32(uint32(len(c.Health)))
 	for _, h := range c.Health {
@@ -254,9 +294,6 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 		w.u32(uint32(h.FailedProbes))
 	}
 	w.u32(crc32.ChecksumIEEE(w.buf))
-	if len(w.buf) > maxCheckpointSize {
-		return nil, fmt.Errorf("model: checkpoint: encoded size %d exceeds limit %d", len(w.buf), maxCheckpointSize)
-	}
 	return w.buf, nil
 }
 
@@ -291,8 +328,10 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	n := int(r.u32("N"))
 	u := int(r.u32("U"))
 	f := int(r.u32("F"))
-	if r.err == nil && (n <= 0 || u <= 0 || f <= 0 || n > maxCheckpointDim || u > maxCheckpointDim || f > maxCheckpointDim) {
-		return nil, fmt.Errorf("model: checkpoint: dimensions %dx%dx%d out of range", n, u, f)
+	if r.err == nil {
+		if err := checkDims(n, u, f); err != nil {
+			return nil, err
+		}
 	}
 	ck := &Checkpoint{InstanceFP: r.u64("fingerprint")}
 	ck.Sweep = int(r.u32("sweep"))
@@ -306,7 +345,7 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 	}
 	ck.PrevCost = r.f64("prevCost")
-	ck.HasNoise = r.u8("hasNoise") != 0
+	ck.HasNoise = r.flag("hasNoise")
 	ck.NoiseSeed = r.i64("noiseSeed")
 	ck.NoiseDraws = r.u64("noiseDraws")
 	if r.err != nil {
@@ -330,9 +369,15 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 
+	// Versions 1 and 2 write the three tensors densely, version 3 as pair
+	// bodies.
+	block := r.f64s
+	if version >= 3 {
+		block = r.pairBlock
+	}
 	ck.Caching = decodeCachingBits(r, n, f, "caching bits")
-	routingData := r.f64s(int64(n)*int64(u)*int64(f), "routing tensor")
-	aggData := r.f64s(int64(u)*int64(f), "aggregate")
+	routingData := block(int64(n)*int64(u)*int64(f), "routing tensor")
+	aggData := block(int64(u)*int64(f), "aggregate")
 	histLen := r.count("history length", 8)
 	hist := r.f64s(int64(histLen), "history")
 	if r.err != nil {
@@ -342,9 +387,9 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.Aggregate = Mat{U: u, F: f, Data: aggData}
 	ck.History = hist
 
-	if r.u8("best flag") != 0 && r.err == nil {
+	if r.flag("best flag") && r.err == nil {
 		bestCaching := decodeCachingBits(r, n, f, "best caching bits")
-		bestRouting := r.f64s(int64(n)*int64(u)*int64(f), "best routing tensor")
+		bestRouting := block(int64(n)*int64(u)*int64(f), "best routing tensor")
 		edge := r.f64("best edge cost")
 		backhaul := r.f64("best backhaul cost")
 		total := r.f64("best total cost")
@@ -361,7 +406,7 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, r.err
 	}
 
-	if r.u8("mu flag") != 0 && r.err == nil {
+	if r.flag("mu flag") && r.err == nil {
 		ck.Mu = make([][]float64, n)
 		for i := range ck.Mu {
 			muLen := r.count(fmt.Sprintf("mu[%d] length", i), 8)
@@ -384,9 +429,9 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		for i := range ck.Health {
 			h := &ck.Health[i]
 			h.ConsecMisses = int(r.u32("health"))
-			h.Quarantined = r.u8("health") != 0
+			h.Quarantined = r.flag("health")
 			h.ProbeSweep = int(r.u32("health"))
-			h.HoldConv = r.u8("health") != 0
+			h.HoldConv = r.flag("health")
 			h.Misses = int(r.u32("health"))
 			h.Retries = int(r.u32("health"))
 			h.Malformed = int(r.u32("health"))
@@ -418,11 +463,11 @@ func decodeCachingBits(r *ckptReader, n, f int, what string) *CachingPolicy {
 	return p
 }
 
-// ckptWriter accumulates the little-endian encoding.
+// ckptWriter appends the little-endian encoding to buf, which
+// MarshalBinary sizes up front.
 type ckptWriter struct{ buf []byte }
 
-func (w *ckptWriter) raw(b []byte) { w.buf = append(w.buf, b...) }
-func (w *ckptWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
+func (w *ckptWriter) u8(v uint8) { w.buf = append(w.buf, v) }
 func (w *ckptWriter) bool8(v bool) {
 	if v {
 		w.u8(1)
@@ -488,6 +533,16 @@ func (r *ckptReader) u8(what string) uint8 {
 	return b[0]
 }
 
+// flag reads a bool byte. The encoder writes only 0 and 1, so any other
+// value is rejected: decoding it as true would re-encode differently.
+func (r *ckptReader) flag(what string) bool {
+	v := r.u8(what)
+	if v > 1 {
+		r.fail("%s byte is %d, want 0 or 1", what, v)
+	}
+	return v == 1
+}
+
 func (r *ckptReader) u16(what string) uint16 {
 	b := r.take(2, what)
 	if b == nil {
@@ -543,6 +598,27 @@ func (r *ckptReader) f64s(n int64, what string) []float64 {
 		out[i] = math.Float64frombits(uint64(b[i*8]) | uint64(b[i*8+1])<<8 | uint64(b[i*8+2])<<16 |
 			uint64(b[i*8+3])<<24 | uint64(b[i*8+4])<<32 | uint64(b[i*8+5])<<40 |
 			uint64(b[i*8+6])<<48 | uint64(b[i*8+7])<<56)
+	}
+	return out
+}
+
+// pairBlock reads a pair body of a block of n cells and returns the block
+// densely. The body is validated in place before the block is allocated;
+// n is bounded by checkDims.
+func (r *ckptReader) pairBlock(n int64, what string) []float64 {
+	if r.err != nil {
+		return nil
+	}
+	pairs, rest, err := CutPairBody(r.buf[r.off:], uint64(n))
+	if err != nil {
+		r.fail("%s: %v", what, err)
+		return nil
+	}
+	r.off = len(r.buf) - len(rest)
+	out := make([]float64, n)
+	for k := range pairs.Len() {
+		i, v := pairs.At(k)
+		out[i] = v
 	}
 	return out
 }

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"edgecache/internal/model"
 )
 
 // The wire format is one binary codec owned by this package: a fixed-layout
@@ -28,14 +30,14 @@ import (
 //	u8  kind      payloadAnnounce or payloadUpload
 //	u32 U, u32 F
 //	bitmap        uploads only: ⌈F/8⌉ bytes, Cache[f] is bit f%8 of byte f/8
-//	u32 nnz
-//	nnz × (u32 index, u64 bits)   index = u·F+f, strictly ascending
+//	pair body     model's sparse-block codec over the U×F cells, index u·F+f:
+//	              u32 nnz, then nnz × (u32 index, u64 bits), strictly ascending
 //
-// The encoder skips exactly the entries whose Float64bits is 0, so −0 and
-// NaN payloads travel bit for bit. The decoder accepts only what the
-// encoder can produce — the right kind, sorted in-range indices, no +0
-// pair, zero bitmap padding, no missing or trailing bytes, a frame type it
-// knows and a matching checksum — so decode followed by encode
+// The pair body skips exactly the entries whose Float64bits is 0, so −0
+// and NaN payloads travel bit for bit. The decoder accepts only what the
+// encoder can produce — the right kind, a strict pair body (see
+// model.CutPairBody), zero bitmap padding, no trailing bytes, a frame type
+// it knows and a matching checksum — so decode followed by encode
 // reproduces the input bytes exactly.
 
 // maxFrameSize bounds inbound frames (16 MiB); a malformed or hostile
@@ -53,10 +55,9 @@ const (
 
 	payloadAnnounce byte = 1
 	payloadUpload   byte = 2
-	// bodyFixed is the body's fixed part: kind, U, F and nnz.
+	// bodyFixed is the body's fixed part: kind, U, F and the pair body's
+	// nnz.
 	bodyFixed = 1 + 4 + 4 + 4
-	// pairSize is one (index, bits) entry.
-	pairSize = 4 + 8
 )
 
 var (
@@ -193,18 +194,13 @@ func encodeBody(kind byte, cache []bool, rows [][]float64) ([]byte, error) {
 	if err := checkShape(kind, uint64(u), uint64(f)); err != nil {
 		return nil, fmt.Errorf("transport: encode payload: %w", err)
 	}
-	nnz := 0
 	for i, row := range rows {
 		if len(row) != f {
 			return nil, fmt.Errorf("transport: encode payload: row %d has %d entries, want %d", i, len(row), f)
 		}
-		for _, v := range row {
-			if math.Float64bits(v) != 0 {
-				nnz++
-			}
-		}
 	}
-	size := bodyFixed + bitmapLen(kind, f) + nnz*pairSize
+	nnz := model.CountPairs(rows...)
+	size := bodyFixed + bitmapLen(kind, f) + nnz*model.PairSize
 	if size > maxFrameSize {
 		return nil, fmt.Errorf("transport: payload of %d bytes exceeds limit %d", size, maxFrameSize)
 	}
@@ -225,18 +221,7 @@ func encodeBody(kind byte, cache []bool, rows [][]float64) ([]byte, error) {
 			buf = append(buf, b)
 		}
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(nnz))
-	for i, row := range rows {
-		for j, v := range row {
-			bits := math.Float64bits(v)
-			if bits == 0 {
-				continue
-			}
-			buf = binary.BigEndian.AppendUint32(buf, uint32(i*f+j))
-			buf = binary.BigEndian.AppendUint64(buf, bits)
-		}
-	}
-	return buf, nil
+	return model.AppendPairBody(buf, nnz, rows...), nil
 }
 
 // checkShape bounds a body's declared U×F: the dense block it decodes to,
@@ -295,8 +280,9 @@ func DecodePayload(data []byte, out any) error {
 
 // body is a validated payload body; bitmap and pairs alias the input.
 type body struct {
-	u, f          int
-	bitmap, pairs []byte
+	u, f   int
+	bitmap []byte
+	pairs  model.Pairs
 }
 
 func parseBody(data []byte, kind byte) (body, error) {
@@ -313,7 +299,7 @@ func parseBody(data []byte, kind byte) (body, error) {
 	b := body{u: int(u), f: int(f)}
 	off := 9
 	if nb := bitmapLen(kind, b.f); nb > 0 {
-		if len(data) < off+nb+4 {
+		if len(data) < off+nb {
 			return body{}, fmt.Errorf("transport: decode payload: %d bytes, too short for a %d-entry cache", len(data), b.f)
 		}
 		b.bitmap = data[off : off+nb]
@@ -322,25 +308,14 @@ func parseBody(data []byte, kind byte) (body, error) {
 		}
 		off += nb
 	}
-	nnz := uint64(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if uint64(len(data)-off) != nnz*pairSize {
-		return body{}, fmt.Errorf("transport: decode payload: %d entries need %d bytes, have %d", nnz, nnz*pairSize, len(data)-off)
+	pairs, rest, err := model.CutPairBody(data[off:], u*f)
+	if err != nil {
+		return body{}, fmt.Errorf("transport: decode payload: %w", err)
 	}
-	b.pairs = data[off:]
-	cells, next := u*f, uint64(0)
-	for i := 0; i < len(b.pairs); i += pairSize {
-		idx := uint64(binary.BigEndian.Uint32(b.pairs[i:]))
-		switch {
-		case idx < next:
-			return body{}, fmt.Errorf("transport: decode payload: index %d is not above its predecessor", idx)
-		case idx >= cells:
-			return body{}, fmt.Errorf("transport: decode payload: index %d outside the %dx%d block", idx, u, f)
-		case binary.BigEndian.Uint64(b.pairs[i+4:]) == 0:
-			return body{}, fmt.Errorf("transport: decode payload: explicit zero at index %d", idx)
-		}
-		next = idx + 1
+	if len(rest) != 0 {
+		return body{}, fmt.Errorf("transport: decode payload: %d trailing bytes after the pair body", len(rest))
 	}
+	b.pairs = pairs
 	return b, nil
 }
 
@@ -358,9 +333,9 @@ func (b body) fillRows(rows [][]float64) [][]float64 {
 			rows[i] = backing[i*b.f : (i+1)*b.f : (i+1)*b.f]
 		}
 	}
-	for i := 0; i < len(b.pairs); i += pairSize {
-		idx := int(binary.BigEndian.Uint32(b.pairs[i:]))
-		rows[idx/b.f][idx%b.f] = math.Float64frombits(binary.BigEndian.Uint64(b.pairs[i+4:]))
+	for k := range b.pairs.Len() {
+		idx, v := b.pairs.At(k)
+		rows[idx/b.f][idx%b.f] = v
 	}
 	return rows
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"edgecache/internal/leak"
+	"edgecache/internal/model"
 )
 
 // pair is one raw (index, bits) body entry.
@@ -64,7 +65,7 @@ func TestPayloadBitsSurvive(t *testing.T) {
 	vals := []float64{math.Copysign(0, -1), nan, math.Inf(1), math.Inf(-1), 5e-324, 0.25, 0}
 	rows := [][]float64{vals[:4], vals[3:]}
 	data := mustEncode(t, AggregateAnnounce{YMinus: rows})
-	if want := bodyFixed + 7*pairSize; len(data) != want {
+	if want := bodyFixed + 7*model.PairSize; len(data) != want {
 		t.Errorf("announce with 7 nonzero entries is %d bytes, want %d", len(data), want)
 	}
 	var out AggregateAnnounce
@@ -82,7 +83,7 @@ func TestPayloadBitsSurvive(t *testing.T) {
 	up := PolicyUpload{Cache: []bool{true, false, false, true, false, false, false, false, true},
 		Routing: denseRows(2, 9, map[int]float64{3: 0.5, 17: math.Copysign(0, -1)})}
 	data = mustEncode(t, up)
-	if want := bodyFixed + 2 + 2*pairSize; len(data) != want {
+	if want := bodyFixed + 2 + 2*model.PairSize; len(data) != want {
 		t.Errorf("upload is %d bytes, want %d", len(data), want)
 	}
 	var upOut PolicyUpload
@@ -121,7 +122,7 @@ func TestDecodePayloadStrict(t *testing.T) {
 		{"explicit +0", rawBody(payloadAnnounce, 2, 3, nil, pair{1, 0})},
 		{"trailing byte", append(append([]byte(nil), valid...), 0)},
 		{"missing byte", valid[:len(valid)-1]},
-		{"nnz beyond data", valid[:len(valid)-pairSize]},
+		{"nnz beyond data", valid[:len(valid)-model.PairSize]},
 		{"rows without columns", rawBody(payloadAnnounce, 2, 0, nil)},
 		{"columns without rows", rawBody(payloadAnnounce, 0, 3, nil)},
 		{"block over limit", rawBody(payloadAnnounce, 1<<12, 1<<10, nil)},

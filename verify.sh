@@ -88,6 +88,16 @@ go test -race -count=3 -cpu 1,2 -run 'TestParallel|TestEngine|TestJacobi|TestInc
 echo "verify: go test -race ./internal/core/... ./internal/sim/... ./internal/transport/..."
 go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
 
+# Codec fuzz smoke: the snapshot codec and the wire frame share one
+# sparse-block codec (model's pair body), so each byte format's fuzz target
+# runs briefly past its committed seeds: strictness, canonical re-encoding
+# and the allocation bounds are checked on fresh inputs from both sides of
+# the shared code. A failure leaves its input under testdata/fuzz, where
+# plain `go test` replays it.
+echo "verify: codec fuzz smoke (FuzzSnapshot, FuzzFrame; 10s each)"
+go test -run '^$' -fuzz '^FuzzSnapshot$' -fuzztime 10s ./internal/model
+go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/transport
+
 echo "verify: go test -race ./internal/model/... ./cmd/..."
 go test -race ./internal/model/... ./cmd/...
 
