@@ -16,6 +16,12 @@
 // motivates LPPM with. With LPPM the aggregates are built from noised
 // uploads, and the reconstruction recovers only the noised values, whose
 // distance to the true policies grows as ε shrinks (experiment E15).
+//
+// The attack is scored against the SBSs' clean, pre-LPPM routing, which
+// never leaves an SBS. It is recomputed from the observed broadcasts
+// alone: Subproblem.Solve is deterministic in y_{-n}, so re-solving the
+// broadcast of phase n reproduces SBS n's clean routing bit for bit
+// (SweepObserver.Truth).
 package attack
 
 import (
@@ -28,26 +34,24 @@ import (
 // SweepObserver records the broadcasts of Algorithm 1 sweeps, keyed by
 // sweep index. Wire its Tap method into core.Config.BroadcastTap.
 type SweepObserver struct {
-	sweeps map[int][][][]float64 // sweep → phase-ordered broadcast copies
-	n      int
+	inst   *model.Instance
+	sub    core.SubproblemConfig
+	sweeps map[int][]model.Mat // sweep → phase-ordered broadcast copies
 }
 
-// NewSweepObserver creates an observer expecting n SBS phases per sweep.
-func NewSweepObserver(n int) *SweepObserver {
-	return &SweepObserver{sweeps: make(map[int][][][]float64), n: n}
+// NewSweepObserver creates an observer of inst's N SBS phases per sweep.
+// sub is the run's core.Config.Sub, which Truth re-solves with.
+func NewSweepObserver(inst *model.Instance, sub core.SubproblemConfig) *SweepObserver {
+	return &SweepObserver{inst: inst, sub: sub, sweeps: make(map[int][]model.Mat)}
 }
 
-// Tap implements the core.Config.BroadcastTap contract: it deep-copies
-// every broadcast (the attacker records the channel).
-func (o *SweepObserver) Tap(sweep, phase int, yMinus [][]float64) {
-	cp := make([][]float64, len(yMinus))
-	for u := range yMinus {
-		cp[u] = append([]float64(nil), yMinus[u]...)
-	}
+// Tap implements the core.Config.BroadcastTap contract: it copies every
+// broadcast (the attacker records the channel).
+func (o *SweepObserver) Tap(sweep, phase int, yMinus model.Mat) {
 	for len(o.sweeps[sweep]) < phase {
-		o.sweeps[sweep] = append(o.sweeps[sweep], nil) // out-of-order guard
+		o.sweeps[sweep] = append(o.sweeps[sweep], model.Mat{}) // out-of-order guard
 	}
-	o.sweeps[sweep] = append(o.sweeps[sweep], cp)
+	o.sweeps[sweep] = append(o.sweeps[sweep], yMinus.Clone())
 }
 
 // CompleteSweeps returns the sweep indices for which all N phase
@@ -59,73 +63,69 @@ func (o *SweepObserver) CompleteSweeps() []int {
 		if !ok {
 			break
 		}
-		if len(b) == o.n && !hasNil(b) {
+		if o.complete(b) {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-func hasNil(b [][][]float64) bool {
+// complete reports whether b holds a broadcast for every phase.
+func (o *SweepObserver) complete(b []model.Mat) bool {
+	if len(b) != o.inst.N {
+		return false
+	}
 	for _, m := range b {
-		if m == nil {
-			return true
+		if m.U == 0 { // an out-of-order guard slot; a broadcast has U ≥ 1 rows
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// captured returns the broadcasts of one fully captured sweep.
+func (o *SweepObserver) captured(sweep int) ([]model.Mat, error) {
+	broadcasts, ok := o.sweeps[sweep]
+	if !ok || !o.complete(broadcasts) {
+		return nil, fmt.Errorf("attack: sweep %d not fully captured", sweep)
+	}
+	return broadcasts, nil
+}
+
+// reconstructable returns the broadcasts of one fully captured sweep of at
+// least two SBSs: with one SBS its broadcast is all zeros and carries no
+// information.
+func (o *SweepObserver) reconstructable(sweep int) ([]model.Mat, error) {
+	if o.inst.N < 2 {
+		return nil, fmt.Errorf("attack: reconstruction needs at least 2 SBSs, got %d", o.inst.N)
+	}
+	return o.captured(sweep)
 }
 
 // Reconstruct recovers the per-SBS routing uploads from the broadcasts of
 // one sweep under the converged-sweep assumption: y_n = ΣB/(N−1) − B_n.
 // Negative round-off is clamped at zero. It fails if the sweep was not
-// fully captured or N < 2 (with one SBS its broadcast is all zeros and
-// carries no information).
+// fully captured or N < 2.
 func (o *SweepObserver) Reconstruct(sweep int) ([][][]float64, error) {
-	broadcasts, ok := o.sweeps[sweep]
-	if !ok || len(broadcasts) != o.n || hasNil(broadcasts) {
-		return nil, fmt.Errorf("attack: sweep %d not fully captured", sweep)
+	broadcasts, err := o.reconstructable(sweep)
+	if err != nil {
+		return nil, err
 	}
-	if o.n < 2 {
-		return nil, fmt.Errorf("attack: reconstruction needs at least 2 SBSs, got %d", o.n)
-	}
-	u := len(broadcasts[0])
-	if u == 0 {
-		return nil, fmt.Errorf("attack: empty broadcasts")
-	}
-	f := len(broadcasts[0][0])
-
 	// Y = Σ_n B_n / (N−1).
-	total := make([][]float64, u)
-	for i := range total {
-		total[i] = make([]float64, f)
-	}
+	total := model.NewMat(broadcasts[0].U, broadcasts[0].F)
 	for _, b := range broadcasts {
-		for i := 0; i < u; i++ {
-			for j := 0; j < f; j++ {
-				total[i][j] += b[i][j]
-			}
+		total.AddFrom(b)
+	}
+	inv := 1 / float64(len(broadcasts)-1)
+	for u := 0; u < total.U; u++ {
+		row := total.Row(u)
+		for f := range row {
+			row[f] *= inv
 		}
 	}
-	inv := 1 / float64(o.n-1)
-	for i := 0; i < u; i++ {
-		for j := 0; j < f; j++ {
-			total[i][j] *= inv
-		}
-	}
-
-	out := make([][][]float64, o.n)
-	for n := 0; n < o.n; n++ {
-		out[n] = make([][]float64, u)
-		for i := 0; i < u; i++ {
-			out[n][i] = make([]float64, f)
-			for j := 0; j < f; j++ {
-				v := total[i][j] - broadcasts[n][i][j]
-				if v < 0 {
-					v = 0
-				}
-				out[n][i][j] = v
-			}
-		}
+	out := make([][][]float64, len(broadcasts))
+	for n, b := range broadcasts {
+		out[n] = clampedDiff(total, b)
 	}
 	return out, nil
 }
@@ -137,33 +137,58 @@ func (o *SweepObserver) Reconstruct(sweep int) ([][][]float64, error) {
 // (the last SBS's upload never appears in a sweep-0 broadcast) — the leak
 // does not wait for the algorithm to converge. Clamps round-off negatives.
 func (o *SweepObserver) ReconstructFirstSweep() ([][][]float64, error) {
-	broadcasts, ok := o.sweeps[0]
-	if !ok || len(broadcasts) != o.n || hasNil(broadcasts) {
-		return nil, fmt.Errorf("attack: sweep 0 not fully captured")
+	broadcasts, err := o.reconstructable(0)
+	if err != nil {
+		return nil, err
 	}
-	if o.n < 2 {
-		return nil, fmt.Errorf("attack: reconstruction needs at least 2 SBSs, got %d", o.n)
-	}
-	u := len(broadcasts[0])
-	if u == 0 {
-		return nil, fmt.Errorf("attack: empty broadcasts")
-	}
-	f := len(broadcasts[0][0])
-	out := make([][][]float64, o.n-1)
-	for n := 0; n < o.n-1; n++ {
-		out[n] = make([][]float64, u)
-		for i := 0; i < u; i++ {
-			out[n][i] = make([]float64, f)
-			for j := 0; j < f; j++ {
-				v := broadcasts[n+1][i][j] - broadcasts[n][i][j]
-				if v < 0 {
-					v = 0
-				}
-				out[n][i][j] = v
-			}
-		}
+	out := make([][][]float64, len(broadcasts)-1)
+	for n := range out {
+		out[n] = clampedDiff(broadcasts[n+1], broadcasts[n])
 	}
 	return out, nil
+}
+
+// clampedDiff returns a − b as fresh rows, with round-off negatives
+// clamped at zero.
+func clampedDiff(a, b model.Mat) [][]float64 {
+	out := make([][]float64, a.U)
+	for u := range out {
+		ar, br := a.Row(u), b.Row(u)
+		out[u] = make([]float64, len(ar))
+		for f, v := range ar {
+			d := v - br[f]
+			if d < 0 {
+				d = 0
+			}
+			out[u][f] = d
+		}
+	}
+	return out
+}
+
+// Truth recomputes the clean, pre-LPPM routing of every SBS in one sweep:
+// the ground truth the attack is measured against. SBS n's routing is a
+// fresh core.Subproblem solve of the broadcast it received in that sweep;
+// Solve is deterministic in y_{-n}, so the result is bit-equal to the
+// routing the run computed. It fails if the sweep was not fully captured.
+func (o *SweepObserver) Truth(sweep int) (*model.RoutingPolicy, error) {
+	broadcasts, err := o.captured(sweep)
+	if err != nil {
+		return nil, err
+	}
+	truth := model.NewRoutingPolicy(o.inst)
+	for n, yMinus := range broadcasts {
+		sub, err := core.NewSubproblem(o.inst, n, o.sub)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sub.Solve(yMinus)
+		if err != nil {
+			return nil, err
+		}
+		truth.SetSBS(n, res.Routing)
+	}
+	return truth, nil
 }
 
 // ReconstructionError measures the attack's success against the true
@@ -202,65 +227,23 @@ func ReconstructionError(inst *model.Instance, truth *model.RoutingPolicy, recov
 	return dist / mass, nil
 }
 
-// TruthRecorder captures each sweep's pre-noise uploads — the ground
-// truth the attack is measured against. Wire its Tap into
-// core.Config.UploadTap (experiment instrumentation only).
-type TruthRecorder struct {
-	n      int
-	sweeps map[int][][][]float64
-}
-
-// NewTruthRecorder creates a recorder for n SBSs.
-func NewTruthRecorder(n int) *TruthRecorder {
-	return &TruthRecorder{n: n, sweeps: make(map[int][][][]float64)}
-}
-
-// Tap implements the core.Config.UploadTap contract.
-func (r *TruthRecorder) Tap(sweep, phase int, clean, _ [][]float64) {
-	if r.sweeps[sweep] == nil {
-		r.sweeps[sweep] = make([][][]float64, r.n)
-	}
-	cp := make([][]float64, len(clean))
-	for u := range clean {
-		cp[u] = append([]float64(nil), clean[u]...)
-	}
-	r.sweeps[sweep][phase] = cp
-}
-
-// Truth returns the recorded clean uploads of one sweep as a routing
-// policy, or an error if the sweep is incomplete.
-func (r *TruthRecorder) Truth(sweep int) (*model.RoutingPolicy, error) {
-	blocks, ok := r.sweeps[sweep]
-	if !ok {
-		return nil, fmt.Errorf("attack: no uploads recorded for sweep %d", sweep)
-	}
-	for n, b := range blocks {
-		if b == nil {
-			return nil, fmt.Errorf("attack: sweep %d missing SBS %d upload", sweep, n)
-		}
-	}
-	return model.RoutingPolicyFromBlocks(blocks)
-}
-
 // RunWithObserver runs Algorithm 1 with a broadcast observer (the
-// attacker's view) and a truth recorder (the evaluation's ground truth)
-// attached, and returns all three. Restarts are rejected: multiple runs
-// would interleave their sweeps in the observers.
-func RunWithObserver(inst *model.Instance, cfg core.Config) (*core.RunResult, *SweepObserver, *TruthRecorder, error) {
+// attacker's view) attached, and returns the run and the observer.
+// Restarts are rejected: multiple runs would interleave their sweeps in
+// the observer.
+func RunWithObserver(inst *model.Instance, cfg core.Config) (*core.RunResult, *SweepObserver, error) {
 	if cfg.Restarts != 0 {
-		return nil, nil, nil, fmt.Errorf("attack: RunWithObserver does not support restarts")
+		return nil, nil, fmt.Errorf("attack: RunWithObserver does not support restarts")
 	}
-	obs := NewSweepObserver(inst.N)
-	truth := NewTruthRecorder(inst.N)
+	obs := NewSweepObserver(inst, cfg.Sub)
 	cfg.BroadcastTap = obs.Tap
-	cfg.UploadTap = truth.Tap
 	coord, err := core.NewCoordinator(inst, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	res, err := coord.Run()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return res, obs, truth, nil
+	return res, obs, nil
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,6 +41,19 @@ func randomInstance(rng *rand.Rand, n, u, f int) *model.Instance {
 	return inst
 }
 
+// bareObserver is an observer of n SBSs for hand-built broadcasts; its
+// instance carries only N, so it reconstructs but cannot recompute truth.
+func bareObserver(n int) *SweepObserver {
+	return NewSweepObserver(&model.Instance{N: n}, core.SubproblemConfig{})
+}
+
+// cell is a hand-built 1×1 broadcast.
+func cell(v float64) model.Mat {
+	m := model.NewMat(1, 1)
+	m.Set(0, 0, v)
+	return m
+}
+
 // TestReconstructionExactWithoutLPPM is the headline privacy demonstration:
 // an observer of the broadcast channel recovers every SBS's full routing
 // policy exactly when no privacy mechanism runs.
@@ -47,7 +61,7 @@ func TestReconstructionExactWithoutLPPM(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 6; trial++ {
 		inst := randomInstance(rng, 3, 6, 8)
-		_, obs, truth, err := RunWithObserver(inst, core.DefaultConfig())
+		_, obs, err := RunWithObserver(inst, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +74,7 @@ func TestReconstructionExactWithoutLPPM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truthPolicy, err := truth.Truth(last)
+		truthPolicy, err := obs.Truth(last)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +101,7 @@ func TestLPPMDegradesReconstruction(t *testing.T) {
 		cfg.Privacy = &core.PrivacyConfig{
 			Epsilon: eps, Delta: 0.5, Noise: core.NewNoiseSource(63),
 		}
-		_, obs, truth, err := RunWithObserver(inst, cfg)
+		_, obs, err := RunWithObserver(inst, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +111,7 @@ func TestLPPMDegradesReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truthPolicy, err := truth.Truth(last)
+		truthPolicy, err := obs.Truth(last)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +137,7 @@ func TestLPPMDegradesReconstruction(t *testing.T) {
 func TestFirstSweepReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	inst := randomInstance(rng, 3, 6, 8)
-	_, obs, truth, err := RunWithObserver(inst, core.DefaultConfig())
+	_, obs, err := RunWithObserver(inst, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestFirstSweepReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truthPolicy, err := truth.Truth(0)
+	truthPolicy, err := obs.Truth(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,39 +164,125 @@ func TestFirstSweepReconstruction(t *testing.T) {
 		}
 	}
 	// Single-SBS and incomplete observers fail cleanly.
-	single := NewSweepObserver(1)
-	single.Tap(0, 0, [][]float64{{0}})
+	single := bareObserver(1)
+	single.Tap(0, 0, cell(0))
 	if _, err := single.ReconstructFirstSweep(); err == nil {
 		t.Error("single SBS: want error")
 	}
-	empty := NewSweepObserver(2)
+	empty := bareObserver(2)
 	if _, err := empty.ReconstructFirstSweep(); err == nil {
 		t.Error("no captures: want error")
 	}
 }
 
+// TestTruthMatchesIndependentReplay checks the recomputed ground truth
+// against a replay that records it directly: a test-local phase answer
+// with its own sub-problems and an LPPM on the same noise seed runs the
+// same trajectory through core.Driver and records every phase's clean
+// routing. obs.Truth must equal those recordings bit for bit in every
+// sweep, sweep 0 included, with LPPM off and on.
+func TestTruthMatchesIndependentReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 4; trial++ {
+		inst := randomInstance(rng, 2+trial, 6, 8)
+		for _, private := range []bool{false, true} {
+			cfg := core.DefaultConfig()
+			cfg.Gamma = 1e-6
+			cfg.MaxSweeps = 12
+			newPrivacy := func() *core.PrivacyConfig {
+				return &core.PrivacyConfig{Epsilon: 1, Delta: 0.5, Noise: core.NewNoiseSource(68)}
+			}
+			if private {
+				cfg.Privacy = newPrivacy()
+			}
+			res, obs, err := RunWithObserver(inst, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			subs := make([]*core.Subproblem, inst.N)
+			for n := range subs {
+				if subs[n], err = core.NewSubproblem(inst, n, cfg.Sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var lppm *core.LPPM
+			if private {
+				if lppm, err = core.NewLPPM(*newPrivacy()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var clean []*model.RoutingPolicy // sweep → recorded clean routing
+			answer := func(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([]bool, model.Mat, bool, error) {
+				r, err := subs[n].Solve(yMinus)
+				if err != nil {
+					return nil, model.Mat{}, false, err
+				}
+				if sweep == len(clean) {
+					clean = append(clean, model.NewRoutingPolicy(inst))
+				}
+				clean[sweep].SetSBS(n, r.Routing)
+				upload := r.Routing
+				if lppm != nil {
+					if upload, err = lppm.PerturbSBS(n, r.Routing); err != nil {
+						return nil, model.Mat{}, false, err
+					}
+				}
+				return r.Cache, upload, true, nil
+			}
+			order := make([]int, inst.N)
+			for n := range order {
+				order[n] = n
+			}
+			d := &core.Driver{Inst: inst, Gamma: cfg.Gamma, MaxSweeps: cfg.MaxSweeps}
+			ref, err := d.Run(core.NewGaussSeidelEngine(inst, answer), core.NewSweepState(inst, order))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			sweeps := obs.CompleteSweeps()
+			if ref.Sweeps != res.Sweeps || len(sweeps) != res.Sweeps || len(clean) != res.Sweeps {
+				t.Fatalf("trial %d private=%v: replay ran %d sweeps, run %d, observer captured %v",
+					trial, private, ref.Sweeps, res.Sweeps, sweeps)
+			}
+			for _, s := range sweeps {
+				truth, err := obs.Truth(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range truth.T.Data {
+					if w := clean[s].T.Data[i]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("trial %d private=%v sweep %d: truth[%d] = %v, replay recorded %v",
+							trial, private, s, i, v, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestObserverBookkeeping(t *testing.T) {
-	obs := NewSweepObserver(2)
+	obs := bareObserver(2)
 	if _, err := obs.Reconstruct(0); err == nil {
 		t.Error("empty observer: want error")
 	}
-	obs.Tap(0, 0, [][]float64{{1}})
+	obs.Tap(0, 0, cell(1))
 	if got := obs.CompleteSweeps(); len(got) != 0 {
 		t.Errorf("incomplete sweep listed: %v", got)
 	}
-	obs.Tap(0, 1, [][]float64{{2}})
+	obs.Tap(0, 1, cell(2))
 	if got := obs.CompleteSweeps(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("CompleteSweeps = %v, want [0]", got)
 	}
 	// N=1 observer cannot reconstruct.
-	single := NewSweepObserver(1)
-	single.Tap(0, 0, [][]float64{{0}})
+	single := bareObserver(1)
+	single.Tap(0, 0, cell(0))
 	if _, err := single.Reconstruct(0); err == nil {
 		t.Error("single-SBS reconstruction: want error")
 	}
 	// Out-of-order phases are tolerated via the nil guard.
-	ooo := NewSweepObserver(2)
-	ooo.Tap(0, 1, [][]float64{{1}})
+	ooo := bareObserver(2)
+	ooo.Tap(0, 1, cell(1))
 	if _, err := ooo.Reconstruct(0); err == nil {
 		t.Error("sweep with missing phase: want error")
 	}
@@ -191,10 +291,10 @@ func TestObserverBookkeeping(t *testing.T) {
 func TestReconstructKnownValues(t *testing.T) {
 	// Hand-built converged sweep: y0 = [[0.2]], y1 = [[0.5]], y2 = [[0.3]].
 	// B_n = Y − y_n with Y = 1.0.
-	obs := NewSweepObserver(3)
-	obs.Tap(0, 0, [][]float64{{0.8}})
-	obs.Tap(0, 1, [][]float64{{0.5}})
-	obs.Tap(0, 2, [][]float64{{0.7}})
+	obs := bareObserver(3)
+	obs.Tap(0, 0, cell(0.8))
+	obs.Tap(0, 1, cell(0.5))
+	obs.Tap(0, 2, cell(0.7))
 	recovered, err := obs.Reconstruct(0)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +330,7 @@ func TestRunWithObserverRejectsRestarts(t *testing.T) {
 	inst := randomInstance(rng, 2, 3, 4)
 	cfg := core.DefaultConfig()
 	cfg.Restarts = 2
-	if _, _, _, err := RunWithObserver(inst, cfg); err == nil {
+	if _, _, err := RunWithObserver(inst, cfg); err == nil {
 		t.Error("restarts: want error")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"edgecache/internal/dp"
@@ -72,10 +73,10 @@ const (
 )
 
 func (p *PrivacyConfig) validate() error {
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("core: privacy epsilon must be positive, got %v", p.Epsilon)
+	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 1) {
+		return fmt.Errorf("core: privacy epsilon must be positive and finite, got %v", p.Epsilon)
 	}
-	if p.Delta < 0 || p.Delta >= 1 {
+	if !(p.Delta >= 0 && p.Delta < 1) {
 		return fmt.Errorf("core: privacy delta must be in [0,1), got %v", p.Delta)
 	}
 	if p.Noise == nil {
@@ -117,17 +118,12 @@ type Config struct {
 
 	// BroadcastTap, when non-nil, observes every aggregate y_{-n} the BS
 	// broadcasts (sweep, phase n, matrix), modeling the paper's §IV
-	// attacker who listens on the broadcast channel. The matrices are
-	// materialized per call (the tap owns them), so enabling a tap trades
-	// the sweep loop's zero-allocation property for observability.
-	// Used by internal/attack and experiment E15.
-	BroadcastTap func(sweep, phase int, yMinus [][]float64)
-	// UploadTap, when non-nil, observes each SBS's routing before (clean)
-	// and after (upload) LPPM. It is experiment instrumentation — ground
-	// truth for measuring what an attacker could recover — and must never
-	// be wired up in a deployment. The matrices are materialized per call;
-	// the tap owns them.
-	UploadTap func(sweep, phase int, clean, upload [][]float64)
+	// attacker who listens on the broadcast channel. The matrix is a
+	// read-only view valid only for the call; a tap that keeps it must
+	// copy it. Only the Gauss-Seidel engine drives it, once per phase
+	// whether or not the memo answers the phase. Used by internal/attack
+	// and experiment E15.
+	BroadcastTap func(sweep, phase int, yMinus model.Mat)
 
 	// Checkpoint, when non-nil, snapshots the full sweep state to the
 	// configured sink so a crashed run can be resumed bit-identically (see
@@ -289,8 +285,8 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 		if cfg.Restarts > 0 {
 			return nil, fmt.Errorf("core: Restarts explores SBS update orders, which only the Gauss-Seidel engine has")
 		}
-		if cfg.BroadcastTap != nil || cfg.UploadTap != nil {
-			return nil, fmt.Errorf("core: attack taps instrument the Gauss-Seidel broadcast protocol; engine %v does not drive them", cfg.Engine)
+		if cfg.BroadcastTap != nil {
+			return nil, fmt.Errorf("core: the broadcast tap instruments the Gauss-Seidel broadcast protocol; engine %v does not drive it", cfg.Engine)
 		}
 	}
 	if ck := cfg.Checkpoint; ck != nil {
@@ -330,14 +326,6 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 // sequential engines.
 func (c *Coordinator) Close() { c.engine.Close() }
 
-// incremental reports whether the engines may use the dirty-set memo fast
-// path. The attack taps observe every broadcast and upload, so a tapped
-// run must execute every phase in full — skipping would change what the
-// tap sees even though the trajectory is identical.
-func (c *Coordinator) incremental() bool {
-	return !c.cfg.DisableIncremental && c.cfg.BroadcastTap == nil && c.cfg.UploadTap == nil
-}
-
 // invalidateMemos drops every sub-problem memo. Engines call it on every
 // error return out of a sweep: an aborted round may have captured memos it
 // never installed, which would break the hit fast paths on a retry (see
@@ -350,14 +338,14 @@ func (c *Coordinator) invalidateMemos() {
 
 // answerPhase is the in-process answer to phase n (a PhaseFunc): SBS n
 // solves against yMinus, or its memo answers when nothing it reads
-// changed, and LPPM perturbs the routing before it is uploaded. The attack
-// taps observe the broadcast and the upload. The Gauss-Seidel and
+// changed, and LPPM perturbs the routing before it is uploaded. The
+// broadcast tap observes y_{-n}, hit or miss. The Gauss-Seidel and
 // reference Jacobi engines both answer through it; ok is always true.
 func (c *Coordinator) answerPhase(st *SweepState, sweep, n int, yMinus model.Mat) ([]bool, model.Mat, bool, error) {
 	if c.cfg.BroadcastTap != nil {
-		c.cfg.BroadcastTap(sweep, n, yMinus.Rows())
+		c.cfg.BroadcastTap(sweep, n, yMinus)
 	}
-	memo, sub := c.incremental(), c.subs[n]
+	memo, sub := !c.cfg.DisableIncremental, c.subs[n]
 	var res *Result
 	if memo && sub.memoHit(st.Tracker) {
 		// Nothing SBS n reads changed since its last solve, so the solver —
@@ -388,9 +376,6 @@ func (c *Coordinator) answerPhase(st *SweepState, sweep, n int, yMinus model.Mat
 			c.invalidateMemos()
 			return nil, model.Mat{}, false, err
 		}
-	}
-	if c.cfg.UploadTap != nil {
-		c.cfg.UploadTap(sweep, n, res.Routing.Rows(), upload.Rows())
 	}
 	return res.Cache, upload, true, nil
 }

@@ -30,6 +30,22 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(inst, cfg); err == nil {
 		t.Error("no noise source: want error")
 	}
+	// Non-finite settings must fail at construction, not at the first
+	// Perturb deep inside a sweep.
+	for name, p := range map[string]PrivacyConfig{
+		"epsilon=NaN": {Epsilon: math.NaN(), Delta: 0.5},
+		"epsilon=Inf": {Epsilon: math.Inf(1), Delta: 0.5},
+		"delta=NaN":   {Epsilon: 1, Delta: math.NaN()},
+	} {
+		p.Noise = NewNoiseSource(1)
+		cfg.Privacy = &p
+		if _, err := NewCoordinator(inst, cfg); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+		if _, err := NewLPPM(p); err == nil {
+			t.Errorf("%s: NewLPPM accepted it", name)
+		}
+	}
 }
 
 func TestCoordinatorConvergesAndIsFeasible(t *testing.T) {

@@ -146,7 +146,7 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 
 	cfg = jacobiCfg()
-	cfg.BroadcastTap = func(int, int, [][]float64) {}
+	cfg.BroadcastTap = func(int, int, model.Mat) {}
 	if _, err := NewCoordinator(inst, cfg); err == nil || !strings.Contains(err.Error(), "tap") {
 		t.Errorf("tap on jacobi engine: got %v", err)
 	}

@@ -208,24 +208,39 @@ func TestIncrementalRestartsIsolated(t *testing.T) {
 	bitEqualResults(t, got, want, "restarted memo run vs reference")
 }
 
-// TestIncrementalTapsDisableMemo pins the observability escape hatch: a
-// tapped run must execute every phase in full, so the taps see every
-// broadcast even when the memo would have skipped the solve.
-func TestIncrementalTapsDisableMemo(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	inst := randomInstance(rng, 5, 7, 9)
+// TestIncrementalMemoUnderBroadcastTap pins that the broadcast tap only
+// observes: with the tap set, the memo still skips solves, the tap fires
+// once per phase whether the memo answers it or not, and the broadcasts
+// are bit-equal to those of a memo-disabled run. The N=20 standard
+// scenario is used because its Gauss-Seidel run does skip.
+func TestIncrementalMemoUnderBroadcastTap(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	inst := randomInstance(rng, 20, 60, 80)
 
-	broadcasts := 0
 	cfg := DefaultConfig()
 	cfg.Gamma = 1e-300
-	cfg.MaxSweeps = 8
-	cfg.BroadcastTap = func(int, int, [][]float64) { broadcasts++ }
-
-	res := runCfg(t, inst, cfg)
-	if tw := res.TotalWork(); tw.Skipped != 0 {
-		t.Fatalf("tapped run skipped %d solves; taps must disable the memo", tw.Skipped)
+	cfg.MaxSweeps = 12
+	record := func(cfg Config) (*RunResult, []model.Mat) {
+		var broadcasts []model.Mat
+		cfg.BroadcastTap = func(_, _ int, yMinus model.Mat) { broadcasts = append(broadcasts, yMinus.Clone()) }
+		return runCfg(t, inst, cfg), broadcasts
 	}
-	if want := res.Sweeps * inst.N; broadcasts != want {
-		t.Fatalf("tap observed %d broadcasts, want %d", broadcasts, want)
+	res, got := record(cfg)
+	ref, want := record(withoutIncremental(cfg))
+
+	if tw := res.TotalWork(); tw.Skipped == 0 {
+		t.Fatalf("tapped run skipped no solves (work %v); the tap must not disable the memo", res.Work)
+	}
+	if n := res.Sweeps * inst.N; len(got) != n {
+		t.Fatalf("tap observed %d broadcasts, want %d sweeps × %d SBSs = %d", len(got), res.Sweeps, inst.N, n)
+	}
+	bitEqualResults(t, res, ref, "tapped memo run vs reference")
+	if len(want) != len(got) {
+		t.Fatalf("memo run saw %d broadcasts, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].BitsEqual(want[i]) {
+			t.Fatalf("broadcast %d (sweep %d, phase %d) differs from the memo-disabled run", i, i/inst.N, i%inst.N)
+		}
 	}
 }

@@ -121,7 +121,7 @@ func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.Routing
 
 func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 	c, inst := e.c, e.c.inst
-	memo := c.incremental()
+	memo := !c.cfg.DisableIncremental
 	// All SBSs observe the same pre-round policy (stale state). Every
 	// block of next is overwritten below, so the swapped-in buffer needs
 	// no clearing.

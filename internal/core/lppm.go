@@ -75,7 +75,7 @@ func (l *LPPM) Mechanism() NoiseMechanism { return l.cfg.Mechanism }
 // The returned matrix is the LPPM's own workspace and is overwritten by
 // the next call; callers that need to retain it must copy it (SetSBS,
 // Install and EncodePayload do exactly that). The clean block is left
-// intact for the UploadTap ground truth.
+// intact.
 func (l *LPPM) Perturb(label string, routing model.Mat) (model.Mat, error) {
 	if l.out.U != routing.U || l.out.F != routing.F {
 		l.out = model.NewMat(routing.U, routing.F)

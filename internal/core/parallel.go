@@ -250,7 +250,7 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 		return err
 	}
 	c, inst := e.c, e.c.inst
-	e.memo = c.incremental()
+	e.memo = !c.cfg.DisableIncremental
 	e.st = st
 	for w := range e.errs {
 		e.errs[w] = nil

@@ -52,6 +52,11 @@ func TestBetaForEpsilon(t *testing.T) {
 	if _, err := BetaForEpsilon(1, 0); err == nil {
 		t.Error("zero epsilon: want error")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := BetaForEpsilon(1, eps); err == nil {
+			t.Errorf("epsilon=%v: want error", eps)
+		}
+	}
 }
 
 func TestBoundedLaplaceConstruction(t *testing.T) {

@@ -39,14 +39,14 @@ func SampleLaplace(rng *rand.Rand, scale float64) float64 {
 
 // BetaForEpsilon returns the Laplace scale β = Δf/ε that Theorem 4 of the
 // paper requires for ε-differential privacy with query sensitivity Δf
-// (eq. 30). It errors on non-positive inputs because a zero ε or
-// sensitivity would demand infinite or zero noise.
+// (eq. 30). It errors on non-positive inputs, because a zero ε or
+// sensitivity would demand infinite or zero noise, and on non-finite ones.
 func BetaForEpsilon(sensitivity, epsilon float64) (float64, error) {
-	if sensitivity <= 0 {
-		return 0, fmt.Errorf("dp: sensitivity must be positive, got %v", sensitivity)
+	if !(sensitivity > 0) || math.IsInf(sensitivity, 1) {
+		return 0, fmt.Errorf("dp: sensitivity must be positive and finite, got %v", sensitivity)
 	}
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("dp: epsilon must be positive, got %v", epsilon)
+	if !(epsilon > 0) || math.IsInf(epsilon, 1) {
+		return 0, fmt.Errorf("dp: epsilon must be positive and finite, got %v", epsilon)
 	}
 	return sensitivity / epsilon, nil
 }

@@ -191,7 +191,7 @@ func (h Harness) ReconstructionAttack(epsilons []float64) (*metrics.Table, error
 		if privacy != nil {
 			cfg.MaxSweeps = lppmMaxSweeps
 		}
-		_, obs, truth, err := attack.RunWithObserver(inst, cfg)
+		_, obs, err := attack.RunWithObserver(inst, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -204,7 +204,7 @@ func (h Harness) ReconstructionAttack(epsilons []float64) (*metrics.Table, error
 		if err != nil {
 			return 0, err
 		}
-		truthPolicy, err := truth.Truth(last)
+		truthPolicy, err := obs.Truth(last)
 		if err != nil {
 			return 0, err
 		}

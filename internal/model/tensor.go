@@ -80,8 +80,8 @@ func (m Mat) Add(u, f int, v float64) { m.Data[u*m.F+f] += v }
 func (m Mat) Row(u int) []float64 { return m.Data[u*m.F : (u+1)*m.F : (u+1)*m.F] }
 
 // Rows materializes the matrix as a fresh nested [][]float64 (one backing
-// allocation plus the row headers). Used at codec/transport boundaries and
-// by instrumentation taps; not for hot paths.
+// allocation plus the row headers). Used at codec/transport boundaries;
+// not for hot paths.
 func (m Mat) Rows() [][]float64 {
 	rows := make([][]float64, m.U)
 	backing := append([]float64(nil), m.Data...)

@@ -179,33 +179,9 @@ func (r *soakRun) shrinkCluster(ctx context.Context, episode int, seed int64,
 		MinProc:    procs,
 		Cluster:    true,
 	}
-	want := map[string]bool{}
-	for _, v := range violations {
-		want[v.Invariant] = true
+	rerun := func(events []chaos.ProcEvent) []Violation {
+		return r.executeCluster(ctx, spec, insts, chaos.ProcSchedule{Events: events})
 	}
-	runs := 0
-	interesting := func(events []chaos.ProcEvent) bool {
-		if runs >= shrinkRuns || ctx.Err() != nil {
-			return false
-		}
-		runs++
-		cand := chaos.ProcSchedule{Events: events}
-		for _, v := range r.executeCluster(ctx, spec, insts, cand) {
-			if want[v.Invariant] {
-				return true
-			}
-		}
-		return false
-	}
-	minEvents := ddmin(procs.Events, interesting)
-	failure.ShrinkRuns = runs
-	failure.MinProc = chaos.ProcSchedule{Events: minEvents}
-	r.logf("cluster shrink: %d events -> %d (%d re-runs)", len(procs.Events), len(minEvents), runs)
-
-	path, err := r.writeRepro(failure)
-	if err != nil {
-		return nil, err
-	}
-	failure.ReproPath = path
-	return failure, nil
+	return shrinkFailure(ctx, r, "cluster shrink", failure, procs.Events, rerun,
+		func(events []chaos.ProcEvent) { failure.MinProc = chaos.ProcSchedule{Events: events} })
 }

@@ -484,8 +484,7 @@ func relDiff(a, b float64) float64 {
 }
 
 // shrink ddmin-minimizes the failing schedule's event list and writes the
-// repro file. "Interesting" means the re-run violates at least one of the
-// originally violated invariants.
+// repro file.
 func (r *soakRun) shrink(ctx context.Context, ep *Episode, violations []Violation) (*Failure, error) {
 	failure := &Failure{
 		Episode:    ep.Index,
@@ -494,34 +493,50 @@ func (r *soakRun) shrink(ctx context.Context, ep *Episode, violations []Violatio
 		Schedule:   ep.Schedule,
 		Minimized:  ep.Schedule,
 	}
-	want := map[string]bool{}
-	for _, v := range violations {
-		want[v.Invariant] = true
+	schedule := func(events []chaos.Event) chaos.Schedule {
+		return chaos.Schedule{Seed: ep.Schedule.Seed, Links: ep.Schedule.Links, Events: events}
 	}
-	runs := 0
-	interesting := func(events []chaos.Event) bool {
-		if runs >= shrinkRuns || ctx.Err() != nil {
-			return false
-		}
-		runs++
-		cand := &Episode{
+	rerun := func(events []chaos.Event) []Violation {
+		return r.execute(ctx, &Episode{
 			Index:    ep.Index,
 			Seed:     ep.Seed,
 			Inst:     ep.Inst,
 			Baseline: ep.Baseline,
-			Schedule: chaos.Schedule{Seed: ep.Schedule.Seed, Links: ep.Schedule.Links, Events: events},
+			Schedule: schedule(events),
+		})
+	}
+	return shrinkFailure(ctx, r, "shrink", failure, ep.Schedule.Events, rerun,
+		func(events []chaos.Event) { failure.Minimized = schedule(events) })
+}
+
+// shrinkFailure is the one shrink driver of both episode kinds: it
+// ddmin-minimizes events, records the result on failure through minimized,
+// logs the reduction under label and writes the repro file. A candidate is
+// "interesting" when its re-run violates at least one of the originally
+// violated invariants; ddmin gets at most shrinkRuns re-runs.
+func shrinkFailure[E any](ctx context.Context, r *soakRun, label string, failure *Failure,
+	events []E, rerun func([]E) []Violation, minimized func([]E)) (*Failure, error) {
+	want := map[string]bool{}
+	for _, v := range failure.Violations {
+		want[v.Invariant] = true
+	}
+	runs := 0
+	interesting := func(cand []E) bool {
+		if runs >= shrinkRuns || ctx.Err() != nil {
+			return false
 		}
-		for _, v := range r.execute(ctx, cand) {
+		runs++
+		for _, v := range rerun(cand) {
 			if want[v.Invariant] {
 				return true
 			}
 		}
 		return false
 	}
-	minEvents := ddmin(ep.Schedule.Events, interesting)
+	minEvents := ddmin(events, interesting)
 	failure.ShrinkRuns = runs
-	failure.Minimized = chaos.Schedule{Seed: ep.Schedule.Seed, Links: ep.Schedule.Links, Events: minEvents}
-	r.logf("shrink: %d events -> %d (%d re-runs)", len(ep.Schedule.Events), len(minEvents), runs)
+	minimized(minEvents)
+	r.logf("%s: %d events -> %d (%d re-runs)", label, len(events), len(minEvents), runs)
 
 	path, err := r.writeRepro(failure)
 	if err != nil {
