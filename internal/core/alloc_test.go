@@ -108,26 +108,27 @@ func fillYMinus(yMinus model.Mat) {
 	}
 }
 
-// TestMemoProbeZeroAllocs pins the dirty-set fast path itself: probing the
-// memo and returning the cached workspace result must stay allocation-free
-// — the whole point of the skip is to cost less than the solve.
+// TestMemoProbeZeroAllocs pins the dirty-set fast path itself: checking
+// the memo key against y_{-n} and answering from the workspace must stay
+// allocation-free — the whole point of the skip is to cost less than the
+// solve.
 func TestMemoProbeZeroAllocs(t *testing.T) {
 	inst := benchScale(3, 30, 50)
 	sub, err := NewSubproblem(inst, 1, DefaultSubproblemConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker := model.NewAggregateTracker(inst)
 	yMinus := inst.NewUFMat()
+	fillYMinus(yMinus)
 	if _, err := sub.Solve(yMinus); err != nil {
 		t.Fatal(err)
 	}
-	sub.memoCapture(tracker)
 	if allocs := testing.AllocsPerRun(10, func() {
-		if !sub.memoHit(tracker) {
-			panic("memo must hit on an unchanged tracker")
+		res, hit, err := sub.respond(yMinus, true)
+		if err != nil || !hit {
+			panic("memo must hit on the y_{-n} the last solve read")
 		}
-		allocSink = sub.cachedResult().Gain
+		allocSink = res.Gain
 	}); allocs != 0 {
 		t.Fatalf("memo probe allocated %.1f times per run, want 0", allocs)
 	}

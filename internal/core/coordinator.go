@@ -107,11 +107,12 @@ type Config struct {
 	// Workers sizes the parallel engine's pool; 0 means GOMAXPROCS. It is
 	// an error to set it for the sequential engines.
 	Workers int
-	// DisableIncremental turns off the dirty-set memo fast path and runs
-	// the engines exactly as the pre-memo reference: every sub-problem is
-	// re-solved every sweep and the Jacobi merge/repair touch every row.
-	// The trajectory is bit-identical either way (tests assert it); the
-	// flag exists for that assertion and for benchmarking the memo's win.
+	// DisableIncremental turns off the dirty-set memo and runs the engines
+	// exactly as the pre-memo reference: every phase is solved, even when
+	// the SBS's last solve read the same residual capacities, and the
+	// Jacobi merge/repair touch every row. The trajectory is bit-identical
+	// either way (tests assert it); the flag exists for that assertion and
+	// for benchmarking the memo's win.
 	DisableIncremental bool
 	// Privacy, when non-nil, applies LPPM to every routing upload.
 	Privacy *PrivacyConfig
@@ -183,8 +184,7 @@ type RunResult struct {
 	// executed: how many sub-problems were actually solved and how many
 	// were served from the memo (see DESIGN.md "Incremental sweeps"). It is
 	// nil for engines without the accounting (the BS agent, multi-BS) and is
-	// not serialized in checkpoints — a resumed run restarts it, matching
-	// the memo itself being rebuilt rather than restored.
+	// not serialized in checkpoints — a resumed run starts it afresh.
 	Work []SweepWork
 	// Faults holds the per-SBS fault accounting of a distributed run
 	// (one entry per SBS). It is nil for in-process runs, which have no
@@ -326,54 +326,31 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 // sequential engines.
 func (c *Coordinator) Close() { c.engine.Close() }
 
-// invalidateMemos drops every sub-problem memo. Engines call it on every
-// error return out of a sweep: an aborted round may have captured memos it
-// never installed, which would break the hit fast paths on a retry (see
-// Subproblem.memoInvalidate).
-func (c *Coordinator) invalidateMemos() {
-	for _, sub := range c.subs {
-		sub.memoInvalidate()
-	}
-}
-
 // answerPhase is the in-process answer to phase n (a PhaseFunc): SBS n
-// solves against yMinus, or its memo answers when nothing it reads
-// changed, and LPPM perturbs the routing before it is uploaded. The
-// broadcast tap observes y_{-n}, hit or miss. The Gauss-Seidel and
-// reference Jacobi engines both answer through it; ok is always true.
+// responds to yMinus — from its memo when its last solve read the same
+// capacities, with a fresh solve otherwise — and LPPM perturbs the routing
+// before it is uploaded. The broadcast tap observes y_{-n}, hit or miss.
+// The Gauss-Seidel, reference Jacobi and regional engines answer through
+// it; ok is always true.
 func (c *Coordinator) answerPhase(st *SweepState, sweep, n int, yMinus model.Mat) ([]bool, model.Mat, bool, error) {
 	if c.cfg.BroadcastTap != nil {
 		c.cfg.BroadcastTap(sweep, n, yMinus)
 	}
-	memo, sub := !c.cfg.DisableIncremental, c.subs[n]
-	var res *Result
-	if memo && sub.memoHit(st.Tracker) {
-		// Nothing SBS n reads changed since its last solve, so the solver —
-		// deterministic in y_{-n} — would reproduce the cached result bit
-		// for bit. Everything else in the phase (LPPM draws, the install
-		// round-trip) still runs, so the trajectory and the noise stream
-		// position stay byte-equal to the unskipped run's.
-		res = sub.cachedResult()
+	// A hit skips only the solve: everything else in the phase (LPPM
+	// draws, the install round-trip) still runs, so the trajectory and the
+	// noise stream position stay byte-equal to the unskipped run's.
+	res, hit, err := c.subs[n].respond(yMinus, !c.cfg.DisableIncremental)
+	if err != nil {
+		return nil, model.Mat{}, false, err
+	}
+	if hit {
 		c.skips++
 	} else {
-		var err error
-		if res, err = sub.Solve(yMinus); err != nil {
-			c.invalidateMemos()
-			return nil, model.Mat{}, false, err
-		}
-		if memo {
-			// Key the memo on the pre-install epochs: the result answers
-			// the state the solve read, and the install must invalidate it
-			// if the round-trip moves any bits.
-			sub.memoCapture(st.Tracker)
-		}
 		c.solves++
 	}
 	upload := res.Routing
 	if c.lppm != nil {
-		var err error
 		if upload, err = c.lppm.PerturbSBS(n, res.Routing); err != nil {
-			c.invalidateMemos()
 			return nil, model.Mat{}, false, err
 		}
 	}

@@ -262,9 +262,6 @@ func (e *gsEngine) Close()                 {}
 
 func (e *gsEngine) Sweep(st *SweepState, sweep int) error {
 	for _, n := range st.Order {
-		// Each phase is one mutation stage: bumps from this phase's Install
-		// stamp a clock value newer than any memo key captured before it.
-		st.Tracker.BeginPhase()
 		// The BS broadcasts the aggregate routing; SBS n subtracts its
 		// own last upload to obtain y_{-n} (eq. 25).
 		st.Tracker.YMinusInto(e.inst, st.Y, n, e.yMinus)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"edgecache/internal/model"
@@ -129,8 +131,8 @@ func TestIncrementalSkipsOnStandardScenario(t *testing.T) {
 // TestIncrementalResumeBitIdentical extends the memo contract across
 // crash recovery: a memo-enabled run checkpointed at every sweep boundary
 // must resume onto the memo-disabled reference trajectory from every
-// snapshot. The memo is rebuilt from scratch on resume — a resumed tracker
-// starts a fresh generation — so this also exercises the re-learning path.
+// snapshot. A resumed coordinator starts with empty memos, so this also
+// exercises the re-learning path.
 func TestIncrementalResumeBitIdentical(t *testing.T) {
 	// Seed 12 draws an instance that needs three sweeps: two boundaries.
 	rng := rand.New(rand.NewSource(12))
@@ -190,9 +192,10 @@ func TestIncrementalResumeBitIdentical(t *testing.T) {
 }
 
 // TestIncrementalRestartsIsolated pins the memo across Gauss-Seidel
-// restarts: each restart builds a fresh tracker, so memos captured in one
-// attempt must never leak hits into the next (the key carries the tracker
-// identity). The restarted run must match the memo-disabled reference.
+// restarts: the attempts share the sub-problems, so a memo left by one
+// attempt meets the next attempt's y_{-n}, and it may answer only where
+// the capacities match. The restarted run must match the memo-disabled
+// reference.
 func TestIncrementalRestartsIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	inst := randomInstance(rng, 6, 8, 10)
@@ -242,5 +245,94 @@ func TestIncrementalMemoUnderBroadcastTap(t *testing.T) {
 		if !got[i].BitsEqual(want[i]) {
 			t.Fatalf("broadcast %d (sweep %d, phase %d) differs from the memo-disabled run", i, i/inst.N, i%inst.N)
 		}
+	}
+}
+
+// TestMemoKeyIsResidualCapacities pins the memo key: a phase is answered
+// from SBS n's last solve exactly when y_{-n} gives every item the
+// capacity bits that solve read. It drives Coordinator.answerPhase, the
+// answer of the Gauss-Seidel, reference Jacobi and regional engines, with
+// y_{-n} derived through the tracker after installs of SBS 1's block.
+func TestMemoKeyIsResidualCapacities(t *testing.T) {
+	inst := &model.Instance{
+		N: 2, U: 2, F: 3,
+		// Content 1 has no demand at user 0: no item reads that entry.
+		Demand:    [][]float64{{6, 0, 3}, {4, 5, 2}},
+		Links:     [][]bool{{true, true}, {true, true}},
+		CacheCap:  []int{2, 2},
+		Bandwidth: []float64{10, 10},
+		EdgeCost:  [][]float64{{1, 1}, {1, 1}},
+		BSCost:    []float64{100, 100},
+	}
+	c, err := NewCoordinator(inst, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewSweepState(inst, identityOrder(inst.N))
+	yMinus := inst.NewUFMat()
+	// set1 installs SBS 1's block with the given entries; SBS 0's block
+	// stays zero, so y_{-0} is exactly that block.
+	set1 := func(entries map[[2]int]float64) {
+		upload := inst.NewUFMat()
+		for uf, v := range entries {
+			upload.Set(uf[0], uf[1], v)
+		}
+		st.Tracker.YMinusInto(inst, st.Y, 1, yMinus)
+		st.Tracker.Install(inst, st.Y, 1, yMinus, upload)
+	}
+	// phase answers SBS 0 and checks whether the memo answered it and that
+	// the answer is bit-equal to a fresh Subproblem's solve.
+	phase := func(label string, wantHit bool) {
+		t.Helper()
+		st.Tracker.YMinusInto(inst, st.Y, 0, yMinus)
+		solves, skips := c.solves, c.skips
+		cache, routing, _, err := c.answerPhase(st, 0, 0, yMinus)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if hit := c.skips > skips; hit != wantHit || c.solves+c.skips != solves+skips+1 {
+			t.Fatalf("%s: memo hit=%v, want %v", label, hit, wantHit)
+		}
+		fresh, err := NewSubproblem(inst, 0, DefaultSubproblemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Solve(yMinus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !routing.BitsEqual(want.Routing) || !slices.Equal(cache, want.Cache) {
+			t.Fatalf("%s: answer (cache %v) differs from a fresh solve (cache %v)", label, cache, want.Cache)
+		}
+	}
+
+	// Item (1,0) sees y_{-0} = 1: its capacity is clamped at 0.
+	set1(map[[2]int]float64{{0, 0}: 0.5, {1, 0}: 1})
+	phase("first phase", false)
+
+	// (a) y_{-0} moves only on a zero-demand entry of a linked row and on
+	// an item whose capacity stays clamped at 0: every capacity keeps its
+	// bits, so the memo answers.
+	set1(map[[2]int]float64{{0, 0}: 0.5, {0, 1}: 0.7, {1, 0}: 1.25})
+	phase("capacity-preserving change", true)
+
+	// (b) One ulp on item (0,0) moves its capacity 1 − y: a miss.
+	set1(map[[2]int]float64{{0, 0}: math.Nextafter(0.5, 1), {0, 1}: 0.7, {1, 0}: 1.25})
+	phase("one-ulp change", false)
+
+	// (c) The exhaustive solver and the fixed-cache router share the
+	// workspace but not the memo: the next phase still hits, correctly.
+	zero := inst.NewUFMat()
+	if _, err := c.subs[0].SolveExact(zero); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.subs[0].BestRoutingForCache([]bool{true, false, true}, zero); err != nil {
+		t.Fatal(err)
+	}
+	phase("after SolveExact and BestRoutingForCache", true)
+
+	// (d) A wrong-shape y_{-n} misses and surfaces Solve's error.
+	if _, _, _, err := c.answerPhase(st, 0, 0, model.NewMat(1, inst.F)); err == nil {
+		t.Fatal("wrong-shape y_{-n}: answered without an error")
 	}
 }

@@ -29,11 +29,9 @@ type jacobiEngine struct {
 	// pre-round policy every SBS observes; the two swap at the end of the
 	// round, recycling the old tensor as the next round's buffer.
 	next *model.RoutingPolicy
-	// dirtyBlock and dirtyRow are the round's change sets (see endRound);
-	// scratch is mergeRows' length-F accumulation row.
+	// dirtyBlock and dirtyRow are the round's change sets (see endRound).
 	dirtyBlock []bool
 	dirtyRow   []bool
-	scratch    []float64
 }
 
 func newJacobiEngine(c *Coordinator) *jacobiEngine {
@@ -43,7 +41,6 @@ func newJacobiEngine(c *Coordinator) *jacobiEngine {
 		next:       model.NewRoutingPolicy(c.inst),
 		dirtyBlock: make([]bool, c.inst.N),
 		dirtyRow:   make([]bool, c.inst.U),
-		scratch:    make([]float64, c.inst.F),
 	}
 }
 
@@ -53,10 +50,9 @@ func (e *jacobiEngine) Close()                 {}
 // endRound promotes the round's uploads in next to st.Y and prepares the
 // merge. dirtyBlock[n] records whether SBS n's upload differs bitwise from
 // its pre-round block; endRound sets dirtyRow[u] for every row a dirty
-// block is linked to — every row when memo is off — advances the phase
-// clock and stamps the dirty blocks. It returns the number of dirty rows,
-// 0 when no block changed: the aggregate is then already exact and
-// repaired, and the clock stays put.
+// block is linked to — every row when memo is off — and returns the number
+// of dirty rows. 0 means no block changed: the aggregate is then already
+// exact and repaired.
 //
 //edgecache:noalloc
 func endRound(inst *model.Instance, st *SweepState, next *model.RoutingPolicy, memo bool, dirtyBlock, dirtyRow []bool) int {
@@ -64,24 +60,15 @@ func endRound(inst *model.Instance, st *SweepState, next *model.RoutingPolicy, m
 	for u := range dirtyRow {
 		dirtyRow[u] = !memo
 	}
-	stamped := false
 	for n, dirty := range dirtyBlock {
 		if !dirty {
 			continue
 		}
-		if !stamped {
-			st.Tracker.BeginPhase()
-			stamped = true
-		}
-		st.Tracker.MarkBlockDirty(n)
 		for u, linked := range inst.Links[n] {
 			if linked {
 				dirtyRow[u] = true
 			}
 		}
-	}
-	if !stamped {
-		return 0
 	}
 	rows := 0
 	for _, dirty := range dirtyRow {
@@ -97,13 +84,13 @@ func endRound(inst *model.Instance, st *SweepState, next *model.RoutingPolicy, m
 // from the round's blocks, then repairs any overserve. Both steps read and
 // write only row u of each block and of the aggregate, so rebuilding and
 // repairing run by run gives the same bits as all rebuilds followed by
-// all repairs, and disjoint row ranges may run concurrently with disjoint
-// scratch. A clean row still equals the ascending-n sum of its unchanged
-// blocks and already satisfies the overserve bound; contiguous runs keep
-// each call on sequential aggregate and policy memory.
+// all repairs, and disjoint row ranges may run concurrently. A clean row
+// still equals the ascending-n sum of its unchanged blocks and already
+// satisfies the overserve bound; contiguous runs keep each call on
+// sequential aggregate and policy memory.
 //
 //edgecache:noalloc
-func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.RoutingPolicy, dirtyRow []bool, u0, u1 int, scratch []float64) {
+func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.RoutingPolicy, dirtyRow []bool, u0, u1 int) {
 	for u0 < u1 {
 		if !dirtyRow[u0] {
 			u0++
@@ -113,7 +100,7 @@ func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.Routing
 		for end < u1 && dirtyRow[end] {
 			end++
 		}
-		t.RebuildRowsScratch(inst, y, u0, end, scratch)
+		t.RebuildRows(inst, y, u0, end)
 		t.RepairOverserveRows(inst, y, u0, end)
 		u0 = end
 	}
@@ -133,13 +120,12 @@ func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 		}
 		st.X.SetRow(n, cache)
 		// Change detection against the pre-round block (st.Y still holds
-		// it): a clean block's rows need no re-merge, and its owner's — and
-		// neighbours' — memos survive the round.
+		// it): a clean block's rows need no re-merge.
 		e.dirtyBlock[n] = !memo || !st.Y.SBS(n).BitsEqual(upload)
 		e.next.SetSBS(n, upload)
 	}
 	if endRound(inst, st, e.next, memo, e.dirtyBlock, e.dirtyRow) > 0 {
-		mergeRows(st.Tracker, inst, st.Y, e.dirtyRow, 0, inst.U, e.scratch)
+		mergeRows(st.Tracker, inst, st.Y, e.dirtyRow, 0, inst.U)
 	}
 	return nil
 }

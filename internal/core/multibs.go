@@ -74,9 +74,6 @@ func RunMultiBS(inst *model.Instance, cfg MultiBSConfig) (*RunResult, error) {
 		Gamma:     cfg.Gamma,
 		MaxSweeps: cfg.MaxRounds,
 		Privacy:   cfg.Privacy,
-		// The memo keys on the tracker's epochs, which a regional pass
-		// does not advance: every phase solves.
-		DisableIncremental: true,
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +163,6 @@ func (e *regionalEngine) Sweep(st *SweepState, sweep int) error {
 	// Every SBS belongs to exactly one region, so every block of next was
 	// overwritten.
 	st.Y.Swap(e.next)
-	st.Tracker.BeginPhase()
 	st.Tracker.RebuildRows(inst, st.Y, 0, inst.U)
 	st.Tracker.RepairOverserveRows(inst, st.Y, 0, inst.U)
 	return nil

@@ -13,12 +13,13 @@ import (
 // deterministic by construction:
 //
 //   - Solve phase: workers claim sub-problems one SBS at a time off an
-//     atomic cursor. The claiming worker checks SBS n's memo itself: a hit
-//     copies the cached result, a miss solves. Each SBS n touches only its
-//     own solver workspace (c.subs[n]), its own caching-policy row
-//     (word-disjoint in the packed bitset) and its own U×F block of the
-//     next-round tensor, so distinct n never share memory. Every input
-//     (the pre-round policy, the aggregate and the tracker's epochs) is
+//     atomic cursor. The claiming worker derives SBS n's y_{-n} and checks
+//     n's memo itself: a hit takes the cached result, a miss solves; the
+//     rest of the claim is the same either way. Each SBS n touches only
+//     its own solver workspace (c.subs[n], which holds its memo), its own
+//     caching-policy row (word-disjoint in the packed bitset) and its own
+//     U×F block of the next-round tensor, so distinct n never share
+//     memory. The shared inputs, the pre-round policy and aggregate, are
 //     read-only during the phase.
 //   - LPPM pass: noise draws come from one shared sequential stream, so
 //     the driver goroutine perturbs the uploads alone, in ascending SBS
@@ -43,13 +44,11 @@ type parallelJacobiEngine struct {
 	c       *Coordinator
 	workers int
 
-	// Per-worker scratch: y_{-n} matrices for the solve phase and
-	// length-F accumulation rows for the merge phase (mergeRows shards
-	// must not share scratch). Everything else a worker touches is either
-	// read-only or owned by the SBS index or row range it claimed.
-	yMinus       []model.Mat
-	mergeScratch [][]float64
-	next         *model.RoutingPolicy
+	// Per-worker y_{-n} scratch for the solve phase. Everything else a
+	// worker touches is either read-only or owned by the SBS index or row
+	// range it claimed.
+	yMinus []model.Mat
+	next   *model.RoutingPolicy
 
 	// Phase plumbing, written by the driver goroutine before the wake
 	// tokens and read by workers after them. errs and solved are
@@ -90,22 +89,20 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &parallelJacobiEngine{
-		c:            c,
-		workers:      workers,
-		yMinus:       make([]model.Mat, workers),
-		mergeScratch: make([][]float64, workers),
-		next:         model.NewRoutingPolicy(c.inst),
-		errs:         make([]error, workers),
-		solved:       make([]int, workers),
-		dirtyBlock:   make([]bool, c.inst.N),
-		dirtyRow:     make([]bool, c.inst.U),
-		wake:         make([]chan struct{}, workers),
-		done:         make(chan struct{}, workers),
-		quit:         make(chan struct{}),
+		c:          c,
+		workers:    workers,
+		yMinus:     make([]model.Mat, workers),
+		next:       model.NewRoutingPolicy(c.inst),
+		errs:       make([]error, workers),
+		solved:     make([]int, workers),
+		dirtyBlock: make([]bool, c.inst.N),
+		dirtyRow:   make([]bool, c.inst.U),
+		wake:       make([]chan struct{}, workers),
+		done:       make(chan struct{}, workers),
+		quit:       make(chan struct{}),
 	}
 	for w := range e.yMinus {
 		e.yMinus[w] = c.inst.NewUFMat()
-		e.mergeScratch[w] = make([]float64, c.inst.F)
 		e.wake[w] = make(chan struct{}, 1)
 	}
 	return e
@@ -171,13 +168,13 @@ func (e *parallelJacobiEngine) runPhase(w int) {
 		e.solveShare(w)
 	case phaseMerge:
 		u0, u1 := e.rowRange(w)
-		mergeRows(e.st.Tracker, e.c.inst, e.st.Y, e.dirtyRow, u0, u1, e.mergeScratch[w])
+		mergeRows(e.st.Tracker, e.c.inst, e.st.Y, e.dirtyRow, u0, u1)
 	}
 }
 
 // solveShare claims sub-problems off the shared cursor, one SBS per
-// claim, until the round is drained. A memo hit copies the cached result;
-// a miss solves and is counted in solved[w].
+// claim, until the round is drained. Each claim derives y_{-n} and takes
+// SBS n's response: a memo hit or a solve, counted in solved[w].
 //
 //edgecache:noalloc
 func (e *parallelJacobiEngine) solveShare(w int) {
@@ -191,27 +188,14 @@ func (e *parallelJacobiEngine) solveShare(w int) {
 		if e.errs[w] != nil {
 			continue // drain the cursor; the round already failed
 		}
-		sub := c.subs[n]
-		if e.memo && sub.memoHit(st.Tracker) {
-			// The cached result is bit-identical to what a re-solve would
-			// produce; install its clean routing so the LPPM pass (or the
-			// swap) sees exactly what the reference engine would have
-			// written.
-			res := sub.cachedResult()
-			st.X.SetRow(n, res.Cache)
-			e.next.SetSBS(n, res.Routing)
-			e.dirtyBlock[n] = false
-			continue
-		}
 		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus[w])
-		res, err := sub.Solve(e.yMinus[w])
+		res, hit, err := c.subs[n].respond(e.yMinus[w], e.memo)
 		if err != nil {
 			e.errs[w] = err
 			continue
 		}
-		solved++
-		if e.memo {
-			sub.memoCapture(st.Tracker)
+		if !hit {
+			solved++
 		}
 		st.X.SetRow(n, res.Cache)
 		// Change detection against the pre-round block (st.Y is frozen
@@ -263,7 +247,6 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 	solves := 0
 	for w, err := range e.errs {
 		if err != nil {
-			c.invalidateMemos()
 			e.st = nil
 			return err
 		}
@@ -279,7 +262,6 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 		for n := 0; n < inst.N; n++ {
 			upload, err := c.lppm.PerturbSBS(n, e.next.SBS(n))
 			if err != nil {
-				c.invalidateMemos()
 				e.st = nil
 				return err
 			}

@@ -64,7 +64,9 @@ const (
 // sets up in O(#items); after that, each dual iteration works on the few
 // items it has routed (see dualLoop), and primal recovery merges the
 // density-ordered item lists of the cached contents only, stopping where
-// the bandwidth runs out (see walk).
+// the bandwidth runs out (see walk). The last completed Solve is also
+// the engines' solve memo: a later phase whose y_{-n} gives every item the
+// same capacity bits is answered from the workspace (see answers).
 //
 // A Subproblem is NOT safe for concurrent use: Solve, SolveExact and
 // BestRoutingForCache share the workspace. Give each goroutine its own
@@ -89,77 +91,49 @@ type Subproblem struct {
 	// stepScale is the sub-gradient step scale, calibrated from the SBS's
 	// largest per-unit density.
 	stepScale float64
-	// ws is the reusable solve workspace.
+	// ws is the reusable solve workspace. Its caps and result double as
+	// the solve memo: only Solve writes them, so after a completed Solve
+	// they hold the capacities it read and the answer it gave (see
+	// answers).
 	ws solveWorkspace
-	// memo is the dirty-set fast path: the epoch key of the tracker state
-	// ws.result was solved against (see memoHit).
-	memo solveMemo
 }
 
-// solveMemo records which tracker state the workspace result answers.
-// Identical key ⇒ the y_{-n} this SBS would derive is bitwise identical
-// ⇒ the deterministic solver would recompute the identical result, so the
-// engines return ws.result verbatim instead. The memo is rebuilt, never
-// serialized: a resumed or reset tracker bumps its generation and every
-// key goes stale.
-type solveMemo struct {
-	valid bool
-	// tracker identifies the tracker the key was read from; a different
-	// run (Restarts, a fresh coordinator state) has a different tracker.
-	tracker *model.AggregateTracker
-	gen     uint64
-	// rowMax is LinkedRowEpochMax at solve time: epochs only grow, so an
-	// equal max proves no linked aggregate row changed since.
-	rowMax uint64
-	// block is the epoch of this SBS's own block (y_{-n} = agg − y_n
-	// reads both halves).
-	block uint64
-}
-
-// memoHit reports whether ws.result is still the exact best response to
-// the state SBS n currently observes through t: same tracker incarnation
-// and generation, no bitwise change to any linked aggregate row or to the
-// SBS's own block since the result was computed.
+// answers reports whether ws.result is Solve's answer to yMinus: a Solve
+// has completed, and every item's capacity against yMinus has the bits of
+// the capacity that Solve read. Solve reads yMinus only through those
+// capacities and is deterministic in them (μ cold-starts, and the touched
+// set and the candidate pool are reset), so a fresh Solve would return
+// ws.result bit for bit. The key is what the solve read, not how the
+// engine got there, so aborted rounds, restores and restarts need no
+// invalidation. A yMinus of the wrong shape never hits; Solve rejects it.
 //
 //edgecache:noalloc
-func (s *Subproblem) memoHit(t *model.AggregateTracker) bool {
-	return s.memo.valid &&
-		s.memo.tracker == t &&
-		s.memo.gen == t.Gen() &&
-		s.memo.block == t.BlockEpoch(s.n) &&
-		s.memo.rowMax == t.LinkedRowEpochMax(s.inst, s.n)
-}
-
-// memoCapture records the epoch key of the state a just-completed Solve
-// read. Engines call it after a successful Solve and before installing
-// the result: the install's own bumps (if the round-trip changed bits)
-// must invalidate the memo, because they change what this SBS observes.
-//
-//edgecache:noalloc
-func (s *Subproblem) memoCapture(t *model.AggregateTracker) {
-	s.memo = solveMemo{
-		valid:   true,
-		tracker: t,
-		gen:     t.Gen(),
-		rowMax:  t.LinkedRowEpochMax(s.inst, s.n),
-		block:   t.BlockEpoch(s.n),
+func (s *Subproblem) answers(yMinus model.Mat) bool {
+	ws := &s.ws
+	if yMinus.U != s.inst.U || yMinus.F != s.inst.F || !ws.solved {
+		return false
 	}
+	for i := range s.items {
+		if math.Float64bits(s.items[i].capacity(yMinus)) != math.Float64bits(ws.caps[i]) {
+			return false
+		}
+	}
+	return true
 }
 
-// cachedResult returns the workspace result paired with the current memo.
-// Only valid immediately after memoHit reported true.
+// respond is an engine's answer for this SBS against yMinus: with memo
+// set, the workspace result when it already answers yMinus (hit), and a
+// fresh Solve otherwise. Either way the Result is workspace-owned, as
+// Solve documents.
 //
 //edgecache:noalloc
-func (s *Subproblem) cachedResult() *Result { return &s.ws.result }
-
-// memoInvalidate drops the memo. The engines call it (for every SBS) when
-// a sweep aborts mid-round: the hit fast paths rely on "memoHit ⇒ the
-// cached routing is bitwise equal to the currently installed block", an
-// invariant only a completed round establishes — a capture from an aborted
-// round answers the current tracker state but was never installed.
-//
-//edgecache:noalloc
-func (s *Subproblem) memoInvalidate() { s.memo = solveMemo{} }
+func (s *Subproblem) respond(yMinus model.Mat, memo bool) (res *Result, hit bool, err error) {
+	if memo && s.answers(yMinus) {
+		return &s.ws.result, true, nil
+	}
+	res, err = s.Solve(yMinus)
+	return res, false, err
+}
 
 // item is one servable (u,f) pair from SBS n's perspective.
 type item struct {
@@ -173,6 +147,15 @@ type item struct {
 	density float64
 }
 
+// capacity is the item's residual capacity against yMinus: y_nuf ≤
+// clamp(1 − y_{-n,uf}, 0, 1), which enforces the coupling constraint (4)
+// inside the block update. It is all that Solve reads of yMinus.
+//
+//edgecache:noalloc
+func (it *item) capacity(yMinus model.Mat) float64 {
+	return clamp01(1 - yMinus.At(it.u, it.f))
+}
+
 // solveWorkspace holds every buffer a Solve call touches. Sized once in
 // NewSubproblem; nothing here escapes to the caller except result, whose
 // ownership contract is documented on Solve.
@@ -184,6 +167,7 @@ type item struct {
 // the static order is built once per solve (see dualLoop).
 type solveWorkspace struct {
 	caps      []float64 // per-item residual capacity for this solve
+	solved    bool      // a Solve completed: result answers caps
 	mu        []float64 // dual multipliers; nonzero only on touched items
 	yDual     []float64 // routing iterate of the dual loop; nonzero only on touched items
 	touched   []int     // T in ascending item order (cap #items)
@@ -378,8 +362,9 @@ type Result struct {
 //
 // Workspace-reuse contract: the returned Result (Cache and Routing
 // included) is owned by the Subproblem and is overwritten by the next
-// Solve/SolveExact call. Callers must copy anything they retain —
-// RoutingPolicy.SetSBS and CachingPolicy.SetRow both copy.
+// Solve call. Callers must copy anything they retain —
+// RoutingPolicy.SetSBS and CachingPolicy.SetRow both copy — and must not
+// write to it: the engines answer later phases from it (see answers).
 //
 //edgecache:noalloc
 func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
@@ -389,11 +374,10 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 	}
 
 	ws := &s.ws
-	// Residual capacity per item: y_nuf ≤ clamp(1 − y_{-n,uf}, 0, 1),
-	// which enforces the coupling constraint (4) inside the block update.
+	ws.solved = false
 	caps := ws.caps
-	for i, it := range s.items {
-		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
+	for i := range s.items {
+		caps[i] = s.items[i].capacity(yMinus)
 	}
 
 	iters := s.dualLoop(caps)
@@ -402,6 +386,7 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 	// exact optimal routing given that cache and keep the best.
 	best := s.recoverPrimal(caps)
 	best.DualIters = iters
+	ws.solved = true
 	return best, nil
 }
 
@@ -708,8 +693,8 @@ func (s *Subproblem) walk(set []int32, caps []float64, out *model.Mat) (gain flo
 // fresh slice (the non-hot-path callers' form of Solve's caps pass).
 func (s *Subproblem) capsFor(yMinus model.Mat) []float64 {
 	caps := make([]float64, len(s.items))
-	for i, it := range s.items {
-		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
+	for i := range s.items {
+		caps[i] = s.items[i].capacity(yMinus)
 	}
 	return caps
 }

@@ -2,9 +2,7 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
 // CachingPolicy holds the binary caching decisions x_nf: Get(n, f) reports
@@ -297,105 +295,31 @@ func blockLoad(in *Instance, n int, block Mat) float64 {
 // block's contribution is subtracted exactly once and re-added from fresh
 // values. The in-process Coordinator and the message-passing BS agent run
 // the identical update sequence, which keeps the two deployments
-// bit-for-bit equivalent.
-// In addition to the running sums the tracker keeps *change epochs*: a
-// monotone phase clock plus, per user row and per SBS block, the clock
-// value of the last bitwise change routed through a tracker mutator.
-// Epochs are pure metadata — no arithmetic depends on them — and every
-// bump decision is an exact bit compare of old versus new values, so a
-// converged SBS whose install round-trip reproduces the previous bits
-// dirties nothing. The sweep engines key the per-SBS solve memo on these
-// epochs (see core.Subproblem): equal epochs over everything SBS n reads
-// (its linked aggregate rows and its own block) imply a bit-identical
-// y_{-n}, which implies a bit-identical solve — the dirty-set fast path.
+// bit-for-bit equivalent. The tracker holds the running sums and nothing
+// else: core's solve memo keys on the residual capacities a solve reads
+// from y_{-n}, not on tracker state (see core.Subproblem).
 type AggregateTracker struct {
 	agg Mat
-	// clock is the phase clock: engines advance it (BeginPhase) before
-	// each mutation stage, and bumps within a stage stamp the current
-	// value. Serial by contract — only the driver goroutine advances it.
-	clock uint64
-	// gen counts wholesale re-synchronizations (Restore). Memos
-	// record it so a resumed or rebuilt tracker invalidates every memo.
-	gen uint64
-	// rowEpoch[u] is the clock stamp of the last bitwise change to
-	// aggregate row u. Rows are written only by the mutator that owns
-	// them (disjoint row ranges in the parallel engine), so plain writes
-	// suffice.
-	rowEpoch []uint64
-	// blockEpoch[n] is the clock stamp of the last bitwise change to SBS
-	// n's routing block routed through Install, MarkBlockDirty or the
-	// overserve repair. The repair is row-sharded across workers and two
-	// shards can both scale block n, so the slot is atomic.
-	blockEpoch []atomic.Uint64
-	// scratch backs the serial RebuildRows convenience; the parallel
-	// engine passes per-worker scratch to RebuildRowsScratch instead.
-	scratch []float64
 }
 
 // NewAggregateTracker returns a tracker for an all-zero routing policy
 // sized for in.
 func NewAggregateTracker(in *Instance) *AggregateTracker {
-	return &AggregateTracker{
-		agg:        NewMat(in.U, in.F),
-		rowEpoch:   make([]uint64, in.U),
-		blockEpoch: make([]atomic.Uint64, in.N),
-		scratch:    make([]float64, in.F),
-	}
+	return &AggregateTracker{agg: NewMat(in.U, in.F)}
 }
 
-// invalidateEpochs bumps the generation and stamps every row and block
-// dirty, so any memo keyed on earlier epochs misses.
-func (t *AggregateTracker) invalidateEpochs() {
-	t.gen++
-	t.clock++
-	for u := range t.rowEpoch {
-		t.rowEpoch[u] = t.clock
-	}
-	for n := range t.blockEpoch {
-		t.blockEpoch[n].Store(t.clock)
-	}
-}
-
-// BeginPhase advances the phase clock. Engines call it once before each
-// mutation stage (a Gauss-Seidel install, a Jacobi merge+repair) from the
-// driver goroutine; bumps within the stage stamp the new value.
+// BeginPhase does nothing.
 //
-//edgecache:noalloc
-func (t *AggregateTracker) BeginPhase() { t.clock++ }
+// Deprecated: the tracker keeps no phase clock; nothing in this module
+// calls BeginPhase. It goes once cmd/edgebench's replay stops calling it.
+func (t *AggregateTracker) BeginPhase() {}
 
-// Gen returns the re-synchronization generation (see Restore).
+// MarkBlockDirty does nothing.
 //
-//edgecache:noalloc
-func (t *AggregateTracker) Gen() uint64 { return t.gen }
-
-// BlockEpoch returns the stamp of the last bitwise change to SBS n's
-// routing block.
-//
-//edgecache:noalloc
-func (t *AggregateTracker) BlockEpoch(n int) uint64 { return t.blockEpoch[n].Load() }
-
-// LinkedRowEpochMax returns the largest row epoch over the rows SBS n is
-// linked to — the aggregate half of n's memo key. Epochs only grow, so
-// the max moves if and only if some linked row changed.
-//
-//edgecache:noalloc
-func (t *AggregateTracker) LinkedRowEpochMax(in *Instance, n int) uint64 {
-	var hi uint64
-	links := in.Links[n]
-	for u, e := range t.rowEpoch {
-		if links[u] && e > hi {
-			hi = e
-		}
-	}
-	return hi
-}
-
-// MarkBlockDirty stamps SBS n's block changed at the current clock. The
-// Jacobi engines call it for every block they overwrote outside the
-// tracker (the next-round buffer swap).
-//
-//edgecache:noalloc
-func (t *AggregateTracker) MarkBlockDirty(n int) { t.blockEpoch[n].Store(t.clock) }
+// Deprecated: the tracker keeps no block stamps; nothing in this module
+// calls MarkBlockDirty. It goes once cmd/edgebench's replay stops calling
+// it.
+func (t *AggregateTracker) MarkBlockDirty(n int) {}
 
 // Aggregate exposes the current aggregate as a view. Callers must not
 // mutate it.
@@ -407,13 +331,8 @@ func (t *AggregateTracker) Aggregate() Mat { return t.agg }
 // checkpoint's). Resume must NOT rebuild it from the policy: the incremental
 // YMinusInto/Install path accumulates in a different floating-point order
 // than a full rebuild, and the bit-identical resume guarantee requires the
-// exact running sums. Epochs are invalidated wholesale — they are never
-// serialized (the memo is rebuilt, not checkpointed), so a resumed run
-// re-solves every sub-problem once and re-learns the dirty set.
-func (t *AggregateTracker) Restore(src Mat) {
-	t.agg.CopyFrom(src)
-	t.invalidateEpochs()
-}
+// exact running sums.
+func (t *AggregateTracker) Restore(src Mat) { t.agg.CopyFrom(src) }
 
 // YMinusInto computes y_{-n} = aggregate − SBS n's masked block into dst
 // without allocating. dst is overwritten.
@@ -436,53 +355,22 @@ func (t *AggregateTracker) YMinusInto(in *Instance, y *RoutingPolicy, n int, dst
 
 // Install stores upload as SBS n's block in y and advances the aggregate
 // to yMinus + upload (masked by n's links), all without allocating.
-// yMinus must be the matrix YMinusInto produced for this phase.
-//
-// The values written are exactly the seed implementation's
-// CopyFrom-then-add sequence; on top of it Install compares old and new
-// bits and stamps the epochs of the rows and the block that actually
-// changed. A converged SBS whose round-trip (agg − y_n) + y_n reproduces
-// the previous bits therefore bumps nothing, which is what lets its
-// neighbours keep their memos.
+// yMinus must be the matrix YMinusInto produced for this phase. Off-link
+// rows are skipped: there yMinus is YMinusInto's verbatim copy of the
+// aggregate, so the reference CopyFrom-then-add could change no bit.
 //
 //edgecache:noalloc
 func (t *AggregateTracker) Install(in *Instance, y *RoutingPolicy, n int, yMinus, upload Mat) {
-	blockChanged := false
-	dst := y.T.SBSRow(n)
-	for u := 0; u < in.U; u++ {
-		dstRow := dst.Row(u)
-		upRow := upload.Row(u)
-		for f := range dstRow {
-			v := upRow[f]
-			if math.Float64bits(dstRow[f]) != math.Float64bits(v) {
-				blockChanged = true
-			}
-			dstRow[f] = v
-		}
-	}
-	if blockChanged {
-		t.blockEpoch[n].Store(t.clock)
-	}
+	y.T.SBSRow(n).CopyFrom(upload)
 	for u, linked := range in.Links[n] {
 		if !linked {
-			// Off-link rows: the reference copies yMinus verbatim, and
-			// YMinusInto copied those rows verbatim from the aggregate, so
-			// the copy could change no bit and no epoch.
 			continue
 		}
 		aggRow := t.agg.Row(u)
 		ymRow := yMinus.Row(u)
 		upRow := upload.Row(u)
-		changed := false
 		for f := range aggRow {
-			v := ymRow[f] + upRow[f]
-			if math.Float64bits(aggRow[f]) != math.Float64bits(v) {
-				changed = true
-			}
-			aggRow[f] = v
-		}
-		if changed {
-			t.rowEpoch[u] = t.clock
+			aggRow[f] = ymRow[f] + upRow[f]
 		}
 	}
 }
@@ -502,52 +390,29 @@ func (p *RoutingPolicy) Swap(o *RoutingPolicy) {
 }
 
 // RebuildRows recomputes the aggregate rows u ∈ [u0, u1) from y. Each
-// entry is accumulated over n in ascending order — the same per-entry
-// floating-point order as AggregateInto — so rebuilding the full range in
-// one call, or sharding disjoint row ranges across goroutines, produces
-// bit-identical results regardless of the partitioning. This is the merge
-// step of the Jacobi round: the per-SBS blocks were written concurrently,
-// and the reduction order is fixed by construction, not by scheduling.
+// entry is accumulated over n in ascending order, starting from +0 — the
+// same per-entry floating-point order as AggregateInto — so rebuilding the
+// full range in one call, or sharding disjoint row ranges across
+// goroutines, produces bit-identical results regardless of the
+// partitioning. This is the merge step of the Jacobi round: the per-SBS
+// blocks were written concurrently, and the reduction order is fixed by
+// construction, not by scheduling.
 //
 //edgecache:noalloc
 func (t *AggregateTracker) RebuildRows(in *Instance, y *RoutingPolicy, u0, u1 int) {
-	t.RebuildRowsScratch(in, y, u0, u1, t.scratch)
-}
-
-// RebuildRowsScratch is RebuildRows with a caller-supplied length-F
-// accumulation row. Concurrent shards must pass disjoint scratch (the
-// parallel engine owns one per worker); the serial engines use the
-// tracker-internal convenience above. The scratch lets the rebuild detect
-// per-row bitwise change — the row is accumulated aside, compared, then
-// copied — so the epoch stamps stay exact under the same n-ascending
-// reduction order as before.
-//
-//edgecache:noalloc
-func (t *AggregateTracker) RebuildRowsScratch(in *Instance, y *RoutingPolicy, u0, u1 int, scratch []float64) {
 	for u := u0; u < u1; u++ {
-		for f := range scratch {
-			scratch[f] = 0
+		aggRow := t.agg.Row(u)
+		for f := range aggRow {
+			aggRow[f] = 0
 		}
 		for n := 0; n < in.N; n++ {
 			if !in.Links[n][u] {
 				continue
 			}
 			srcRow := y.T.SBSRow(n).Row(u)
-			for f := range scratch {
-				scratch[f] += srcRow[f]
+			for f := range aggRow {
+				aggRow[f] += srcRow[f]
 			}
-		}
-		aggRow := t.agg.Row(u)
-		changed := false
-		for f := range aggRow {
-			v := scratch[f]
-			if math.Float64bits(aggRow[f]) != math.Float64bits(v) {
-				changed = true
-			}
-			aggRow[f] = v
-		}
-		if changed {
-			t.rowEpoch[u] = t.clock
 		}
 	}
 }
@@ -563,17 +428,10 @@ func (t *AggregateTracker) RebuildRowsScratch(in *Instance, y *RoutingPolicy, u0
 // touch disjoint policy and aggregate memory, so shards may run
 // concurrently.
 //
-// Scaling an overserved entry rewrites the aggregate entry and every
-// contributing nonzero routing value, so the repair stamps the row epoch
-// and — atomically, because two row shards can scale the same SBS's block
-// — the block epoch of every SBS whose share actually moved (a zero share
-// times any factor stays bitwise zero).
-//
 //edgecache:noalloc
 func (t *AggregateTracker) RepairOverserveRows(in *Instance, y *RoutingPolicy, u0, u1 int) {
 	for u := u0; u < u1; u++ {
 		aggRow := t.agg.Row(u)
-		rowChanged := false
 		for f := range aggRow {
 			if aggRow[f] <= 1+1e-12 {
 				continue
@@ -585,17 +443,10 @@ func (t *AggregateTracker) RepairOverserveRows(in *Instance, y *RoutingPolicy, u
 					continue
 				}
 				row := y.T.SBSRow(n).Row(u)
-				if math.Float64bits(row[f]) != 0 {
-					row[f] *= factor
-					t.blockEpoch[n].Store(t.clock)
-				}
+				row[f] *= factor
 				sum += row[f]
 			}
 			aggRow[f] = sum
-			rowChanged = true
-		}
-		if rowChanged {
-			t.rowEpoch[u] = t.clock
 		}
 	}
 }

@@ -68,11 +68,11 @@ go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/trans
 # Parallel sweep-engine gate: the worker pool's determinism and crash
 # recovery run three times under -race, at GOMAXPROCS 1 and 2, before the
 # broad suites — a data race in the pool invalidates the bit-identity
-# guarantee the engines are built on. Each worker checks the memo of the
-# SBS it claimed, reading tracker epochs while other workers capture
-# theirs, and each round's merge phase rebuilds and repairs row shards
-# concurrently, so more runs and both P counts shake out more
-# interleavings. TestJacobiMergeRepairsSharedClaims forces the repair to
+# guarantee the engines are built on. Workers share only the read-only
+# pre-round aggregate and policy; each memo check reads the workspace of
+# the SBS its worker claimed, and each round's merge phase rebuilds and
+# repairs row shards concurrently, so more runs and both P counts shake
+# out more interleavings. TestJacobiMergeRepairsSharedClaims forces the repair to
 # run on uneven shards; TestIncremental covers the dirty-set memo:
 # bit-identity against the memo-disabled reference (±LPPM, across resume)
 # and the solves-skipped>0 gate on the standard N=20 scenario.
@@ -88,15 +88,17 @@ go test -race -count=3 -cpu 1,2 -run 'TestParallel|TestEngine|TestJacobi|TestInc
 echo "verify: go test -race ./internal/core/... ./internal/sim/... ./internal/transport/..."
 go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
 
-# Codec fuzz smoke: the snapshot codec and the wire frame share one
+# Fuzz smoke: the snapshot codec and the wire frame share one
 # sparse-block codec (model's pair body), so each byte format's fuzz target
 # runs briefly past its committed seeds: strictness, canonical re-encoding
 # and the allocation bounds are checked on fresh inputs from both sides of
-# the shared code. A failure leaves its input under testdata/fuzz, where
-# plain `go test` replays it.
-echo "verify: codec fuzz smoke (FuzzSnapshot, FuzzFrame; 10s each)"
+# the shared code. FuzzTracker checks every aggregate-tracker mutator
+# against its value oracle on fresh op streams. A failure leaves its input
+# under testdata/fuzz, where plain `go test` replays it.
+echo "verify: fuzz smoke (FuzzSnapshot, FuzzFrame, FuzzTracker; 10s each)"
 go test -run '^$' -fuzz '^FuzzSnapshot$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/transport
+go test -run '^$' -fuzz '^FuzzTracker$' -fuzztime 10s ./internal/model
 
 echo "verify: go test -race ./internal/model/... ./cmd/..."
 go test -race ./internal/model/... ./cmd/...
