@@ -107,12 +107,11 @@ type Config struct {
 	// Workers sizes the parallel engine's pool; 0 means GOMAXPROCS. It is
 	// an error to set it for the sequential engines.
 	Workers int
-	// DisableIncremental turns off the dirty-set memo and runs the engines
-	// exactly as the pre-memo reference: every phase is solved, even when
-	// the SBS's last solve read the same residual capacities, and the
-	// Jacobi merge/repair touch every row. The trajectory is bit-identical
-	// either way (tests assert it); the flag exists for that assertion and
-	// for benchmarking the memo's win.
+	// DisableIncremental turns off the dirty-set memo, and nothing else:
+	// every phase is solved, even when the SBS's last solve read the same
+	// residual capacities. The trajectory is bit-identical either way
+	// (tests assert it); the flag exists for that assertion and for
+	// benchmarking the memo's win.
 	DisableIncremental bool
 	// Privacy, when non-nil, applies LPPM to every routing upload.
 	Privacy *PrivacyConfig

@@ -51,8 +51,8 @@ type SweepState struct {
 	Y *model.RoutingPolicy
 	// Tracker maintains the masked aggregate Σ_n y·l incrementally: each
 	// Gauss-Seidel phase derives y_{-n} in O(U·F), and the Jacobi engines
-	// rebuild the dirty rows once per round in O(N·U·F) at most, instead
-	// of an O(N·U·F) recompute of y_{-n} for every phase.
+	// rebuild every row once per round in O(N·U·F) at most, instead of an
+	// O(N·U·F) recompute of y_{-n} for every phase.
 	Tracker *model.AggregateTracker
 	// History is the per-sweep cost trail; PrevCost the γ reference.
 	History  []float64

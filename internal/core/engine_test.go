@@ -92,27 +92,51 @@ func TestParallelBitIdenticalWithPrivacy(t *testing.T) {
 }
 
 // TestJacobiTrackerMatchesReferenceRepair pins the engines' incremental
-// aggregate to the reference definitions: after a run, the tracker-
-// maintained aggregate of the returned policy must equal a from-scratch
-// AggregateInto rebuild, and the repair must leave no overserve behind —
-// the properties the seed implementation got from recomputing y_{-n}
-// from scratch every phase.
+// aggregate to the reference definitions: after every round, the
+// tracker-maintained aggregate must equal a from-scratch AggregateInto
+// rebuild of the round's policy bit for bit, and the repair must leave no
+// overserve behind — the properties the seed implementation got from
+// recomputing y_{-n} from scratch every phase. It covers the reference
+// engine and the pool at 1, 2 and 3 workers, with the memo on and off and
+// LPPM on and off, on two instances; the second (seed 2) reaches a fixed
+// point through rounds where only some uploads change.
 func TestJacobiTrackerMatchesReferenceRepair(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	inst := randomInstance(rng, 5, 7, 8)
-	coord, err := NewCoordinator(inst, jacobiCfg())
-	if err != nil {
-		t.Fatal(err)
+	insts := []*model.Instance{
+		randomInstance(rand.New(rand.NewSource(13)), 5, 7, 8),
+		randomInstance(rand.New(rand.NewSource(2)), 6, 9, 11),
 	}
-	res, err := coord.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := res.Solution.Routing.Aggregate(inst)
-	for u := 0; u < inst.U; u++ {
-		for f := 0; f < inst.F; f++ {
-			if agg.At(u, f) > 1+1e-9 {
-				t.Fatalf("overserve at (%d,%d): %v", u, f, agg.At(u, f))
+	for i, inst := range insts {
+		for workers := 0; workers <= 3; workers++ {
+			for _, memo := range []bool{true, false} {
+				for _, private := range []bool{false, true} {
+					cfg, name := jacobiCfg(), "reference"
+					if workers > 0 {
+						cfg, name = parallelCfg(workers), fmt.Sprintf("parallel workers=%d", workers)
+					}
+					cfg.DisableIncremental = !memo
+					if private {
+						cfg.Privacy = &PrivacyConfig{Epsilon: 1.0, Delta: 0.4, Noise: NewNoiseSource(14)}
+					}
+					c, err := NewCoordinator(inst, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := NewSweepState(inst, identityOrder(inst.N))
+					for round := 0; round < 8; round++ {
+						label := fmt.Sprintf("instance %d %s memo=%v lppm=%v round %d", i, name, memo, private, round)
+						if err := c.engine.Sweep(st, round); err != nil {
+							t.Fatal(err)
+						}
+						agg := st.Tracker.Aggregate()
+						bitEqualHistories(t, agg.Data, st.Y.Aggregate(inst).Data, label+" aggregate")
+						for j, v := range agg.Data {
+							if v > 1+1e-12 {
+								t.Fatalf("%s: overserve at %d: %v", label, j, v)
+							}
+						}
+					}
+					c.Close()
+				}
 			}
 		}
 	}
@@ -322,8 +346,8 @@ func TestParallelEngineCloseIdempotent(t *testing.T) {
 }
 
 // identicalSBSInstance returns an instance of n SBSs with the same links,
-// costs, bandwidth and cache size. No SBS links MU group 3, so a merge
-// over dirty rows splits into two runs.
+// costs, bandwidth and cache size. No SBS links MU group 3, so the merge
+// rebuilds one row from no block at all.
 func identicalSBSInstance(n int) *model.Instance {
 	const u, f = 7, 5
 	inst := &model.Instance{
@@ -423,8 +447,8 @@ func TestJacobiMergeRepairsSharedClaims(t *testing.T) {
 // TestJacobiFullyHitRoundIsNoOp drives the reference Jacobi engine and
 // the parallel engine at 1, 2 and 3 workers round by round past a bitwise
 // fixed point with the memo on. No engine short-cuts a round whose every
-// memo hits: each answers every phase from the memo, finds no dirty block
-// and must leave its bits unchanged, counting N skips.
+// memo hits: each answers every phase from the memo, merges and repairs
+// every row, and must leave its bits unchanged, counting N skips.
 // Every round's solves and skips partition N and match across the
 // engines, and every engine's state is bit-equal to the reference's.
 func TestJacobiFullyHitRoundIsNoOp(t *testing.T) {

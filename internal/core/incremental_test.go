@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -242,9 +243,7 @@ func TestIncrementalMemoUnderBroadcastTap(t *testing.T) {
 		t.Fatalf("memo run saw %d broadcasts, reference %d", len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].BitsEqual(want[i]) {
-			t.Fatalf("broadcast %d (sweep %d, phase %d) differs from the memo-disabled run", i, i/inst.N, i%inst.N)
-		}
+		bitEqualHistories(t, got[i].Data, want[i].Data, fmt.Sprintf("broadcast %d (sweep %d, phase %d) vs the memo-disabled run", i, i/inst.N, i%inst.N))
 	}
 }
 
@@ -301,7 +300,8 @@ func TestMemoKeyIsResidualCapacities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !routing.BitsEqual(want.Routing) || !slices.Equal(cache, want.Cache) {
+		bitEqualHistories(t, routing.Data, want.Routing.Data, label+": routing vs a fresh solve")
+		if !slices.Equal(cache, want.Cache) {
 			t.Fatalf("%s: answer (cache %v) differs from a fresh solve (cache %v)", label, cache, want.Cache)
 		}
 	}

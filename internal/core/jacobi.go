@@ -17,11 +17,12 @@ import "edgecache/internal/model"
 // result is feasible.
 //
 // The per-SBS y_{-n} comes from the aggregate tracker in O(U·F) (the
-// round's aggregate minus SBS n's own pre-round block). The round ends in
-// endRound and mergeRows, which the parallel engine shares: the rebuild
-// and the repair both accumulate each (u,f) entry over n in ascending
-// order, so the parallel engine, which shards mergeRows by row ranges,
-// produces bit-identical aggregates.
+// round's aggregate minus SBS n's own pre-round block). Every round ends
+// the same way in all three round engines: Swap promotes the uploads, and
+// mergeRows rebuilds and repairs every row. The rebuild and the repair
+// both accumulate each (u,f) entry over n in ascending order, so the
+// parallel engine, which shards mergeRows by row ranges, produces
+// bit-identical aggregates.
 type jacobiEngine struct {
 	c      *Coordinator
 	yMinus model.Mat
@@ -29,86 +30,36 @@ type jacobiEngine struct {
 	// pre-round policy every SBS observes; the two swap at the end of the
 	// round, recycling the old tensor as the next round's buffer.
 	next *model.RoutingPolicy
-	// dirtyBlock and dirtyRow are the round's change sets (see endRound).
-	dirtyBlock []bool
-	dirtyRow   []bool
 }
 
 func newJacobiEngine(c *Coordinator) *jacobiEngine {
 	return &jacobiEngine{
-		c:          c,
-		yMinus:     c.inst.NewUFMat(),
-		next:       model.NewRoutingPolicy(c.inst),
-		dirtyBlock: make([]bool, c.inst.N),
-		dirtyRow:   make([]bool, c.inst.U),
+		c:      c,
+		yMinus: c.inst.NewUFMat(),
+		next:   model.NewRoutingPolicy(c.inst),
 	}
 }
 
 func (e *jacobiEngine) Kind() model.EngineKind { return model.EngineJacobi }
 func (e *jacobiEngine) Close()                 {}
 
-// endRound promotes the round's uploads in next to st.Y and prepares the
-// merge. dirtyBlock[n] records whether SBS n's upload differs bitwise from
-// its pre-round block; endRound sets dirtyRow[u] for every row a dirty
-// block is linked to — every row when memo is off — and returns the number
-// of dirty rows. 0 means no block changed: the aggregate is then already
-// exact and repaired.
-//
-//edgecache:noalloc
-func endRound(inst *model.Instance, st *SweepState, next *model.RoutingPolicy, memo bool, dirtyBlock, dirtyRow []bool) int {
-	st.Y.Swap(next)
-	for u := range dirtyRow {
-		dirtyRow[u] = !memo
-	}
-	for n, dirty := range dirtyBlock {
-		if !dirty {
-			continue
-		}
-		for u, linked := range inst.Links[n] {
-			if linked {
-				dirtyRow[u] = true
-			}
-		}
-	}
-	rows := 0
-	for _, dirty := range dirtyRow {
-		if dirty {
-			rows++
-		}
-	}
-	return rows
-}
-
 // mergeRows is the BS's reconciliation of a Jacobi round over the rows
-// [u0, u1): for each maximal run of dirty rows it rebuilds the aggregate
-// from the round's blocks, then repairs any overserve. Both steps read and
-// write only row u of each block and of the aggregate, so rebuilding and
-// repairing run by run gives the same bits as all rebuilds followed by
-// all repairs, and disjoint row ranges may run concurrently. A clean row
-// still equals the ascending-n sum of its unchanged blocks and already
-// satisfies the overserve bound; contiguous runs keep each call on
-// sequential aggregate and policy memory.
+// [u0, u1): it rebuilds the aggregate from the round's blocks, then
+// repairs any overserve. Both steps read and write only row u of each
+// block and of the aggregate, so disjoint row ranges may run
+// concurrently. A row whose linked blocks all kept their bits gets its
+// own bits back: the rebuild sums the same blocks in the same order, and
+// the repair leaves alone an entry the last repair already brought within
+// its bound.
 //
 //edgecache:noalloc
-func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.RoutingPolicy, dirtyRow []bool, u0, u1 int) {
-	for u0 < u1 {
-		if !dirtyRow[u0] {
-			u0++
-			continue
-		}
-		end := u0 + 1
-		for end < u1 && dirtyRow[end] {
-			end++
-		}
-		t.RebuildRows(inst, y, u0, end)
-		t.RepairOverserveRows(inst, y, u0, end)
-		u0 = end
-	}
+func mergeRows(t *model.AggregateTracker, inst *model.Instance, y *model.RoutingPolicy, u0, u1 int) {
+	t.RebuildRows(inst, y, u0, u1)
+	t.RepairOverserveRows(inst, y, u0, u1)
 }
 
 func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 	c, inst := e.c, e.c.inst
-	memo := !c.cfg.DisableIncremental
 	// All SBSs observe the same pre-round policy (stale state). Every
 	// block of next is overwritten below, so the swapped-in buffer needs
 	// no clearing.
@@ -119,13 +70,9 @@ func (e *jacobiEngine) Sweep(st *SweepState, sweep int) error {
 			return err
 		}
 		st.X.SetRow(n, cache)
-		// Change detection against the pre-round block (st.Y still holds
-		// it): a clean block's rows need no re-merge.
-		e.dirtyBlock[n] = !memo || !st.Y.SBS(n).BitsEqual(upload)
 		e.next.SetSBS(n, upload)
 	}
-	if endRound(inst, st, e.next, memo, e.dirtyBlock, e.dirtyRow) > 0 {
-		mergeRows(st.Tracker, inst, st.Y, e.dirtyRow, 0, inst.U)
-	}
+	st.Y.Swap(e.next)
+	mergeRows(st.Tracker, inst, st.Y, 0, inst.U)
 	return nil
 }

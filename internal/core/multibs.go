@@ -87,9 +87,9 @@ func RunMultiBS(inst *model.Instance, cfg MultiBSConfig) (*RunResult, error) {
 // regionalEngine runs one multi-BS round per Sweep call. Each region runs
 // a Gauss-Seidel pass over its SBSs, in region order, against the foreign
 // aggregates frozen at the round start: a region only knows what the other
-// BSs published last round. The round ends with the Jacobi epilogue —
-// swap, rebuild, overserve repair — because concurrent regions may have
-// claimed the same residual demand.
+// BSs published last round. The round ends as every Jacobi round does —
+// Swap, then mergeRows over every row — because concurrent regions may
+// have claimed the same residual demand.
 type regionalEngine struct {
 	c        *Coordinator
 	regions  [][]int
@@ -163,8 +163,7 @@ func (e *regionalEngine) Sweep(st *SweepState, sweep int) error {
 	// Every SBS belongs to exactly one region, so every block of next was
 	// overwritten.
 	st.Y.Swap(e.next)
-	st.Tracker.RebuildRows(inst, st.Y, 0, inst.U)
-	st.Tracker.RepairOverserveRows(inst, st.Y, 0, inst.U)
+	mergeRows(st.Tracker, inst, st.Y, 0, inst.U)
 	return nil
 }
 

@@ -25,15 +25,13 @@ import (
 //     the driver goroutine perturbs the uploads alone, in ascending SBS
 //     order — the same draw sequence as the sequential engines. Solves
 //     consume no randomness, so scheduling cannot reorder draws.
-//   - Merge phase: the driver's endRound (shared with the reference
-//     engine) swaps the uploads in and marks the dirty rows; the workers
-//     then run mergeRows on contiguous user-row shards, rebuilding and
-//     repairing each dirty run in place. Both steps are row-local and
-//     accumulate each (u,f) entry over n in ascending order (see
-//     AggregateTracker.RebuildRows), so the reduction order — and
+//   - Merge phase: the driver swaps the uploads in; the workers then run
+//     mergeRows (shared with the reference engine) on contiguous user-row
+//     shards, rebuilding and repairing every row in place. Both steps are
+//     row-local and accumulate each (u,f) entry over n in ascending order
+//     (see AggregateTracker.RebuildRows), so the reduction order — and
 //     therefore every floating-point bit — is independent of the worker
-//     count, of scheduling, and of which rows were skipped (a skipped
-//     row's recompute would reproduce its current bits).
+//     count and of scheduling.
 //
 // Every phase wakes every worker. Workers park between phases on a wake
 // channel and signal a done channel after each phase, giving the engine a
@@ -61,12 +59,6 @@ type parallelJacobiEngine struct {
 	errs   []error
 	solved []int
 
-	// Per-round dirty-set state. dirtyBlock is written only by the worker
-	// that claimed the SBS (or by the driver's LPPM pass); dirtyRow is
-	// written by the driver's endRound and read by the merge shards.
-	dirtyBlock []bool
-	dirtyRow   []bool
-
 	started bool
 	closed  bool
 	// wake is per-worker: the merge shards are assigned by worker id, so
@@ -89,17 +81,15 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &parallelJacobiEngine{
-		c:          c,
-		workers:    workers,
-		yMinus:     make([]model.Mat, workers),
-		next:       model.NewRoutingPolicy(c.inst),
-		errs:       make([]error, workers),
-		solved:     make([]int, workers),
-		dirtyBlock: make([]bool, c.inst.N),
-		dirtyRow:   make([]bool, c.inst.U),
-		wake:       make([]chan struct{}, workers),
-		done:       make(chan struct{}, workers),
-		quit:       make(chan struct{}),
+		c:       c,
+		workers: workers,
+		yMinus:  make([]model.Mat, workers),
+		next:    model.NewRoutingPolicy(c.inst),
+		errs:    make([]error, workers),
+		solved:  make([]int, workers),
+		wake:    make([]chan struct{}, workers),
+		done:    make(chan struct{}, workers),
+		quit:    make(chan struct{}),
 	}
 	for w := range e.yMinus {
 		e.yMinus[w] = c.inst.NewUFMat()
@@ -168,7 +158,7 @@ func (e *parallelJacobiEngine) runPhase(w int) {
 		e.solveShare(w)
 	case phaseMerge:
 		u0, u1 := e.rowRange(w)
-		mergeRows(e.st.Tracker, e.c.inst, e.st.Y, e.dirtyRow, u0, u1)
+		mergeRows(e.st.Tracker, e.c.inst, e.st.Y, u0, u1)
 	}
 }
 
@@ -198,10 +188,6 @@ func (e *parallelJacobiEngine) solveShare(w int) {
 			solved++
 		}
 		st.X.SetRow(n, res.Cache)
-		// Change detection against the pre-round block (st.Y is frozen
-		// for the phase). Without the memo the round is the full
-		// reference: every block counts as dirty.
-		e.dirtyBlock[n] = !e.memo || !st.Y.SBS(n).BitsEqual(res.Routing)
 		e.next.SetSBS(n, res.Routing)
 	}
 	e.solved[w] = solved
@@ -257,7 +243,6 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 
 	// Privacy pass: one shared noise stream means one drawer. Ascending
 	// SBS order reproduces the sequential engines' draw sequence exactly.
-	// The perturbed upload decides the block's dirtiness.
 	if c.lppm != nil {
 		for n := 0; n < inst.N; n++ {
 			upload, err := c.lppm.PerturbSBS(n, e.next.SBS(n))
@@ -265,14 +250,12 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 				e.st = nil
 				return err
 			}
-			e.dirtyBlock[n] = !e.memo || !st.Y.SBS(n).BitsEqual(upload)
 			e.next.SetSBS(n, upload)
 		}
 	}
 
-	if endRound(inst, st, e.next, e.memo, e.dirtyBlock, e.dirtyRow) > 0 {
-		e.barrier(phaseMerge)
-	}
+	st.Y.Swap(e.next)
+	e.barrier(phaseMerge)
 	e.st = nil
 	return nil
 }

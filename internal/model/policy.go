@@ -157,33 +157,6 @@ func NewRoutingPolicy(in *Instance) *RoutingPolicy {
 	return &RoutingPolicy{T: NewTensor3(in.N, in.U, in.F)}
 }
 
-// RoutingPolicyFromBlocks copies nested per-SBS blocks (the stable
-// serialization shape) into a flat policy, validating shapes.
-func RoutingPolicyFromBlocks(blocks [][][]float64) (*RoutingPolicy, error) {
-	n := len(blocks)
-	if n == 0 {
-		return nil, fmt.Errorf("model: routing policy needs at least one SBS block")
-	}
-	u := len(blocks[0])
-	if u == 0 {
-		return nil, fmt.Errorf("model: routing block 0 is empty")
-	}
-	f := len(blocks[0][0])
-	p := &RoutingPolicy{T: NewTensor3(n, u, f)}
-	for i, block := range blocks {
-		if len(block) != u {
-			return nil, fmt.Errorf("model: routing block %d has %d rows, want %d", i, len(block), u)
-		}
-		for j, row := range block {
-			if len(row) != f {
-				return nil, fmt.Errorf("model: routing[%d][%d] has %d entries, want %d", i, j, len(row), f)
-			}
-			copy(p.T.SBSRow(i).Row(j), row)
-		}
-	}
-	return p, nil
-}
-
 // At returns y_nuf.
 //
 //edgecache:noalloc

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the flat dense-tensor substrate the solver layers run on.
 // The hot paths of the repository — cost evaluation (eq. 5-7), the
@@ -127,25 +124,6 @@ func (m Mat) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// BitsEqual reports whether m and o hold bitwise-identical values (an
-// exact Float64bits compare, so -0 ≠ +0 and NaN == NaN with the same
-// payload). The sweep engines use it for dirty-set change detection, where
-// "no change" must mean "a recompute reproduces these exact bits" — an
-// epsilon compare would let drift accumulate silently. Shapes must match.
-//
-//edgecache:noalloc
-func (m Mat) BitsEqual(o Mat) bool {
-	if m.U != o.U || m.F != o.F {
-		panic(fmt.Sprintf("model: BitsEqual shape mismatch: %dx%d vs %dx%d", m.U, m.F, o.U, o.F))
-	}
-	for i, v := range m.Data {
-		if math.Float64bits(v) != math.Float64bits(o.Data[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Tensor3 is a dense N×U×F tensor over a single contiguous backing slice.

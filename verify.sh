@@ -73,7 +73,8 @@ go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/trans
 # the SBS its worker claimed, and each round's merge phase rebuilds and
 # repairs row shards concurrently, so more runs and both P counts shake
 # out more interleavings. TestJacobiMergeRepairsSharedClaims forces the repair to
-# run on uneven shards; TestIncremental covers the dirty-set memo:
+# run on uneven shards; TestJacobiGolden pins 12-round trajectories of
+# both engines with the memo on; TestIncremental covers the dirty-set memo:
 # bit-identity against the memo-disabled reference (±LPPM, across resume)
 # and the solves-skipped>0 gate on the standard N=20 scenario.
 echo "verify: parallel sweep-engine gate (-race, 3 runs, -cpu 1,2)"
@@ -109,6 +110,17 @@ go test -race ./internal/model/... ./cmd/...
 echo "verify: go -C cmd/edgebench vet ./... && go -C cmd/edgebench test ./..."
 go -C cmd/edgebench vet ./...
 go -C cmd/edgebench test ./...
+
+# Experiment-output gate: every committed CSV under results/ must
+# regenerate byte for byte, so a change that moves any experiment's
+# output fails here instead of being found by hand. benchfig writes into
+# a fresh temporary directory, never into results/, and the directory is
+# removed on exit.
+echo "verify: benchfig CSVs byte-identical to results/"
+csvtmp=$(mktemp -d)
+trap 'rm -rf "$csvtmp"' EXIT
+go run ./cmd/benchfig -all -summary -extra -ablations -csv "$csvtmp" >/dev/null
+diff -r "$csvtmp" results
 
 echo "verify: go test -race -short ./internal/chaos/..."
 go test -race -short ./internal/chaos/...
