@@ -95,9 +95,9 @@ type Config struct {
 	// Sub is the per-SBS sub-problem configuration.
 	Sub SubproblemConfig
 	// Gamma is the relative-improvement convergence threshold γ; the sweep
-	// stops when |f(τ) − f(τ−1)|/f(τ) ≤ γ. 0 means the default 1e-6.
-	Gamma float64
-	// MaxSweeps is T, the sweep budget. 0 means the default 50.
+	// stops when |f(τ) − f(τ−1)|/f(τ) ≤ γ. MaxSweeps is T, the sweep
+	// budget. 0 means Driver's defaults.
+	Gamma     float64
 	MaxSweeps int
 	// Engine selects the sweep discipline: the zero value is the paper's
 	// sequential Gauss-Seidel sweep (Algorithm 1); EngineJacobi is the
@@ -157,16 +157,6 @@ func DefaultConfig() Config {
 	return Config{Sub: DefaultSubproblemConfig()}
 }
 
-func (c Config) withDefaults() Config {
-	if c.Gamma <= 0 {
-		c.Gamma = 1e-6
-	}
-	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = 50
-	}
-	return c
-}
-
 // RunResult is the outcome of a full Algorithm 1 run.
 type RunResult struct {
 	// Solution is the final caching and routing policy as seen by the BS
@@ -182,7 +172,7 @@ type RunResult struct {
 	// Work records the dirty-set accounting of each sweep this run
 	// executed: how many sub-problems were actually solved and how many
 	// were served from the memo (see DESIGN.md "Incremental sweeps"). It is
-	// nil for engines without the accounting (the BS agent, multi-BS) and is
+	// nil only for the BS agent, whose SBSs solve out of its sight, and is
 	// not serialized in checkpoints — a resumed run starts it afresh.
 	Work []SweepWork
 	// Faults holds the per-SBS fault accounting of a distributed run
@@ -193,8 +183,7 @@ type RunResult struct {
 
 // SweepWork is one sweep's dirty-set accounting: Solves sub-problems were
 // recomputed, Skipped were answered verbatim from the per-SBS memo because
-// nothing they read had changed. Solves+Skipped == N for the in-process
-// engines.
+// nothing they read had changed. Solves+Skipped == N in every sweep.
 type SweepWork struct {
 	Solves  int
 	Skipped int
@@ -210,29 +199,9 @@ func (r *RunResult) TotalWork() SweepWork {
 	return t
 }
 
-// SBSFaultStats is the BS-observed fault record of one SBS agent over a
-// distributed run. The in-process Coordinator never populates it; the sim
-// BS agent does, and the chaos tests assert it against the injected fault
-// schedule.
-type SBSFaultStats struct {
-	// Misses counts phases whose upload never arrived within the full
-	// PhaseTimeout window (each one stalls the sweep by that timeout).
-	Misses int
-	// Retries counts MsgPhaseStart retransmissions within phase windows.
-	Retries int
-	// Malformed counts uploads that arrived but failed validation
-	// (undecodable payload or wrong shapes) and were discarded.
-	Malformed int
-	// QuarantineSpans counts entries into quarantine (including
-	// re-entries after a failed rejoin probe).
-	QuarantineSpans int
-	// SkippedPhases counts phases skipped outright while quarantined —
-	// sweeps that did NOT burn a PhaseTimeout on a dead SBS.
-	SkippedPhases int
-	// FailedProbes counts cheap rejoin probes that went unanswered (each
-	// costs only an eighth of the BS's PhaseTimeout).
-	FailedProbes int
-}
+// SBSFaultStats is re-exported from internal/model, where it is part of
+// the BS agent's checkpointed per-SBS record (model.SBSHealthState).
+type SBSFaultStats = model.SBSFaultStats
 
 // TotalFaults sums the per-SBS fault stats into one record.
 func (r *RunResult) TotalFaults() SBSFaultStats {
@@ -258,9 +227,6 @@ type Coordinator struct {
 	subs   []*Subproblem
 	lppm   *LPPM       // nil when privacy is off
 	engine SweepEngine // the engine cfg.Engine selected
-	// solves and skips are the lifetime dirty-set accounting of
-	// answerPhase, which the Driver slices into per-sweep deltas.
-	solves, skips uint64
 }
 
 // NewCoordinator validates the instance and precomputes the per-SBS
@@ -270,7 +236,6 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	if !cfg.Engine.Valid() {
 		return nil, fmt.Errorf("core: unknown engine kind %d", cfg.Engine)
 	}
@@ -338,14 +303,9 @@ func (c *Coordinator) answerPhase(st *SweepState, sweep, n int, yMinus model.Mat
 	// A hit skips only the solve: everything else in the phase (LPPM
 	// draws, the install round-trip) still runs, so the trajectory and the
 	// noise stream position stay byte-equal to the unskipped run's.
-	res, hit, err := c.subs[n].respond(yMinus, !c.cfg.DisableIncremental)
+	res, err := c.subs[n].respond(yMinus, !c.cfg.DisableIncremental)
 	if err != nil {
 		return nil, model.Mat{}, false, err
-	}
-	if hit {
-		c.skips++
-	} else {
-		c.solves++
 	}
 	upload := res.Routing
 	if c.lppm != nil {

@@ -137,17 +137,6 @@ type SweepEngine interface {
 	Close()
 }
 
-// workCounter is the optional engine face of the dirty-set accounting:
-// engines that track memo hits expose cumulative counters and the Driver
-// turns them into per-sweep deltas in RunResult.Work. Engines without the
-// accounting (the BS agent's Gauss-Seidel engine, the multi-BS rounds)
-// simply don't implement it.
-type workCounter interface {
-	// workCounts returns the engine-lifetime totals of sub-problems solved
-	// and served from the memo.
-	workCounts() (solves, skipped uint64)
-}
-
 // Driver is the shared outer loop of Algorithm 1: it alternates
 // engine sweeps with cost evaluation, best tracking, the γ stop rule and
 // checkpoint capture. Every Algorithm 1 run goes through it: the
@@ -159,7 +148,8 @@ type Driver struct {
 	// Inst is the problem instance.
 	Inst *model.Instance
 	// Gamma is the relative-improvement stop threshold; MaxSweeps the
-	// sweep budget. Both must be set (Config.withDefaults does).
+	// sweep budget. Run reads 0 (or less) as γ = 1e-6 and a budget of 50
+	// sweeps; every deployment leaves its defaults to it.
 	Gamma     float64
 	MaxSweeps int
 	// Snapshot, when non-nil, is called at every sweep boundary the run
@@ -170,7 +160,18 @@ type Driver struct {
 	// it when faults corrupted the sweep's cost signal (missed uploads,
 	// quarantined SBSs).
 	HoldConvergence func() bool
+	// workTotals, when non-nil, returns the cumulative memo accounting of
+	// the engine's sub-problems; Run records its per-sweep differences in
+	// RunResult.Work. The Coordinator sets it; the BS agent cannot, since
+	// its SBSs solve out of its sight.
+	workTotals func() SweepWork
 }
+
+// Algorithm 1's stop threshold and sweep budget when Driver leaves them 0.
+const (
+	defaultGamma     = 1e-6
+	defaultMaxSweeps = 50
+)
 
 // Run drives the engine from st (iteration zero or a resumed snapshot) to
 // completion.
@@ -182,24 +183,27 @@ type Driver struct {
 // noise redraws can drift the trajectory, and keeping the best sweep is
 // the natural BS-side behaviour.
 func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
+	gamma, maxSweeps := d.Gamma, d.MaxSweeps
+	if gamma <= 0 {
+		gamma = defaultGamma
+	}
+	if maxSweeps <= 0 {
+		maxSweeps = defaultMaxSweeps
+	}
 	res := &RunResult{History: st.History, Sweeps: len(st.History)}
-	wc, _ := eng.(workCounter)
-	var prevSolves, prevSkipped uint64
-	if wc != nil {
-		prevSolves, prevSkipped = wc.workCounts()
+	var prev SweepWork
+	if d.workTotals != nil {
+		prev = d.workTotals()
 	}
 
-	for sweep := st.Sweep; sweep < d.MaxSweeps; sweep++ {
+	for sweep := st.Sweep; sweep < maxSweeps; sweep++ {
 		if err := eng.Sweep(st, sweep); err != nil {
 			return nil, err
 		}
-		if wc != nil {
-			solves, skipped := wc.workCounts()
-			res.Work = append(res.Work, SweepWork{
-				Solves:  int(solves - prevSolves),
-				Skipped: int(skipped - prevSkipped),
-			})
-			prevSolves, prevSkipped = solves, skipped
+		if d.workTotals != nil {
+			tot := d.workTotals()
+			res.Work = append(res.Work, SweepWork{Solves: tot.Solves - prev.Solves, Skipped: tot.Skipped - prev.Skipped})
+			prev = tot
 		}
 		cost := model.TotalServingCostFromAggregate(d.Inst, st.Y, st.Tracker.Aggregate())
 		res.History = append(res.History, cost.Total)
@@ -213,7 +217,7 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 		// LPPM (Theorem 3 guarantees convergence of the underlying
 		// sequence, but individual sweeps can regress slightly).
 		hold := d.HoldConvergence != nil && d.HoldConvergence()
-		if !hold && cost.Total > 0 && math.Abs(st.PrevCost-cost.Total)/cost.Total <= d.Gamma {
+		if !hold && cost.Total > 0 && math.Abs(st.PrevCost-cost.Total)/cost.Total <= gamma {
 			res.Converged = true
 			st.PrevCost = cost.Total
 			break
@@ -226,7 +230,9 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 		}
 	}
 
-	if st.Best == nil { // MaxSweeps == 0 cannot happen after withDefaults, but stay safe
+	// No sweep ran: a decoded checkpoint may already sit at (or past) the
+	// budget without a best solution.
+	if st.Best == nil {
 		st.Best = &model.Solution{Caching: st.X, Routing: st.Y, Cost: model.TotalServingCost(d.Inst, st.Y)}
 	}
 	res.Solution = st.Best
@@ -277,38 +283,40 @@ func (e *gsEngine) Sweep(st *SweepState, sweep int) error {
 	return nil
 }
 
-// countedEngine attaches the coordinator's dirty-set accounting to an
-// engine that counts into it: the phases Coordinator.answerPhase answers,
-// and the parallel engine's solve fan-out.
-type countedEngine struct {
-	SweepEngine
-	c *Coordinator
-}
-
-func (e countedEngine) workCounts() (uint64, uint64) { return e.c.solves, e.c.skips }
-
 // newEngine builds the engine selected by cfg.Engine for this
 // coordinator.
 func (c *Coordinator) newEngine() (SweepEngine, error) {
 	switch c.cfg.Engine {
 	case model.EngineGaussSeidel:
-		return countedEngine{NewGaussSeidelEngine(c.inst, c.answerPhase), c}, nil
+		return NewGaussSeidelEngine(c.inst, c.answerPhase), nil
 	case model.EngineJacobi:
-		return countedEngine{newJacobiEngine(c), c}, nil
+		return newJacobiEngine(c), nil
 	case model.EngineParallelJacobi:
-		return countedEngine{newParallelJacobiEngine(c, c.cfg.Workers), c}, nil
+		return newParallelJacobiEngine(c, c.cfg.Workers), nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %v", c.cfg.Engine)
 	}
+}
+
+// workTotals sums the memo accounting of every SBS's sub-problem: all
+// engines answer through Subproblem.respond, which does the counting.
+func (c *Coordinator) workTotals() SweepWork {
+	var t SweepWork
+	for _, s := range c.subs {
+		t.Solves += s.solves
+		t.Skipped += s.skips
+	}
+	return t
 }
 
 // runEngine wires the coordinator's configuration into the shared driver
 // and runs eng from st.
 func (c *Coordinator) runEngine(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	d := &Driver{
-		Inst:      c.inst,
-		Gamma:     c.cfg.Gamma,
-		MaxSweeps: c.cfg.MaxSweeps,
+		Inst:       c.inst,
+		Gamma:      c.cfg.Gamma,
+		MaxSweeps:  c.cfg.MaxSweeps,
+		workTotals: c.workTotals,
 	}
 	if ckpt := c.cfg.Checkpoint; ckpt != nil {
 		kind := eng.Kind()

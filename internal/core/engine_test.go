@@ -481,20 +481,21 @@ func TestJacobiFullyHitRoundIsNoOp(t *testing.T) {
 	}
 	fullHits := 0
 	for round := 0; round < 12; round++ {
-		var refWork [2]uint64
+		var refWork SweepWork
 		fullyHit := false
 		for i, r := range runs {
 			before := bitsOf(r.st)
-			solves, skips := r.c.solves, r.c.skips
+			prev := r.c.workTotals()
 			if err := r.c.engine.Sweep(r.st, round); err != nil {
 				t.Fatal(err)
 			}
-			work := [2]uint64{r.c.solves - solves, r.c.skips - skips}
+			tot := r.c.workTotals()
+			work := SweepWork{Solves: tot.Solves - prev.Solves, Skipped: tot.Skipped - prev.Skipped}
 			if i == 0 {
-				if work[0]+work[1] != uint64(inst.N) {
-					t.Fatalf("round %d: %d solves + %d skips do not partition N=%d", round, work[0], work[1], inst.N)
+				if work.Solves+work.Skipped != inst.N {
+					t.Fatalf("round %d: %d solves + %d skips do not partition N=%d", round, work.Solves, work.Skipped, inst.N)
 				}
-				refWork, fullyHit = work, work[1] == uint64(inst.N)
+				refWork, fullyHit = work, work.Skipped == inst.N
 			} else {
 				if work != refWork {
 					t.Fatalf("round %d: %s work %v, reference %v", round, r.name, work, refWork)

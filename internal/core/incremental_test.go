@@ -284,12 +284,13 @@ func TestMemoKeyIsResidualCapacities(t *testing.T) {
 	phase := func(label string, wantHit bool) {
 		t.Helper()
 		st.Tracker.YMinusInto(inst, st.Y, 0, yMinus)
-		solves, skips := c.solves, c.skips
+		prev := c.workTotals()
 		cache, routing, _, err := c.answerPhase(st, 0, 0, yMinus)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if hit := c.skips > skips; hit != wantHit || c.solves+c.skips != solves+skips+1 {
+		tot := c.workTotals()
+		if hit := tot.Skipped > prev.Skipped; hit != wantHit || tot.Solves+tot.Skipped != prev.Solves+prev.Skipped+1 {
 			t.Fatalf("%s: memo hit=%v, want %v", label, hit, wantHit)
 		}
 		fresh, err := NewSubproblem(inst, 0, DefaultSubproblemConfig())

@@ -25,7 +25,7 @@ type MultiBSConfig struct {
 	// one region and regions are non-empty.
 	Regions [][]int
 	// Sub, Gamma, MaxRounds follow Config's Sub, Gamma and MaxSweeps
-	// (0 → defaults 1e-6 and 50).
+	// (0 means Driver's defaults).
 	Sub       SubproblemConfig
 	Gamma     float64
 	MaxRounds int

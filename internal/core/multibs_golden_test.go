@@ -95,11 +95,13 @@ func routingDigest(y *model.RoutingPolicy) uint64 {
 
 // TestMultiBSGolden pins RunMultiBS bit for bit: any change to the
 // per-phase summation order, the LPPM draw order, the cross-region repair
-// or the stop rule moves at least one pinned value.
+// or the stop rule moves at least one pinned value. It also checks that
+// every round reports its memo accounting in RunResult.Work.
 func TestMultiBSGolden(t *testing.T) {
 	if len(multiBSGoldenCases) == 0 {
 		t.Fatal("no golden cases")
 	}
+	skipped := 0
 	for _, gc := range multiBSGoldenCases {
 		res := multiBSGoldenRun(t, gc)
 		if res.Sweeps != gc.sweeps || res.Converged != gc.converged {
@@ -117,5 +119,21 @@ func TestMultiBSGolden(t *testing.T) {
 		if got := routingDigest(res.Solution.Routing); got != gc.routing {
 			t.Errorf("%s: routing digest %#x, want %#x", gc.name, got, gc.routing)
 		}
+		// The regional engine answers through the same per-SBS memo as
+		// the single-BS engines, so its rounds carry the same accounting.
+		if len(res.Work) != res.Sweeps {
+			t.Errorf("%s: %d work records for %d rounds", gc.name, len(res.Work), res.Sweeps)
+		}
+		for i, w := range res.Work {
+			if w.Solves+w.Skipped != 4 {
+				t.Errorf("%s: round %d: %d solves + %d skips do not partition N=4", gc.name, i, w.Solves, w.Skipped)
+			}
+		}
+		skipped += res.TotalWork().Skipped
+	}
+	// Six of the eight runs revisit a capacity vector; the two permuted
+	// layouts never do.
+	if skipped == 0 {
+		t.Error("no memo hit in any multi-BS run")
 	}
 }

@@ -49,15 +49,13 @@ type parallelJacobiEngine struct {
 	next   *model.RoutingPolicy
 
 	// Phase plumbing, written by the driver goroutine before the wake
-	// tokens and read by workers after them. errs and solved are
-	// per-worker slots: a worker's first solve error, and how many of its
-	// claims it solved rather than answered from the memo.
+	// tokens and read by workers after them. errs holds each worker's
+	// first solve error.
 	st     *SweepState
 	phase  int
 	cursor atomic.Int64
 	memo   bool
 	errs   []error
-	solved []int
 
 	started bool
 	closed  bool
@@ -86,7 +84,6 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 		yMinus:  make([]model.Mat, workers),
 		next:    model.NewRoutingPolicy(c.inst),
 		errs:    make([]error, workers),
-		solved:  make([]int, workers),
 		wake:    make([]chan struct{}, workers),
 		done:    make(chan struct{}, workers),
 		quit:    make(chan struct{}),
@@ -164,12 +161,12 @@ func (e *parallelJacobiEngine) runPhase(w int) {
 
 // solveShare claims sub-problems off the shared cursor, one SBS per
 // claim, until the round is drained. Each claim derives y_{-n} and takes
-// SBS n's response: a memo hit or a solve, counted in solved[w].
+// SBS n's response: a memo hit or a solve, which SBS n's sub-problem
+// counts itself.
 //
 //edgecache:noalloc
 func (e *parallelJacobiEngine) solveShare(w int) {
 	c, inst, st := e.c, e.c.inst, e.st
-	solved := 0
 	for {
 		n := int(e.cursor.Add(1)) - 1
 		if n >= inst.N {
@@ -179,18 +176,14 @@ func (e *parallelJacobiEngine) solveShare(w int) {
 			continue // drain the cursor; the round already failed
 		}
 		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus[w])
-		res, hit, err := c.subs[n].respond(e.yMinus[w], e.memo)
+		res, err := c.subs[n].respond(e.yMinus[w], e.memo)
 		if err != nil {
 			e.errs[w] = err
 			continue
 		}
-		if !hit {
-			solved++
-		}
 		st.X.SetRow(n, res.Cache)
 		e.next.SetSBS(n, res.Routing)
 	}
-	e.solved[w] = solved
 }
 
 // rowRange is worker w's static user-row shard [u0, u1) for the merge
@@ -230,16 +223,12 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep int) error {
 	// uploads land in e.next while st.Y stays frozen as the round's
 	// read-only input.
 	e.barrier(phaseSolve)
-	solves := 0
-	for w, err := range e.errs {
+	for _, err := range e.errs {
 		if err != nil {
 			e.st = nil
 			return err
 		}
-		solves += e.solved[w]
 	}
-	c.solves += uint64(solves)
-	c.skips += uint64(inst.N - solves)
 
 	// Privacy pass: one shared noise stream means one drawer. Ascending
 	// SBS order reproduces the sequential engines' draw sequence exactly.

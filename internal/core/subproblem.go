@@ -96,6 +96,10 @@ type Subproblem struct {
 	// they hold the capacities it read and the answer it gave (see
 	// answers).
 	ws solveWorkspace
+	// solves and skips count this SBS's engine answers (respond): fresh
+	// solves and memo hits. The coordinator sums them over its SBSs for
+	// RunResult.Work.
+	solves, skips int
 }
 
 // answers reports whether ws.result is Solve's answer to yMinus: a Solve
@@ -122,17 +126,19 @@ func (s *Subproblem) answers(yMinus model.Mat) bool {
 }
 
 // respond is an engine's answer for this SBS against yMinus: with memo
-// set, the workspace result when it already answers yMinus (hit), and a
-// fresh Solve otherwise. Either way the Result is workspace-owned, as
-// Solve documents.
+// set, the workspace result when it already answers yMinus (a hit, counted
+// in skips), and a fresh Solve otherwise (counted in solves). Either way
+// the Result is workspace-owned, as Solve documents. Every engine answers
+// through it, so the two counters are the run's whole memo accounting.
 //
 //edgecache:noalloc
-func (s *Subproblem) respond(yMinus model.Mat, memo bool) (res *Result, hit bool, err error) {
+func (s *Subproblem) respond(yMinus model.Mat, memo bool) (*Result, error) {
 	if memo && s.answers(yMinus) {
-		return &s.ws.result, true, nil
+		s.skips++
+		return &s.ws.result, nil
 	}
-	res, err = s.Solve(yMinus)
-	return res, false, err
+	s.solves++
+	return s.Solve(yMinus)
 }
 
 // item is one servable (u,f) pair from SBS n's perspective.

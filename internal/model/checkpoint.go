@@ -59,23 +59,48 @@ const (
 	maxCheckpointSize = 1 << 30
 )
 
-// SBSHealthState is the serializable form of the BS agent's per-SBS
-// liveness record plus its fault accounting, so a resumed distributed run
-// keeps quarantine decisions and statistics instead of re-learning them.
-type SBSHealthState struct {
-	// ConsecMisses, Quarantined, ProbeSweep and HoldConv mirror the BS
-	// agent's live health record (see internal/sim).
-	ConsecMisses int
-	Quarantined  bool
-	ProbeSweep   int
-	HoldConv     bool
-	// The remaining fields mirror core.SBSFaultStats.
-	Misses          int
-	Retries         int
-	Malformed       int
+// SBSFaultStats is the BS-observed fault record of one SBS agent over a
+// distributed run (core re-exports it for RunResult.Faults). The
+// in-process Coordinator never populates it; the sim BS agent does, and the
+// chaos tests assert it against the injected fault schedule.
+type SBSFaultStats struct {
+	// Misses counts phases whose upload never arrived within the full
+	// PhaseTimeout window (each one stalls the sweep by that timeout).
+	Misses int
+	// Retries counts MsgPhaseStart retransmissions within phase windows.
+	Retries int
+	// Malformed counts uploads that arrived but failed validation
+	// (undecodable payload or wrong shapes) and were discarded.
+	Malformed int
+	// QuarantineSpans counts entries into quarantine (including
+	// re-entries after a failed rejoin probe).
 	QuarantineSpans int
-	SkippedPhases   int
-	FailedProbes    int
+	// SkippedPhases counts phases skipped outright while quarantined —
+	// sweeps that did NOT burn a PhaseTimeout on a dead SBS.
+	SkippedPhases int
+	// FailedProbes counts cheap rejoin probes that went unanswered (each
+	// costs only an eighth of the BS's PhaseTimeout).
+	FailedProbes int
+}
+
+// SBSHealthState is the BS agent's record of one SBS: its liveness and its
+// fault accounting. The agent updates these records in place during a run
+// and checkpoints them as they are, so a resumed distributed run keeps
+// quarantine decisions and statistics instead of re-learning them.
+type SBSHealthState struct {
+	// ConsecMisses counts full-window misses since the last good upload.
+	ConsecMisses int
+	// Quarantined marks the SBS as skipped; ProbeSweep is the sweep at
+	// which the next rejoin probe goes out.
+	Quarantined bool
+	ProbeSweep  int
+	// HoldConv defers the γ-convergence check while the SBS is freshly
+	// quarantined: its policy is frozen, so the cost plateaus at once and
+	// the criterion would fire before a transient outage can heal. The
+	// first rejoin probe of the outage releases it, answered (rejoin) or
+	// not (persistently dead, stop waiting for it).
+	HoldConv bool
+	SBSFaultStats
 }
 
 // Checkpoint is one recoverable snapshot of a DUA run, taken at a sweep

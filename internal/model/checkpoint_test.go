@@ -45,8 +45,9 @@ func testCheckpoint() *Checkpoint {
 		NoiseSeed:  42,
 		NoiseDraws: 1234,
 		Health: []SBSHealthState{
-			{ConsecMisses: 1, Misses: 3, Retries: 7},
-			{Quarantined: true, ProbeSweep: 5, HoldConv: true, QuarantineSpans: 2, SkippedPhases: 4, FailedProbes: 1},
+			{ConsecMisses: 1, SBSFaultStats: SBSFaultStats{Misses: 3, Retries: 7}},
+			{Quarantined: true, ProbeSweep: 5, HoldConv: true,
+				SBSFaultStats: SBSFaultStats{QuarantineSpans: 2, SkippedPhases: 4, FailedProbes: 1}},
 		},
 		InstanceFP: in.Fingerprint(),
 	}

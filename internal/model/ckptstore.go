@@ -136,30 +136,10 @@ func (s *CheckpointStore) List() ([]string, error) {
 // Latest implements CheckpointSource. A corrupted newest file (e.g. torn
 // by a crash on a filesystem without rename atomicity) is skipped in favor
 // of the next older decodable one; the collected decode errors are
-// reported when nothing is recoverable.
+// reported when nothing is recoverable. Latest renames nothing.
 func (s *CheckpointStore) Latest() (*Checkpoint, error) {
-	names, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	var decodeErrs []error
-	for i := len(names) - 1; i >= 0; i-- {
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, names[i]))
-		if err != nil {
-			decodeErrs = append(decodeErrs, err)
-			continue
-		}
-		ck, err := UnmarshalCheckpoint(data)
-		if err != nil {
-			decodeErrs = append(decodeErrs, fmt.Errorf("%s: %w", names[i], err))
-			continue
-		}
-		return ck, nil
-	}
-	if len(decodeErrs) > 0 {
-		return nil, fmt.Errorf("model: checkpoint store: no recoverable snapshot: %w", errors.Join(decodeErrs...))
-	}
-	return nil, ErrNoCheckpoint
+	ck, _, err := s.scrub(true, false)
+	return ck, err
 }
 
 // prune removes stale temp files and all but the newest retain snapshots.
@@ -199,7 +179,7 @@ func (s *CheckpointStore) prune() error {
 // recovery wants (a later save under a quarantined name must not resurrect
 // corrupt bytes as the apparent newest snapshot).
 func (s *CheckpointStore) DeepLatest() (*Checkpoint, error) {
-	ck, _, err := s.scrub(true)
+	ck, _, err := s.scrub(true, true)
 	return ck, err
 }
 
@@ -217,17 +197,17 @@ type ScrubReport struct {
 // the full-sweep variant of DeepLatest for offline checks (soak's disk
 // invariant, an operator fsck).
 func (s *CheckpointStore) Scrub() (ScrubReport, error) {
-	_, report, err := s.scrub(false)
+	_, report, err := s.scrub(false, true)
 	if errors.Is(err, ErrNoCheckpoint) {
 		err = nil
 	}
 	return report, err
 }
 
-// scrub walks snapshots newest-first, quarantining undecodable ones. With
-// stopAtFirst it returns the newest intact snapshot as soon as it decodes;
-// otherwise it verifies everything.
-func (s *CheckpointStore) scrub(stopAtFirst bool) (*Checkpoint, ScrubReport, error) {
+// scrub walks snapshots newest-first, skipping undecodable ones and, with
+// quarantine, renaming them aside. With stopAtFirst it returns the newest
+// intact snapshot as soon as it decodes; otherwise it verifies everything.
+func (s *CheckpointStore) scrub(stopAtFirst, quarantine bool) (*Checkpoint, ScrubReport, error) {
 	names, err := s.List()
 	if err != nil {
 		return nil, ScrubReport{}, err
@@ -242,6 +222,9 @@ func (s *CheckpointStore) scrub(stopAtFirst bool) (*Checkpoint, ScrubReport, err
 		ck, err := s.verify(path)
 		if err != nil {
 			badErrs = append(badErrs, fmt.Errorf("%s: %w", names[i], err))
+			if !quarantine {
+				continue
+			}
 			if qerr := s.fs.Rename(path, quarantineName(path)); qerr != nil {
 				// Quarantine is best-effort: a read-only directory still
 				// gets fallback semantics, just without the rename.
@@ -259,7 +242,7 @@ func (s *CheckpointStore) scrub(stopAtFirst bool) (*Checkpoint, ScrubReport, err
 		}
 	}
 	if newest == nil {
-		// The caller needed a snapshot back (DeepLatest) and none
+		// The caller needed a snapshot back (Latest, DeepLatest) and none
 		// survived: that is an error, and the per-file diagnoses matter.
 		// A full sweep (Scrub) that quarantined everything did its job —
 		// the report records the outcome, so it reads as ErrNoCheckpoint

@@ -23,8 +23,8 @@ type ClusterSpec struct {
 	// become directory names and chaos targets).
 	Cells []ClusterCell `json:"cells"`
 
-	// Gamma and MaxSweeps mirror core.Config (0 means the agent defaults:
-	// 1e-6 and 50).
+	// Gamma and MaxSweeps mirror core.Config (0 means core.Driver's
+	// defaults).
 	Gamma     float64 `json:"gamma,omitempty"`
 	MaxSweeps int     `json:"max_sweeps,omitempty"`
 	// PhaseTimeoutMS bounds one BS phase wait. 0 means 2000.

@@ -49,6 +49,16 @@ func simBitEqual(t *testing.T, got, want *core.RunResult, label string) {
 func runProtocol(t *testing.T, ctx context.Context, inst *model.Instance, cfg BSConfig,
 	ck *model.Checkpoint, sbsHook EventHook) (*core.RunResult, []*SBSAgent, error) {
 	t.Helper()
+	return runDeployment(t, ctx, inst, cfg, ck, sbsHook, -1)
+}
+
+// runDeployment is runProtocol with SBS silent (when non-negative) never
+// started: its name is not even registered on the hub, so every send to it
+// fails at once and every phase it owns runs out its window. Its slot in
+// the returned agents is nil.
+func runDeployment(t *testing.T, ctx context.Context, inst *model.Instance, cfg BSConfig,
+	ck *model.Checkpoint, sbsHook EventHook, silent int) (*core.RunResult, []*SBSAgent, error) {
+	t.Helper()
 	hub := transport.NewHub()
 	const bsName = "bs"
 	bsEp, err := hub.Register(bsName, 4*inst.N+4)
@@ -61,6 +71,9 @@ func runProtocol(t *testing.T, ctx context.Context, inst *model.Instance, cfg BS
 	agents := make([]*SBSAgent, inst.N)
 	for n := 0; n < inst.N; n++ {
 		sbsNames[n] = "sbs-" + string(rune('0'+n))
+		if n == silent {
+			continue
+		}
 		ep, err := hub.Register(sbsNames[n], 8)
 		if err != nil {
 			t.Fatal(err)
@@ -84,9 +97,14 @@ func runProtocol(t *testing.T, ctx context.Context, inst *model.Instance, cfg BS
 	agentCtx, cancelAgents := context.WithCancel(ctx)
 	defer cancelAgents()
 	errCh := make(chan error, inst.N)
+	started := 0
 	for _, agent := range agents {
+		if agent == nil {
+			continue
+		}
 		agent := agent
 		go func() { errCh <- agent.Run(agentCtx) }()
+		started++
 	}
 
 	var res *core.RunResult
@@ -97,7 +115,7 @@ func runProtocol(t *testing.T, ctx context.Context, inst *model.Instance, cfg BS
 		res, runErr = bs.Run(ctx)
 	}
 	cancelAgents()
-	for range agents {
+	for i := 0; i < started; i++ {
 		select {
 		case <-errCh:
 		case <-time.After(5 * time.Second):
@@ -200,6 +218,88 @@ func TestSimStateSyncHandshake(t *testing.T) {
 	}
 	if got := bsEvents.Count(EventStateSyncMiss); got != 0 {
 		t.Errorf("state-sync misses on clean links = %d, want 0", got)
+	}
+}
+
+func TestSimResumeRestoresHealth(t *testing.T) {
+	// A resumed BS must keep its per-SBS health and fault accounting: SBS 1
+	// never answers, so its two misses, its quarantine, the phases skipped
+	// while quarantined and its failed probes follow from the protocol
+	// alone. A BS resumed from a snapshot taken inside the quarantine must
+	// end with the uninterrupted run's fault counts, and its state-sync
+	// must leave the quarantined SBS alone instead of waiting on it.
+	rng := rand.New(rand.NewSource(22))
+	inst := randomInstance(rng, 3, 5, 6)
+	ctx := testCtx(t)
+	const silent = 1
+	cfg := BSConfig{PhaseTimeout: 300 * time.Millisecond, QuarantineSweeps: 2, MaxSweeps: 8}
+
+	store := model.NewMemCheckpointStore()
+	ckCfg := cfg
+	ckCfg.Checkpoint = &core.CheckpointConfig{Sink: store}
+	want, _, err := runDeployment(t, ctx, inst, ckCfg, nil, nil, silent)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Sweeps 0 and 1 miss SBS 1 (each full window retransmits the announce
+	// AnnounceRetries = 2 times), the second miss quarantines it until its
+	// probe at sweep 1+QuarantineSweeps+1 = 4, and sweep 2 skips its phase.
+	// That is the record the BS holds at the boundary before sweep 3.
+	const boundary = 3
+	var ck *model.Checkpoint
+	for _, c := range store.All() {
+		if c.Sweep == boundary {
+			ck = c
+		}
+	}
+	if ck == nil {
+		t.Fatalf("no snapshot at the boundary before sweep %d (run took %d sweeps)", boundary, want.Sweeps)
+	}
+	if len(ck.Health) != inst.N {
+		t.Fatalf("snapshot holds %d health records, want %d", len(ck.Health), inst.N)
+	}
+	var live model.SBSHealthState
+	live.Quarantined = true
+	live.ProbeSweep = 4
+	live.HoldConv = true
+	live.Misses = quarantineAfter
+	live.Retries = 2 * quarantineAfter
+	live.QuarantineSpans = 1
+	live.SkippedPhases = 1
+	for n, h := range ck.Health {
+		w := model.SBSHealthState{}
+		if n == silent {
+			w = live
+		}
+		if h != w {
+			t.Errorf("snapshot health of SBS %d = %+v, want %+v", n, h, w)
+		}
+	}
+
+	var events EventCounter
+	resumeCfg := cfg
+	resumeCfg.OnEvent = events.Hook()
+	got, _, err := runDeployment(t, ctx, inst, resumeCfg, ck, nil, silent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simBitEqual(t, got, want, "resume inside the quarantine")
+	if len(got.Faults) != inst.N || len(want.Faults) != inst.N {
+		t.Fatalf("fault records: resumed %d, uninterrupted %d, want %d", len(got.Faults), len(want.Faults), inst.N)
+	}
+	for n := range want.Faults {
+		if got.Faults[n] != want.Faults[n] {
+			t.Errorf("SBS %d faults after resume = %+v, uninterrupted %+v", n, got.Faults[n], want.Faults[n])
+		}
+	}
+	if f := want.Faults[silent]; f.FailedProbes < 1 || f.SkippedPhases < 2 {
+		t.Errorf("silent SBS faults %+v: want a failed probe and both quarantined phases skipped", f)
+	}
+	for _, ev := range events.Events() {
+		if ev.Kind == EventStateSyncMiss && ev.SBS == silent {
+			t.Errorf("state-sync waited on the quarantined SBS %d", silent)
+		}
 	}
 }
 

@@ -41,7 +41,8 @@ import (
 
 // BSConfig tunes the BS agent.
 type BSConfig struct {
-	// Gamma and MaxSweeps follow core.Config (0 means defaults: 1e-6, 50).
+	// Gamma and MaxSweeps follow core.Config (0 means core.Driver's
+	// defaults).
 	Gamma     float64
 	MaxSweeps int
 	// PhaseTimeout bounds the wait for one SBS upload. 0 means 30s.
@@ -78,12 +79,6 @@ const (
 )
 
 func (c BSConfig) withDefaults() BSConfig {
-	if c.Gamma <= 0 {
-		c.Gamma = 1e-6
-	}
-	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = 50
-	}
 	if c.PhaseTimeout <= 0 {
 		c.PhaseTimeout = 30 * time.Second
 	}
@@ -98,22 +93,6 @@ func (c BSConfig) withDefaults() BSConfig {
 	return c
 }
 
-// sbsHealth is the BS's per-SBS liveness record.
-type sbsHealth struct {
-	// consecMisses counts full-window misses since the last good upload.
-	consecMisses int
-	// quarantined marks the SBS as skipped; probeSweep is the sweep at
-	// which the next rejoin probe goes out.
-	quarantined bool
-	probeSweep  int
-	// holdConv defers the γ-convergence check while this SBS is freshly
-	// quarantined: its policy is frozen, so the cost plateaus immediately
-	// and the criterion would fire before a transient outage can heal.
-	// The hold is released by the first rejoin probe of the outage —
-	// answered (rejoin) or not (persistently dead, stop waiting for it).
-	holdConv bool
-}
-
 // BSAgent is the base-station side of the protocol. The BS knows the
 // public instance data (demands, links — §I of the paper argues request
 // information is the least sensitive data class) but never any SBS's
@@ -123,7 +102,6 @@ type BSAgent struct {
 	cfg      BSConfig
 	ep       transport.Endpoint
 	sbsNames []string
-	health   []sbsHealth
 
 	// upRouting and upCache receive every upload in place (upRows are
 	// upRouting's row views), so a phase decodes without allocating; the
@@ -152,8 +130,7 @@ func NewBSAgent(inst *model.Instance, cfg BSConfig, ep transport.Endpoint, sbsNa
 		return nil, errors.New("sim: checkpoint config requires a sink")
 	}
 	b := &BSAgent{inst: inst, cfg: cfg.withDefaults(), ep: ep, sbsNames: sbsNames,
-		health: make([]sbsHealth, inst.N), upRouting: inst.NewUFMat(), upCache: make([]bool, inst.F),
-		annRows: make([][]float64, inst.U)}
+		upRouting: inst.NewUFMat(), upCache: make([]bool, inst.F), annRows: make([][]float64, inst.U)}
 	b.upRows = rowViews(make([][]float64, inst.U), b.upRouting)
 	return b, nil
 }
@@ -167,6 +144,7 @@ func (b *BSAgent) event(kind EventKind, sbs, sweep, phase int, err error) {
 
 // Run drives the full protocol and returns the converged result. SBS
 // agents must be running (or must join before their phase times out).
+// Every Run starts with every SBS healthy and its fault counts at zero.
 func (b *BSAgent) Run(ctx context.Context) (*core.RunResult, error) {
 	return b.run(ctx, nil)
 }
@@ -207,9 +185,12 @@ func (b *BSAgent) Resume(ctx context.Context, ck *model.Checkpoint) (*core.RunRe
 // which is what keeps the two deployments bit-for-bit equivalent with
 // privacy off.
 type bsPhases struct {
-	b      *BSAgent
-	ctx    context.Context
-	faults []core.SBSFaultStats
+	b   *BSAgent
+	ctx context.Context
+	// health is the BS's record of each SBS for this run, updated in place:
+	// the checkpoint stores a copy, a resume starts from a copy, and
+	// RunResult.Faults is read from it.
+	health []model.SBSHealthState
 	// sweepMissed records whether a live (non-quarantined) SBS missed its
 	// phase in the current sweep; a frozen policy makes the cost
 	// spuriously flat, so such sweeps must not satisfy the γ-criterion.
@@ -225,8 +206,8 @@ type bsPhases struct {
 func (s *bsPhases) holdConvergence() bool {
 	hold := s.sweepMissed
 	s.sweepMissed = false
-	for n := range s.b.health {
-		hold = hold || s.b.health[n].holdConv
+	for n := range s.health {
+		hold = hold || s.health[n].HoldConv
 	}
 	return hold
 }
@@ -235,17 +216,16 @@ func (s *bsPhases) holdConvergence() bool {
 // malformed) keeps SBS n's previous policy and leaves the aggregate alone.
 func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([]bool, model.Mat, bool, error) {
 	b := s.b
-	h := &b.health[n]
-	fs := &s.faults[n]
+	h := &s.health[n]
 
 	// Quarantined SBSs are skipped outright — no announce, no PhaseTimeout
 	// burned — until their probe sweep comes up; then one cheap probe
 	// (PhaseTimeout/probeDivisor) decides rejoin vs another quarantine span.
 	probing := false
 	timeout := b.cfg.PhaseTimeout
-	if h.quarantined {
-		if sweep < h.probeSweep {
-			fs.SkippedPhases++
+	if h.Quarantined {
+		if sweep < h.ProbeSweep {
+			h.SkippedPhases++
 			return nil, model.Mat{}, false, nil
 		}
 		probing = true
@@ -259,49 +239,49 @@ func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([
 		return nil, model.Mat{}, false, err
 	}
 	b.sendAnnounce(s.ctx, sweep, n, announce)
-	upload, ok, err := b.awaitUpload(s.ctx, sweep, n, timeout, fs, announce)
+	upload, ok, err := s.awaitUpload(sweep, n, timeout, announce)
 	if err != nil {
 		return nil, model.Mat{}, false, err
 	}
 	if !ok {
 		// SBS unreachable this phase: keep its old policy.
 		if probing {
-			fs.FailedProbes++
-			fs.QuarantineSpans++
-			h.probeSweep = sweep + b.cfg.QuarantineSweeps + 1
+			h.FailedProbes++
+			h.QuarantineSpans++
+			h.ProbeSweep = sweep + b.cfg.QuarantineSweeps + 1
 			// The first probe of the outage went unanswered: the SBS is
 			// treated as persistently dead and no longer delays
 			// convergence.
-			h.holdConv = false
+			h.HoldConv = false
 			b.event(EventProbeFailed, n, sweep, n, nil)
 			b.event(EventQuarantine, n, sweep, n, nil)
 		} else {
-			fs.Misses++
-			h.consecMisses++
+			h.Misses++
+			h.ConsecMisses++
 			s.sweepMissed = true
 			b.event(EventUploadTimeout, n, sweep, n, nil)
-			if h.consecMisses >= quarantineAfter {
-				h.quarantined = true
-				h.consecMisses = 0
-				fs.QuarantineSpans++
-				h.probeSweep = sweep + b.cfg.QuarantineSweeps + 1
-				h.holdConv = true
+			if h.ConsecMisses >= quarantineAfter {
+				h.Quarantined = true
+				h.ConsecMisses = 0
+				h.QuarantineSpans++
+				h.ProbeSweep = sweep + b.cfg.QuarantineSweeps + 1
+				h.HoldConv = true
 				b.event(EventQuarantine, n, sweep, n, nil)
 			}
 		}
 		return nil, model.Mat{}, false, nil
 	}
-	if h.quarantined {
-		h.quarantined = false
-		h.holdConv = false
+	if h.Quarantined {
+		h.Quarantined = false
+		h.HoldConv = false
 		b.event(EventRejoin, n, sweep, n, nil)
 	}
-	h.consecMisses = 0
+	h.ConsecMisses = 0
 	routing, err := b.checkUpload(n, upload)
 	if err != nil {
 		// A malformed upload is treated like a missing one: the previous
 		// policy stays in force.
-		fs.Malformed++
+		h.Malformed++
 		b.event(EventMalformedUpload, n, sweep, n, err)
 		return nil, model.Mat{}, false, nil
 	}
@@ -310,12 +290,14 @@ func (s *bsPhases) answer(_ *core.SweepState, sweep, n int, yMinus model.Mat) ([
 
 func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResult, error) {
 	inst := b.inst
-	phases := &bsPhases{b: b, ctx: ctx, faults: make([]core.SBSFaultStats, inst.N)}
+	phases := &bsPhases{b: b, ctx: ctx, health: make([]model.SBSHealthState, inst.N)}
 	var st *core.SweepState
 	if ck != nil {
 		st = core.SweepStateFromCheckpoint(inst, ck)
-		b.restoreHealth(ck.Health, phases.faults)
-		b.stateSync(ctx, ck)
+		// A checkpoint without health records (one captured by the
+		// in-process Coordinator) leaves every SBS healthy.
+		copy(phases.health, ck.Health)
+		phases.stateSync(ck.Sweep)
 	} else {
 		order := make([]int, inst.N)
 		for i := range order {
@@ -330,17 +312,18 @@ func (b *BSAgent) run(ctx context.Context, ck *model.Checkpoint) (*core.RunResul
 		HoldConvergence: phases.holdConvergence,
 	}
 	if ckpt := b.cfg.Checkpoint; ckpt != nil {
-		// Unlike core.Coordinator the BS also records per-SBS health and
-		// fault accounting.
 		d.Snapshot = func(st *core.SweepState, res *core.RunResult, sweep int) error {
-			return b.snapshot(ckpt.Sink, st, res, phases.faults, sweep)
+			return b.snapshot(ckpt.Sink, st, res, phases.health, sweep)
 		}
 	}
 	res, err := d.Run(core.NewGaussSeidelEngine(inst, phases.answer), st)
 	if err != nil {
 		return nil, err
 	}
-	res.Faults = phases.faults
+	res.Faults = make([]core.SBSFaultStats, inst.N)
+	for n, h := range phases.health {
+		res.Faults[n] = h.SBSFaultStats
+	}
 	b.broadcastDone(ctx)
 	return res, nil
 }
@@ -375,8 +358,9 @@ func (b *BSAgent) sendAnnounce(ctx context.Context, sweep, n int, msg transport.
 // byte-identical (y_{-n} cannot change within a phase) and the SBS's
 // solver is deterministic, so a double-delivered announce is harmless.
 // ok=false signals a timeout.
-func (b *BSAgent) awaitUpload(ctx context.Context, sweep, n int, timeout time.Duration,
-	fs *core.SBSFaultStats, announce transport.Message) (transport.PolicyUpload, bool, error) {
+func (s *bsPhases) awaitUpload(sweep, n int, timeout time.Duration,
+	announce transport.Message) (transport.PolicyUpload, bool, error) {
+	b, ctx := s.b, s.ctx
 	// Probes retransmit like regular phases: a probe's cost is its
 	// (short) timeout, not its sends, and on lossy links a single-shot
 	// probe would fail even against a healthy rejoined SBS.
@@ -389,7 +373,7 @@ func (b *BSAgent) awaitUpload(ctx context.Context, sweep, n int, timeout time.Du
 		if attempt < retries {
 			waitCtx, waitCancel = context.WithTimeout(overall, sub)
 		}
-		upload, ok, err := b.recvUpload(waitCtx, sweep, n, fs)
+		upload, ok, err := s.recvUpload(waitCtx, sweep, n)
 		waitCancel()
 		if err != nil || ok {
 			return upload, ok, err
@@ -402,7 +386,7 @@ func (b *BSAgent) awaitUpload(ctx context.Context, sweep, n int, timeout time.Du
 		if overall.Err() != nil {
 			return transport.PolicyUpload{}, false, nil
 		}
-		fs.Retries++
+		s.health[n].Retries++
 		b.event(EventAnnounceRetry, n, sweep, n, nil)
 		b.sendAnnounce(ctx, sweep, n, announce)
 	}
@@ -411,8 +395,8 @@ func (b *BSAgent) awaitUpload(ctx context.Context, sweep, n int, timeout time.Du
 // recvUpload drains the inbox until SBS n's upload for (sweep, n) arrives
 // or the context expires. A deadline returns ok=false with a nil error;
 // any other receive failure is fatal.
-func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
-	fs *core.SBSFaultStats) (transport.PolicyUpload, bool, error) {
+func (s *bsPhases) recvUpload(ctx context.Context, sweep, n int) (transport.PolicyUpload, bool, error) {
+	b := s.b
 	for {
 		msg, err := b.ep.Recv(ctx)
 		if err != nil {
@@ -429,7 +413,7 @@ func (b *BSAgent) recvUpload(ctx context.Context, sweep, n int,
 		if err := transport.DecodePayload(msg.Payload, &upload); err != nil {
 			// Undecodable upload: count it and keep waiting — a
 			// retransmission may still deliver a good copy in-window.
-			fs.Malformed++
+			s.health[n].Malformed++
 			b.event(EventBadUpload, n, sweep, n, err)
 			continue
 		}
@@ -495,63 +479,18 @@ func (b *BSAgent) broadcastDone(ctx context.Context) {
 }
 
 // snapshot captures the BS's sweep state as of boundary sweep and hands it
-// to the sink. Unlike core.Coordinator the BS agent also records per-SBS
-// health and fault accounting, so a resumed BS keeps quarantine spans and
-// probe schedules instead of re-learning which SBSs are dead.
+// to the sink. Unlike core.Coordinator the BS agent also records a copy of
+// its per-SBS health records, so a resumed BS keeps quarantine spans,
+// probe schedules and fault counts instead of re-learning which SBSs are
+// dead.
 func (b *BSAgent) snapshot(sink model.CheckpointSink, st *core.SweepState, res *core.RunResult,
-	faults []core.SBSFaultStats, sweep int) error {
+	health []model.SBSHealthState, sweep int) error {
 	ck := st.Checkpoint(b.inst, model.EngineGaussSeidel, res.History, sweep)
-	ck.Health = b.healthSnapshot(faults)
+	ck.Health = append([]model.SBSHealthState(nil), health...)
 	if err := sink.Save(ck); err != nil {
 		return fmt.Errorf("sim: checkpoint at sweep %d: %w", sweep, err)
 	}
 	return nil
-}
-
-// healthSnapshot freezes the live per-SBS health records plus the fault
-// accounting into checkpoint form.
-func (b *BSAgent) healthSnapshot(faults []core.SBSFaultStats) []model.SBSHealthState {
-	hs := make([]model.SBSHealthState, len(b.health))
-	for n := range hs {
-		h := b.health[n]
-		f := faults[n]
-		hs[n] = model.SBSHealthState{
-			ConsecMisses:    h.consecMisses,
-			Quarantined:     h.quarantined,
-			ProbeSweep:      h.probeSweep,
-			HoldConv:        h.holdConv,
-			Misses:          f.Misses,
-			Retries:         f.Retries,
-			Malformed:       f.Malformed,
-			QuarantineSpans: f.QuarantineSpans,
-			SkippedPhases:   f.SkippedPhases,
-			FailedProbes:    f.FailedProbes,
-		}
-	}
-	return hs
-}
-
-// restoreHealth is the inverse of healthSnapshot. A checkpoint without
-// health entries (e.g. one captured by the in-process Coordinator) leaves
-// the all-healthy initial state in place.
-func (b *BSAgent) restoreHealth(hs []model.SBSHealthState, faults []core.SBSFaultStats) {
-	for n := range hs {
-		h := hs[n]
-		b.health[n] = sbsHealth{
-			consecMisses: h.ConsecMisses,
-			quarantined:  h.Quarantined,
-			probeSweep:   h.ProbeSweep,
-			holdConv:     h.HoldConv,
-		}
-		faults[n] = core.SBSFaultStats{
-			Misses:          h.Misses,
-			Retries:         h.Retries,
-			Malformed:       h.Malformed,
-			QuarantineSpans: h.QuarantineSpans,
-			SkippedPhases:   h.SkippedPhases,
-			FailedProbes:    h.FailedProbes,
-		}
-	}
 }
 
 // stateSync rebroadcasts the resume point to every non-quarantined SBS so
@@ -561,16 +500,17 @@ func (b *BSAgent) restoreHealth(hs []model.SBSHealthState, faults []core.SBSFaul
 // probe window (PhaseTimeout/probeDivisor); a missing ack is observable
 // (EventStateSyncMiss) but never fatal — the phase-timeout machinery owns
 // recovery, exactly as for lost announces.
-func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
+func (s *bsPhases) stateSync(sweep int) {
+	b, ctx := s.b, s.ctx
 	awaiting := make([]bool, b.inst.N)
 	expected := 0
 	for n, name := range b.sbsNames {
-		if b.health[n].quarantined {
+		if s.health[n].Quarantined {
 			continue // known-dead: do not stall the handshake on it
 		}
-		msg := transport.Message{Type: transport.MsgStateSync, Sweep: ck.Sweep}
+		msg := transport.Message{Type: transport.MsgStateSync, Sweep: sweep}
 		if err := b.ep.Send(ctx, name, msg); err != nil {
-			b.event(EventSendFailed, n, ck.Sweep, 0, err)
+			b.event(EventSendFailed, n, sweep, 0, err)
 		}
 		awaiting[n] = true
 		expected++
@@ -585,7 +525,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 		if err != nil {
 			break
 		}
-		if msg.Type != transport.MsgStateAck || msg.Sweep != ck.Sweep {
+		if msg.Type != transport.MsgStateAck || msg.Sweep != sweep {
 			continue
 		}
 		for n, name := range b.sbsNames {
@@ -598,7 +538,7 @@ func (b *BSAgent) stateSync(ctx context.Context, ck *model.Checkpoint) {
 	}
 	for n, w := range awaiting {
 		if w {
-			b.event(EventStateSyncMiss, n, ck.Sweep, 0, nil)
+			b.event(EventStateSyncMiss, n, sweep, 0, nil)
 		}
 	}
 }

@@ -47,7 +47,9 @@ echo "verify: edgelint ./..."
 go run ./cmd/edgelint ./...
 
 # Crash-recovery gate: the checkpoint/resume paths (bit-identical resume,
-# snapshot codec hardening, BS crash recovery, state-sync handshake) and
+# snapshot codec hardening, BS crash recovery, state-sync handshake, and
+# TestSimResumeRestoresHealth: a resumed BS keeps its per-SBS health and
+# fault records, and its state-sync skips the quarantined SBS) and
 # the protocol's duplicate handling (the duplicate-storm table: 100%
 # duplication on every link, bit-identical to the clean run — the
 # (sweep, phase) filter is the only one, the transport dedups nothing)
@@ -72,7 +74,10 @@ go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/trans
 # pre-round aggregate and policy; each memo check reads the workspace of
 # the SBS its worker claimed, and each round's merge phase rebuilds and
 # repairs row shards concurrently, so more runs and both P counts shake
-# out more interleavings. TestJacobiMergeRepairsSharedClaims forces the repair to
+# out more interleavings. Each SBS's solve and memo-hit counts live in its
+# own sub-problem, written only by the worker that claimed it;
+# TestParallelSweepZeroAllocsPerWorker checks every round's counts
+# partition N. TestJacobiMergeRepairsSharedClaims forces the repair to
 # run on uneven shards; TestJacobiGolden pins 12-round trajectories of
 # both engines with the memo on; TestIncremental covers the dirty-set memo:
 # bit-identity against the memo-disabled reference (±LPPM, across resume)
