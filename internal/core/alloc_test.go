@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"edgecache/internal/model"
@@ -162,5 +163,46 @@ func TestSolveResultIsWorkspaceOwned(t *testing.T) {
 	}
 	if &first.Routing.Data[0] != &second.Routing.Data[0] {
 		t.Fatal("Solve allocated a fresh Result; expected workspace reuse")
+	}
+}
+
+// TestNewCoordinatorAllocs gates setup's allocations at the dense shape
+// (edgebench's dense instance, N=50, U=100, F=100, 60% links) with the
+// Gauss-Seidel engine: one NewCoordinator validates the instance and
+// builds 50 per-SBS solvers with their workspaces. It bounds the bytes
+// (runtime.MemStats.TotalAlloc) and the allocation count (Mallocs) of one
+// call, averaged over a few calls on one P as testing.AllocsPerRun does.
+// Growing the per-item state or the workspace fails it; it never gates
+// time.
+func TestNewCoordinatorAllocs(t *testing.T) {
+	// The bounds sit just above this toolchain's measurement after the
+	// 24-byte item: 26,902,528 bytes in 1,605 allocations (30,310,406
+	// bytes with the 40-byte item).
+	const (
+		runs      = 5
+		maxBytes  = 27_000_000
+		maxAllocs = 1_606
+	)
+	inst := denseShape()
+	build := func() {
+		c, err := NewCoordinator(inst, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	build() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("NewCoordinator (dense, GS): %d bytes in %d allocations", bytes, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Fatalf("NewCoordinator allocated %d bytes in %d allocations, want at most %d bytes in %d", bytes, allocs, maxBytes, maxAllocs)
 	}
 }

@@ -142,17 +142,29 @@ func BenchmarkDenseRound(b *testing.B) {
 }
 
 // BenchmarkNewCoordinatorDense measures setup at the dense shape: one
-// validation and 50 per-SBS solvers with their workspaces. Its B/op is
-// the per-SBS solver state.
+// validation and 50 per-SBS solvers with their workspaces, built inline
+// for the Gauss-Seidel engine (/gs) and on the parallel engine's two
+// workers (/parallel-2, edgebench's dense configuration). Its B/op is the
+// solvers' state plus the engine's own buffers: the Gauss-Seidel y₋ₙ
+// scratch, or the pool's per-worker y₋ₙ scratch and next-round policy.
 func BenchmarkNewCoordinatorDense(b *testing.B) {
 	inst := denseShape()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coord, err := NewCoordinator(inst, DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		coord.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"gs", DefaultConfig()},
+		{"parallel-2", parallelCfg(2)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coord, err := NewCoordinator(inst, tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				coord.Close()
+			}
+		})
 	}
 }

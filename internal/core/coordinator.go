@@ -104,8 +104,10 @@ type Config struct {
 	// sequential reference of the parallel-update variant (§VII);
 	// EngineParallelJacobi computes the same trajectory on a worker pool.
 	Engine EngineKind
-	// Workers sizes the parallel engine's pool; 0 means GOMAXPROCS. It is
-	// an error to set it for the sequential engines.
+	// Workers sizes the parallel engine's pool, and the fan-out that
+	// builds the per-SBS solvers in NewCoordinator; 0 means GOMAXPROCS.
+	// It is an error to set it for the sequential engines, which build
+	// their solvers on the calling goroutine.
 	Workers int
 	// DisableIncremental turns off the dirty-set memo, and nothing else:
 	// every phase is solved, even when the SBS's last solve read the same
@@ -230,8 +232,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the instance and precomputes the per-SBS
-// sub-problem solvers. Callers using EngineParallelJacobi should Close the
-// coordinator when done to release its worker pool.
+// sub-problem solvers, on as many goroutines as the parallel engine has
+// workers (one, inline, for the sequential engines). Callers using
+// EngineParallelJacobi should Close the coordinator when done to release
+// its worker pool.
 func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -269,15 +273,13 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 		}
 		c.lppm = lppm
 	}
-	c.subs = make([]*Subproblem, inst.N)
-	for n := 0; n < inst.N; n++ {
-		sub, err := newSubproblem(inst, n, cfg.Sub) // validated above
-		if err != nil {
-			return nil, err
-		}
-		c.subs[n] = sub
+	workers := poolSize(cfg)
+	subs, err := buildSubproblems(inst, cfg.Sub, workers) // validated above
+	if err != nil {
+		return nil, err
 	}
-	engine, err := c.newEngine()
+	c.subs = subs
+	engine, err := c.newEngine(workers)
 	if err != nil {
 		return nil, err
 	}

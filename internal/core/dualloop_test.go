@@ -26,7 +26,7 @@ func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 	// which enforces the coupling constraint (4) inside the block update.
 	caps := ws.caps
 	for i, it := range s.items {
-		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
+		caps[i] = clamp01(1 - yMinus.At(int(it.u), int(it.f)))
 	}
 
 	// Dual loop (eq. 21-23).
@@ -112,21 +112,23 @@ func (s *Subproblem) routingStep(y, mu, caps []float64) float64 {
 }
 
 // itemSubproblem wraps bare items in a one-SBS Subproblem: item j is the
-// pair (j/F, j%F), the density order is the item-level sort, and the
-// workspace and per-content lists are NewSubproblem's.
+// pair (j/F, j%F), the density order is the item-level stable sort by
+// gain/λ descending, and the workspace and per-content lists are
+// NewSubproblem's.
 func itemSubproblem(items []item, f, capN int, budget, stepScale float64, iters int) *Subproblem {
 	u := (len(items) + f - 1) / f
 	if u == 0 {
 		u = 1
 	}
 	for j := range items {
-		items[j].u, items[j].f = j/f, j%f
+		items[j].u, items[j].f = int32(j/f), int32(j%f)
 	}
 	order := make([]int32, len(items))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return items[order[a]].density > items[order[b]].density })
+	density := func(i int32) float64 { return items[i].gain / items[i].lambda }
+	sort.SliceStable(order, func(a, b int) bool { return density(order[a]) > density(order[b]) })
 	s := &Subproblem{
 		inst:      &model.Instance{N: 1, U: u, F: f, CacheCap: []int{capN}, Bandwidth: []float64{budget}},
 		cfg:       SubproblemConfig{DualIters: iters},
@@ -169,7 +171,7 @@ func decodeDual(data []byte) (*Subproblem, [2]model.Mat) {
 	for ; len(rest) >= 4 && len(items) < dualLoopMaxItems; rest = rest[4:] {
 		lambda := fillLambdas[int(rest[0])%len(fillLambdas)]
 		gain := dualGains[int(rest[1])%len(dualGains)]
-		items = append(items, item{lambda: lambda, gain: gain, density: gain / lambda})
+		items = append(items, item{lambda: lambda, gain: gain})
 		caps[0] = append(caps[0], fillCaps[int(rest[2])%len(fillCaps)])
 		caps[1] = append(caps[1], fillCaps[int(rest[3])%len(fillCaps)])
 	}
@@ -181,7 +183,7 @@ func decodeDual(data []byte) (*Subproblem, [2]model.Mat) {
 	for k := range yMinus {
 		yMinus[k] = model.NewMat(s.inst.U, s.inst.F)
 		for i, it := range s.items {
-			yMinus[k].Set(it.u, it.f, 1-caps[k][i]) // every table cap c gives 1 − (1 − c) = c
+			yMinus[k].Set(int(it.u), int(it.f), 1-caps[k][i]) // every table cap c gives 1 − (1 − c) = c
 		}
 	}
 	return s, yMinus

@@ -284,15 +284,15 @@ func (e *gsEngine) Sweep(st *SweepState, sweep int) error {
 }
 
 // newEngine builds the engine selected by cfg.Engine for this
-// coordinator.
-func (c *Coordinator) newEngine() (SweepEngine, error) {
+// coordinator; workers is poolSize(c.cfg).
+func (c *Coordinator) newEngine(workers int) (SweepEngine, error) {
 	switch c.cfg.Engine {
 	case model.EngineGaussSeidel:
 		return NewGaussSeidelEngine(c.inst, c.answerPhase), nil
 	case model.EngineJacobi:
 		return newJacobiEngine(c), nil
 	case model.EngineParallelJacobi:
-		return newParallelJacobiEngine(c, c.cfg.Workers), nil
+		return newParallelJacobiEngine(c, workers), nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %v", c.cfg.Engine)
 	}

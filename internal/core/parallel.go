@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"edgecache/internal/model"
@@ -74,10 +75,84 @@ const (
 	phaseMerge
 )
 
-func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// poolSize is the number of workers cfg's engine computes on: the
+// parallel engine's Workers, with 0 meaning GOMAXPROCS, and 1 for the
+// sequential engines. NewCoordinator resolves it once, and both the
+// subproblem build and the parallel engine's pool use it.
+func poolSize(cfg Config) int {
+	switch {
+	case cfg.Engine != EngineParallelJacobi:
+		return 1
+	case cfg.Workers == 0:
+		return runtime.GOMAXPROCS(0)
+	default:
+		return cfg.Workers
 	}
+}
+
+// buildSubproblems builds SBS n's solver into subs[n] for every n, on
+// min(workers, N) goroutines that claim indices off an atomic cursor; one
+// worker builds them inline, with no goroutine. A build reads only the
+// instance and writes only its own slot, so the solvers are the ones a
+// serial loop builds, whatever the worker count or scheduling. Every
+// worker is joined before it returns. On failure it reports the error of
+// the lowest failing n: a worker stops at its first failure, and claims
+// ascend, so every lower n was claimed and built.
+func buildSubproblems(inst *model.Instance, cfg SubproblemConfig, workers int) ([]*Subproblem, error) {
+	subs := make([]*Subproblem, inst.N)
+	workers = min(workers, inst.N)
+	if workers <= 1 {
+		var cursor atomic.Int64
+		if _, err := buildShare(inst, cfg, subs, &cursor); err != nil {
+			return nil, err
+		}
+		return subs, nil
+	}
+	cursor := new(atomic.Int64)
+	type failure struct {
+		n   int
+		err error
+	}
+	fails := make([]failure, workers)
+	var wg sync.WaitGroup
+	for w := range fails {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fails[w].n, fails[w].err = buildShare(inst, cfg, subs, cursor)
+		}()
+	}
+	wg.Wait()
+	var first *failure
+	for w := range fails {
+		if f := &fails[w]; f.err != nil && (first == nil || f.n < first.n) {
+			first = f
+		}
+	}
+	if first != nil {
+		return nil, first.err
+	}
+	return subs, nil
+}
+
+// buildShare builds the subproblems it claims off cursor until the
+// indices run out or a build fails; it returns the failing index and its
+// error.
+func buildShare(inst *model.Instance, cfg SubproblemConfig, subs []*Subproblem, cursor *atomic.Int64) (int, error) {
+	for {
+		n := int(cursor.Add(1)) - 1
+		if n >= len(subs) {
+			return 0, nil
+		}
+		sub, err := newSubproblem(inst, n, cfg)
+		if err != nil {
+			return n, err
+		}
+		subs[n] = sub
+	}
+}
+
+func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine {
 	e := &parallelJacobiEngine{
 		c:       c,
 		workers: workers,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"edgecache/internal/leak"
@@ -69,6 +70,46 @@ func TestParallelSweepZeroAllocsPerWorker(t *testing.T) {
 			if bad >= 0 {
 				t.Fatalf("round %d: %d solves + %d skips do not partition N=%d (memo %v)",
 					bad, badWork.Solves, badWork.Skipped, inst.N, tc.memo)
+			}
+		})
+	}
+}
+
+// TestParallelSetupMatchesSerial checks the setup fan-out: at
+// edgebench's dense and sparse shapes, the per-SBS solvers NewCoordinator
+// builds for the parallel engine on 1, 2 and 3 workers equal, field for
+// field, the ones a serial newSubproblem loop builds. Every setup
+// goroutine must have exited by the end of the test.
+func TestParallelSetupMatchesSerial(t *testing.T) {
+	leak.Check(t)
+	for _, tc := range []struct {
+		name string
+		inst *model.Instance
+	}{
+		{"dense", denseShape()},
+		{"sparse", shapeInstance(99, 100, 60, 60, 0.05)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := tc.inst
+			want := make([]*Subproblem, inst.N)
+			for n := range want {
+				sub, err := NewSubproblem(inst, n, DefaultSubproblemConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[n] = sub
+			}
+			for _, workers := range []int{1, 2, 3} {
+				c, err := NewCoordinator(inst, parallelCfg(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Close()
+				for n := range want {
+					if !reflect.DeepEqual(c.subs[n], want[n]) {
+						t.Fatalf("%d workers: SBS %d's subproblem differs from the serially built one", workers, n)
+					}
+				}
 			}
 		})
 	}

@@ -56,7 +56,7 @@ func (s *Subproblem) referenceRecoverPrimal(caps []float64) *Result {
 	copy(res.Cache, bestX)
 	res.Routing.Zero()
 	for i, it := range s.items {
-		res.Routing.Set(it.u, it.f, y[i])
+		res.Routing.Set(int(it.u), int(it.f), y[i])
 	}
 	res.Gain = bestGain
 	res.DualIters = 0
@@ -170,7 +170,7 @@ func decodeRecovery(data []byte) (*Subproblem, []float64) {
 	for ; len(rest) >= 3 && len(items) < recoveryMaxItems; rest = rest[3:] {
 		lambda := recoveryLambdas[int(rest[0])%len(recoveryLambdas)]
 		gain := recoveryGains[int(rest[1])%len(recoveryGains)]
-		items = append(items, item{lambda: lambda, gain: gain, density: gain / lambda})
+		items = append(items, item{lambda: lambda, gain: gain})
 		caps = append(caps, fillCaps[int(rest[2])%len(fillCaps)])
 	}
 	s := itemSubproblem(items, f, capN, fillBudgets[int(head[0])%len(fillBudgets)], 1, 1)
@@ -211,8 +211,8 @@ func checkWalk(t *testing.T, s *Subproblem, x []bool, caps []float64) {
 		t.Fatalf("cache %v: walk gain %v, full scan %v", x, gain, wantGain)
 	}
 	for i, it := range s.items {
-		if math.Float64bits(got.At(it.u, it.f)) != math.Float64bits(want[i]) {
-			t.Fatalf("cache %v: item %d routed %v, full scan %v", x, i, got.At(it.u, it.f), want[i])
+		if v := got.At(int(it.u), int(it.f)); math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("cache %v: item %d routed %v, full scan %v", x, i, v, want[i])
 		}
 	}
 	for f := range x {

@@ -71,7 +71,7 @@ var (
 // μ, caps and touched flags: byte 0 picks the budget, then every 4 bytes
 // are one item's λ, gain, μ and cap. An item is touched if its μ is
 // positive (the dual loop's invariant) or its cap byte has the high bit
-// set. The density is gain/λ, as NewSubproblem builds it.
+// set.
 func decodeFill(data []byte) (items []item, mu, caps []float64, touched []bool, budget float64) {
 	if len(data) == 0 {
 		return nil, nil, nil, nil, 0
@@ -80,7 +80,7 @@ func decodeFill(data []byte) (items []item, mu, caps []float64, touched []bool, 
 	for rest := data[1:]; len(rest) >= 4; rest = rest[4:] {
 		lambda := fillLambdas[int(rest[0])%len(fillLambdas)]
 		gain := fillGains[int(rest[1])%len(fillGains)]
-		items = append(items, item{lambda: lambda, gain: gain, density: gain / lambda})
+		items = append(items, item{lambda: lambda, gain: gain})
 		mu = append(mu, fillMus[int(rest[2])%len(fillMus)])
 		caps = append(caps, fillCaps[int(rest[3])%len(fillCaps)])
 		touched = append(touched, mu[len(mu)-1] > 0 || rest[3] >= 0x80)
@@ -235,7 +235,7 @@ func TestGainOnlyScoringMatchesFill(t *testing.T) {
 			}
 			var sum float64
 			for _, it := range sub.items {
-				sum += y.At(it.u, it.f) * it.gain
+				sum += y.At(int(it.u), int(it.f)) * it.gain
 			}
 			if math.Abs(sum-filled) > 1e-9*math.Max(1, math.Abs(filled)) {
 				t.Fatalf("trial %d draw %d: filled routing earns %v, reported gain %v", trial, draw, sum, filled)

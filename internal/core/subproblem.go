@@ -70,7 +70,10 @@ const (
 //
 // A Subproblem is NOT safe for concurrent use: Solve, SolveExact and
 // BestRoutingForCache share the workspace. Give each goroutine its own
-// Subproblem (the coordinator and the sim agents already do).
+// Subproblem (the coordinator and the sim agents already do). Building
+// one reads only the instance, so the solvers of distinct SBSs can be
+// built concurrently; NewCoordinator builds them on the parallel
+// engine's workers (see buildSubproblems).
 type Subproblem struct {
 	inst *model.Instance
 	n    int
@@ -141,16 +144,18 @@ func (s *Subproblem) respond(yMinus model.Mat, memo bool) (*Result, error) {
 	return s.Solve(yMinus)
 }
 
-// item is one servable (u,f) pair from SBS n's perspective.
+// item is one servable (u,f) pair from SBS n's perspective, in 24 bytes:
+// a Subproblem holds one per servable pair (about 4,200 at the dense
+// shape), so setup writes mostly items and per-item buffers. u and f are
+// int32, like the position lists. The density d̂_u − d_nu is not stored:
+// setup ranks the items by it (posItem), and nothing reads it after.
 type item struct {
-	u, f   int
+	u, f   int32
 	lambda float64
 	// gain is (d̂_u − d_nu)·λ_uf: the cost saved by fully serving the pair
 	// at the edge instead of the backhaul. The paper assumes d̂ ≫ d, so
 	// gains are typically positive.
 	gain float64
-	// density is gain per unit of bandwidth, (d̂_u − d_nu).
-	density float64
 }
 
 // capacity is the item's residual capacity against yMinus: y_nuf ≤
@@ -159,7 +164,7 @@ type item struct {
 //
 //edgecache:noalloc
 func (it *item) capacity(yMinus model.Mat) float64 {
-	return clamp01(1 - yMinus.At(it.u, it.f))
+	return clamp01(1 - yMinus.At(int(it.u), int(it.f)))
 }
 
 // solveWorkspace holds every buffer a Solve call touches. Sized once in
@@ -201,6 +206,10 @@ type solveWorkspace struct {
 	cur    []cursor
 	pool   candidatePool
 	result Result
+	// routedStop is the stop of the walk that filled result.Routing: every
+	// nonzero of the block is an item of a cached content at a position
+	// below it (see recoverPrimal).
+	routedStop int32
 
 	scoreSorter   scoreSorter
 	touchedSorter indexSorter
@@ -265,9 +274,8 @@ func newSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 				continue
 			}
 			s.items = append(s.items, item{
-				u: u, f: f, lambda: lambda,
-				gain:    density * lambda,
-				density: density,
+				u: int32(u), f: int32(f), lambda: lambda,
+				gain: density * lambda,
 			})
 		}
 		users = append(users, userItems{density: density, start: start, end: len(s.items)})
@@ -322,6 +330,11 @@ func (s *Subproblem) indexContents() {
 }
 
 // newSolveWorkspace sizes a workspace for ni items and a U×F instance.
+// Setup's bytes are mostly per item: caps, mu and yDual (8 bytes each),
+// isTouched (1), and the capacities of touched (8) and of the static and
+// dyn heaps (16 each), 65 bytes per item beside the 24-byte item itself;
+// the per-content buffers are O(F), and the result's routing block is
+// U×F.
 func newSolveWorkspace(ni, u, f int) solveWorkspace {
 	return solveWorkspace{
 		caps:      make([]float64, ni),
@@ -687,7 +700,7 @@ func (s *Subproblem) walk(set []int32, caps []float64, out *model.Mat) (gain flo
 		}
 		amount := math.Min(caps[i], budget/it.lambda)
 		if out != nil {
-			out.Set(it.u, it.f, amount)
+			out.Set(int(it.u), int(it.f), amount)
 		}
 		budget -= amount * it.lambda
 		gain += amount * it.gain
@@ -757,10 +770,21 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 	bestGain = s.localSearch(bestX, bestGain, caps)
 
 	// The fill is the walk that scored bestX, so its gain is bestGain.
+	// The previous fill wrote only items of its cached contents at
+	// positions below its stop, so resetting those to +0 leaves the block
+	// all +0, as clearing the whole U×F block would.
 	res := &ws.result
+	for f, in := range res.Cache {
+		if !in {
+			continue
+		}
+		for k := s.contentStart[f]; k < s.contentStart[f+1] && s.contentPos[k] < ws.routedStop; k++ {
+			it := &s.items[s.posItem[s.contentPos[k]]]
+			res.Routing.Set(int(it.u), int(it.f), 0)
+		}
+	}
 	copy(res.Cache, bestX)
-	res.Routing.Zero()
-	s.walk(ws.set, caps, &res.Routing)
+	_, ws.routedStop = s.walk(ws.set, caps, &res.Routing)
 	res.Gain = bestGain
 	res.DualIters = 0
 	return res

@@ -465,9 +465,11 @@ func TestDensityOrderMatchesItemSort(t *testing.T) {
 			for i := range want {
 				want[i] = int32(i)
 			}
-			sort.SliceStable(want, func(a, b int) bool {
-				return sub.items[want[a]].density > sub.items[want[b]].density
-			})
+			density := func(i int32) float64 {
+				u := sub.items[i].u
+				return inst.BSCost[u] - inst.EdgeCost[n][u]
+			}
+			sort.SliceStable(want, func(a, b int) bool { return density(want[a]) > density(want[b]) })
 			if len(sub.posItem) != len(want) {
 				t.Fatalf("trial %d SBS %d: order has %d items, want %d", trial, n, len(sub.posItem), len(want))
 			}
@@ -480,7 +482,7 @@ func TestDensityOrderMatchesItemSort(t *testing.T) {
 			for f := 0; f < inst.F; f++ {
 				lists = lists[:0]
 				for p, i := range sub.posItem {
-					if sub.items[i].f == f {
+					if int(sub.items[i].f) == f {
 						lists = append(lists, int32(p))
 					}
 				}

@@ -68,9 +68,12 @@ echo "verify: retry-layer gate (-race, 10 runs)"
 go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/transport
 
 # Parallel sweep-engine gate: the worker pool's determinism and crash
-# recovery run three times under -race, at GOMAXPROCS 1 and 2, before the
-# broad suites — a data race in the pool invalidates the bit-identity
-# guarantee the engines are built on. Workers share only the read-only
+# recovery, and the setup fan-out that builds the per-SBS solvers on the
+# pool's worker count (TestParallelSetupMatchesSerial: solvers built on 1,
+# 2 and 3 workers equal the serial ones, field for field), run three times
+# under -race, at GOMAXPROCS 1 and 2, before the broad suites — a data
+# race in the pool invalidates the bit-identity guarantee the engines are
+# built on. Workers share only the read-only
 # pre-round aggregate and policy; each memo check reads the workspace of
 # the SBS its worker claimed, and each round's merge phase rebuilds and
 # repairs row shards concurrently, so more runs and both P counts shake
