@@ -116,21 +116,23 @@ func denseShape() *model.Instance { return shapeInstance(99, 50, 100, 100, 0.6) 
 
 // BenchmarkDenseRound measures the round edgebench's dense workload runs:
 // all 50 SBSs of its instance solved against an empty y₋ₙ, the first
-// Jacobi round. Primal recovery is most of each solve.
+// Jacobi round. /warm solves the same 50 solvers every op, so each solve
+// finds its block bounds filled; /cold builds fresh solvers outside the
+// timer and solves each once, as the dense workload does, so each op
+// includes every solver's first-solve work. The dual loop is about half
+// of each solve and primal recovery about a fifth.
 func BenchmarkDenseRound(b *testing.B) {
 	inst := denseShape()
-	subs := make([]*Subproblem, inst.N)
-	for n := range subs {
-		sub, err := NewSubproblem(inst, n, DefaultSubproblemConfig())
-		if err != nil {
-			b.Fatal(err)
+	build := func(subs []*Subproblem) {
+		for n := range subs {
+			sub, err := NewSubproblem(inst, n, DefaultSubproblemConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			subs[n] = sub
 		}
-		subs[n] = sub
 	}
-	yMinus := inst.NewUFMat()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	round := func(subs []*Subproblem, yMinus model.Mat) {
 		for _, sub := range subs {
 			res, err := sub.Solve(yMinus)
 			if err != nil {
@@ -139,6 +141,25 @@ func BenchmarkDenseRound(b *testing.B) {
 			allocSink = res.Gain
 		}
 	}
+	yMinus := inst.NewUFMat()
+	subs := make([]*Subproblem, inst.N)
+	b.Run("warm", func(b *testing.B) {
+		build(subs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round(subs, yMinus)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			build(subs)
+			b.StartTimer()
+			round(subs, yMinus)
+		}
+	})
 }
 
 // BenchmarkNewCoordinatorDense measures setup at the dense shape: one

@@ -10,11 +10,12 @@ import (
 )
 
 // referenceSolve is Solve with the full-scan dual loop: every sub-gradient
-// iteration zeroes, scores, heapifies and updates every item, and primal
-// recovery scans the whole density order for every candidate. It is the
-// reference the touched-set loop (dualLoop, routingFill) and the merge
-// walk (recoverPrimal) must match bit for bit; routingStep's own reference
-// is sortFill.
+// iteration zeroes, scores and updates every item and heapifies every
+// eligible one on its current key, and primal recovery scans the whole
+// density order for every candidate. It is the reference the touched-set
+// loop (dualLoop, routingFill over the lazily pulled static order) and
+// the merge walk (recoverPrimal) must match bit for bit; routingStep's
+// own reference is sortFill.
 func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 	if yMinus.U != s.inst.U || yMinus.F != s.inst.F {
 		return nil, fmt.Errorf("core: yMinus is %dx%d, want U=%d F=%d",
@@ -86,10 +87,10 @@ func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 // w_i = −gain_i + μ_i, subject to Σ λ_i·y_i ≤ B_n and 0 ≤ y_i ≤ caps_i.
 // Only negative-coefficient items are worth serving; the optimal solution
 // of this LP fills them in increasing w/λ order (fractional knapsack).
-// The budget admits only a few items, so the eligible items go into a
-// min-heap and are popped until the budget is spent: O(#items) to build,
-// O(log #items) per filled item, instead of sorting every item. It returns
-// the unspent budget.
+// It heapifies every eligible item on its current key and pops until the
+// budget is spent, every call: O(#items) per iteration, where routingFill
+// pays O(|T|) plus a static order pulled only as far as the fills read it.
+// It returns the unspent budget.
 func (s *Subproblem) routingStep(y, mu, caps []float64) float64 {
 	h := make(ratioHeap, 0, len(s.items))
 	for i := range s.items {
@@ -102,7 +103,7 @@ func (s *Subproblem) routingStep(y, mu, caps []float64) float64 {
 	h.init()
 	budget := s.inst.Bandwidth[s.n]
 	for budget > 0 && len(h) > 0 {
-		i := h.pop()
+		i := h.pop().i
 		it := s.items[i]
 		amount := math.Min(caps[i], budget/it.lambda)
 		y[i] = amount

@@ -157,7 +157,7 @@ func FuzzRoutingFill(f *testing.F) {
 		}
 		checkFill(t, "routingStep", got, want, s.routingStep(got, mu, caps), wantBudget)
 
-		s.resetDual(caps)
+		s.resetDual()
 		for i, in := range touched {
 			if in {
 				s.ws.isTouched[i] = true

@@ -54,6 +54,10 @@ const (
 	// maxCandidates bounds the distinct cache vectors retained for primal
 	// recovery.
 	maxCandidates = 8
+	// staticBlock is how many positions of the density order the static
+	// fill order pulls into its heap at a time (see staticAt). 64 was
+	// measured at the dense shape.
+	staticBlock = 64
 )
 
 // Subproblem solves P_n for one SBS. It precomputes the SBS's item list
@@ -167,6 +171,11 @@ func (it *item) capacity(yMinus model.Mat) float64 {
 	return clamp01(1 - yMinus.At(int(it.u), int(it.f)))
 }
 
+// staticKey is the item's knapsack key w/λ while μ = 0, w = −gain. The
+// static order's pushes and its block bounds both compute it here, so a
+// bound compares exactly with the keys it bounds.
+func (it *item) staticKey() float64 { return -it.gain / it.lambda }
+
 // solveWorkspace holds every buffer a Solve call touches. Sized once in
 // NewSubproblem; nothing here escapes to the caller except result, whose
 // ownership contract is documented on Solve.
@@ -175,7 +184,8 @@ func (it *item) capacity(yMinus model.Mat) float64 {
 // once in the current solve, typically about ten out of thousands. μ and
 // y are nonzero only on T, and every other item keeps its static knapsack
 // key −gain/λ for the whole solve, so the per-iteration passes walk T and
-// the static order is built once per solve (see dualLoop).
+// one static order serves the whole solve, pulled from the density order
+// only as far as the fills read it (see staticAt).
 type solveWorkspace struct {
 	caps      []float64 // per-item residual capacity for this solve
 	solved    bool      // a Solve completed: result answers caps
@@ -183,13 +193,23 @@ type solveWorkspace struct {
 	yDual     []float64 // routing iterate of the dual loop; nonzero only on touched items
 	touched   []int     // T in ascending item order (cap #items)
 	isTouched []bool    // membership flag of T (len #items)
-	// static holds the eligible items keyed −gain/λ in the heapsort layout:
-	// a min-heap in static[:len(static)-popped] and the entries popped so
-	// far in the rest, the k-th pop at static[len(static)-1-k]. That popped
-	// tail is a prefix of the static fill order, shared by every iteration
-	// of a solve (cap #items).
-	static   ratioHeap
-	popped   int
+	// static holds the static fill order, the eligible items (gain > 0,
+	// cap > 0) by key −gain/λ, as far as this solve has pulled it: a
+	// min-heap of the items pulled and not yet popped in static[:heapLen],
+	// and the k-th pop at static[len(static)-1-k]. That popped tail is a
+	// prefix of the order, shared by every iteration of a solve. pulled
+	// counts the blocks of staticBlock positions of the density order
+	// pushed onto the heap so far. Each item is pushed at most once, so
+	// heapLen + popped ≤ #items = len(static).
+	static          ratioHeap
+	heapLen, popped int
+	pulled          int
+	// blockMin[b] is the least key −gain/λ of the items with gain > 0 at
+	// positions ≥ b·staticBlock, a lower bound on every key the blocks from
+	// b on can push; the last entry is a +Inf sentinel. Keys are static, so
+	// the first solve fills it (bounded) and every later one reads it.
+	blockMin []float64
+	bounded  bool
 	dyn      ratioHeap // routingFill's heap of touched items with μ > 0 (cap #items)
 	score    []float64 // per-content multiplier mass (len F)
 	scoreIdx []int     // cachingStep sort buffer (cap F)
@@ -333,16 +353,20 @@ func (s *Subproblem) indexContents() {
 // Setup's bytes are mostly per item: caps, mu and yDual (8 bytes each),
 // isTouched (1), and the capacities of touched (8) and of the static and
 // dyn heaps (16 each), 65 bytes per item beside the 24-byte item itself;
-// the per-content buffers are O(F), and the result's routing block is
-// U×F.
+// blockMin adds 8 bytes per staticBlock items, the per-content buffers
+// are O(F), and the result's routing block is U×F. caps, mu, yDual and
+// blockMin share one allocation.
 func newSolveWorkspace(ni, u, f int) solveWorkspace {
+	nb := (ni + staticBlock - 1) / staticBlock
+	floats := make([]float64, 3*ni+nb+1)
 	return solveWorkspace{
-		caps:      make([]float64, ni),
-		mu:        make([]float64, ni),
-		yDual:     make([]float64, ni),
+		caps:      floats[:ni:ni],
+		mu:        floats[ni : 2*ni : 2*ni],
+		yDual:     floats[2*ni : 3*ni : 3*ni],
+		blockMin:  floats[3*ni:],
 		touched:   make([]int, 0, ni),
 		isTouched: make([]bool, ni),
-		static:    make(ratioHeap, 0, ni),
+		static:    make(ratioHeap, ni),
 		dyn:       make(ratioHeap, 0, ni),
 		score:     make([]float64, f),
 		scoreIdx:  make([]int, 0, f),
@@ -420,11 +444,11 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 // and g ≤ 0 cannot clear done. So the score and μ passes walk T in
 // ascending item order, which keeps every score sum bit for bit the sum
 // over all items. An item outside T also keeps the knapsack key
-// (−gain + 0)/λ for the whole solve, so the eligible items are heapified
-// on that key once per solve (resetDual), and routingFill merges their
-// static order with a per-iteration heap over T.
+// (−gain + 0)/λ for the whole solve, so routingFill merges one static
+// order on that key, pulled lazily and kept for the whole solve
+// (staticAt), with a per-iteration heap over T.
 func (s *Subproblem) dualLoop(caps []float64) int {
-	s.resetDual(caps)
+	s.resetDual()
 	ws := &s.ws
 	mu := ws.mu // μ_uf ≥ 0, one per servable pair
 	y := ws.yDual
@@ -516,11 +540,11 @@ func (s *Subproblem) cachingStep(score []float64) []bool {
 	return x
 }
 
-// resetDual starts a solve's dual state against caps: T empties (μ and y
-// back to zero on it) and the static order is rebuilt. That order is every
-// eligible item (w = −gain + 0 < 0, cap > 0) heapified on the key w/λ, for
-// routingFill to pop lazily.
-func (s *Subproblem) resetDual(caps []float64) {
+// resetDual starts a solve's dual state, in O(|T|): T empties (μ and y
+// back to zero on it) and the static order restarts empty, for staticAt
+// to pull against this solve's caps. The first call fills the block
+// bounds.
+func (s *Subproblem) resetDual() {
 	ws := &s.ws
 	// Only the previous solve's touched items can hold a nonzero μ or y.
 	for _, i := range ws.touched {
@@ -528,14 +552,28 @@ func (s *Subproblem) resetDual(caps []float64) {
 		ws.isTouched[i] = false
 	}
 	ws.touched = ws.touched[:0]
-	h := ws.static[:0]
-	for i := range s.items {
-		if it := &s.items[i]; it.gain > 0 && caps[i] > 0 {
-			h = append(h, ratioEntry{ratio: -it.gain / it.lambda, i: i})
-		}
+	ws.heapLen, ws.popped, ws.pulled = 0, 0, 0
+	if !ws.bounded {
+		s.fillBlockMin()
 	}
-	h.init()
-	ws.static, ws.popped = h, 0
+}
+
+// fillBlockMin computes blockMin as suffix minima over the density order.
+func (s *Subproblem) fillBlockMin() {
+	bm := s.ws.blockMin
+	low := math.Inf(1)
+	bm[len(bm)-1] = low
+	for b := len(bm) - 2; b >= 0; b-- {
+		for _, i := range s.posItem[b*staticBlock : min((b+1)*staticBlock, len(s.posItem))] {
+			if it := &s.items[i]; it.gain > 0 {
+				if k := it.staticKey(); k < low {
+					low = k
+				}
+			}
+		}
+		bm[b] = low
+	}
+	s.ws.bounded = true
 }
 
 // routingFill solves eq. 20 in place: minimize Σ (w_i)·y_i with
@@ -545,7 +583,7 @@ func (s *Subproblem) resetDual(caps []float64) {
 // ties by index. It returns the unspent budget.
 //
 // An eligible item with μ = 0 has its static key, so it comes from the
-// walk along the static order (see dualLoop); one with μ > 0 is in T and
+// walk along the static order (see staticAt); one with μ > 0 is in T and
 // goes into a heap built for this call. The fill merges the two by
 // (w/λ, index) until the budget is spent, so a call costs O(|T|) plus
 // O(log) per filled item, and a sort of T when the fill adds to it. y must
@@ -567,10 +605,10 @@ func (s *Subproblem) routingFill(y, mu, caps []float64) float64 {
 	budget := s.inst.Bandwidth[s.n]
 fill:
 	for k := 0; budget > 0; {
-		se, ok := ws.staticAt(k)
+		se, ok := s.staticAt(k, caps)
 		for ok && mu[se.i] > 0 { // re-keyed: d holds it if it is eligible
 			k++
-			se, ok = ws.staticAt(k)
+			se, ok = s.staticAt(k, caps)
 		}
 		var i int
 		switch {
@@ -578,7 +616,7 @@ fill:
 			i = se.i
 			k++
 		case len(d) > 0:
-			i = d.pop()
+			i = d.pop().i
 		default:
 			break fill // nothing eligible is left
 		}
@@ -600,19 +638,57 @@ fill:
 	return budget
 }
 
-// staticAt returns the k-th entry of the static fill order, popping the
-// static heap as far as k; ok is false past its last entry.
-func (ws *solveWorkspace) staticAt(k int) (e ratioEntry, ok bool) {
-	n := len(ws.static)
-	if k >= n {
-		return ratioEntry{}, false
-	}
+// staticAt returns the k-th entry of the static fill order under caps,
+// the eligible items (gain > 0, cap > 0) by before on the key −gain/λ;
+// ok is false past its last entry. The fills read only a short prefix of
+// that order, so it is pulled lazily: until the k-th entry has been
+// popped, staticAt pushes whole blocks of the density order onto the heap
+// while the heap is empty or its top's key is not below the next unpulled
+// block's bound, and then pops the top into the tail.
+//
+// The pops are exactly the order a sort of every eligible item would give.
+// before is a strict total order, so that order is unique. When the top
+// is popped, its key is strictly below blockMin of the next unpulled
+// block, which bounds every key an unpulled item can have, so the top
+// comes before every unpulled eligible item; it also comes before every
+// item left in the heap. So each pop is the least eligible item not yet
+// popped, as in a heapsort of all of them. A tie with the bound pulls on,
+// since an unpulled item with an equal key may have the lower index. The
+// keys and the bounds both come from item.staticKey, so the comparison is
+// exact, −Inf keys included.
+func (s *Subproblem) staticAt(k int, caps []float64) (e ratioEntry, ok bool) {
+	ws := &s.ws
+	last := len(ws.static) - 1
+	nb := len(ws.blockMin) - 1
 	for ws.popped <= k {
-		h := ws.static[:n-ws.popped]
-		h.pop() // leaves the popped entry in h's last slot
+		h := ws.static[:ws.heapLen]
+		for ws.pulled < nb && (len(h) == 0 || h[0].ratio >= ws.blockMin[ws.pulled]) {
+			h = s.pull(h, ws.pulled, caps)
+			ws.pulled++
+		}
+		if len(h) == 0 {
+			return ratioEntry{}, false
+		}
+		// The tail slot is past the heap: heapLen + popped ≤ #items.
+		ws.static[last-ws.popped] = h.pop()
+		ws.heapLen = len(h)
 		ws.popped++
 	}
-	return ws.static[n-1-k], true
+	return ws.static[last-k], true
+}
+
+// pull pushes the eligible items (gain > 0, cap > 0) of block b of the
+// density order onto h, keyed −gain/λ, and returns the grown heap. h's
+// capacity is the item count, so the pushes never reallocate.
+func (s *Subproblem) pull(h ratioHeap, b int, caps []float64) ratioHeap {
+	for _, i := range s.posItem[b*staticBlock : min((b+1)*staticBlock, len(s.posItem))] {
+		if it := &s.items[i]; it.gain > 0 && caps[i] > 0 {
+			h = h[:len(h)+1]
+			h[len(h)-1] = ratioEntry{ratio: it.staticKey(), i: int(i)}
+			h.up(len(h) - 1)
+		}
+	}
+	return h
 }
 
 // findHeads records, for this solve's caps, each content's first
@@ -987,16 +1063,27 @@ func (h ratioHeap) init() {
 	}
 }
 
-// pop removes and returns the item index with the smallest key. The
-// removed entry is swapped into the slot just past the shrunk heap.
-func (h *ratioHeap) pop() int {
+// pop removes and returns the entry with the smallest key.
+func (h *ratioHeap) pop() ratioEntry {
 	old := *h
-	top := old[0].i
+	top := old[0]
 	last := len(old) - 1
-	old[0], old[last] = old[last], old[0]
+	old[0] = old[last]
 	*h = old[:last]
 	h.down(0)
 	return top
+}
+
+// up sifts entry i toward the root until its parent is not larger.
+func (h ratioHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 }
 
 // down sifts entry i toward the leaves until neither child is smaller.

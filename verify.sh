@@ -102,12 +102,19 @@ go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
 # runs briefly past its committed seeds: strictness, canonical re-encoding
 # and the allocation bounds are checked on fresh inputs from both sides of
 # the shared code. FuzzTracker checks every aggregate-tracker mutator
-# against its value oracle on fresh op streams. A failure leaves its input
-# under testdata/fuzz, where plain `go test` replays it.
-echo "verify: fuzz smoke (FuzzSnapshot, FuzzFrame, FuzzTracker; 10s each)"
+# against its value oracle on fresh op streams. The solver's three bit-for-
+# bit oracles follow: FuzzDualLoop holds Solve's touched-set dual loop to
+# the full-scan reference, FuzzRoutingFill both knapsack fills to a
+# sort-based fill, and FuzzStaticOrder the lazily pulled static fill
+# order to a sort over permuted density orders. A failure leaves its
+# input under testdata/fuzz, where plain `go test` replays it.
+echo "verify: fuzz smoke (FuzzSnapshot, FuzzFrame, FuzzTracker, FuzzDualLoop, FuzzRoutingFill, FuzzStaticOrder; 10s each)"
 go test -run '^$' -fuzz '^FuzzSnapshot$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzTracker$' -fuzztime 10s ./internal/model
+go test -run '^$' -fuzz '^FuzzDualLoop$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzRoutingFill$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzStaticOrder$' -fuzztime 10s ./internal/core
 
 echo "verify: go test -race ./internal/model/... ./cmd/..."
 go test -race ./internal/model/... ./cmd/...
