@@ -208,3 +208,59 @@ func TestNewCoordinatorAllocs(t *testing.T) {
 		t.Fatalf("NewCoordinator allocated %d bytes in %d allocations, want at most %d bytes in %d", bytes, allocs, maxBytes, maxAllocs)
 	}
 }
+
+// denseRunCfg is edgebench's dense workload configuration: one parallel
+// Jacobi round on two workers.
+func denseRunCfg() Config {
+	cfg := parallelCfg(2)
+	cfg.MaxSweeps = 1
+	cfg.Gamma = 1e-300
+	return cfg
+}
+
+// TestRunAllocs gates the allocations of the run edgebench's dense
+// workload measures: one Run of a fresh coordinator, one parallel Jacobi
+// round on two workers, at the dense shape. The result takes the round's
+// state without a copy, so the run allocates one N×U×F routing tensor
+// (NewSweepState's, which the result keeps) and small change: the caching
+// policy, the tracker's U×F aggregate, the pool's start. It bounds the
+// bytes (runtime.MemStats.TotalAlloc) and the allocation count (Mallocs)
+// per run, averaged over a few runs; it never gates time.
+func TestRunAllocs(t *testing.T) {
+	// The bounds sit just above this toolchain's measurement: 4,089,664
+	// bytes in 14 to 16 allocations (8,096,668 bytes in 19 when every improving
+	// sweep copied its state).
+	const (
+		runs      = 5
+		tensor    = 50 * 100 * 100 * 8
+		maxBytes  = tensor + 128<<10
+		maxAllocs = 20
+	)
+	inst := denseShape()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var bytes, allocs uint64
+	for i := 0; i <= runs; i++ {
+		c, err := NewCoordinator(inst, denseRunCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := c.Run()
+		runtime.ReadMemStats(&after)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocSink = res.Solution.Cost.Total
+		if i > 0 { // the first run warms up the runtime
+			bytes += after.TotalAlloc - before.TotalAlloc
+			allocs += after.Mallocs - before.Mallocs
+		}
+	}
+	bytes, allocs = bytes/runs, allocs/runs
+	t.Logf("Run (dense, parallel-2, one round): %d bytes in %d allocations", bytes, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Fatalf("Run allocated %d bytes in %d allocations, want at most %d bytes in %d", bytes, allocs, maxBytes, maxAllocs)
+	}
+}

@@ -119,8 +119,10 @@ func denseShape() *model.Instance { return shapeInstance(99, 50, 100, 100, 0.6) 
 // Jacobi round. /warm solves the same 50 solvers every op, so each solve
 // finds its block bounds filled; /cold builds fresh solvers outside the
 // timer and solves each once, as the dense workload does, so each op
-// includes every solver's first-solve work. The dual loop is about half
-// of each solve and primal recovery about a fifth.
+// includes every solver's first-solve work. In a CPU profile of /warm on
+// 2 vCPUs, the dual loop is half of each solve (its fills 20%, cachingStep
+// 9%) and primal recovery the other half (its walks 40%); the lazy
+// capacity reads, 7-9% of the items, are 3%.
 func BenchmarkDenseRound(b *testing.B) {
 	inst := denseShape()
 	build := func(subs []*Subproblem) {
@@ -160,6 +162,34 @@ func BenchmarkDenseRound(b *testing.B) {
 			round(subs, yMinus)
 		}
 	})
+}
+
+// BenchmarkDenseRun measures the run edgebench's dense workload times:
+// one Run of a fresh coordinator, one parallel Jacobi round on two
+// workers, at the dense shape. Each op builds its coordinator outside the
+// timer, so the op is the first round's solves, the pool's start, the
+// merge and the cost evaluation. Its B/op is the sweep state the result
+// keeps, one N×U×F routing tensor and small change (TestRunAllocs gates
+// it).
+func BenchmarkDenseRun(b *testing.B) {
+	inst := denseShape()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		coord, err := NewCoordinator(inst, denseRunCfg())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := coord.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		coord.Close()
+		allocSink = res.Solution.Cost.Total
+		b.StartTimer()
+	}
 }
 
 // BenchmarkNewCoordinatorDense measures setup at the dense shape: one

@@ -162,7 +162,10 @@ func DefaultConfig() Config {
 // RunResult is the outcome of a full Algorithm 1 run.
 type RunResult struct {
 	// Solution is the final caching and routing policy as seen by the BS
-	// (i.e. post-LPPM when privacy is enabled) with its serving cost.
+	// (i.e. post-LPPM when privacy is enabled) with its serving cost. It
+	// may hold the run's final policies themselves rather than copies (see
+	// Driver.Run); it owns them, and nothing the run's engine does later
+	// writes them.
 	Solution *model.Solution
 	// History records the total serving cost after every sweep; History[0]
 	// is the cost after sweep τ=0.

@@ -10,7 +10,7 @@ import (
 // committed seeds under testdata/fuzz: plain `go test` (short mode
 // included) replays them, so they are part of the regression suite.
 func TestCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzCoordinator", "FuzzDualLoop", "FuzzPrimalRecovery", "FuzzRoutingFill", "FuzzStaticOrder"} {
+	for _, target := range []string{"FuzzCoordinator", "FuzzDualLoop", "FuzzLazyCapacities", "FuzzPrimalRecovery", "FuzzRoutingFill", "FuzzStaticOrder"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", target))
 		if err != nil || len(entries) == 0 {
 			t.Errorf("no committed seed corpus for %s (err=%v)", target, err)

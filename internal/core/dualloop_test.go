@@ -23,12 +23,7 @@ func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 	}
 
 	ws := &s.ws
-	// Residual capacity per item: y_nuf ≤ clamp(1 − y_{-n,uf}, 0, 1),
-	// which enforces the coupling constraint (4) inside the block update.
-	caps := ws.caps
-	for i, it := range s.items {
-		caps[i] = clamp01(1 - yMinus.At(int(it.u), int(it.f)))
-	}
+	caps := eagerCaps(s, yMinus)
 
 	// Dual loop (eq. 21-23).
 	mu := ws.mu // μ_uf ≥ 0, one per servable pair
@@ -49,7 +44,7 @@ func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 		for i, it := range s.items {
 			scoreBuf[it.f] += mu[i]
 		}
-		x := s.cachingStep(scoreBuf)
+		x := s.referenceCachingStep(scoreBuf)
 		ws.pool.add(x)
 
 		// Routing sub-problem (eq. 20): fractional knapsack with
@@ -81,6 +76,48 @@ func (s *Subproblem) referenceSolve(yMinus model.Mat) (*Result, error) {
 	best := s.referenceRecoverPrimal(caps)
 	best.DualIters = iters
 	return best, nil
+}
+
+// eagerCaps is every item's residual capacity against yMinus, computed up
+// front and written out here: y_nuf ≤ clamp(1 − y_{-n,uf}, 0, 1), which
+// enforces the coupling constraint (4) inside the block update. It is the
+// oracle for the capacities a solve reads lazily (capOf).
+func eagerCaps(s *Subproblem, yMinus model.Mat) []float64 {
+	caps := make([]float64, len(s.items))
+	for i, it := range s.items {
+		caps[i] = clamp01(1 - yMinus.At(int(it.u), int(it.f)))
+	}
+	return caps
+}
+
+// useCaps makes caps the capacities of the solve in progress, every one
+// already read, so the fills and walks read caps instead of a y₋ₙ.
+func (s *Subproblem) useCaps(caps []float64) {
+	s.startCaps(model.Mat{})
+	for i, c := range caps {
+		s.ws.caps[i] = c
+		s.ws.flags[i] |= capRead
+		s.ws.read = append(s.ws.read, int32(i))
+	}
+}
+
+// referenceCachingStep is cachingStep written as a scan of every content
+// and a sort of the ones with positive score by score descending, ties by
+// index.
+func (s *Subproblem) referenceCachingStep(score []float64) []bool {
+	x := s.ws.xStep
+	var idx []int
+	for f, sc := range score {
+		x[f] = false
+		if sc > 0 {
+			idx = append(idx, f)
+		}
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return score[idx[a]] > score[idx[b]] })
+	for _, f := range idx[:min(len(idx), s.inst.CacheCap[s.n])] {
+		x[f] = true
+	}
+	return x
 }
 
 // routingStep solves eq. 20 in place: minimize Σ (w_i)·y_i with

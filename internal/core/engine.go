@@ -57,7 +57,10 @@ type SweepState struct {
 	// History is the per-sweep cost trail; PrevCost the γ reference.
 	History  []float64
 	PrevCost float64
-	// Best is the cheapest solution seen so far.
+	// Best is the cheapest solution seen so far. While Driver.Run is
+	// between the sweep that set it and the next one, it holds X and Y
+	// themselves rather than copies, and the run's result takes them: a
+	// state must not be mutated once Run has returned on it.
 	Best *model.Solution
 }
 
@@ -153,7 +156,9 @@ type Driver struct {
 	Gamma     float64
 	MaxSweeps int
 	// Snapshot, when non-nil, is called at every sweep boundary the run
-	// continues past, with the sweep to resume at.
+	// continues past, with the sweep to resume at. st.Best is complete but
+	// may hold st.X and st.Y themselves (see Run), so a snapshot copies
+	// whatever it keeps, as SweepState.Checkpoint does.
 	Snapshot func(st *SweepState, res *RunResult, sweep int) error
 	// HoldConvergence, when non-nil, is consulted exactly once after every
 	// sweep; a true return vetoes the γ stop for that sweep. The BS agent uses
@@ -182,6 +187,15 @@ const (
 // non-increasing and this is exactly the final sweep; with LPPM per-sweep
 // noise redraws can drift the trajectory, and keeping the best sweep is
 // the natural BS-side behaviour.
+//
+// A sweep that sets a new best makes st.Best hold st.X and st.Y
+// themselves, with no copy; the copy is taken only when another sweep is
+// about to overwrite them. A run that ends on its best sweep, as every
+// run without LPPM does, thus hands its final policies to
+// RunResult.Solution as they are. The round engines keep their pre-round
+// tensor for the next round, not st.Y, so nothing an engine does later
+// writes a returned Solution; st itself must not be mutated after Run
+// returns.
 func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	gamma, maxSweeps := d.Gamma, d.MaxSweeps
 	if gamma <= 0 {
@@ -196,7 +210,13 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 		prev = d.workTotals()
 	}
 
+	// shared reports that st.Best holds st.X and st.Y themselves.
+	shared := false
 	for sweep := st.Sweep; sweep < maxSweeps; sweep++ {
+		if shared {
+			st.Best = st.Best.Clone() // the sweep overwrites the best state
+			shared = false
+		}
 		if err := eng.Sweep(st, sweep); err != nil {
 			return nil, err
 		}
@@ -209,7 +229,8 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 		res.History = append(res.History, cost.Total)
 		res.Sweeps = sweep + 1
 		if st.Best == nil || cost.Total < st.Best.Cost.Total {
-			st.Best = &model.Solution{Caching: st.X.Clone(), Routing: st.Y.Clone(), Cost: cost}
+			st.Best = &model.Solution{Caching: st.X, Routing: st.Y, Cost: cost}
+			shared = true
 		}
 
 		// Algorithm 1's stop rule: relative improvement below γ. The

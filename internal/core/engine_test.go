@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -514,4 +515,148 @@ func TestJacobiFullyHitRoundIsNoOp(t *testing.T) {
 	if fullHits == 0 {
 		t.Fatal("no round was fully hit; pick an instance that reaches a fixed point")
 	}
+}
+
+// sameSolutionBits reports whether two solutions hold the same cost and
+// policies, bit for bit.
+func sameSolutionBits(a, b *model.Solution) bool {
+	if math.Float64bits(a.Cost.Total) != math.Float64bits(b.Cost.Total) || a.Caching.DiffCount(b.Caching) != 0 {
+		return false
+	}
+	for i, v := range a.Routing.T.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Routing.T.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEngineResultsOwnTheirState pins the hand-off of the final state: a
+// run that ends on its best sweep returns its policies themselves, not
+// copies (Driver.Run), so nothing a later run does may write them. Each
+// engine, with LPPM off and on, runs one coordinator twice and then
+// resumes it from the first run's first snapshot (Restarts > 0, which
+// cannot resume, runs a third time instead); every earlier result must
+// keep its bits through the later runs, and the resumed run must equal
+// the first. The multi-BS case drives RunMultiBS's regional engine on one
+// coordinator, as RunMultiBS does.
+func TestEngineResultsOwnTheirState(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(55)), 4, 6, 8)
+	restarts := DefaultConfig()
+	restarts.Restarts, restarts.RestartSeed = 2, 3
+	for _, ec := range []struct {
+		name    string
+		cfg     Config
+		regions [][]int
+	}{
+		{"gauss-seidel", DefaultConfig(), nil},
+		{"jacobi", jacobiCfg(), nil},
+		{"parallel-1", parallelCfg(1), nil},
+		{"parallel-2", parallelCfg(2), nil},
+		{"restarts", restarts, nil},
+		{"multi-bs", DefaultConfig(), [][]int{{0, 2}, {1, 3}}},
+	} {
+		for _, private := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lppm=%v", ec.name, private), func(t *testing.T) {
+				cfg := ec.cfg
+				cfg.MaxSweeps = 6
+				var noise *NoiseSource
+				if private {
+					noise = NewNoiseSource(17)
+					cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.4, Noise: noise}
+				}
+				store := model.NewMemCheckpointStore()
+				if cfg.Restarts == 0 {
+					cfg.Checkpoint = &CheckpointConfig{Sink: store}
+				}
+				c, err := NewCoordinator(inst, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				run, resume := c.Run, c.Resume
+				if ec.regions != nil {
+					eng := newRegionalEngine(c, ec.regions)
+					run = func() (*RunResult, error) {
+						return c.runEngine(eng, NewSweepState(inst, identityOrder(inst.N)))
+					}
+					resume = func(ck *model.Checkpoint) (*RunResult, error) {
+						if noise != nil {
+							noise.SeekTo(ck.NoiseDraws)
+						}
+						return c.runEngine(eng, SweepStateFromCheckpoint(inst, ck))
+					}
+				}
+
+				var results []*RunResult
+				var kept []*model.Solution
+				for k := 0; k < 3; k++ {
+					var res *RunResult
+					switch {
+					case k < 2 || cfg.Restarts > 0:
+						res, err = run()
+					case store.Len() == 0:
+						t.Fatal("the first run took no snapshot to resume from")
+					default:
+						res, err = resume(store.All()[0])
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, prev := range results {
+						if !sameSolutionBits(prev.Solution, kept[j]) {
+							t.Fatalf("run %d changed the solution run %d returned", k, j)
+						}
+					}
+					results = append(results, res)
+					kept = append(kept, res.Solution.Clone())
+				}
+				if cfg.Restarts == 0 {
+					bitEqualResults(t, results[2], results[0], "resume of the first run")
+				}
+			})
+		}
+	}
+
+	// A checkpointed LPPM run whose best sweep (4 of 0-7) is neither the
+	// first nor the last: the snapshot at boundary 5 falls while st.Best
+	// holds the current state, and sweep 5 must copy it before
+	// overwriting it. Every snapshot from boundary 5 on records that best,
+	// and every boundary resumes bit-identically.
+	t.Run("lppm-best-before-last", func(t *testing.T) {
+		inst := randomInstance(rand.New(rand.NewSource(6)), 3, 5, 7)
+		privateCfg := func() Config {
+			cfg := DefaultConfig()
+			cfg.MaxSweeps = 8
+			cfg.Privacy = &PrivacyConfig{Epsilon: 1, Delta: 0.4, Noise: NewNoiseSource(99)}
+			return cfg
+		}
+		store := model.NewMemCheckpointStore()
+		cfg := privateCfg()
+		cfg.Checkpoint = &CheckpointConfig{Sink: store}
+		want := runCfg(t, inst, cfg)
+		best := 0
+		for i, cost := range want.History {
+			if cost < want.History[best] {
+				best = i
+			}
+		}
+		if best == 0 || best >= len(want.History)-1 {
+			t.Fatalf("best sweep %d of %d: the case needs an earlier best and a later one", best, len(want.History))
+		}
+		for _, ck := range store.All() {
+			if ck.Sweep > best && !sameSolutionBits(ck.Best, want.Solution) {
+				t.Fatalf("snapshot at boundary %d does not record sweep %d's best", ck.Sweep, best)
+			}
+			fresh, err := NewCoordinator(inst, privateCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fresh.Resume(ck)
+			if err != nil {
+				t.Fatalf("resume at boundary %d: %v", ck.Sweep, err)
+			}
+			bitEqualResults(t, got, want, fmt.Sprintf("resume at boundary %d", ck.Sweep))
+		}
+	})
 }

@@ -21,8 +21,8 @@ func (s *Subproblem) SolveExact(yMinus model.Mat) (*Result, error) {
 		return nil, fmt.Errorf("core: yMinus is %dx%d, want U=%d F=%d",
 			yMinus.U, yMinus.F, s.inst.U, s.inst.F)
 	}
-	caps := s.capsFor(yMinus)
-	s.findHeads(caps)
+	s = s.eagerCopy(yMinus)
+	s.findHeads()
 
 	capN := s.inst.CacheCap[s.n]
 	bestGain := -1.0
@@ -35,12 +35,12 @@ func (s *Subproblem) SolveExact(yMinus model.Mat) (*Result, error) {
 		for f := 0; f < s.inst.F; f++ {
 			x[f] = mask&(1<<f) != 0
 		}
-		if gain, _ := s.walk(s.cacheSet(x), caps, nil); gain > bestGain {
+		if gain, _ := s.walk(s.cacheSet(x), nil); gain > bestGain {
 			bestGain = gain
 			bestX = append([]bool(nil), x...)
 		}
 	}
-	routing, _ := s.routingGivenCache(bestX, caps)
+	routing, _ := s.routingGivenCache(bestX)
 	return &Result{Cache: bestX, Routing: routing, Gain: bestGain}, nil
 }
 

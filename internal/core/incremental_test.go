@@ -248,8 +248,8 @@ func TestIncrementalMemoUnderBroadcastTap(t *testing.T) {
 }
 
 // TestMemoKeyIsResidualCapacities pins the memo key: a phase is answered
-// from SBS n's last solve exactly when y_{-n} gives every item the
-// capacity bits that solve read. It drives Coordinator.answerPhase, the
+// from SBS n's last solve exactly when y_{-n} gives every item that solve
+// read the capacity bits it read. It drives Coordinator.answerPhase, the
 // answer of the Gauss-Seidel, reference Jacobi and regional engines, with
 // y_{-n} derived through the tracker after installs of SBS 1's block.
 func TestMemoKeyIsResidualCapacities(t *testing.T) {
@@ -336,4 +336,56 @@ func TestMemoKeyIsResidualCapacities(t *testing.T) {
 	if _, _, _, err := c.answerPhase(st, 0, 0, model.NewMat(1, inst.F)); err == nil {
 		t.Fatal("wrong-shape y_{-n}: answered without an error")
 	}
+
+	// (e) The key is the read list, not every item. SBS 0 serves 80
+	// items: user 0's 40 (density 99) at positions 0-39, then user 1's
+	// (density 49). With a budget of 1 the static order pops user 0's
+	// items without pulling block 1 (positions 64-79, user 1's contents
+	// 24-39), and no walk reaches them, so their capacities are never
+	// read: moving y_{-0} there hits, and the answer is a fresh solve's.
+	wide := &model.Instance{
+		N: 2, U: 2, F: 40,
+		Demand:    [][]float64{make([]float64, 40), make([]float64, 40)},
+		Links:     [][]bool{{true, true}, {true, true}},
+		CacheCap:  []int{2, 2},
+		Bandwidth: []float64{1, 1},
+		EdgeCost:  [][]float64{{1, 1}, {1, 1}},
+		BSCost:    []float64{100, 50},
+	}
+	for u := range wide.Demand {
+		for f := range wide.Demand[u] {
+			wide.Demand[u][f] = 1
+		}
+	}
+	cw, err := NewCoordinator(wide, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := cw.subs[0]
+	yWide := wide.NewUFMat()
+	if _, err := sub.respond(yWide, true); err != nil {
+		t.Fatal(err)
+	}
+	unread := slices.IndexFunc(sub.items, func(it item) bool { return it.u == 1 && it.f == 30 })
+	if unread < 0 || sub.ws.flags[unread]&capRead != 0 || len(sub.ws.read) >= len(sub.items) {
+		t.Fatalf("item (1,30) = #%d read; %d of %d capacities read", unread, len(sub.ws.read), len(sub.items))
+	}
+	yWide.Set(1, 30, 0.5)
+	skips := sub.skips
+	got, err := sub.respond(yWide, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.skips != skips+1 {
+		t.Fatal("y_{-0} moved only off the read list: the memo missed")
+	}
+	fresh, err := NewSubproblem(wide, 0, DefaultSubproblemConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Solve(yWide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, got, want)
 }

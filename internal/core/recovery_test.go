@@ -149,8 +149,8 @@ const recoveryMaxItems = 64
 // byte, whose bits choose its contents (0x00 is the empty cache, 0xff
 // holds every content), and every following 3 bytes are one item's λ,
 // gain and cap (fillCaps, with zeros). It returns the subproblem with
-// its pool filled, and the caps.
-func decodeRecovery(data []byte) (*Subproblem, []float64) {
+// its pool filled, the caps, and a y₋ₙ that gives the items those caps.
+func decodeRecovery(data []byte) (*Subproblem, []float64, model.Mat) {
 	var head [4]byte
 	copy(head[:], data)
 	rest := data[min(len(data), len(head)):]
@@ -177,7 +177,11 @@ func decodeRecovery(data []byte) (*Subproblem, []float64) {
 	for _, x := range pool {
 		s.ws.pool.add(x)
 	}
-	return s, caps
+	yMinus := model.NewMat(s.inst.U, s.inst.F)
+	for i, it := range s.items {
+		yMinus.Set(int(it.u), int(it.f), 1-caps[i]) // every table cap c gives 1 − (1 − c) = c
+	}
+	return s, caps, yMinus
 }
 
 // sameResult compares two primal-recovery results bit for bit: the
@@ -206,7 +210,7 @@ func checkWalk(t *testing.T, s *Subproblem, x []bool, caps []float64) {
 	want := make([]float64, len(s.items))
 	wantGain := s.referenceRoutingGivenCacheInto(x, caps, want)
 	got := model.NewMat(s.inst.U, s.inst.F)
-	gain, stop := s.walk(s.cacheSet(x), caps, &got)
+	gain, stop := s.walk(s.cacheSet(x), &got)
 	if math.Float64bits(gain) != math.Float64bits(wantGain) {
 		t.Fatalf("cache %v: walk gain %v, full scan %v", x, gain, wantGain)
 	}
@@ -233,7 +237,8 @@ func checkWalk(t *testing.T, s *Subproblem, x []bool, caps []float64) {
 // the merge walk and skips the ones the stop position proves unchanged,
 // to the full-scan reference bit for bit: the cache, Gain and routing. It
 // also checks walk and the skip itself on the empty cache, every pool
-// candidate and the full cache. Run longer sessions with
+// candidate and the full cache. The walks read their capacities lazily
+// from a y₋ₙ, and the references read the eager caps. Run longer sessions with
 // `go test -run '^$' -fuzz=FuzzPrimalRecovery ./internal/core`.
 func FuzzPrimalRecovery(f *testing.F) {
 	f.Add([]byte{})                                                        // no items at all
@@ -246,10 +251,11 @@ func FuzzPrimalRecovery(f *testing.F) {
 		5, 3, 2, 6, 6, 1, 7, 7, 7, 0, 1, 6, 1, 2, 4, 2, 0, 5, 3, 1, 0, 4, 6})
 	f.Add([]byte("10A7001000000")) // unspent budget: a swap-in whose eligible item is the last position
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, caps := decodeRecovery(data)
-		want, _ := decodeRecovery(data)
+		got, caps, yMinus := decodeRecovery(data)
+		want, _, _ := decodeRecovery(data)
 
-		got.findHeads(caps)
+		got.startCaps(yMinus)
+		got.findHeads()
 		empty := make([]bool, got.inst.F)
 		full := make([]bool, got.inst.F)
 		for j := range full {
@@ -261,7 +267,7 @@ func FuzzPrimalRecovery(f *testing.F) {
 			checkWalk(t, got, got.ws.pool.list[c], caps)
 		}
 
-		sameResult(t, got.recoverPrimal(caps), want.referenceRecoverPrimal(caps))
+		sameResult(t, got.recoverPrimal(), want.referenceRecoverPrimal(caps))
 		for c := 0; c < want.ws.pool.n; c++ { // local search mutates the winner in place
 			if !boolsEqual(got.ws.pool.list[c], want.ws.pool.list[c]) {
 				t.Fatalf("pool[%d] = %v, reference %v", c, got.ws.pool.list[c], want.ws.pool.list[c])

@@ -106,7 +106,7 @@ func checkFill(t *testing.T, name string, got, want []float64, gotBudget, wantBu
 // fillFromTouched runs routingFill as the dual loop would, with y zero
 // outside T: the entries on T start as NaN, so the fill must overwrite
 // them. It checks that T stays ascending and holds every routed item.
-func fillFromTouched(t *testing.T, s *Subproblem, y, mu, caps []float64) float64 {
+func fillFromTouched(t *testing.T, s *Subproblem, y, mu []float64) float64 {
 	t.Helper()
 	for i := range y {
 		y[i] = 0
@@ -114,17 +114,17 @@ func fillFromTouched(t *testing.T, s *Subproblem, y, mu, caps []float64) float64
 	for _, i := range s.ws.touched {
 		y[i] = math.NaN()
 	}
-	budget := s.routingFill(y, mu, caps)
+	budget := s.routingFill(y, mu)
 	for j, i := range s.ws.touched {
 		if j > 0 && s.ws.touched[j-1] >= i {
 			t.Fatalf("touched set %v is not strictly ascending", s.ws.touched)
 		}
-		if !s.ws.isTouched[i] {
+		if s.ws.flags[i]&inT == 0 {
 			t.Fatalf("item %d is in T but not flagged", i)
 		}
 	}
 	for i, v := range y {
-		if v != 0 && !s.ws.isTouched[i] {
+		if v != 0 && s.ws.flags[i]&inT == 0 {
 			t.Fatalf("item %d routed %v but not in T", i, v)
 		}
 	}
@@ -158,14 +158,15 @@ func FuzzRoutingFill(f *testing.F) {
 		checkFill(t, "routingStep", got, want, s.routingStep(got, mu, caps), wantBudget)
 
 		s.resetDual()
+		s.useCaps(caps)
 		for i, in := range touched {
 			if in {
-				s.ws.isTouched[i] = true
-				s.ws.touched = append(s.ws.touched, i)
+				s.ws.flags[i] |= inT
+				s.ws.touched = append(s.ws.touched, int32(i))
 			}
 		}
 		for pass := 0; pass < 2; pass++ {
-			checkFill(t, "routingFill", got, want, fillFromTouched(t, s, got, mu, caps), wantBudget)
+			checkFill(t, "routingFill", got, want, fillFromTouched(t, s, got, mu), wantBudget)
 		}
 	})
 }
@@ -191,12 +192,14 @@ func TestRoutingStepMatchesSortOracleOnSolveInputs(t *testing.T) {
 		if _, err := sub.Solve(yMinus); err != nil {
 			t.Fatal(err)
 		}
-		// ws.mu and ws.caps hold the last dual iterate of that solve.
-		mu, caps := sub.ws.mu, sub.ws.caps
+		// ws.mu holds the last dual iterate of that solve; the fill reads
+		// its capacities lazily again, the oracle eagerly.
+		mu, caps := sub.ws.mu, eagerCaps(sub, yMinus)
 		want := make([]float64, len(sub.items))
 		wantBudget := sortFill(sub.items, want, mu, caps, inst.Bandwidth[sub.n])
 		got := make([]float64, len(sub.items))
-		checkFill(t, fmt.Sprintf("trial %d", trial), got, want, fillFromTouched(t, sub, got, mu, caps), wantBudget)
+		sub.startCaps(yMinus)
+		checkFill(t, fmt.Sprintf("trial %d", trial), got, want, fillFromTouched(t, sub, got, mu), wantBudget)
 	}
 }
 
@@ -216,16 +219,17 @@ func TestGainOnlyScoringMatchesFill(t *testing.T) {
 		for i := range caps {
 			caps[i] = clamp01(rng.Float64() * 1.5)
 		}
-		sub.findHeads(caps)
+		sub.useCaps(caps)
+		sub.findHeads()
 		x := make([]bool, inst.F)
 		y := model.NewMat(inst.U, inst.F)
 		for draw := 0; draw < 10; draw++ {
 			for f := range x {
 				x[f] = rng.Float64() < 0.4
 			}
-			scored, scoredStop := sub.walk(sub.cacheSet(x), caps, nil)
+			scored, scoredStop := sub.walk(sub.cacheSet(x), nil)
 			y.Zero()
-			filled, filledStop := sub.walk(sub.cacheSet(x), caps, &y)
+			filled, filledStop := sub.walk(sub.cacheSet(x), &y)
 			if math.Float64bits(scored) != math.Float64bits(filled) || scoredStop != filledStop {
 				t.Fatalf("trial %d draw %d: gain-only %v (stop %d), filled %v (stop %d)",
 					trial, draw, scored, scoredStop, filled, filledStop)

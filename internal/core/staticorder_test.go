@@ -27,8 +27,10 @@ func sortedStatic(s *Subproblem, caps []float64) []ratioEntry {
 	return order
 }
 
-// checkStaticOrder starts a solve's dual state against caps and holds
-// staticAt to the oracle, entry by entry, key bits included. It reads the
+// checkStaticOrder starts a solve's dual state and holds staticAt to the
+// oracle on caps, entry by entry, key bits included; the caller has begun
+// the solve's capacity reads, eager (useCaps) or lazy (startCaps) ones
+// that must match caps. It reads the
 // first prefix entries in order, re-reads the popped ones (the fills
 // re-walk the prefix every iteration), and reads on to the end unless
 // prefix cuts the read short.
@@ -38,20 +40,20 @@ func checkStaticOrder(t *testing.T, s *Subproblem, caps []float64, prefix int) {
 	want := sortedStatic(s, caps)
 	n := min(prefix, len(want))
 	for k := 0; k < n; k++ {
-		e, ok := s.staticAt(k, caps)
+		e, ok := s.staticAt(k)
 		if !ok || e.i != want[k].i || math.Float64bits(e.ratio) != math.Float64bits(want[k].ratio) {
 			t.Fatalf("staticAt(%d) = %+v (ok %v), sorted order has %+v", k, e, ok, want[k])
 		}
 	}
 	for k := n - 1; k >= 0; k-- {
-		if e, _ := s.staticAt(k, caps); e != want[k] {
+		if e, _ := s.staticAt(k); e != want[k] {
 			t.Fatalf("re-read staticAt(%d) = %+v, sorted order has %+v", k, e, want[k])
 		}
 	}
 	if n < len(want) {
 		return
 	}
-	if e, ok := s.staticAt(len(want), caps); ok {
+	if e, ok := s.staticAt(len(want)); ok {
 		t.Fatalf("staticAt(%d) = %+v past the last of %d eligible items", len(want), e, len(want))
 	}
 }
@@ -131,7 +133,7 @@ func TestStaticOrderMatchesSort(t *testing.T) {
 	}
 	run := func(name string) {
 		for k, ym := range yMinus {
-			caps := s.capsFor(ym)
+			caps := eagerCaps(s, ym)
 			zero := false
 			for i, c := range caps {
 				zero = zero || (c <= 0 && s.items[i].gain > 0)
@@ -139,7 +141,9 @@ func TestStaticOrderMatchesSort(t *testing.T) {
 			if !zero {
 				t.Fatalf("%s: y₋ₙ %d leaves no eligible-gain item at cap 0", name, k)
 			}
+			s.startCaps(ym)
 			checkStaticOrder(t, s, caps, len(s.items)/2) // leaves the heap part-pulled
+			s.startCaps(ym)
 			checkStaticOrder(t, s, caps, len(s.items))
 		}
 	}
@@ -214,8 +218,11 @@ func FuzzStaticOrder(f *testing.F) {
 		0, 1, 1, 0, 63, 64, 130, 2, 191, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, caps := decodeStatic(data)
+		s.useCaps(caps[0])
 		checkStaticOrder(t, s, caps[0], len(s.items)/2)
+		s.useCaps(caps[1])
 		checkStaticOrder(t, s, caps[1], len(s.items))
+		s.useCaps(caps[0])
 		checkStaticOrder(t, s, caps[0], len(s.items))
 	})
 }

@@ -68,9 +68,11 @@ const (
 // sets up in O(#items); after that, each dual iteration works on the few
 // items it has routed (see dualLoop), and primal recovery merges the
 // density-ordered item lists of the cached contents only, stopping where
-// the bandwidth runs out (see walk). The last completed Solve is also
-// the engines' solve memo: a later phase whose y_{-n} gives every item the
-// same capacity bits is answered from the workspace (see answers).
+// the bandwidth runs out (see walk). A solve computes an item's residual
+// capacity only when it first reads it (see capOf), and the last completed
+// Solve is also the engines' solve memo: a later phase whose y_{-n} gives
+// every item that solve read the same capacity bits is answered from the
+// workspace (see answers).
 //
 // A Subproblem is NOT safe for concurrent use: Solve, SolveExact and
 // BestRoutingForCache share the workspace. Give each goroutine its own
@@ -98,10 +100,9 @@ type Subproblem struct {
 	// stepScale is the sub-gradient step scale, calibrated from the SBS's
 	// largest per-unit density.
 	stepScale float64
-	// ws is the reusable solve workspace. Its caps and result double as
-	// the solve memo: only Solve writes them, so after a completed Solve
-	// they hold the capacities it read and the answer it gave (see
-	// answers).
+	// ws is the reusable solve workspace. Its read list, caps and result
+	// double as the solve memo: after a completed Solve they hold the
+	// capacities it read and the answer it gave (see answers).
 	ws solveWorkspace
 	// solves and skips count this SBS's engine answers (respond): fresh
 	// solves and memo hits. The coordinator sums them over its SBSs for
@@ -110,13 +111,15 @@ type Subproblem struct {
 }
 
 // answers reports whether ws.result is Solve's answer to yMinus: a Solve
-// has completed, and every item's capacity against yMinus has the bits of
-// the capacity that Solve read. Solve reads yMinus only through those
-// capacities and is deterministic in them (μ cold-starts, and the touched
-// set and the candidate pool are reset), so a fresh Solve would return
-// ws.result bit for bit. The key is what the solve read, not how the
-// engine got there, so aborted rounds, restores and restarts need no
-// invalidation. A yMinus of the wrong shape never hits; Solve rejects it.
+// has completed, and every item on its read list has, against yMinus, the
+// bits of the capacity that Solve read. Solve reads yMinus only through
+// the capacities of that list and is deterministic in them (μ cold-starts,
+// and the touched set and the candidate pool are reset), so a fresh Solve
+// would read the same items in the same order, get the same bits and
+// return ws.result bit for bit, whatever the capacities it never read. The
+// key is what the solve read, not how the engine got there, so aborted
+// rounds, restores and restarts need no invalidation. A yMinus of the
+// wrong shape never hits; Solve rejects it.
 //
 //edgecache:noalloc
 func (s *Subproblem) answers(yMinus model.Mat) bool {
@@ -124,7 +127,7 @@ func (s *Subproblem) answers(yMinus model.Mat) bool {
 	if yMinus.U != s.inst.U || yMinus.F != s.inst.F || !ws.solved {
 		return false
 	}
-	for i := range s.items {
+	for _, i := range ws.read {
 		if math.Float64bits(s.items[i].capacity(yMinus)) != math.Float64bits(ws.caps[i]) {
 			return false
 		}
@@ -171,6 +174,56 @@ func (it *item) capacity(yMinus model.Mat) float64 {
 	return clamp01(1 - yMinus.At(int(it.u), int(it.f)))
 }
 
+// Bits of solveWorkspace.flags.
+const (
+	inT     uint8 = 1 << iota // the item is in the touched set T
+	capRead                   // caps holds the item's capacity for this solve
+)
+
+// startCaps begins a solve's capacity reads against yMinus, in O(|read|):
+// the previous reads are forgotten, so every capacity is computed afresh
+// on its first read (see capOf). It voids the memo until a Solve
+// completes, since the read list no longer describes ws.result.
+//
+//edgecache:noalloc
+func (s *Subproblem) startCaps(yMinus model.Mat) {
+	ws := &s.ws
+	ws.solved = false
+	for _, i := range ws.read {
+		ws.flags[i] &^= capRead
+	}
+	ws.read = ws.read[:0]
+	ws.yMinus = yMinus
+}
+
+// capOf returns item i's residual capacity against the y₋ₙ of this
+// solve's startCaps. A solve reads only a small share of the capacities
+// (the items its static order pulls, its fills reach and its walks visit),
+// so each is computed on its first read and the item joins the read list,
+// which is also the memo key (see answers).
+//
+//edgecache:noalloc
+func (s *Subproblem) capOf(i int) float64 {
+	if s.ws.flags[i]&capRead == 0 {
+		return s.readCap(i)
+	}
+	return s.ws.caps[i]
+}
+
+// readCap is capOf's first read of item i, kept out of capOf so that the
+// repeat reads inline.
+//
+//edgecache:noalloc
+func (s *Subproblem) readCap(i int) float64 {
+	ws := &s.ws
+	ws.flags[i] |= capRead
+	ws.caps[i] = s.items[i].capacity(ws.yMinus)
+	// read has room for every item, and each joins it at most once.
+	ws.read = ws.read[:len(ws.read)+1]
+	ws.read[len(ws.read)-1] = int32(i)
+	return ws.caps[i]
+}
+
 // staticKey is the item's knapsack key w/λ while μ = 0, w = −gain. The
 // static order's pushes and its block bounds both compute it here, so a
 // bound compares exactly with the keys it bounds.
@@ -187,12 +240,19 @@ func (it *item) staticKey() float64 { return -it.gain / it.lambda }
 // one static order serves the whole solve, pulled from the density order
 // only as far as the fills read it (see staticAt).
 type solveWorkspace struct {
-	caps      []float64 // per-item residual capacity for this solve
-	solved    bool      // a Solve completed: result answers caps
-	mu        []float64 // dual multipliers; nonzero only on touched items
-	yDual     []float64 // routing iterate of the dual loop; nonzero only on touched items
-	touched   []int     // T in ascending item order (cap #items)
-	isTouched []bool    // membership flag of T (len #items)
+	// caps[i] is item i's residual capacity against yMinus once this solve
+	// has read it (flags[i]&capRead); read lists those items in read order
+	// (cap #items). See capOf.
+	caps   []float64
+	yMinus model.Mat
+	read   []int32
+	solved bool      // a Solve completed: result answers the capacities on read
+	mu     []float64 // dual multipliers; nonzero only on touched items
+	yDual  []float64 // routing iterate of the dual loop; nonzero only on touched items
+	// touched is T in ascending item order (cap #items); it shares one
+	// allocation with read.
+	touched []int32
+	flags   []uint8 // per item: inT and capRead
 	// static holds the static fill order, the eligible items (gain > 0,
 	// cap > 0) by key −gain/λ, as far as this solve has pulled it: a
 	// min-heap of the items pulled and not yet popped in static[:heapLen],
@@ -211,11 +271,15 @@ type solveWorkspace struct {
 	blockMin []float64
 	bounded  bool
 	dyn      ratioHeap // routingFill's heap of touched items with μ > 0 (cap #items)
-	score    []float64 // per-content multiplier mass (len F)
-	scoreIdx []int     // cachingStep sort buffer (cap F)
-	xStep    []bool    // cachingStep output (len F)
-	greedyX  []bool    // greedyCache output (len F)
-	workX    []bool    // localSearch mutation buffer (len F)
+	// score is the per-content multiplier mass (len F), current on the
+	// contents of T's items, the only ones cachingStep reads. xStep is
+	// cachingStep's output (len F), true exactly on picks, the contents it
+	// chose, best first (cap F).
+	score   []float64
+	picks   []int32
+	xStep   []bool
+	greedyX []bool // greedyCache output (len F)
+	workX   []bool // localSearch mutation buffer (len F)
 	// heads holds each content's first eligible (cap > 0, gain > 0) entry
 	// of its position list under this solve's caps (len F).
 	heads []cursor
@@ -231,7 +295,6 @@ type solveWorkspace struct {
 	// below it (see recoverPrimal).
 	routedStop int32
 
-	scoreSorter   scoreSorter
 	touchedSorter indexSorter
 }
 
@@ -351,33 +414,36 @@ func (s *Subproblem) indexContents() {
 
 // newSolveWorkspace sizes a workspace for ni items and a U×F instance.
 // Setup's bytes are mostly per item: caps, mu and yDual (8 bytes each),
-// isTouched (1), and the capacities of touched (8) and of the static and
-// dyn heaps (16 each), 65 bytes per item beside the 24-byte item itself;
-// blockMin adds 8 bytes per staticBlock items, the per-content buffers
-// are O(F), and the result's routing block is U×F. caps, mu, yDual and
-// blockMin share one allocation.
+// flags (1), the capacities of touched and read (4 each) and of the
+// static and dyn heaps (16 each), 65 bytes per item beside the 24-byte
+// item itself; blockMin adds 8 bytes per staticBlock items, the
+// per-content buffers are O(F), and the result's routing block is U×F.
+// caps, mu, yDual and blockMin share one allocation, and touched and
+// read another.
 func newSolveWorkspace(ni, u, f int) solveWorkspace {
 	nb := (ni + staticBlock - 1) / staticBlock
 	floats := make([]float64, 3*ni+nb+1)
+	ids := make([]int32, 2*ni)
 	return solveWorkspace{
-		caps:      floats[:ni:ni],
-		mu:        floats[ni : 2*ni : 2*ni],
-		yDual:     floats[2*ni : 3*ni : 3*ni],
-		blockMin:  floats[3*ni:],
-		touched:   make([]int, 0, ni),
-		isTouched: make([]bool, ni),
-		static:    make(ratioHeap, ni),
-		dyn:       make(ratioHeap, 0, ni),
-		score:     make([]float64, f),
-		scoreIdx:  make([]int, 0, f),
-		xStep:     make([]bool, f),
-		greedyX:   make([]bool, f),
-		workX:     make([]bool, f),
-		heads:     make([]cursor, f),
-		set:       make([]int32, 0, f+1),
-		cur:       make([]cursor, f+1),
-		pool:      newCandidatePool(maxCandidates, f),
-		result:    Result{Cache: make([]bool, f), Routing: model.NewMat(u, f)},
+		caps:     floats[:ni:ni],
+		mu:       floats[ni : 2*ni : 2*ni],
+		yDual:    floats[2*ni : 3*ni : 3*ni],
+		blockMin: floats[3*ni:],
+		touched:  ids[:0:ni],
+		read:     ids[ni:ni],
+		flags:    make([]uint8, ni),
+		static:   make(ratioHeap, ni),
+		dyn:      make(ratioHeap, 0, ni),
+		score:    make([]float64, f),
+		picks:    make([]int32, 0, f),
+		xStep:    make([]bool, f),
+		greedyX:  make([]bool, f),
+		workX:    make([]bool, f),
+		heads:    make([]cursor, f),
+		set:      make([]int32, 0, f+1),
+		cur:      make([]cursor, f+1),
+		pool:     newCandidatePool(maxCandidates, f),
+		result:   Result{Cache: make([]bool, f), Routing: model.NewMat(u, f)},
 	}
 }
 
@@ -416,38 +482,34 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 			yMinus.U, yMinus.F, s.inst.U, s.inst.F)
 	}
 
-	ws := &s.ws
-	ws.solved = false
-	caps := ws.caps
-	for i := range s.items {
-		caps[i] = s.items[i].capacity(yMinus)
-	}
-
-	iters := s.dualLoop(caps)
+	s.startCaps(yMinus)
+	iters := s.dualLoop()
 
 	// Primal recovery: for every distinct cache vector seen, compute the
 	// exact optimal routing given that cache and keep the best.
-	best := s.recoverPrimal(caps)
+	best := s.recoverPrimal()
 	best.DualIters = iters
-	ws.solved = true
+	s.ws.solved = true
 	return best, nil
 }
 
 // dualLoop runs the sub-gradient iterations (eq. 21-23) against the
-// residual capacities caps, leaving the distinct caching steps in the
-// candidate pool, and returns the number of iterations run.
+// residual capacities of this solve, leaving the distinct caching steps in
+// the candidate pool, and returns the number of iterations run.
 //
-// An iteration costs O(|T| log |T| + F) plus the items its fill pops,
-// where T is the set of items routed at least once in this solve. Outside T, μ = +0
-// and y = 0, and each pass leaves such an item as it is: adding +0 to a
-// score changes nothing, μ ← max(0, 0 + η·g) with g ∈ {0, −1} stays +0,
-// and g ≤ 0 cannot clear done. So the score and μ passes walk T in
-// ascending item order, which keeps every score sum bit for bit the sum
-// over all items. An item outside T also keeps the knapsack key
-// (−gain + 0)/λ for the whole solve, so routingFill merges one static
-// order on that key, pulled lazily and kept for the whole solve
-// (staticAt), with a per-iteration heap over T.
-func (s *Subproblem) dualLoop(caps []float64) int {
+// An iteration costs O(|T| log |T| + |T|·C_n) plus the items its fill
+// pops, where T is the set of items routed at least once in this solve.
+// Outside T, μ = +0 and y = 0, and each pass leaves such an item as it is:
+// adding +0 to a score changes nothing, μ ← max(0, 0 + η·g) with
+// g ∈ {0, −1} stays +0, and g ≤ 0 cannot clear done. So the score and μ
+// passes walk T in ascending item order, which keeps every score sum bit
+// for bit the sum over all items. Only the contents of T's items can
+// score above zero, and cachingStep reads no others, so only their
+// scores are cleared and summed. An item outside T also
+// keeps the knapsack key (−gain + 0)/λ for the whole solve, so
+// routingFill merges one static order on that key, pulled lazily and kept
+// for the whole solve (staticAt), with a per-iteration heap over T.
+func (s *Subproblem) dualLoop() int {
 	s.resetDual()
 	ws := &s.ws
 	mu := ws.mu // μ_uf ≥ 0, one per servable pair
@@ -459,8 +521,8 @@ func (s *Subproblem) dualLoop(caps []float64) int {
 		iters++
 		// Caching sub-problem (eq. 18): maximize Σ_f x_f·Σ_u μ_uf under
 		// Σ x_f ≤ C_n — integral greedy over per-content scores.
-		for f := range scoreBuf {
-			scoreBuf[f] = 0
+		for _, i := range ws.touched {
+			scoreBuf[s.items[i].f] = 0
 		}
 		for _, i := range ws.touched {
 			scoreBuf[s.items[i].f] += mu[i]
@@ -470,7 +532,7 @@ func (s *Subproblem) dualLoop(caps []float64) int {
 
 		// Routing sub-problem (eq. 20): fractional knapsack with
 		// coefficients w = (d−d̂)·λ + μ over the bandwidth budget.
-		s.routingFill(y, mu, caps)
+		s.routingFill(y, mu)
 
 		// Projected sub-gradient update μ ← [μ + η·(y − x)]⁺ (eq. 21-23).
 		eta := s.stepScale / (1 + stepDecay*float64(k))
@@ -509,47 +571,68 @@ func (s *Subproblem) Multipliers() []float64 {
 }
 
 // cachingStep solves eq. 18: pick the C_n contents with the largest
-// positive multiplier mass. Ties at zero are left uncached (they earn
-// nothing in the dual); primal recovery fills free capacity greedily. The
-// returned vector is the workspace's xStep buffer.
+// positive multiplier mass, ties by index. Ties at zero are left uncached
+// (they earn nothing in the dual); primal recovery fills free capacity
+// greedily. The returned vector is the workspace's xStep buffer.
+//
+// Only the contents of T's items can score above zero, so the candidates
+// come from T, and only the previous step's picks are cleared from xStep.
+// picks keeps the chosen contents in (score descending, index ascending)
+// order, at most C_n of them: each candidate is inserted at its place, and
+// one that lands past C_n is dropped, as is the last pick it pushes past
+// C_n. xStep marks the picks, so a content T serves twice is taken once; a
+// dropped one is never taken back, since every later pick precedes it.
 func (s *Subproblem) cachingStep(score []float64) []bool {
 	ws := &s.ws
 	x := ws.xStep
-	for f := range x {
+	for _, f := range ws.picks {
 		x[f] = false
 	}
 	capN := s.inst.CacheCap[s.n]
-	if capN == 0 {
-		return x
-	}
-	idx := ws.scoreIdx[:0]
-	for f, sc := range score {
-		if sc > 0 {
-			idx = append(idx, f)
+	picks := ws.picks[:0]
+	for _, i := range ws.touched {
+		f := s.items[i].f
+		sc := score[f]
+		if !(sc > 0) || x[f] {
+			continue
 		}
-	}
-	ws.scoreSorter.idx = idx
-	ws.scoreSorter.score = score
-	sort.Sort(&ws.scoreSorter)
-	if len(idx) > capN {
-		idx = idx[:capN]
-	}
-	for _, f := range idx {
+		j := len(picks)
+		for j > 0 && ahead(sc, f, score[picks[j-1]], picks[j-1]) {
+			j--
+		}
+		if j >= capN {
+			continue
+		}
+		if len(picks) < capN {
+			picks = picks[:len(picks)+1]
+		} else {
+			x[picks[len(picks)-1]] = false
+		}
+		copy(picks[j+1:], picks[j:len(picks)-1])
+		picks[j] = f
 		x[f] = true
 	}
+	ws.picks = picks
 	return x
+}
+
+// ahead reports whether content f with score sf comes before content g
+// with score sg in cachingStep's order: score descending, ties by index.
+// Scores are never NaN, so the order is strict and total.
+func ahead(sf float64, f int32, sg float64, g int32) bool {
+	return sf > sg || !(sg > sf) && f < g
 }
 
 // resetDual starts a solve's dual state, in O(|T|): T empties (μ and y
 // back to zero on it) and the static order restarts empty, for staticAt
-// to pull against this solve's caps. The first call fills the block
+// to pull against this solve's capacities. The first call fills the block
 // bounds.
 func (s *Subproblem) resetDual() {
 	ws := &s.ws
 	// Only the previous solve's touched items can hold a nonzero μ or y.
 	for _, i := range ws.touched {
 		ws.mu[i], ws.yDual[i] = 0, 0
-		ws.isTouched[i] = false
+		ws.flags[i] &^= inT
 	}
 	ws.touched = ws.touched[:0]
 	ws.heapLen, ws.popped, ws.pulled = 0, 0, 0
@@ -588,14 +671,14 @@ func (s *Subproblem) fillBlockMin() {
 // (w/λ, index) until the budget is spent, so a call costs O(|T|) plus
 // O(log) per filled item, and a sort of T when the fill adds to it. y must
 // be zero outside T on entry; every item the fill reaches joins T.
-func (s *Subproblem) routingFill(y, mu, caps []float64) float64 {
+func (s *Subproblem) routingFill(y, mu []float64) float64 {
 	ws := &s.ws
 	d := ws.dyn[:0]
 	for _, i := range ws.touched {
 		y[i] = 0
 		if mu[i] > 0 { // μ = 0 leaves the item in the static walk
-			if w := -s.items[i].gain + mu[i]; w < 0 && caps[i] > 0 {
-				d = append(d, ratioEntry{ratio: w / s.items[i].lambda, i: i})
+			if w := -s.items[i].gain + mu[i]; w < 0 && s.capOf(int(i)) > 0 {
+				d = append(d, ratioEntry{ratio: w / s.items[i].lambda, i: int(i)})
 			}
 		}
 	}
@@ -605,10 +688,10 @@ func (s *Subproblem) routingFill(y, mu, caps []float64) float64 {
 	budget := s.inst.Bandwidth[s.n]
 fill:
 	for k := 0; budget > 0; {
-		se, ok := s.staticAt(k, caps)
+		se, ok := s.staticAt(k)
 		for ok && mu[se.i] > 0 { // re-keyed: d holds it if it is eligible
 			k++
-			se, ok = s.staticAt(k, caps)
+			se, ok = s.staticAt(k)
 		}
 		var i int
 		switch {
@@ -621,13 +704,13 @@ fill:
 			break fill // nothing eligible is left
 		}
 		it := s.items[i]
-		amount := math.Min(caps[i], budget/it.lambda)
+		amount := math.Min(s.capOf(i), budget/it.lambda)
 		y[i] = amount
 		budget -= amount * it.lambda
-		if !ws.isTouched[i] {
-			ws.isTouched[i] = true
+		if ws.flags[i]&inT == 0 {
+			ws.flags[i] |= inT
 			t = t[:len(t)+1]
-			t[len(t)-1] = i
+			t[len(t)-1] = int32(i)
 		}
 	}
 	if len(t) > known { // the fill appended items in key order
@@ -638,8 +721,8 @@ fill:
 	return budget
 }
 
-// staticAt returns the k-th entry of the static fill order under caps,
-// the eligible items (gain > 0, cap > 0) by before on the key −gain/λ;
+// staticAt returns the k-th entry of the static fill order under this
+// solve's capacities, the eligible items (gain > 0, cap > 0) by before on the key −gain/λ;
 // ok is false past its last entry. The fills read only a short prefix of
 // that order, so it is pulled lazily: until the k-th entry has been
 // popped, staticAt pushes whole blocks of the density order onto the heap
@@ -656,14 +739,14 @@ fill:
 // since an unpulled item with an equal key may have the lower index. The
 // keys and the bounds both come from item.staticKey, so the comparison is
 // exact, −Inf keys included.
-func (s *Subproblem) staticAt(k int, caps []float64) (e ratioEntry, ok bool) {
+func (s *Subproblem) staticAt(k int) (e ratioEntry, ok bool) {
 	ws := &s.ws
 	last := len(ws.static) - 1
 	nb := len(ws.blockMin) - 1
 	for ws.popped <= k {
 		h := ws.static[:ws.heapLen]
 		for ws.pulled < nb && (len(h) == 0 || h[0].ratio >= ws.blockMin[ws.pulled]) {
-			h = s.pull(h, ws.pulled, caps)
+			h = s.pull(h, ws.pulled)
 			ws.pulled++
 		}
 		if len(h) == 0 {
@@ -679,10 +762,11 @@ func (s *Subproblem) staticAt(k int, caps []float64) (e ratioEntry, ok bool) {
 
 // pull pushes the eligible items (gain > 0, cap > 0) of block b of the
 // density order onto h, keyed −gain/λ, and returns the grown heap. h's
-// capacity is the item count, so the pushes never reallocate.
-func (s *Subproblem) pull(h ratioHeap, b int, caps []float64) ratioHeap {
+// capacity is the item count, so the pushes never reallocate. It reads the
+// capacities of the block's items with gain > 0 only.
+func (s *Subproblem) pull(h ratioHeap, b int) ratioHeap {
 	for _, i := range s.posItem[b*staticBlock : min((b+1)*staticBlock, len(s.posItem))] {
-		if it := &s.items[i]; it.gain > 0 && caps[i] > 0 {
+		if it := &s.items[i]; it.gain > 0 && s.capOf(int(i)) > 0 {
 			h = h[:len(h)+1]
 			h[len(h)-1] = ratioEntry{ratio: it.staticKey(), i: int(i)}
 			h.up(len(h) - 1)
@@ -691,17 +775,17 @@ func (s *Subproblem) pull(h ratioHeap, b int, caps []float64) ratioHeap {
 	return h
 }
 
-// findHeads records, for this solve's caps, each content's first
-// eligible (cap > 0, gain > 0) entry in its position list: walk starts
+// findHeads records, for this solve's capacities, each content's first
+// eligible (gain > 0, cap > 0) entry in its position list: walk starts
 // there, and the skip tests of greedyCache and localSearch compare its
 // position with a walk's stop.
-func (s *Subproblem) findHeads(caps []float64) {
+func (s *Subproblem) findHeads() {
 	end := int32(len(s.items))
 	for f := range s.ws.heads {
 		h := cursor{k: s.contentStart[f], pos: end}
 		for ; h.k < s.contentStart[f+1]; h.k++ {
 			p := s.contentPos[h.k]
-			if i := s.posItem[p]; caps[i] > 0 && s.items[i].gain > 0 {
+			if i := s.posItem[p]; s.items[i].gain > 0 && s.capOf(int(i)) > 0 {
 				h.pos = p
 				break
 			}
@@ -739,7 +823,7 @@ func (s *Subproblem) cacheSet(x []bool) []int32 {
 // walk over the larger cache is identical up to that position, and by
 // then it has already stopped. So that candidate's gain is this walk's,
 // bit for bit.
-func (s *Subproblem) walk(set []int32, caps []float64, out *model.Mat) (gain float64, stop int32) {
+func (s *Subproblem) walk(set []int32, out *model.Mat) (gain float64, stop int32) {
 	ws := &s.ws
 	end := int32(len(s.items))
 	cur := ws.cur[:len(set)]
@@ -771,10 +855,14 @@ func (s *Subproblem) walk(set []int32, caps []float64, out *model.Mat) (gain flo
 		}
 		i := s.posItem[p]
 		it := &s.items[i]
-		if caps[i] <= 0 || it.gain <= 0 {
+		if it.gain <= 0 {
 			continue
 		}
-		amount := math.Min(caps[i], budget/it.lambda)
+		capI := s.capOf(int(i))
+		if capI <= 0 {
+			continue
+		}
+		amount := math.Min(capI, budget/it.lambda)
 		if out != nil {
 			out.Set(int(it.u), int(it.f), amount)
 		}
@@ -784,25 +872,31 @@ func (s *Subproblem) walk(set []int32, caps []float64, out *model.Mat) (gain flo
 	}
 }
 
-// capsFor returns the per-item residual capacities against yMinus in a
-// fresh slice (the non-hot-path callers' form of Solve's caps pass).
-func (s *Subproblem) capsFor(yMinus model.Mat) []float64 {
-	caps := make([]float64, len(s.items))
+// eagerCopy returns a copy of s that reads every capacity against yMinus
+// from arrays of its own, filled up front: the non-hot-path solvers
+// (SolveExact, BestRoutingForCache) run on it, so s's read list, the memo
+// key, stays Solve's. The copy shares the rest of the workspace, which
+// every solve rebuilds before reading.
+func (s *Subproblem) eagerCopy(yMinus model.Mat) *Subproblem {
+	c := *s
+	c.ws.caps = make([]float64, len(s.items))
+	c.ws.flags = make([]uint8, len(s.items))
 	for i := range s.items {
-		caps[i] = s.items[i].capacity(yMinus)
+		c.ws.caps[i] = s.items[i].capacity(yMinus)
+		c.ws.flags[i] = capRead
 	}
-	return caps
+	return &c
 }
 
 // routingGivenCache computes the exact optimal routing for a fixed cache
-// vector x: a fractional knapsack over the cached, linked pairs with
-// per-item capacity caps. It returns a fresh U×F routing block and the
-// total gain. Composed with a cache search, it is an independent P_n
-// solver (SolveExact).
-func (s *Subproblem) routingGivenCache(x []bool, caps []float64) (model.Mat, float64) {
-	s.findHeads(caps)
+// vector x: a fractional knapsack over the cached, linked pairs with this
+// solve's capacities. It returns a fresh U×F routing block and the total
+// gain. Composed with a cache search, it is an independent P_n solver
+// (SolveExact).
+func (s *Subproblem) routingGivenCache(x []bool) (model.Mat, float64) {
+	s.findHeads()
 	block := model.NewMat(s.inst.U, s.inst.F)
-	gain, _ := s.walk(s.cacheSet(x), caps, &block)
+	gain, _ := s.walk(s.cacheSet(x), &block)
 	return block, gain
 }
 
@@ -819,7 +913,7 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 		return model.Mat{}, fmt.Errorf("core: yMinus is %dx%d, want U=%d F=%d",
 			yMinus.U, yMinus.F, s.inst.U, s.inst.F)
 	}
-	block, _ := s.routingGivenCache(x, s.capsFor(yMinus))
+	block, _ := s.eagerCopy(yMinus).routingGivenCache(x)
 	return block, nil
 }
 
@@ -829,21 +923,21 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 // is a gain-only walk that writes no routing, so the losing candidates
 // cost no per-item writes. It returns the best feasible pair as a Result
 // in matrix form. The Result is workspace-owned.
-func (s *Subproblem) recoverPrimal(caps []float64) *Result {
+func (s *Subproblem) recoverPrimal() *Result {
 	ws := &s.ws
-	s.findHeads(caps)
+	s.findHeads()
 	// The greedy candidate is evaluated unconditionally: it must not be
 	// crowded out when the dual loop already produced maxCandidates
 	// distinct vectors.
-	bestX, bestGain := s.greedyCache(caps)
+	bestX, bestGain := s.greedyCache()
 	for ci := 0; ci < ws.pool.n; ci++ {
 		x := ws.pool.list[ci]
-		if gain, _ := s.walk(s.cacheSet(x), caps, nil); gain > bestGain {
+		if gain, _ := s.walk(s.cacheSet(x), nil); gain > bestGain {
 			bestGain, bestX = gain, x
 		}
 	}
 	// localSearch leaves ws.set listing bestX.
-	bestGain = s.localSearch(bestX, bestGain, caps)
+	bestGain = s.localSearch(bestX, bestGain)
 
 	// The fill is the walk that scored bestX, so its gain is bestGain.
 	// The previous fill wrote only items of its cached contents at
@@ -860,7 +954,7 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 		}
 	}
 	copy(res.Cache, bestX)
-	_, ws.routedStop = s.walk(ws.set, caps, &res.Routing)
+	_, ws.routedStop = s.walk(ws.set, &res.Routing)
 	res.Gain = bestGain
 	res.DualIters = 0
 	return res
@@ -876,7 +970,7 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 // Each cached out is walked once without it; a swap-in whose first
 // eligible position is at or past that walk's stop scores that walk's
 // gain exactly (see walk), so only the others are walked.
-func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64 {
+func (s *Subproblem) localSearch(x []bool, gain float64) float64 {
 	const maxPasses = 4
 	ws := &s.ws
 	work := ws.workX
@@ -895,7 +989,7 @@ func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64
 					break
 				}
 			}
-			outGain, outStop := s.walk(set[:last], caps, nil)
+			outGain, outStop := s.walk(set[:last], nil)
 			for in := 0; in < s.inst.F; in++ {
 				if work[in] { // out included: it stays cached until a swap is taken
 					continue
@@ -903,7 +997,7 @@ func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64
 				set[last] = int32(in)
 				candGain := outGain
 				if ws.heads[in].pos < outStop {
-					candGain, _ = s.walk(set, caps, nil)
+					candGain, _ = s.walk(set, nil)
 				}
 				if candGain > gain+1e-9 {
 					gain = candGain
@@ -934,7 +1028,7 @@ func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) float64
 // A candidate whose first eligible position is at or past the current
 // cache's stop scores the current gain exactly (see walk), which never
 // beats the best so far, so only the others are walked.
-func (s *Subproblem) greedyCache(caps []float64) ([]bool, float64) {
+func (s *Subproblem) greedyCache() ([]bool, float64) {
 	ws := &s.ws
 	x := ws.greedyX
 	for f := range x {
@@ -945,7 +1039,7 @@ func (s *Subproblem) greedyCache(caps []float64) ([]bool, float64) {
 		return x, 0
 	}
 	set := ws.set[:0]
-	baseGain, baseStop := s.walk(set, caps, nil)
+	baseGain, baseStop := s.walk(set, nil)
 	for picked := 0; picked < capN; picked++ {
 		bestF, bestGain, bestStop := -1, baseGain, baseStop
 		set = set[:len(set)+1]
@@ -954,7 +1048,7 @@ func (s *Subproblem) greedyCache(caps []float64) ([]bool, float64) {
 				continue
 			}
 			set[len(set)-1] = int32(f)
-			if gain, stop := s.walk(set, caps, nil); gain > bestGain+1e-12 {
+			if gain, stop := s.walk(set, nil); gain > bestGain+1e-12 {
 				bestF, bestGain, bestStop = f, gain, stop
 			}
 		}
@@ -1008,24 +1102,8 @@ func boolsEqual(a, b []bool) bool {
 	return true
 }
 
-// scoreSorter orders content indices by score descending, ties by index.
-type scoreSorter struct {
-	idx   []int
-	score []float64
-}
-
-func (s *scoreSorter) Len() int { return len(s.idx) }
-func (s *scoreSorter) Less(a, b int) bool {
-	ia, ib := s.idx[a], s.idx[b]
-	if s.score[ia] != s.score[ib] { //edgecache:lint-ignore floateq sort comparator must be a strict weak order; epsilon ties would break transitivity
-		return s.score[ia] > s.score[ib]
-	}
-	return ia < ib
-}
-func (s *scoreSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
 // indexSorter orders item indices ascending.
-type indexSorter struct{ idx []int }
+type indexSorter struct{ idx []int32 }
 
 func (s *indexSorter) Len() int           { return len(s.idx) }
 func (s *indexSorter) Less(a, b int) bool { return s.idx[a] < s.idx[b] }

@@ -419,8 +419,8 @@ func TestRoutingGivenCachePrefersDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := []float64{1, 1}
-	y, gain := sub.routingGivenCache([]bool{true, true}, caps)
+	sub.useCaps([]float64{1, 1})
+	y, gain := sub.routingGivenCache([]bool{true, true})
 	// Bandwidth 4 fits exactly one full demand; MU1 (density 149) wins.
 	served0, served1 := y.At(0, 0), y.At(1, 1)
 	if math.Abs(served1-1) > 1e-9 || served0 > 1e-9 {

@@ -85,6 +85,9 @@ go test -race -count=10 -run 'TCP|Reliable|Backoff|PendingRecv' ./internal/trans
 # both engines with the memo on; TestIncremental covers the dirty-set memo:
 # bit-identity against the memo-disabled reference (±LPPM, across resume)
 # and the solves-skipped>0 gate on the standard N=20 scenario.
+# TestEngineResultsOwnTheirState checks that a run's result, which takes
+# the final state without a copy, keeps its bits through later runs and a
+# resume of the same coordinator, on every engine.
 echo "verify: parallel sweep-engine gate (-race, 3 runs, -cpu 1,2)"
 go test -race -count=3 -cpu 1,2 -run 'TestParallel|TestEngine|TestJacobi|TestIncremental' ./internal/core
 
@@ -102,19 +105,24 @@ go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
 # runs briefly past its committed seeds: strictness, canonical re-encoding
 # and the allocation bounds are checked on fresh inputs from both sides of
 # the shared code. FuzzTracker checks every aggregate-tracker mutator
-# against its value oracle on fresh op streams. The solver's three bit-for-
+# against its value oracle on fresh op streams. The solver's five bit-for-
 # bit oracles follow: FuzzDualLoop holds Solve's touched-set dual loop to
 # the full-scan reference, FuzzRoutingFill both knapsack fills to a
-# sort-based fill, and FuzzStaticOrder the lazily pulled static fill
-# order to a sort over permuted density orders. A failure leaves its
-# input under testdata/fuzz, where plain `go test` replays it.
-echo "verify: fuzz smoke (FuzzSnapshot, FuzzFrame, FuzzTracker, FuzzDualLoop, FuzzRoutingFill, FuzzStaticOrder; 10s each)"
+# sort-based fill, FuzzStaticOrder the lazily pulled static fill order to
+# a sort over permuted density orders, FuzzPrimalRecovery the merge walks,
+# reading their capacities lazily, to full scans over eager ones, and
+# FuzzLazyCapacities lazily read capacities to eager ones, solves and the
+# memo key (the read list) included. A failure leaves its input under
+# testdata/fuzz, where plain `go test` replays it.
+echo "verify: fuzz smoke (FuzzSnapshot, FuzzFrame, FuzzTracker, FuzzDualLoop, FuzzRoutingFill, FuzzStaticOrder, FuzzPrimalRecovery, FuzzLazyCapacities; 10s each)"
 go test -run '^$' -fuzz '^FuzzSnapshot$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzTracker$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzDualLoop$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzRoutingFill$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzStaticOrder$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzPrimalRecovery$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzLazyCapacities$' -fuzztime 10s ./internal/core
 
 echo "verify: go test -race ./internal/model/... ./cmd/..."
 go test -race ./internal/model/... ./cmd/...
